@@ -2,21 +2,18 @@
 //
 // Every release-time rule consumes the k earliest entries of the sorted
 // availability state and re-inserts its k node releases wherever the sort
-// order puts them. The dense admission session materialized the full N-wide
-// row after each planned task (O(Q*N) bytes per arrival burst); a plan only
-// touches k << N entries, so the row-to-row difference is fully described by
-// the k consumed (slot, old) values and the k re-inserted new values - the
-// AvailabilityDelta. A delta chain replayed onto a dense base row rebuilds
-// any later row bit-identically (the replay runs the exact same forward
-// merge the admission test ran when it first applied the plan), which is
-// what lets the session keep O(k) deltas plus sparse dense checkpoints
-// instead of one row per task.
+// order puts them. A plan only touches k << N entries, so the row-to-row
+// difference is fully described by the k re-inserted values, sorted: the
+// delta. A delta chain replayed onto a dense base row rebuilds any later row
+// bit-identically (the replay runs the exact same forward merge the
+// admission test ran when it first applied the plan), which is what lets
+// the admission session keep O(k) deltas in flat columns plus sparse dense
+// checkpoints instead of one row per task.
 //
 // Heterogeneous rows carry a node-id column in strict (time, id) order; the
-// delta mirrors it with id payloads (old ids of the consumed prefix, new ids
-// aligned with the sorted releases). Per-position cps never rides along:
-// speeds are constants derived from the id column (same reasoning as
-// AvailabilityIndex::Entry).
+// delta mirrors it with id payloads aligned with the sorted releases.
+// Per-position cps never rides along: speeds are constants derived from the
+// id column (same reasoning as AvailabilityIndex::Entry).
 //
 // Everything here is header-inline: the apply/replay merges are the
 // admission loop's innermost O(N) operation and must inline into their
@@ -33,34 +30,6 @@
 #include "util/annotations.hpp"
 
 namespace rtdls::cluster {
-
-struct AvailabilityDelta {
-  /// Old values of the consumed slots 0..k-1 (the k earliest entries of the
-  /// pre-state, in row order - i.e. sorted ascending).
-  std::vector<Time> old_times;
-  /// Re-inserted entries, sorted ascending (by (time, id) for het rows).
-  std::vector<Time> new_times;
-  /// Het payloads: ids owning the consumed slots / the re-inserted entries.
-  /// Empty for homogeneous rows.
-  std::vector<NodeId> old_ids;
-  std::vector<NodeId> new_ids;
-
-  std::size_t nodes() const { return new_times.size(); }
-
-  /// Heap bytes this delta holds (size-based, so the session memory
-  /// accounting is deterministic across allocator growth policies).
-  std::size_t bytes() const {
-    return (old_times.size() + new_times.size()) * sizeof(Time) +
-           (old_ids.size() + new_ids.size()) * sizeof(NodeId);
-  }
-
-  void clear() {
-    old_times.clear();
-    new_times.clear();
-    old_ids.clear();
-    new_ids.clear();
-  }
-};
 
 namespace detail {
 
@@ -132,17 +101,14 @@ inline void merge_releases_het(std::vector<Time>& state, std::vector<NodeId>& id
 /// Applies `releases` (the plan's node_release run, nondecreasing for every
 /// rule; defensively re-sorted otherwise) to the sorted row `state`: the
 /// first releases.size() entries are consumed and the releases merged into
-/// the remainder - an in-place O(N) forward merge. When `delta` is non-null
-/// it records the edit (consumed old values + sorted releases) so the same
-/// transition can be replayed later by apply_delta.
+/// the remainder - an in-place O(N) forward merge.
 ///
 /// Contract: on return `scratch` holds exactly the k releases in sorted
-/// order (what AvailabilityDelta::new_times would record) - callers that
-/// keep deltas in flat storage (the admission session) append it directly
-/// instead of paying a per-task delta allocation.
+/// order - the delta that apply_delta replays. Callers that keep deltas in
+/// flat storage (the admission session) append it directly instead of
+/// paying a per-task allocation.
 RTDLS_HOT inline void apply_releases(std::vector<Time>& state, const std::vector<Time>& releases,
-                           std::vector<Time>& scratch,
-                           AvailabilityDelta* delta = nullptr) {
+                           std::vector<Time>& scratch) {
   const std::size_t k = releases.size();
   if (k > state.size()) {
     throw std::invalid_argument("apply_releases: more releases than slots");
@@ -150,14 +116,6 @@ RTDLS_HOT inline void apply_releases(std::vector<Time>& state, const std::vector
   scratch.assign(releases.begin(), releases.end());
   if (!std::is_sorted(scratch.begin(), scratch.end())) {
     std::sort(scratch.begin(), scratch.end());  // defensive; no rule hits this
-  }
-  if (delta != nullptr) {
-    // Capture the consumed prefix before the merge overwrites it.
-    delta->old_times.assign(state.begin(),
-                            state.begin() + static_cast<std::ptrdiff_t>(k));
-    delta->new_times.assign(scratch.begin(), scratch.end());
-    delta->old_ids.clear();
-    delta->new_ids.clear();
   }
   detail::merge_releases(state, scratch.data(), k);
 }
@@ -170,8 +128,7 @@ RTDLS_HOT inline void apply_releases(std::vector<Time>& state, const std::vector
 RTDLS_HOT inline void apply_releases_het(std::vector<Time>& state, std::vector<NodeId>& ids,
                                const std::vector<Time>& releases,
                                const std::vector<NodeId>& release_ids,
-                               std::vector<std::pair<Time, NodeId>>& scratch,
-                               AvailabilityDelta* delta = nullptr) {
+                               std::vector<std::pair<Time, NodeId>>& scratch) {
   const std::size_t k = releases.size();
   if (k > state.size() || release_ids.size() != k) {
     throw std::invalid_argument("apply_releases_het: bad release columns");
@@ -179,30 +136,14 @@ RTDLS_HOT inline void apply_releases_het(std::vector<Time>& state, std::vector<N
   scratch.resize(k);
   for (std::size_t i = 0; i < k; ++i) scratch[i] = {releases[i], release_ids[i]};
   std::sort(scratch.begin(), scratch.end());
-  if (delta != nullptr) {
-    delta->old_times.assign(state.begin(),
-                            state.begin() + static_cast<std::ptrdiff_t>(k));
-    delta->old_ids.assign(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(k));
-    delta->new_times.resize(k);
-    delta->new_ids.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      delta->new_times[i] = scratch[i].first;
-      delta->new_ids[i] = scratch[i].second;
-    }
-    detail::merge_releases_het(state, ids, delta->new_times.data(),
-                               delta->new_ids.data(), k);
-    return;
-  }
-  // No recording: merge straight from the pair scratch.
   detail::merge_releases_het(state, ids, scratch.data(), k);
 }
 
-/// Span replay for callers that keep many deltas in flat storage (the
-/// admission session stores one delta per planned task and must not
-/// allocate per task): `new_times`/`new_ids` point at k sorted entries,
-/// exactly what AvailabilityDelta::new_times/new_ids would hold. Consumes
-/// the first k entries of the row and merges the new entries back in -
-/// bit-identical to the apply_releases call that recorded them.
+/// Replays one delta from flat storage (the admission session stores one
+/// delta per planned task and must not allocate per task): `new_times` /
+/// `new_ids` point at the k sorted entries the apply_releases* scratch held.
+/// Consumes the first k entries of the row and merges the new entries back
+/// in - bit-identical to the apply_releases call that produced them.
 RTDLS_HOT inline void apply_delta(std::vector<Time>& state, const Time* new_times,
                         std::size_t k) {
   if (k > state.size()) {
@@ -218,22 +159,6 @@ RTDLS_HOT inline void apply_delta_het(std::vector<Time>& state, std::vector<Node
     throw std::invalid_argument("apply_delta_het: delta wider than the row");
   }
   detail::merge_releases_het(state, ids, new_times, new_ids, k);
-}
-
-/// Replays a recorded delta onto the dense row it was produced from (or any
-/// bit-identical copy).
-RTDLS_HOT inline void apply_delta(std::vector<Time>& state, const AvailabilityDelta& delta) {
-  apply_delta(state, delta.new_times.data(), delta.nodes());
-}
-
-/// Het replay (state/ids row, id payloads from the delta).
-RTDLS_HOT inline void apply_delta_het(std::vector<Time>& state, std::vector<NodeId>& ids,
-                            const AvailabilityDelta& delta) {
-  if (delta.new_ids.size() != delta.nodes()) {
-    throw std::invalid_argument("apply_delta_het: misaligned id payload");
-  }
-  apply_delta_het(state, ids, delta.new_times.data(), delta.new_ids.data(),
-                  delta.nodes());
 }
 
 }  // namespace rtdls::cluster

@@ -39,18 +39,6 @@ bool NodeCalendar::is_free(NodeId id, Time start, Time end) const {
   return true;
 }
 
-Time NodeCalendar::earliest_fit(NodeId id, Time from, Time duration) const {
-  const auto& intervals = busy_.at(id);
-  if (duration <= 0.0) return from;  // the empty window fits anywhere
-  Time candidate = from;
-  for (const Interval& interval : intervals) {
-    if (fp::at_or_before(interval.end, candidate)) continue;      // already past it
-    if (fp::at_or_after(interval.start, candidate + duration)) break;  // gap fits
-    candidate = interval.end;  // collide: restart after this reservation
-  }
-  return candidate;
-}
-
 Time NodeCalendar::busy_time(NodeId id) const {
   Time total = 0.0;
   for (const Interval& interval : busy_.at(id)) total += interval.end - interval.start;
@@ -79,23 +67,6 @@ std::vector<Time> NodeCalendar::candidate_times(Time from) const {
   }
   times.resize(kept);
   return times;
-}
-
-std::optional<NodeCalendar::Window> NodeCalendar::earliest_window(
-    Time from, std::size_t n, Time duration) const {
-  if (n > size()) return std::nullopt;
-  if (n == 0) return Window{from, {}};
-  for (Time t : candidate_times(from)) {
-    Window window;
-    window.start = t;
-    for (NodeId id = 0; id < size() && window.nodes.size() < n; ++id) {
-      if (is_free(id, t, t + duration)) window.nodes.push_back(id);
-    }
-    if (window.nodes.size() == n) return window;
-  }
-  // Unreachable: the last candidate time lies past every reservation, where
-  // all nodes are free.
-  return std::nullopt;
 }
 
 }  // namespace rtdls::cluster

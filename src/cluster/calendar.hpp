@@ -10,7 +10,6 @@
 // whether backfilling alone recovers what IIT-utilization gains.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "cluster/types.hpp"
@@ -37,10 +36,6 @@ class NodeCalendar {
   /// True if [start, end) does not intersect any reservation on `id`.
   bool is_free(NodeId id, Time start, Time end) const;
 
-  /// Earliest t >= from with [t, t + duration) free on `id`. Always exists
-  /// (the calendar is finite); duration may be 0.
-  Time earliest_fit(NodeId id, Time from, Time duration) const;
-
   /// The node's busy intervals (sorted, disjoint) - for tests and metrics.
   const std::vector<Interval>& busy(NodeId id) const { return busy_.at(id); }
 
@@ -56,18 +51,6 @@ class NodeCalendar {
   /// reservation edge >= from, deduplicated and sorted. Any optimal
   /// "earliest k simultaneous nodes" answer lies on one of these.
   std::vector<Time> candidate_times(Time from) const;
-
-  /// A simultaneous window: `n` concrete nodes all free over
-  /// [start, start + duration).
-  struct Window {
-    Time start = 0.0;
-    std::vector<NodeId> nodes;
-  };
-
-  /// Earliest window at or after `from` where at least `n` nodes are
-  /// simultaneously free for `duration`; picks the lowest-id qualifying
-  /// nodes for determinism. Returns nullopt only if n > size().
-  std::optional<Window> earliest_window(Time from, std::size_t n, Time duration) const;
 
  private:
   std::vector<std::vector<Interval>> busy_;  // per node, sorted by start

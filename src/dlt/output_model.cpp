@@ -22,9 +22,4 @@ Time output_completion_bound(const ClusterParams& params, double sigma, double d
   return input_completion + output_channel_time(params, sigma, delta);
 }
 
-Time input_phase_deadline(const ClusterParams& params, double sigma, double delta,
-                          Time abs_deadline) {
-  return abs_deadline - output_channel_time(params, sigma, delta);
-}
-
 }  // namespace rtdls::dlt

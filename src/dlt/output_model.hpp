@@ -33,12 +33,4 @@ double output_channel_time(const ClusterParams& params, double sigma, double del
 Time output_completion_bound(const ClusterParams& params, double sigma, double delta,
                              Time input_completion);
 
-/// The deadline available to the *input* phase once the result phase is
-/// budgeted: abs_deadline - delta*sigma*Cms. Feeding this into the standard
-/// n_min machinery (Eq. 8-14) yields a node count whose plan meets the real
-/// deadline including results. Returns a value <= abs_deadline; may be
-/// non-positive (task infeasible due to result volume alone).
-Time input_phase_deadline(const ClusterParams& params, double sigma, double delta,
-                          Time abs_deadline);
-
 }  // namespace rtdls::dlt

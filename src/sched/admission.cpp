@@ -133,6 +133,57 @@ AdmissionOutcome AdmissionController::test(
   return outcome;
 }
 
+AdmissionOutcome AdmissionController::admit(
+    const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
+    const cluster::ClusterParams& params, const cluster::Cluster& cluster,
+    const cluster::NodeCalendar* calendar, Time now, bool incremental) {
+  if (rule_->uses_calendar()) {
+    if (calendar == nullptr) {
+      throw std::invalid_argument("AdmissionController::admit: rule requires a calendar");
+    }
+    // "Release time" = end of the node's last committed reservation (the
+    // calendar rule itself plans against the gaps).
+    live_times_.clear();
+    for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
+      const auto& busy = calendar->busy(id);
+      live_times_.push_back(std::max(now, busy.empty() ? now : busy.back().end));
+    }
+    return test(&new_task, waiting, params, live_times_, now, calendar);
+  }
+  if (incremental) return test_incremental(new_task, waiting, params, cluster, now);
+  if (params.heterogeneous()) {
+    cluster.availability_with_ids_into(now, live_times_, live_ids_);
+    return test(&new_task, waiting, params, live_times_, now, nullptr, live_ids_);
+  }
+  cluster.availability_into(now, live_times_);
+  return test(&new_task, waiting, params, live_times_, now);
+}
+
+void commit_plan(const TaskPlan& plan, Time now, cluster::Cluster& cluster,
+                 cluster::NodeCalendar* calendar, std::vector<cluster::NodeId>& ids) {
+  if (calendar != nullptr) {
+    // Calendar plan: reserve the exact intervals it chose (possibly
+    // backfilled into gaps in front of existing reservations).
+    ids = plan.node_ids;
+    for (std::size_t i = 0; i < plan.nodes; ++i) {
+      calendar->reserve(ids[i], plan.reserve_from[i], plan.node_release[i]);
+    }
+    return;
+  }
+  if (!plan.node_ids.empty()) {
+    // Heterogeneous plan: the partition was computed for exactly these
+    // nodes' speeds (nodes of different speeds are not interchangeable).
+    ids = plan.node_ids;
+  } else {
+    // Map the plan's sorted slots onto the n earliest-free concrete nodes.
+    cluster.earliest_free_nodes_into(now, plan.nodes, ids);
+  }
+  for (std::size_t i = 0; i < plan.nodes; ++i) {
+    cluster.commit(ids[i], plan.task, plan.available[i], plan.reserve_from[i],
+                   plan.node_release[i]);
+  }
+}
+
 void AdmissionController::invalidate() {
   cache_valid_ = false;
   head_ = 0;

@@ -20,9 +20,10 @@
 //    when cross-check mode is on).
 //
 // Session state representation: a plan touches only k << N availability
-// entries, so the session stores one sparse cluster::AvailabilityDelta per
-// planned task (O(k) bytes) instead of the dense N-wide row per task it used
-// to copy (O(Q*N) bytes per arrival burst). Dense rows survive only as
+// entries, so the session stores one sparse delta per planned task - its k
+// sorted releases in flat columns, O(k) bytes (cluster/availability_delta)
+// - instead of the dense N-wide row per task it used to copy (O(Q*N) bytes
+// per arrival burst). Dense rows survive only as
 //  * checkpoints every ~sqrt(N) planned positions (plus opportunistic ones
 //    where suffix re-plans actually land), and
 //  * the materialized frontier row after the last planned task (the common
@@ -35,6 +36,10 @@
 // (head offset); rejected/replaced suffixes roll back by truncating the
 // delta stack. Peak memory per burst drops from O(Q*N) to
 // O(Q*k + sqrt(N)*N), measured by session_memory()/peak_session_memory().
+//
+// Drivers (the simulator and the daemon's admission shard) do not pick
+// among these themselves: admit() runs the test against their live Cluster
+// or NodeCalendar, and commit_plan() books an accepted plan back into it.
 #pragma once
 
 #include <cstdint>
@@ -103,6 +108,19 @@ class AdmissionController {
                         std::vector<Time> free_times, Time now,
                         const cluster::NodeCalendar* calendar = nullptr,
                         std::vector<cluster::NodeId> node_ids = {}) const;
+
+  /// The admission step shared by every driver: runs the Figure-2 test for
+  /// `new_task` against live state, picking its input there -
+  ///  * calendar rules: each node's release is the end of its last
+  ///    reservation in `calendar` (floored at `now`; required), full test();
+  ///  * `incremental`: the warm session over `cluster` (test_incremental);
+  ///  * otherwise the stateless test() over `cluster`'s sorted snapshot at
+  ///    `now` (with the owning node ids when params are heterogeneous).
+  AdmissionOutcome admit(const workload::Task& new_task,
+                         const std::vector<const workload::Task*>& waiting,
+                         const cluster::ClusterParams& params,
+                         const cluster::Cluster& cluster,
+                         const cluster::NodeCalendar* calendar, Time now, bool incremental);
 
   /// Incremental Figure-2 test for non-calendar rules (throws
   /// std::logic_error when rule().uses_calendar()).
@@ -239,6 +257,8 @@ class AdmissionController {
   SessionMemory peak_;
 
   // Scratch reused across calls (no per-arrival allocation steady-state).
+  std::vector<Time> live_times_;               ///< admit(): stateless input
+  std::vector<cluster::NodeId> live_ids_;
   std::vector<Time> work_state_;
   std::vector<cluster::NodeId> work_ids_;
   std::vector<TaskPlan> scratch_plans_;
@@ -262,5 +282,14 @@ class AdmissionController {
   /// Het apply's (release, id) pair buffer, same mutability rationale.
   mutable std::vector<std::pair<Time, cluster::NodeId>> het_merge_scratch_;
 };
+
+/// Books an accepted plan's reservations at `now` - the commit step shared
+/// by every driver. Calendar plans (non-null `calendar`) reserve the exact
+/// intervals they chose; otherwise `cluster` commits heterogeneous plans on
+/// the node ids they were computed for, and homogeneous plans on the
+/// plan.nodes earliest-free nodes at `now` (ties by id). On return `ids`
+/// holds the node id of every plan slot.
+void commit_plan(const TaskPlan& plan, Time now, cluster::Cluster& cluster,
+                 cluster::NodeCalendar* calendar, std::vector<cluster::NodeId>& ids);
 
 }  // namespace rtdls::sched

@@ -21,7 +21,7 @@ namespace rtdls::sched {
 
 namespace {
 
-class OprMnBackfillRule final : public PartitionRule {
+class OprMnBackfillRule final : public het::ScratchRule {
  public:
   PlanResult plan(const PlanRequest& request) const override {
     detail::validate_request(request);
@@ -87,12 +87,6 @@ class OprMnBackfillRule final : public PartitionRule {
 
   std::string_view name() const override { return "OPR-MN-BF"; }
   bool uses_calendar() const override { return true; }
-
-  PlannerCounters planner_counters() const override { return het_scratch_.counters; }
-  void reset_planner_counters() const override { het_scratch_.counters = {}; }
-
- private:
-  mutable het::PlannerScratch het_scratch_;
 };
 
 }  // namespace

@@ -24,7 +24,7 @@ namespace rtdls::sched {
 
 namespace {
 
-class DltIitRule final : public PartitionRule {
+class DltIitRule final : public het::ScratchRule {
  public:
   explicit DltIitRule(NodeSearch search) : search_(search) {}
 
@@ -85,7 +85,6 @@ class DltIitRule final : public PartitionRule {
   NodeSearch search_;
   /// Reused across plan() calls (see PartitionRule's thread-affinity note).
   mutable dlt::HetPartition scratch_;
-  mutable het::PlannerScratch het_scratch_;
 };
 
 }  // namespace

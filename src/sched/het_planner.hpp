@@ -56,7 +56,7 @@ struct PlannerScratch {
   /// columns live here (reused across plan() calls, zero allocation in
   /// steady state).
   PlannerBatch batch;
-  /// Counters surfaced through PartitionRule::planner_counters().
+  /// Counters surfaced through ScratchRule::planner_counters().
   PlannerCounters counters;
   // multi-round state (slot-aligned with the chosen prefix)
   std::vector<Time> round_free;
@@ -73,6 +73,19 @@ struct PlannerScratch {
   /// the m-loop ride the shared alpha cursor (see plan_opr_mn_backfill).
   std::vector<cluster::NodeId> instant_free;
   std::vector<double> instant_cps;
+};
+
+/// Base of every rule that owns a PlannerScratch (its het path): reports the
+/// scratch's counters through PartitionRule::planner_counters(), in this one
+/// place for all of them.
+class ScratchRule : public PartitionRule {
+ public:
+  PlannerCounters planner_counters() const override { return het_scratch_.counters; }
+  void reset_planner_counters() const override { het_scratch_.counters = {}; }
+
+ protected:
+  /// Reused across plan() calls (see PartitionRule's thread-affinity note).
+  mutable PlannerScratch het_scratch_;
 };
 
 /// EDF/FIFO-DLT: IIT-utilizing partition on the generalized equivalent

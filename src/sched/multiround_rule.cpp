@@ -18,7 +18,7 @@ namespace rtdls::sched {
 
 namespace {
 
-class MultiRoundRule final : public PartitionRule {
+class MultiRoundRule final : public het::ScratchRule {
  public:
   explicit MultiRoundRule(std::size_t rounds)
       : rounds_(rounds == 0 ? 1 : rounds),
@@ -86,7 +86,6 @@ class MultiRoundRule final : public PartitionRule {
   std::size_t rounds_;
   std::unique_ptr<PartitionRule> fallback_;
   std::string name_;
-  mutable het::PlannerScratch het_scratch_;
 };
 
 }  // namespace

@@ -39,7 +39,7 @@ TaskPlan make_opr_plan(const PlanRequest& request, std::size_t assigned, Time rn
   return plan;
 }
 
-class OprMnRule final : public PartitionRule {
+class OprMnRule final : public het::ScratchRule {
  public:
   explicit OprMnRule(NodeSearch search) : search_(search) {}
 
@@ -71,10 +71,9 @@ class OprMnRule final : public PartitionRule {
 
  private:
   NodeSearch search_;
-  mutable het::PlannerScratch het_scratch_;
 };
 
-class OprAnRule final : public PartitionRule {
+class OprAnRule final : public het::ScratchRule {
  public:
   PlanResult plan(const PlanRequest& request) const override {
     detail::validate_request(request);
@@ -96,9 +95,6 @@ class OprAnRule final : public PartitionRule {
   }
 
   std::string_view name() const override { return "OPR-AN"; }
-
- private:
-  mutable het::PlannerScratch het_scratch_;
 };
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/simd.hpp"
 
 namespace rtdls::sched::het {
 
@@ -34,13 +33,12 @@ Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
 
   // Stage 2 - the equivalent-model costs depend on both r_n and E_ref, so
   // the whole column changes at every n: two elementwise passes (each lane
-  // independent - the SIMD build widens these without changing a bit) and
-  // one order-sensitive scalar scan, on flat reused columns.
+  // independent) and one order-sensitive scalar scan, on flat reused
+  // columns.
   tilde_.resize(n);
   const double* fr = free.data();
   const double* cp = cps.data();
   double* tl = tilde_.data();
-  RTDLS_IVDEP
   for (std::size_t i = 0; i < n; ++i) {
     tl[i] = e_ref / (e_ref + (rn - fr[i])) * cp[i];
   }
@@ -48,7 +46,6 @@ Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
   ratio_.resize(n);
   double* ra = ratio_.data();
   const double cms = cms_;
-  RTDLS_IVDEP
   for (std::size_t i = 1; i < n; ++i) {
     ra[i] = tl[i - 1] / (cms + tl[i]);
   }

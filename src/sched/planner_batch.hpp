@@ -25,9 +25,7 @@
 // Proof obligation: every kernel accumulates in the exact scan order of the
 // scalar reference (general_het_alpha_into / build_het_partition_into), so
 // schedules are bit-identical - enforced by differential property tests
-// over graded sizes, with the admission cross-check armed. The RTDLS_SIMD
-// build flag only widens the elementwise passes (see util/simd.hpp); CI
-// runs the suite with the flag both on and off.
+// over graded sizes, with the admission cross-check armed.
 #pragma once
 
 #include <cstddef>

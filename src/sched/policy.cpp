@@ -4,14 +4,6 @@
 
 namespace rtdls::sched {
 
-std::string_view policy_name(Policy policy) {
-  switch (policy) {
-    case Policy::kEdf: return "EDF";
-    case Policy::kFifo: return "FIFO";
-  }
-  return "?";
-}
-
 bool policy_less(Policy policy, const workload::Task& a, const workload::Task& b) {
   if (policy == Policy::kEdf) {
     if (a.abs_deadline() != b.abs_deadline()) return a.abs_deadline() < b.abs_deadline();

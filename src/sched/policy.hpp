@@ -1,7 +1,6 @@
 // Decision #1 of the Figure-2 framework: the task execution order.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "workload/task.hpp"
@@ -13,9 +12,6 @@ enum class Policy {
   kEdf,   ///< earliest absolute deadline first
   kFifo,  ///< earliest arrival first
 };
-
-/// Canonical policy names ("EDF", "FIFO").
-std::string_view policy_name(Policy policy);
 
 /// Strict-weak-order comparator for the chosen policy. Ties (equal deadline
 /// or arrival) break by arrival then id so orders are deterministic.

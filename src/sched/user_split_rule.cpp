@@ -16,7 +16,7 @@ namespace rtdls::sched {
 
 namespace {
 
-class UserSplitRule final : public PartitionRule {
+class UserSplitRule final : public het::ScratchRule {
  public:
   PlanResult plan(const PlanRequest& request) const override {
     detail::validate_request(request);
@@ -51,9 +51,6 @@ class UserSplitRule final : public PartitionRule {
   }
 
   std::string_view name() const override { return "UserSplit"; }
-
- private:
-  mutable het::PlannerScratch het_scratch_;
 };
 
 }  // namespace

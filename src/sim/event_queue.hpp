@@ -28,7 +28,8 @@ enum class EventPriority : int {
   kReport = 2,   ///< bookkeeping after the interesting work at an instant
 };
 
-/// One queued event. `Payload` is caller-defined (the engine uses callbacks).
+/// One queued event. `Payload` is caller-defined (the simulator queues
+/// versioned commit events).
 template <typename Payload>
 struct Event {
   Time time = 0.0;

@@ -98,8 +98,9 @@ struct SimMetrics {
   std::string summary() const;
 };
 
-/// Counters of the admission-control service (`rtdlsd`): one instance per
-/// daemon, updated under its counters mutex and reported verbatim in
+/// Counters of the admission-control service (`rtdlsd`): a plain-value
+/// snapshot that Daemon::counters() reads out of the daemon's relaxed
+/// atomics (one per field, no cross-field invariant), reported verbatim in
 /// `status` replies and the storm harness. Lives here with the simulation
 /// metrics because it is the same kind of artifact - aggregate run
 /// accounting with a human-readable summary - just over requests instead of

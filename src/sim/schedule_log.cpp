@@ -1,7 +1,6 @@
 #include "sim/schedule_log.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,12 +24,6 @@ void ScheduleLog::save_csv(std::ostream& out) const {
                               entry.start, entry.end, entry.alpha,
                               entry.inserted_idle(), entry.cps, entry.actual_finish});
   }
-}
-
-void ScheduleLog::save_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("ScheduleLog::save_csv_file: cannot open " + path);
-  save_csv(out);
 }
 
 std::string ScheduleLog::render_gantt(cluster::Time t0, cluster::Time t1,

@@ -44,7 +44,6 @@ class ScheduleLog {
 
   /// Writes CSV: task,node,usable_from,start,end,alpha,inserted_idle.
   void save_csv(std::ostream& out) const;
-  void save_csv_file(const std::string& path) const;
 
   /// Renders a coarse ASCII Gantt chart over [t0, t1): one row per node,
   /// task ids modulo 62 as marks, '.' for inserted idle, ' ' for free.

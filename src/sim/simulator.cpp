@@ -175,28 +175,9 @@ void ClusterSimulator::handle_arrival(const workload::Task& task) {
   sched::AdmissionOutcome outcome;
   {
     RTDLS_TRACE_SCOPE("sim.admit_test", "sim");
-    if (calendar_) {
-      // Calendar mode: "release time" = end of the node's last committed
-      // reservation (the BF rule itself plans against the gaps).
-      free_scratch_.clear();
-      free_scratch_.reserve(calendar_->size());
-      for (cluster::NodeId id = 0; id < calendar_->size(); ++id) {
-        const auto& busy = calendar_->busy(id);
-        free_scratch_.push_back(std::max(now, busy.empty() ? now : busy.back().end));
-      }
-      outcome = controller_.test(&task, waiting_view_, config_.params, free_scratch_, now,
-                                 &*calendar_);
-    } else if (config_.incremental_admission) {
-      outcome =
-          controller_.test_incremental(task, waiting_view_, config_.params, cluster_, now);
-    } else if (config_.params.heterogeneous()) {
-      cluster_.availability_with_ids_into(now, free_scratch_, free_ids_scratch_);
-      outcome = controller_.test(&task, waiting_view_, config_.params, free_scratch_, now,
-                                 nullptr, free_ids_scratch_);
-    } else {
-      cluster_.availability_into(now, free_scratch_);
-      outcome = controller_.test(&task, waiting_view_, config_.params, free_scratch_, now);
-    }
+    outcome = controller_.admit(task, waiting_view_, config_.params, cluster_,
+                                calendar_ ? &*calendar_ : nullptr, now,
+                                config_.incremental_admission);
   }
 
   if (!outcome.accepted) {
@@ -266,30 +247,7 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   const workload::Task& task = *entry.task;
 
   std::vector<cluster::NodeId>& ids = ids_scratch_;
-  if (calendar_) {
-    // Calendar-based plan: reserve the exact intervals it chose (possibly
-    // backfilled into gaps in front of existing reservations).
-    ids = plan.node_ids;
-    for (std::size_t i = 0; i < plan.nodes; ++i) {
-      calendar_->reserve(ids[i], plan.reserve_from[i], plan.node_release[i]);
-    }
-  } else if (!plan.node_ids.empty()) {
-    // Heterogeneous plan: the partition was computed for exactly these
-    // nodes' speeds, so commit them directly (nodes of different speeds
-    // are not interchangeable).
-    ids = plan.node_ids;
-    for (std::size_t i = 0; i < plan.nodes; ++i) {
-      cluster_.commit(ids[i], task.id, plan.available[i], plan.reserve_from[i],
-                      plan.node_release[i]);
-    }
-  } else {
-    // Map the plan's sorted slots onto the n earliest-free concrete nodes.
-    cluster_.earliest_free_nodes_into(now, plan.nodes, ids);
-    for (std::size_t i = 0; i < plan.nodes; ++i) {
-      cluster_.commit(ids[i], task.id, plan.available[i], plan.reserve_from[i],
-                      plan.node_release[i]);
-    }
-  }
+  sched::commit_plan(plan, now, cluster_, calendar_ ? &*calendar_ : nullptr, ids);
 
   // Roll out the actual timeline on the (dedicated or shared) channel.
   // Multi-round plans already carry their exact rolled-out per-node

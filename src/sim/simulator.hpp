@@ -145,8 +145,6 @@ class ClusterSimulator {
 
   // Scratch reused across arrivals/commits (no steady-state allocation).
   std::vector<const workload::Task*> waiting_view_;
-  std::vector<Time> free_scratch_;
-  std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<cluster::NodeId> ids_scratch_;
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;

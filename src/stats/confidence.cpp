@@ -1,7 +1,5 @@
 #include "stats/confidence.hpp"
 
-#include <stdexcept>
-
 #include "stats/student_t.hpp"
 
 namespace rtdls::stats {
@@ -23,17 +21,6 @@ ConfidenceInterval mean_confidence_interval(const std::vector<double>& samples,
                                             double confidence) {
   RunningStats stats;
   for (double s : samples) stats.add(s);
-  return mean_confidence_interval(stats, confidence);
-}
-
-ConfidenceInterval paired_difference_interval(const std::vector<double>& a,
-                                              const std::vector<double>& b,
-                                              double confidence) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("paired_difference_interval: size mismatch");
-  }
-  RunningStats stats;
-  for (size_t i = 0; i < a.size(); ++i) stats.add(a[i] - b[i]);
   return mean_confidence_interval(stats, confidence);
 }
 

@@ -27,11 +27,4 @@ ConfidenceInterval mean_confidence_interval(const std::vector<double>& samples,
 ConfidenceInterval mean_confidence_interval(const RunningStats& stats,
                                             double confidence = 0.95);
 
-/// Paired-difference interval for (a_i - b_i); used to decide whether one
-/// algorithm's reject ratio is significantly lower than another's when both
-/// ran on identical workload traces.
-ConfidenceInterval paired_difference_interval(const std::vector<double>& a,
-                                              const std::vector<double>& b,
-                                              double confidence = 0.95);
-
 }  // namespace rtdls::stats

@@ -55,26 +55,7 @@ void AdmissionShard::commit_entry(std::size_t index) {
   const cluster::Time at = entry.commit_at;
   if (at > now_) now_ = at;
 
-  const sched::TaskPlan& plan = entry.plan;
-  if (calendar_) {
-    for (std::size_t i = 0; i < plan.nodes; ++i) {
-      calendar_->reserve(plan.node_ids[i], plan.reserve_from[i], plan.node_release[i]);
-    }
-  } else if (!plan.node_ids.empty()) {
-    // Heterogeneous plan: the partition was computed for exactly these
-    // nodes' speeds; commit them directly.
-    for (std::size_t i = 0; i < plan.nodes; ++i) {
-      cluster_.commit(plan.node_ids[i], entry.task->id, plan.available[i],
-                      plan.reserve_from[i], plan.node_release[i]);
-    }
-  } else {
-    // Map the plan's sorted slots onto the n earliest-free concrete nodes.
-    cluster_.earliest_free_nodes_into(at, plan.nodes, ids_scratch_);
-    for (std::size_t i = 0; i < plan.nodes; ++i) {
-      cluster_.commit(ids_scratch_[i], entry.task->id, plan.available[i],
-                      plan.reserve_from[i], plan.node_release[i]);
-    }
-  }
+  sched::commit_plan(entry.plan, at, cluster_, calendar_.get(), ids_scratch_);
 
   if (!calendar_) {
     // Estimate-release commit: the committed reservations equal the plan's
@@ -118,28 +99,9 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
   waiting_view_.clear();
   for (const WaitingEntry& entry : waiting_) waiting_view_.push_back(entry.task);
 
-  sched::AdmissionOutcome outcome;
-  if (calendar_) {
-    // Calendar mode: "release time" = end of the node's last committed
-    // reservation (the BF rule itself plans against the gaps).
-    free_scratch_.clear();
-    free_scratch_.reserve(calendar_->size());
-    for (cluster::NodeId id = 0; id < calendar_->size(); ++id) {
-      const auto& busy = calendar_->busy(id);
-      free_scratch_.push_back(std::max(now_, busy.empty() ? now_ : busy.back().end));
-    }
-    outcome = controller_.test(&task, waiting_view_, config_.params, free_scratch_, now_,
-                               calendar_.get());
-  } else if (config_.incremental) {
-    outcome = controller_.test_incremental(task, waiting_view_, config_.params, cluster_, now_);
-  } else if (config_.params.heterogeneous()) {
-    cluster_.availability_with_ids_into(now_, free_scratch_, free_ids_scratch_);
-    outcome = controller_.test(&task, waiting_view_, config_.params, free_scratch_, now_,
-                               nullptr, free_ids_scratch_);
-  } else {
-    cluster_.availability_into(now_, free_scratch_);
-    outcome = controller_.test(&task, waiting_view_, config_.params, free_scratch_, now_);
-  }
+  sched::AdmissionOutcome outcome =
+      controller_.admit(task, waiting_view_, config_.params, cluster_, calendar_.get(), now_,
+                        config_.incremental);
 
   AdmitReply reply;
   reply.accepted = outcome.accepted;

@@ -142,8 +142,6 @@ class AdmissionShard {
 
   // Scratch reused across requests.
   std::vector<const workload::Task*> waiting_view_;
-  std::vector<cluster::Time> free_scratch_;
-  std::vector<cluster::NodeId> free_ids_scratch_;
   std::vector<cluster::NodeId> ids_scratch_;
 };
 

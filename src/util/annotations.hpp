@@ -18,15 +18,10 @@
 //    leveled members and any function body that acquires a lower level
 //    while a higher one is still held.
 //
-// Under clang the markers also emit `annotate` attributes so the
-// rtdls-tidy plugin (tools/verify/plugin) sees them in the AST; under gcc
-// RTDLS_HOT degrades to the hot attribute and RTDLS_LOCK_LEVEL to nothing.
+// The checks read the markers from the source text, so in the build
+// RTDLS_HOT is just the hot attribute and RTDLS_LOCK_LEVEL expands to
+// nothing.
 #pragma once
 
-#if defined(__clang__)
-#define RTDLS_HOT [[clang::annotate("rtdls_hot"), gnu::hot]]
-#define RTDLS_LOCK_LEVEL(n) __attribute__((annotate("rtdls_lock_level_" #n)))
-#else
 #define RTDLS_HOT [[gnu::hot]]
 #define RTDLS_LOCK_LEVEL(n)
-#endif

@@ -4,14 +4,6 @@
 
 namespace rtdls::util {
 
-bool build_simd() {
-#ifdef RTDLS_SIMD_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool build_asan() {
 #if defined(__SANITIZE_ADDRESS__)
   return true;
@@ -50,8 +42,7 @@ std::string build_description() {
 #else
   const char* mode = "Debug";
 #endif
-  return "rtdls (" + compiler + ", " + mode + std::string(", simd=") +
-         (build_simd() ? "on" : "off") + ", asan=" + (build_asan() ? "on" : "off") +
+  return "rtdls (" + compiler + ", " + mode + ", asan=" + (build_asan() ? "on" : "off") +
          ", trace=" + (build_trace() ? "on" : "off") + ")";
 }
 

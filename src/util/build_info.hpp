@@ -2,7 +2,7 @@
 //
 // Storm-harness numbers (BENCH_daemon.json) and daemon `status` replies are
 // only comparable when the build behind them is known - a sanitizer build is
-// 5-20x slower, RTDLS_SIMD changes the planner kernels' codegen - so every
+// 5-20x slower, a compiled-in trace recorder adds its idle checks - so every
 // report carries this one-line description.
 #pragma once
 
@@ -11,11 +11,8 @@
 namespace rtdls::util {
 
 /// One-line build description, e.g.
-/// "rtdls (gcc 12.2.0, Release, simd=off, asan=off, trace=on)".
+/// "rtdls (gcc 12.2.0, Release, asan=off, trace=on)".
 std::string build_description();
-
-/// True when the planner kernels were built with RTDLS_SIMD.
-bool build_simd();
 
 /// True when AddressSanitizer is compiled in (RTDLS_SANITIZE).
 bool build_asan();

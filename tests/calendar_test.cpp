@@ -59,23 +59,6 @@ TEST(Calendar, OutOfOrderInsertionStaysSorted) {
   EXPECT_DOUBLE_EQ(busy[2].start, 50.0);
 }
 
-TEST(Calendar, EarliestFitFindsGaps) {
-  NodeCalendar calendar(1);
-  calendar.reserve(0, 10.0, 20.0);
-  calendar.reserve(0, 30.0, 40.0);
-  EXPECT_DOUBLE_EQ(calendar.earliest_fit(0, 0.0, 10.0), 0.0);   // before everything
-  EXPECT_DOUBLE_EQ(calendar.earliest_fit(0, 0.0, 10.5), 40.0);  // too long for gaps
-  EXPECT_DOUBLE_EQ(calendar.earliest_fit(0, 5.0, 8.0), 20.0);   // middle gap
-  EXPECT_DOUBLE_EQ(calendar.earliest_fit(0, 25.0, 5.0), 25.0);
-  EXPECT_DOUBLE_EQ(calendar.earliest_fit(0, 35.0, 1.0), 40.0);  // inside a busy block
-}
-
-TEST(Calendar, EarliestFitZeroDuration) {
-  NodeCalendar calendar(1);
-  calendar.reserve(0, 10.0, 20.0);
-  EXPECT_DOUBLE_EQ(calendar.earliest_fit(0, 15.0, 0.0), 15.0);
-}
-
 TEST(Calendar, CandidateTimesAreEdges) {
   NodeCalendar calendar(2);
   calendar.reserve(0, 10.0, 20.0);
@@ -127,46 +110,6 @@ TEST(Calendar, ChainedEpsilonEdgesKeepAnchoredCandidates) {
     if (t >= base - kEps / 2 && t <= base + 3.0 * step + kEps / 2) ++anchors_in_chain;
   }
   EXPECT_GE(anchors_in_chain, 2u);
-}
-
-TEST(Calendar, EarliestWindowImmediateWhenEmpty) {
-  NodeCalendar calendar(4);
-  const auto window = calendar.earliest_window(7.0, 3, 100.0);
-  ASSERT_TRUE(window.has_value());
-  EXPECT_DOUBLE_EQ(window->start, 7.0);
-  EXPECT_EQ(window->nodes.size(), 3u);
-  EXPECT_EQ(window->nodes[0], 0u);  // lowest ids for determinism
-}
-
-TEST(Calendar, EarliestWindowBackfillsAGap) {
-  // Nodes 0 and 1 busy [100, 200); a 2-node window of length 50 fits at 0.
-  NodeCalendar calendar(2);
-  calendar.reserve(0, 100.0, 200.0);
-  calendar.reserve(1, 100.0, 200.0);
-  const auto window = calendar.earliest_window(0.0, 2, 50.0);
-  ASSERT_TRUE(window.has_value());
-  EXPECT_DOUBLE_EQ(window->start, 0.0);
-  // A window of length 150 does not fit in front: starts at 200.
-  const auto late = calendar.earliest_window(0.0, 2, 150.0);
-  ASSERT_TRUE(late.has_value());
-  EXPECT_DOUBLE_EQ(late->start, 200.0);
-}
-
-TEST(Calendar, EarliestWindowPicksQualifyingNodes) {
-  NodeCalendar calendar(3);
-  calendar.reserve(0, 0.0, 100.0);
-  const auto window = calendar.earliest_window(0.0, 2, 10.0);
-  ASSERT_TRUE(window.has_value());
-  EXPECT_DOUBLE_EQ(window->start, 0.0);
-  EXPECT_EQ(window->nodes, (std::vector<NodeId>{1, 2}));
-}
-
-TEST(Calendar, EarliestWindowTooManyNodes) {
-  NodeCalendar calendar(2);
-  EXPECT_FALSE(calendar.earliest_window(0.0, 3, 1.0).has_value());
-  const auto zero = calendar.earliest_window(5.0, 0, 1.0);
-  ASSERT_TRUE(zero.has_value());
-  EXPECT_TRUE(zero->nodes.empty());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // capacity-jump scan.
 //
 // Three pillars:
-//  1. AvailabilityDelta replay: applying a recorded delta to a copy of the
+//  1. Delta replay: replaying the sorted releases apply_releases* leaves in
+//     its scratch (the flat delta the session records) onto a copy of the
 //     pre-state reproduces the post-state bit for bit (homogeneous and het
 //     rows) - the invariant the checkpointed session stands on.
 //  2. N=512 randomized property runs (EDF/FIFO x DLT/MR2/OPR-MN-BF, het and
@@ -70,14 +71,13 @@ TEST(AvailabilityDelta, ReplayReproducesForwardApplicationBitwise) {
     std::sort(releases.begin(), releases.end());
 
     const std::vector<cluster::Time> before = state;
-    cluster::AvailabilityDelta delta;
-    cluster::apply_releases(state, releases, merge_scratch, &delta);
-    ASSERT_EQ(delta.nodes(), k);
-    ASSERT_EQ(delta.old_times, std::vector<cluster::Time>(before.begin(), before.begin() + k));
+    cluster::apply_releases(state, releases, merge_scratch);
+    ASSERT_EQ(merge_scratch.size(), k);
+    ASSERT_TRUE(std::is_sorted(merge_scratch.begin(), merge_scratch.end()));
     ASSERT_TRUE(std::is_sorted(state.begin(), state.end()));
 
     std::vector<cluster::Time> replayed = before;
-    cluster::apply_delta(replayed, delta);
+    cluster::apply_delta(replayed, merge_scratch.data(), k);
     ASSERT_EQ(replayed, state) << "round " << round;
   }
 }
@@ -108,12 +108,20 @@ TEST(AvailabilityDelta, HetReplayKeepsStrictTimeIdOrder) {
 
     const std::vector<cluster::Time> before_t = state;
     const std::vector<cluster::NodeId> before_i = ids;
-    cluster::AvailabilityDelta delta;
-    cluster::apply_releases_het(state, ids, releases, release_ids, pair_scratch, &delta);
+    cluster::apply_releases_het(state, ids, releases, release_ids, pair_scratch);
+    // Split the sorted pairs into the flat (time, id) columns the admission
+    // session records.
+    ASSERT_EQ(pair_scratch.size(), k);
+    std::vector<cluster::Time> delta_t;
+    std::vector<cluster::NodeId> delta_i;
+    for (const auto& [t, id] : pair_scratch) {
+      delta_t.push_back(t);
+      delta_i.push_back(id);
+    }
 
     std::vector<cluster::Time> replay_t = before_t;
     std::vector<cluster::NodeId> replay_i = before_i;
-    cluster::apply_delta_het(replay_t, replay_i, delta);
+    cluster::apply_delta_het(replay_t, replay_i, delta_t.data(), delta_i.data(), k);
     ASSERT_EQ(replay_t, state) << "round " << round;
     ASSERT_EQ(replay_i, ids) << "round " << round;
     for (std::size_t i = 1; i < n; ++i) {

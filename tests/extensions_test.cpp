@@ -89,7 +89,6 @@ TEST(OutputModel, ChannelTimeAndBudget) {
   EXPECT_DOUBLE_EQ(dlt::output_channel_time(paper_params(), 200.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(dlt::output_completion_bound(paper_params(), 200.0, 0.2, 1000.0),
                    1040.0);
-  EXPECT_DOUBLE_EQ(dlt::input_phase_deadline(paper_params(), 200.0, 0.2, 3000.0), 2960.0);
   EXPECT_THROW(dlt::output_channel_time(paper_params(), 200.0, -0.1),
                std::invalid_argument);
 }

@@ -1,9 +1,11 @@
-// Golden regression tests: one fixed workload, every algorithm, pinned
-// outcome ranges. These are deliberately tighter than the property tests -
+// Golden regression tests: one fixed workload, every paper algorithm, exact
+// admission counts. These are deliberately tighter than the property tests -
 // they exist to catch unintended behavioural drift in the scheduler (a
 // changed tie-break, an off-by-one in the n search) that the invariant
-// tests would tolerate. Tolerances absorb floating-point/platform noise
-// while still flagging any real semantic change.
+// tests would tolerate. The counts are exact: every bit-identity claim
+// elsewhere rules out the drift a tolerance band would hide. The workload is
+// generated (not pinned as text like the behaviour-digest corpus), so a
+// libm whose exp/log round differently would move these counts too.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -30,32 +32,35 @@ const std::vector<workload::Task>& golden_tasks() {
   return tasks;
 }
 
-double golden_reject(const std::string& algorithm) {
+sim::SimMetrics golden_run(const std::string& algorithm) {
   sim::SimulatorConfig config;
   config.params = {.node_count = 16, .cms = 1.0, .cps = 100.0};
-  return sim::simulate(config, algorithm, golden_tasks(), 1'000'000.0).reject_ratio();
+  return sim::simulate(config, algorithm, golden_tasks(), 1'000'000.0);
+}
+
+double golden_reject(const std::string& algorithm) {
+  return golden_run(algorithm).reject_ratio();
 }
 
 TEST(Golden, WorkloadShape) {
-  const auto& tasks = golden_tasks();
-  // ~589 arrivals expected at this seed/horizon (lambda = load / E(avg,16)).
-  EXPECT_NEAR(static_cast<double>(tasks.size()), 589.0, 60.0);
+  // lambda = load / E(avg,16) predicts ~589 arrivals at this horizon.
+  EXPECT_EQ(golden_tasks().size(), 591u);
 }
 
 TEST(Golden, RejectRatiosPinned) {
-  // Values measured at commit time; the ordering constraints below are the
-  // semantic content, the ranges catch drift.
-  const std::map<std::string, std::pair<double, double>> expected = {
-      {"EDF-OPR-MN", {0.30, 0.44}},   {"EDF-DLT", {0.28, 0.42}},
-      {"FIFO-OPR-MN", {0.30, 0.44}},  {"FIFO-DLT", {0.28, 0.42}},
-      {"EDF-UserSplit", {0.33, 0.48}}, {"EDF-OPR-AN", {0.26, 0.40}},
+  // (accepted, rejected) measured at commit time; the ordering constraints
+  // below are the semantic content, the exact counts catch drift.
+  const std::map<std::string, std::pair<std::size_t, std::size_t>> expected = {
+      {"EDF-OPR-MN", {381, 210}},    {"EDF-DLT", {391, 200}},
+      {"FIFO-OPR-MN", {380, 211}},   {"FIFO-DLT", {391, 200}},
+      {"EDF-UserSplit", {365, 226}}, {"EDF-OPR-AN", {407, 184}},
   };
   std::map<std::string, double> measured;
-  for (const auto& [name, range] : expected) {
-    const double ratio = golden_reject(name);
-    measured[name] = ratio;
-    EXPECT_GE(ratio, range.first) << name;
-    EXPECT_LE(ratio, range.second) << name;
+  for (const auto& [name, counts] : expected) {
+    const sim::SimMetrics metrics = golden_run(name);
+    measured[name] = metrics.reject_ratio();
+    EXPECT_EQ(metrics.accepted, counts.first) << name;
+    EXPECT_EQ(metrics.rejected, counts.second) << name;
   }
   // Cross-algorithm ordering at this load (the paper's claims).
   EXPECT_LT(measured["EDF-DLT"], measured["EDF-OPR-MN"]);
@@ -72,11 +77,13 @@ TEST(Golden, DeterministicAcrossProcessRuns) {
 }
 
 TEST(Golden, BackfillTracksOprMnClosely) {
-  const double mn = golden_reject("EDF-OPR-MN");
-  const double bf = golden_reject("EDF-OPR-MN-BF");
+  const sim::SimMetrics mn = golden_run("EDF-OPR-MN");
+  const sim::SimMetrics bf = golden_run("EDF-OPR-MN-BF");
+  EXPECT_EQ(bf.accepted, 381u);
+  EXPECT_EQ(bf.rejected, 210u);
   // The measured finding: conservative backfilling recovers almost none of
   // the IIT waste on this workload (gaps are rarely co-usable).
-  EXPECT_NEAR(bf, mn, 0.02);
+  EXPECT_NEAR(bf.reject_ratio(), mn.reject_ratio(), 0.02);
 }
 
 }  // namespace

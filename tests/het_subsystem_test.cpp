@@ -13,12 +13,14 @@
 //     invariants on heterogeneous hardware.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
 
 #include "cluster/speed_profile.hpp"
 #include "dlt/het_model.hpp"
+#include "obs/metrics.hpp"
 #include "sim/exec_model.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
@@ -261,6 +263,34 @@ TEST(HetSubsystem, ScheduleLogRecordsPerNodeSpeedsAndFinishes) {
     EXPECT_EQ(entry.cps, config.params.node_cps(entry.node));
     EXPECT_LE(entry.actual_finish, entry.end + 1e-6);
     EXPECT_GE(entry.actual_finish, entry.start);
+  }
+}
+
+TEST(HetSubsystem, ResolverRulesReportPlannerCounters) {
+  // Every rule that owns a het planner scratch reports its counters, so a
+  // het run's resolver walks reach SimMetrics and the obs registry alike
+  // (they used to read 0 for every rule but OPR-MN-BF).
+  workload::WorkloadParams params;
+  params.cluster = {.node_count = 64, .cms = 1.0, .cps = 100.0};
+  params.system_load = 1.0;
+  params.total_time = 20000.0;
+  params.seed = 64;
+  const auto tasks = workload::generate_workload(params);
+  ASSERT_FALSE(tasks.empty());
+
+  for (const char* name : {"EDF-DLT", "EDF-OPR-MN", "EDF-MR2"}) {
+    sim::SimulatorConfig config;
+    config.params = params.cluster;
+    config.params.speed_profile = std::make_shared<const SpeedProfile>(
+        SpeedProfile::log_normal(64, 100.0, 0.5, 7));
+    const std::uint64_t walks_before =
+        obs::Registry::global().counter_value("rtdls_planner_resolver_walks_total");
+    const sim::SimMetrics metrics = sim::simulate(config, name, tasks, params.total_time);
+    const std::uint64_t walks_after =
+        obs::Registry::global().counter_value("rtdls_planner_resolver_walks_total");
+    EXPECT_GT(metrics.planner_resolver_walks, 0u) << name;
+    EXPECT_GE(metrics.planner_resolver_positions, metrics.planner_resolver_walks) << name;
+    EXPECT_EQ(walks_after - walks_before, metrics.planner_resolver_walks) << name;
   }
 }
 

@@ -75,11 +75,6 @@ TEST(TaskPlan, CommitTimeIsEarliestReservation) {
   EXPECT_DOUBLE_EQ(plan.commit_time(), 20.0);
 }
 
-TEST(Policy, Names) {
-  EXPECT_EQ(policy_name(Policy::kEdf), "EDF");
-  EXPECT_EQ(policy_name(Policy::kFifo), "FIFO");
-}
-
 TEST(Policy, EdfOrdersByAbsoluteDeadline) {
   const workload::Task early = make_task(1, 100.0, 50.0);   // abs 150
   const workload::Task late = make_task(2, 0.0, 400.0);     // abs 400

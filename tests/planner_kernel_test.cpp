@@ -16,8 +16,7 @@
 //  4. Cross-check-armed EDF/FIFO x DLT/MR2/OPR-MN-BF simulations (het and
 //     homogeneous) under overloads that force front hard-rejections, so the
 //     admission QueueScreen's shortcut is exercised against the unscreened
-//     stateless reference. These run identically under RTDLS_SIMD=ON/OFF
-//     builds in CI.
+//     stateless reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,5 +1,5 @@
-// Unit tests for src/stats: streaming moments, Student-t machinery,
-// confidence intervals, batch summaries.
+// Unit tests for src/stats: streaming moments, Student-t machinery and
+// confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "stats/confidence.hpp"
 #include "stats/running_stats.hpp"
 #include "stats/student_t.hpp"
-#include "stats/summary.hpp"
 
 namespace rtdls::stats {
 namespace {
@@ -174,61 +173,6 @@ TEST(Confidence, WiderConfidenceWiderInterval) {
   const std::vector<double> samples{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_LT(mean_confidence_interval(samples, 0.90).half_width,
             mean_confidence_interval(samples, 0.99).half_width);
-}
-
-TEST(Confidence, PairedDifference) {
-  const std::vector<double> a{0.30, 0.32, 0.28};
-  const std::vector<double> b{0.25, 0.26, 0.24};
-  const ConfidenceInterval ci = paired_difference_interval(a, b);
-  EXPECT_NEAR(ci.mean, 0.05, 1e-12);
-  EXPECT_THROW(paired_difference_interval(a, {0.1}), std::invalid_argument);
-}
-
-// --- summary / histogram -----------------------------------------------------------
-
-TEST(Summary, Quantiles) {
-  Summary summary;
-  for (int i = 1; i <= 100; ++i) summary.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(summary.median(), 50.5);
-  EXPECT_DOUBLE_EQ(summary.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(summary.quantile(1.0), 100.0);
-  EXPECT_NEAR(summary.quantile(0.95), 95.05, 1e-9);
-  EXPECT_DOUBLE_EQ(summary.min(), 1.0);
-  EXPECT_DOUBLE_EQ(summary.max(), 100.0);
-  EXPECT_DOUBLE_EQ(summary.mean(), 50.5);
-}
-
-TEST(Summary, SingleAndEmpty) {
-  Summary summary;
-  EXPECT_TRUE(summary.empty());
-  EXPECT_THROW(summary.quantile(0.5), std::logic_error);
-  summary.add(7.0);
-  EXPECT_DOUBLE_EQ(summary.quantile(0.3), 7.0);
-}
-
-TEST(Summary, QuantileRangeChecked) {
-  Summary summary;
-  summary.add(1.0);
-  EXPECT_THROW(summary.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(summary.quantile(1.1), std::invalid_argument);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram histogram(0.0, 10.0, 5);
-  histogram.add(-1.0);  // clamps to first bucket
-  histogram.add(0.5);
-  histogram.add(9.9);
-  histogram.add(25.0);  // clamps to last bucket
-  EXPECT_EQ(histogram.count(), 4u);
-  EXPECT_EQ(histogram.bucket(0), 2u);
-  EXPECT_EQ(histogram.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(histogram.bucket_lo(1), 2.0);
-  EXPECT_FALSE(histogram.render().empty());
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

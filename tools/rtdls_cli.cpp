@@ -1018,7 +1018,7 @@ void print_usage() {
       "  admit | commit | cancel | status | stats | snapshot | shutdown\n"
       "               client requests against a running daemon (--socket);\n"
       "               stats prints the daemon's Prometheus-style metrics\n"
-      "  --version    print the build description (flags, sanitizers, SIMD)\n",
+      "  --version    print the build description (compiler, build type, sanitizers, tracing)\n",
       stderr);
 }
 

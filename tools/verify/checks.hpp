@@ -28,8 +28,7 @@
 //    call sites resolve unambiguously; duplicates are themselves flagged.
 //
 // The engine is the token scanner in lexer.hpp - see the precision notes
-// there. tools/verify/plugin/ holds the clang-tidy plugin implementing
-// the same checks on the real AST for toolchains with Clang dev headers.
+// there.
 #pragma once
 
 #include <map>

@@ -7,10 +7,8 @@
 // the declared lock order). Comments, string/char literal *contents*, and
 // preprocessor directives are consumed but not tokenized; numeric literals
 // carry a parsed value and a float/integer classification so the checks
-// can reason about magnitudes. The clang-tidy plugin under plugin/ is the
-// AST-exact implementation of the same checks for toolchains that ship
-// Clang development headers; this scanner is the dependency-free engine
-// that runs everywhere the project builds.
+// can reason about magnitudes. The scanner is dependency-free, so the
+// checks run everywhere the project builds.
 #pragma once
 
 #include <cstddef>

@@ -9,12 +9,9 @@
 //
 // Exit status is 1 when any diagnostic fired (warnings-as-errors is the
 // only mode: CI gates on it, and there is deliberately no suppression
-// syntax - a finding in src/ is fixed, not silenced). The sibling
-// clang-tidy plugin (plugin/RtdlsTidyModule.cpp) exposes the same checks
-// inside real clang-tidy for toolchains that ship Clang dev headers; this
-// driver is the dependency-free engine that runs everywhere the project
-// builds, directly over the source tree (or the file list of a
-// compile_commands.json via --compdb).
+// syntax - a finding in src/ is fixed, not silenced). The driver is
+// dependency-free and runs everywhere the project builds, directly over the
+// source tree (or the file list of a compile_commands.json via --compdb).
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
