@@ -260,6 +260,11 @@ struct RuleCase {
   std::unique_ptr<PartitionRule> (*factory)();
 };
 
+// Prints a case as its label. gtest's default would dump the struct's bytes,
+// and the two pointers in them move with every build and every run, so the
+// listed test names would too.
+void PrintTo(const RuleCase& rule_case, std::ostream* os) { *os << rule_case.label; }
+
 std::unique_ptr<PartitionRule> make_dlt_default() { return make_dlt_iit_rule(); }
 std::unique_ptr<PartitionRule> make_opr_default() { return make_opr_mn_rule(); }
 std::unique_ptr<PartitionRule> make_mr2() { return make_multiround_rule(2); }
