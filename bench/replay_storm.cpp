@@ -16,10 +16,11 @@
 // not pollute the process's lifetime-max RSS) and then replayed through the
 // full bounded-memory pipeline: TraceReader -> StreamingTaskSource ->
 // ClusterSimulator::run_stream on the bucket backend. Reported: tasks/sec,
-// the source's peak resident task count, and getrusage peak RSS - the
-// number CI gates to pin the O(chunk) memory claim (a materialized
-// million-task load would hold ~90 MB of tasks + CSV text; the streamed
-// pipeline should stay far under that).
+// the source's peak resident task count, getrusage peak RSS - the number CI
+// gates to pin the O(chunk) memory claim (a materialized million-task load
+// would hold ~90 MB of tasks + CSV text; the streamed pipeline should stay
+// far under that) - and the replay's deadline misses and Theorem-4
+// violations, which CI requires to be zero.
 //
 //   replay_storm [out.json]
 //   RTDLS_REPLAY_NODES=100000   index size for the commit-path storm
@@ -208,6 +209,8 @@ int main(int argc, char** argv) {
   const double rss_mb = peak_rss_mb();
   std::printf("replay: %zu tasks in %.2fs = %.0f tasks/s (%zu accepted, %zu rejected)\n",
               replay_tasks, replay_wall, tasks_per_sec, metrics.accepted, metrics.rejected);
+  std::printf("correctness: %zu deadline misses, %zu theorem-4 violations\n",
+              metrics.deadline_misses, metrics.theorem4_violations);
   std::printf("memory: peak %zu resident tasks across %zu-task chunks, peak RSS %.1f MB\n",
               source.peak_resident_tasks(), chunk_tasks, rss_mb);
 
@@ -232,6 +235,8 @@ int main(int argc, char** argv) {
       << "    \"chunk_tasks\": " << chunk_tasks << ",\n"
       << "    \"accepted\": " << metrics.accepted << ",\n"
       << "    \"rejected\": " << metrics.rejected << ",\n"
+      << "    \"deadline_misses\": " << metrics.deadline_misses << ",\n"
+      << "    \"theorem4_violations\": " << metrics.theorem4_violations << ",\n"
       << "    \"wall_seconds\": " << replay_wall << ",\n"
       << "    \"tasks_per_sec\": " << tasks_per_sec << ",\n"
       << "    \"peak_resident_tasks\": " << source.peak_resident_tasks() << ",\n"

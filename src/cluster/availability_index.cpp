@@ -1,6 +1,7 @@
 #include "cluster/availability_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -53,6 +54,7 @@ void AvailabilityIndex::reset(std::size_t nodes, IndexBackend backend) {
   backend_ = backend;
   size_ = nodes;
   prefix_valid_ = false;
+  floored_marks_.assign((nodes + 63) / 64, 0);
   if (backend_ == IndexBackend::kFlat) {
     entries_.resize(nodes);
     for (std::size_t i = 0; i < nodes; ++i) {
@@ -327,23 +329,40 @@ void AvailabilityIndex::availability_with_ids_into(Time now, std::vector<Time>& 
   times.resize(size_);
   ids.resize(size_);
   std::fill(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(floored), now);
+  // The floored prefix all ties at `now`, so its (floored time, id) order is
+  // plain id order: mark its ids here and read them back ascending below.
+  const auto mark = [this](NodeId node) {
+    floored_marks_[node / 64] |= std::uint64_t{1} << (node % 64);
+  };
   if (backend_ == IndexBackend::kFlat) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) ids[i] = entries_[i].node;
-    for (std::size_t i = floored; i < entries_.size(); ++i) times[i] = entries_[i].free_at;
+    for (std::size_t i = 0; i < floored; ++i) mark(entries_[i].node);
+    for (std::size_t i = floored; i < entries_.size(); ++i) {
+      ids[i] = entries_[i].node;
+      times[i] = entries_[i].free_at;
+    }
   } else {
     std::size_t i = 0;
     for (std::size_t b = 0; b < order_.size(); ++b) {
-      const std::vector<Entry>& bucket = slots_[order_[b]];
-      for (const Entry& entry : bucket) {
-        ids[i] = entry.node;
-        if (i >= floored) times[i] = entry.free_at;
+      for (const Entry& entry : slots_[order_[b]]) {
+        if (i < floored) {
+          mark(entry.node);
+        } else {
+          ids[i] = entry.node;
+          times[i] = entry.free_at;
+        }
         ++i;
       }
     }
   }
-  // The floored prefix all ties at `now`; sorting its ids yields the strict
-  // (floored time, id) order the heterogeneous state machinery relies on.
-  std::sort(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(floored));
+  // Read back and clear: O(N / 64 + floored).
+  std::size_t i = 0;
+  for (std::size_t w = 0; i < floored; ++w) {
+    std::uint64_t word = floored_marks_[w];
+    floored_marks_[w] = 0;
+    for (; word != 0; word &= word - 1) {
+      ids[i++] = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+  }
 }
 
 void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,

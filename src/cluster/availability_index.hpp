@@ -120,12 +120,13 @@ class AvailabilityIndex {
 
   /// Same snapshot plus the matching node ids (ids[i] owns times[i]),
   /// strictly ordered by (floored time, id): the floored prefix all ties at
-  /// `now`, so its ids are re-sorted ascending - the same order a pair sort
-  /// of (max(free_at, now), id) would produce. The heterogeneous planning
-  /// path consumes this: the id column is what lets rules look up per-node
-  /// cps and record the concrete nodes their alpha was computed for, and
-  /// the strict (time, id) order is the invariant the admission session's
-  /// functional state evolution preserves. O(N) plus the prefix id sort.
+  /// `now`, so its ids are put in ascending order - the same order a pair
+  /// sort of (max(free_at, now), id) would produce. The heterogeneous
+  /// planning path consumes this: the id column is what lets rules look up
+  /// per-node cps and record the concrete nodes their alpha was computed
+  /// for, and the strict (time, id) order is the invariant the admission
+  /// session's functional state evolution preserves. O(N): the floored ids
+  /// are marked in a node-id bitset and read back in id order, no sort.
   RTDLS_HOT void availability_with_ids_into(Time now, std::vector<Time>& times,
                                   std::vector<NodeId>& ids) const;
 
@@ -196,6 +197,10 @@ class AvailabilityIndex {
   std::vector<std::uint32_t> free_slots_;
   mutable std::vector<std::size_t> prefix_;
   mutable bool prefix_valid_ = false;
+
+  /// availability_with_ids_into scratch: one bit per node id, all clear
+  /// between calls (sized by reset(), so snapshots never allocate).
+  mutable std::vector<std::uint64_t> floored_marks_;
 };
 
 }  // namespace rtdls::cluster

@@ -19,10 +19,13 @@
 //    searches the skipped range so the linear scan's exact accept position
 //    and reject reason are preserved (hard rejection is monotone in r_n).
 //    Speeds are gathered lazily up to the largest inspected position, so a
-//    plan that accepts a k-node prefix costs O(k), not O(N).
+//    plan that accepts a k-node prefix never reads the other N - k ids.
 //  * Each prefix's estimate comes from the generalized Eq.-1 equivalent
 //    model over the offered nodes' *actual* speeds
-//    (dlt::build_het_partition_into feeding general_het_alpha_into).
+//    (dlt::build_het_partition_into feeding general_het_alpha_into). OPR-MN
+//    and a tied DLT prefix (every offered node free at the same instant)
+//    cost O(1) per inspected position, so such a plan costs O(k); an untied
+//    DLT prefix rebuilds its equivalent model, O(k) per position.
 //  * Accepted plans pin node identity: node_ids/node_cps record exactly
 //    which nodes the alpha fractions were computed for, and the simulator
 //    commits those ids (nodes of different speeds are not interchangeable).

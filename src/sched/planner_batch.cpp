@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/fp.hpp"
 
 namespace rtdls::sched::het {
 
@@ -30,6 +31,15 @@ Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
   sync_cursor(cps, n);
   const Time rn = free[n - 1];
   const double e_ref = sigma_ * cms_ + cursor_.alpha_last() * sigma_ * cps[n - 1];
+  dlt_n_ = n;
+
+  // Tied prefix (every offered node frees at r_n, e.g. all idle at `now`):
+  // each r_n - r_i is +0.0, so Eq. (1)'s factor E_ref / (E_ref + 0) is
+  // exactly 1.0 and cps_tilde == cps. Stage 2 would then re-run the
+  // cursor's own recurrence op for op, so E_hat == E_ref bit for bit and
+  // the cursor already holds the partition: O(1) per position.
+  dlt_tied_ = fp::exact_eq(free[0], rn);
+  if (dlt_tied_) return rn + e_ref;
 
   // Stage 2 - the equivalent-model costs depend on both r_n and E_ref, so
   // the whole column changes at every n: two elementwise passes (each lane
@@ -62,7 +72,6 @@ Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
     denom += p;
   }
   dlt_denom_ = denom;
-  dlt_n_ = n;
 
   // Eq. (6) analog: cps_tilde_n == cps_actual_n since r_n - r_n = 0.
   const double e_hat = sigma_ * cms_ + (p / denom) * sigma_ * cps[n - 1];
@@ -71,6 +80,10 @@ Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
 
 void PlannerBatch::materialize_dlt_alpha(std::vector<double>& out) const {
   if (dlt_n_ == 0) throw std::logic_error("PlannerBatch: no DLT prefix evaluated");
+  if (dlt_tied_) {
+    cursor_.materialize(out);
+    return;
+  }
   out.resize(dlt_n_);
   for (std::size_t i = 0; i < dlt_n_; ++i) out[i] = products_[i] / dlt_denom_;
 }

@@ -9,12 +9,15 @@
 //  * Walk kernels (opr_walk_estimate / dlt_walk_estimate): share one
 //    dlt::AlphaRecurrence cursor over the actual-speed column, so the het
 //    resolver's post-crossing walk extends n -> n+1 in O(1) on the OPR-MN
-//    path and O(1) for the E_ref stage of the DLT path. The DLT path's
-//    second stage (the equivalent-model costs cps_tilde depend on both r_n
-//    and E_ref, so they change wholesale at every n) runs as two
-//    elementwise column passes - divide column, ratio column - that the
-//    compiler vectorizes, followed by the order-sensitive O(n) scalar scan.
-//    No partition struct, no per-candidate allocation.
+//    path and O(1) for the E_ref stage of the DLT path. On a tied prefix
+//    (every offered node frees at the same instant) the equivalent model is
+//    the no-IIT model itself, so the DLT estimate is O(1) per position too.
+//    Untied, the DLT path's second stage (the equivalent-model costs
+//    cps_tilde depend on both r_n and E_ref, so they change wholesale at
+//    every n) costs O(n) per position: two elementwise column passes -
+//    divide column, ratio column - that the compiler vectorizes, followed
+//    by the order-sensitive scalar scan. No partition struct, no
+//    per-candidate allocation.
 //  * Batch kernels (opr_mn_estimates): evaluate a whole batch of candidate
 //    prefixes in one forward pass (O(1) amortized per prefix).
 //  * QueueScreen: the admission controller's suffix re-plan loop screens a
@@ -57,7 +60,9 @@ class PlannerBatch {
 
   /// DLT-IIT estimate at prefix n: the generalized Eq.-1 equivalent model's
   /// r_n + E_hat, evaluated on flat columns. E_ref comes from the cursor in
-  /// O(1); the cps_tilde stage is O(n) with vectorizable elementwise passes.
+  /// O(1). A tied prefix (free[0] == free[n-1]) has E_hat == E_ref exactly
+  /// and stops there, O(1); otherwise the cps_tilde stage is O(n) with
+  /// vectorizable elementwise passes.
   RTDLS_HOT Time dlt_walk_estimate(const std::vector<Time>& free, const std::vector<double>& cps,
                          std::size_t n);
 
@@ -66,7 +71,8 @@ class PlannerBatch {
   void materialize_walk_alpha(std::vector<double>& out) const { cursor_.materialize(out); }
 
   /// Normalized alpha of the last dlt_walk_estimate prefix
-  /// (the accepted partition's fractions, bit for bit).
+  /// (the accepted partition's fractions, bit for bit; the cursor's alpha
+  /// when that prefix was tied).
   void materialize_dlt_alpha(std::vector<double>& out) const;
 
   // --- backfill window kernels ---------------------------------------------
@@ -105,6 +111,7 @@ class PlannerBatch {
   std::vector<double> products_;  ///< unnormalized prefix products over tilde
   double dlt_denom_ = 1.0;        ///< running denominator of the last DLT prefix
   std::size_t dlt_n_ = 0;         ///< length of the last DLT prefix
+  bool dlt_tied_ = false;         ///< last DLT prefix was tied (columns unused)
 };
 
 /// Structure-of-arrays screen over a batch of queued tasks awaiting a

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -61,6 +62,18 @@ void expect_index_matches_reference(const cluster::Cluster& c, Time now) {
     c.earliest_free_nodes_into(now, n, ids);
     EXPECT_EQ(ids, reference_earliest(c, now, n)) << "n=" << n << " now=" << now;
   }
+  // The het snapshot: ids in stable (floored time, id) order, each with its
+  // own floored time.
+  const std::vector<NodeId> expected_ids = reference_earliest(c, now, c.size());
+  std::vector<Time> expected_times;
+  for (const NodeId id : expected_ids) {
+    expected_times.push_back(std::max(c.node(id).free_at(), now));
+  }
+  std::vector<Time> times;
+  std::vector<NodeId> ids;
+  c.availability_with_ids_into(now, times, ids);
+  EXPECT_EQ(times, expected_times) << "now=" << now;
+  EXPECT_EQ(ids, expected_ids) << "now=" << now;
 }
 
 TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
@@ -74,29 +87,41 @@ TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
 
 TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
   // Randomized sequences of the three mutations the index must mirror,
-  // cross-checked against the brute-force sort after every step.
-  cluster::Cluster c({.node_count = 24, .cms = 1.0, .cps = 100.0});
-  workload::Xoshiro256StarStar rng(12345);
-  std::vector<Time> committed_until(24, 0.0);
-  Time now = 0.0;
-  for (int step = 0; step < 400; ++step) {
-    const auto node = static_cast<NodeId>(rng() % 24);
-    const double action = rng.next_double();
-    if (action < 0.70) {
-      // Commit the node to a new interval after its current release.
-      const Time start = std::max(committed_until[node], now) + rng.next_double() * 50.0;
-      const Time end = start + 1.0 + rng.next_double() * 500.0;
-      c.commit(node, static_cast<cluster::TaskId>(step), start, start, end);
-      committed_until[node] = end;
-    } else if (action < 0.85) {
-      // Release it early somewhere inside its committed window.
-      const Time at = committed_until[node] * (0.5 + 0.5 * rng.next_double());
-      c.release_early(node, at);
-      committed_until[node] = at;
-    } else {
-      now += rng.next_double() * 100.0;
+  // cross-checked against the brute-force sort after every step: on a small
+  // cluster, and on a bucket-backed one of a few hundred nodes whose floored
+  // prefix spans several 64-entry buckets.
+  const std::pair<std::size_t, cluster::IndexBackend> kClusters[] = {
+      {24, cluster::IndexBackend::kAuto}, {300, cluster::IndexBackend::kBucket}};
+  for (const auto& [nodes, backend] : kClusters) {
+    cluster::Cluster c(
+        {.node_count = nodes, .cms = 1.0, .cps = 100.0, .index_backend = backend});
+    workload::Xoshiro256StarStar rng(12345);
+    std::vector<Time> committed_until(nodes, 0.0);
+    Time now = 0.0;
+    std::size_t widest_floor = 0;  // after the initial all-idle stretch
+    for (int step = 0; step < 400; ++step) {
+      const auto node = static_cast<NodeId>(rng() % nodes);
+      const double action = rng.next_double();
+      if (action < 0.70) {
+        // Commit the node to a new interval after its current release.
+        const Time start = std::max(committed_until[node], now) + rng.next_double() * 50.0;
+        const Time end = start + 1.0 + rng.next_double() * 500.0;
+        c.commit(node, static_cast<cluster::TaskId>(step), start, start, end);
+        committed_until[node] = end;
+      } else if (action < 0.85) {
+        // Release it early somewhere inside its committed window.
+        const Time at = committed_until[node] * (0.5 + 0.5 * rng.next_double());
+        c.release_early(node, at);
+        committed_until[node] = at;
+      } else {
+        now += rng.next_double() * 100.0;
+      }
+      if (step >= 200) widest_floor = std::max(widest_floor, c.index().available_by(now));
+      expect_index_matches_reference(c, now);
     }
-    expect_index_matches_reference(c, now);
+    if (backend == cluster::IndexBackend::kBucket) {
+      EXPECT_GT(widest_floor, 2u * 64u);
+    }
   }
 }
 

@@ -166,7 +166,11 @@ TEST(PlannerBatch, OprWalkMatchesScalarAtEveryPrefix) {
 TEST(PlannerBatch, DltWalkMatchesPartitionBuildAcrossGradedSizes) {
   // Full prefix sweeps at small n; strictly increasing sampled prefixes at
   // the large grades (the scalar rebuild is O(n) per prefix, so a full
-  // sweep at 1e5 would be 1e10 operations).
+  // sweep at 1e5 would be 1e10 operations). Each grade runs distinct free
+  // times and columns whose first k entries are floored to one `now`
+  // (k in {1, n/2, n}), so the walk crosses from the tied branch (prefixes
+  // <= k) into the untied one at k + 1; both the estimate and the
+  // materialized alpha must match the partition build bit for bit.
   TestRng rng(59);
   sched::het::PlannerBatch batch;
   dlt::HetPartition partition;
@@ -179,19 +183,39 @@ TEST(PlannerBatch, DltWalkMatchesPartitionBuildAcrossGradedSizes) {
     params.cms = rng.uniform(0.2, 5.0);
     const double sigma = rng.uniform(10.0, 4000.0);
     const std::vector<double> cps = random_cps(rng, n, true);
-    const std::vector<Time> free_times = sorted_free_times(rng, n, 10000.0);
+    const std::vector<Time> distinct = sorted_free_times(rng, n, 10000.0);
 
-    batch.begin_walk(params.cms, sigma);
-    const std::size_t stride = n <= 1000 ? 1 : n / 64;
-    for (std::size_t prefix = 1; prefix <= n;
-         prefix = (prefix == n ? n + 1 : std::min(n, prefix + stride))) {
-      const Time got = batch.dlt_walk_estimate(free_times, cps, prefix);
-      dlt::build_het_partition_into(params, sigma, free_times, cps, prefix, partition);
-      ASSERT_EQ(got, partition.estimated_completion()) << "n=" << n << " prefix=" << prefix;
+    // tied == 0: the distinct column as drawn.
+    for (const std::size_t tied : {std::size_t{0}, std::size_t{1}, n / 2, n}) {
+      std::vector<Time> free_times = distinct;
+      if (tied > 0) {
+        const Time now = distinct[tied - 1];
+        for (Time& t : free_times) t = std::max(t, now);
+      }
+      std::vector<std::size_t> prefixes;
+      const std::size_t stride = n <= 1000 ? 1 : n / 64;
+      for (std::size_t prefix = 1; prefix <= n; prefix += stride) prefixes.push_back(prefix);
+      for (const std::size_t edge : {tied, tied + 1, n}) {
+        if (edge >= 1 && edge <= n) prefixes.push_back(edge);
+      }
+      std::sort(prefixes.begin(), prefixes.end());
+      prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+
+      batch.begin_walk(params.cms, sigma);
+      for (const std::size_t prefix : prefixes) {
+        const Time got = batch.dlt_walk_estimate(free_times, cps, prefix);
+        dlt::build_het_partition_into(params, sigma, free_times, cps, prefix, partition);
+        ASSERT_EQ(got, partition.estimated_completion())
+            << "n=" << n << " tied=" << tied << " prefix=" << prefix;
+        // Every prefix at the small grades; the tied/untied edges and the
+        // last prefix at the large ones (materializing is O(prefix)).
+        if (n <= 1000 || prefix == tied || prefix == tied + 1 || prefix == n) {
+          batch.materialize_dlt_alpha(alpha);
+          ASSERT_EQ(alpha, partition.alpha)
+              << "n=" << n << " tied=" << tied << " prefix=" << prefix;
+        }
+      }
     }
-    // The last evaluated prefix's normalized alpha, bit for bit.
-    batch.materialize_dlt_alpha(alpha);
-    ASSERT_EQ(alpha, partition.alpha) << "n=" << n;
   }
 }
 
