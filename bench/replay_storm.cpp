@@ -2,35 +2,37 @@
 // availability index and the streaming trace pipeline (BENCH_replay.json in
 // CI).
 //
-// Part 1 - commit path, flat vs bucket, N = RTDLS_REPLAY_NODES (1e5): one
-// precomputed storm of index repositions (70% commits moving entries
-// forward, 30% early releases moving them back - the exact mutation mix the
-// simulator feeds AvailabilityIndex::update) is replayed against both
-// backends and timed. The op list is generated up front from a side array,
-// so the timed loops contain nothing but update() calls; at 1e5 nodes the
-// flat memmove drags ~0.8 MB per commit while the bucket backend shifts two
-// fanout-bounded runs, which is where the required >= 5x comes from.
+// Part 1 - commit path, N = RTDLS_REPLAY_NODES (1e5): one precomputed storm
+// of index repositions (70% commits moving entries forward, 30% early
+// releases moving them back - the exact mutation mix the simulator feeds
+// AvailabilityIndex::update) is replayed against the index and timed. The
+// op list is generated up front from a side array, so the timed loop
+// contains nothing but update() calls and a running max/sum of the depth
+// each returns: the entries it shifted. Every update shifts at most two
+// bucket-local runs, so CI gates the max depth at 2 x 128 (the split
+// threshold) whatever N is; ns/update is reported for information.
 //
 // Part 2 - streamed replay, RTDLS_REPLAY_TASKS (1e6) tasks: a trace CSV is
 // *written row by row* to a temp file (never materialized - generation must
 // not pollute the process's lifetime-max RSS) and then replayed through the
 // full bounded-memory pipeline: TraceReader -> StreamingTaskSource ->
-// ClusterSimulator::run_stream on the bucket backend. Reported: tasks/sec,
-// the source's peak resident task count, getrusage peak RSS - the number CI
-// gates to pin the O(chunk) memory claim (a materialized million-task load
-// would hold ~90 MB of tasks + CSV text; the streamed pipeline should stay
-// far under that) - and the replay's deadline misses and Theorem-4
-// violations, which CI requires to be zero.
+// ClusterSimulator::run_stream. Reported: tasks/sec, the source's peak
+// resident task count, getrusage peak RSS - the number CI gates to pin the
+// O(chunk) memory claim (a materialized million-task load would hold ~90 MB
+// of tasks + CSV text; the streamed pipeline should stay far under that) -
+// and the replay's deadline misses and Theorem-4 violations, which CI
+// requires to be zero.
 //
 //   replay_storm [out.json]
 //   RTDLS_REPLAY_NODES=100000   index size for the commit-path storm
-//   RTDLS_REPLAY_UPDATES=20000  repositions per backend
+//   RTDLS_REPLAY_UPDATES=20000  repositions in the storm
 //   RTDLS_REPLAY_TASKS=1000000  streamed trace length
 //   RTDLS_REPLAY_SIM_NODES=512  cluster size for the streamed replay
 //   RTDLS_REPLAY_CHUNK=65536    TraceReader chunk size
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -103,14 +105,25 @@ std::vector<UpdateOp> make_storm(std::size_t nodes, std::size_t updates) {
   return ops;
 }
 
-double time_storm(AvailabilityIndex& index, const std::vector<UpdateOp>& ops) {
+struct StormResult {
+  double ns_per_update = 0.0;
+  std::size_t max_depth = 0;
+  double mean_depth = 0.0;
+};
+
+StormResult run_storm(AvailabilityIndex& index, const std::vector<UpdateOp>& ops) {
+  std::size_t max_depth = 0;
+  std::size_t total_depth = 0;
   const auto start = std::chrono::steady_clock::now();
   for (const UpdateOp& op : ops) {
-    index.update(op.node, op.from, op.to);
+    const std::size_t depth = index.update(op.node, op.from, op.to);
+    max_depth = std::max(max_depth, depth);
+    total_depth += depth;
   }
   const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(end - start).count() /
-         static_cast<double>(ops.size());
+  const double count = static_cast<double>(ops.size());
+  const double ns = std::chrono::duration<double, std::nano>(end - start).count();
+  return {ns / count, max_depth, static_cast<double>(total_depth) / count};
 }
 
 // --- part 2: streamed million-task replay -----------------------------------
@@ -158,26 +171,22 @@ int main(int argc, char** argv) {
               updates);
   const std::vector<UpdateOp> ops = make_storm(index_nodes, updates);
 
-  AvailabilityIndex flat;
-  flat.reset(index_nodes, cluster::IndexBackend::kFlat);
-  const double flat_ns = time_storm(flat, ops);
+  AvailabilityIndex index;
+  index.reset(index_nodes);
+  const StormResult storm = run_storm(index, ops);
 
-  AvailabilityIndex bucket;
-  bucket.reset(index_nodes, cluster::IndexBackend::kBucket);
-  const double bucket_ns = time_storm(bucket, ops);
-
-  // Same final state either way (cheap good-faith check, outside the timing).
+  // The index must mirror the storm's final state (cheap good-faith check,
+  // outside the timing).
   {
     std::vector<Time> free_times(index_nodes, 0.0);
     for (const UpdateOp& op : ops) free_times[op.node] = op.to;
-    if (!flat.consistent_with(free_times) || !bucket.consistent_with(free_times)) {
-      std::fprintf(stderr, "replay_storm: backends diverged after the storm\n");
+    if (!index.consistent_with(free_times)) {
+      std::fprintf(stderr, "replay_storm: index diverged from the storm's final state\n");
       return 1;
     }
   }
-  const double speedup = flat_ns / bucket_ns;
-  std::printf("commit path: flat %.0f ns/update, bucket %.0f ns/update, %.1fx\n", flat_ns,
-              bucket_ns, speedup);
+  std::printf("commit path: %.0f ns/update, depth max %zu, mean %.2f entries shifted\n",
+              storm.ns_per_update, storm.max_depth, storm.mean_depth);
 
   // --- streamed replay ------------------------------------------------------
   const std::string trace_path =
@@ -190,7 +199,6 @@ int main(int argc, char** argv) {
   config.params.node_count = sim_nodes;
   config.params.cms = 1.0;
   config.params.cps = 100.0;
-  config.params.index_backend = cluster::IndexBackend::kBucket;
 
   workload::TraceReader reader(trace_path, {.chunk_tasks = chunk_tasks});
   sim::StreamingTaskSource source(reader);
@@ -225,9 +233,9 @@ int main(int argc, char** argv) {
       << "  \"commit_path\": {\n"
       << "    \"index_nodes\": " << index_nodes << ",\n"
       << "    \"updates\": " << updates << ",\n"
-      << "    \"flat_ns_per_update\": " << flat_ns << ",\n"
-      << "    \"bucket_ns_per_update\": " << bucket_ns << ",\n"
-      << "    \"speedup_x\": " << speedup << "\n"
+      << "    \"ns_per_update\": " << storm.ns_per_update << ",\n"
+      << "    \"max_depth\": " << storm.max_depth << ",\n"
+      << "    \"mean_depth\": " << storm.mean_depth << "\n"
       << "  },\n"
       << "  \"streamed_replay\": {\n"
       << "    \"tasks\": " << replay_tasks << ",\n"

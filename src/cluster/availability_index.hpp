@@ -1,4 +1,4 @@
-// Sorted free-time index over a cluster's nodes, with two storage backends.
+// Sorted free-time index over a cluster's nodes: a bucketed timeline.
 //
 // The Figure-2 admission test consumes the cluster's availability as the
 // sorted vector of node release times on every arrival; rebuilding that
@@ -8,32 +8,24 @@
 // (commit / early release), so snapshot reads degrade to an O(N) copy and
 // rank queries to an O(log N) binary search.
 //
-// Two backends maintain the same totally ordered multiset:
+// The sorted sequence is cut into fixed-fanout buckets (a two-level B-tree,
+// effectively), each a small sorted vector, with a directory of per-bucket
+// minima for O(log #buckets) bucket location. update() is a bucket-local
+// memmove when the entry stays inside its bucket, and otherwise two
+// bucket-local memmoves of at most ~128 entries plus an O(#buckets)
+// directory shift when a bucket splits, merges or empties - O(log N +
+// fanout) per commit, where one contiguous sorted vector would memmove O(N)
+// entries (at N=10^5, ~1.6 MB from the front to the back). Rank /
+// order-statistic queries (available_by, kth_free_time) go through a lazily
+// rebuilt per-bucket prefix-sum (invalidated by update, rebuilt
+// O(#buckets) on the next query), so query trains between commits pay the
+// rebuild once. A cluster of at most 64 nodes is a single bucket, and every
+// move in it takes the in-bucket path: the same shifts a single sorted
+// vector would make.
 //
-//  * kFlat - one contiguous sorted vector; update() is a binary search plus
-//    a memmove of everything between the old and new position. Unbeatable
-//    cache behavior up to a few thousand nodes, but the memmove makes every
-//    commit O(N): at N=10^5 a typical commit (free-now -> released-last)
-//    drags ~1.6 MB of entries, which is the wall the million-task replay
-//    target hits.
-//
-//  * kBucket - a bucketed timeline (a two-level B-tree, effectively): the
-//    sorted sequence is cut into fixed-fanout buckets, each a small sorted
-//    vector, with a directory of per-bucket minima for O(log #buckets)
-//    bucket location. update() becomes two bucket-local memmoves of at most
-//    ~128 entries plus an O(#buckets) directory shift when a bucket splits,
-//    merges or empties - O(log N + B) per commit instead of O(N). Rank /
-//    order-statistic queries (available_by, kth_free_time) go through a
-//    lazily rebuilt per-bucket prefix-sum (invalidated by update, rebuilt
-//    O(#buckets) on the next query), so query trains between commits pay
-//    the rebuild once.
-//
-// Both backends produce *bit-identical* query results - they represent the
-// same sequence, and every floor/tie-break rule below is shared - which the
-// flat-vs-bucket differential and schedule property tests pin down. The
-// bucket entries deliberately stay (free_at, node) without a cps column:
+// The entries deliberately stay (free_at, node) without a cps column:
 // per-node speeds are constant, so the heterogeneous snapshot derives them
-// from the id column instead of fattening the entries both backends shift.
+// from the id column instead of fattening the entries every update shifts.
 //
 // Invariants (checked by consistent_with / the index tests):
 //  * iteration order is strictly (free_at, node) - the node id breaks
@@ -43,15 +35,14 @@
 //  * every entry's free_at equals the owning Node's free_at() - the Node
 //    remains the source of truth, the index is a mirror the Cluster updates
 //    inside the same mutation that bumps its availability version;
-//  * (bucket) every bucket is non-empty, directory minima equal their
-//    bucket's first entry, and bucket boundaries preserve the global order.
+//  * every bucket is non-empty, directory minima equal their bucket's first
+//    entry, and bucket boundaries preserve the global order.
 //
 // A Fenwick count over bucketed release times was considered for the
 // first-crossing queries and rejected: release times are unbounded
 // continuous doubles, so bucketing *values* would either quantize (breaking
 // the bit-identical-schedules requirement) or need periodic rebuilds. The
-// kBucket backend buckets *positions*, not values, so every query stays
-// exact.
+// index buckets *positions*, not values, so every query stays exact.
 #pragma once
 
 #include <cstddef>
@@ -63,17 +54,6 @@
 
 namespace rtdls::cluster {
 
-/// Resolves an index-backend choice to a concrete backend: an explicit
-/// choice wins; kAuto honors the RTDLS_INDEX environment variable
-/// ("flat" | "bucket", anything else throws std::invalid_argument), and
-/// falls back to a node-count heuristic - the flat memmove beats the bucket
-/// directory below a few thousand nodes, so small clusters stay flat.
-IndexBackend resolve_index_backend(IndexBackend choice, std::size_t node_count);
-
-/// Human-readable backend name ("auto" | "flat" | "bucket") for status
-/// output and bench reports.
-const char* index_backend_name(IndexBackend backend);
-
 class AvailabilityIndex {
  public:
   /// One indexed node: its current release time and identity.
@@ -83,24 +63,16 @@ class AvailabilityIndex {
   };
 
   /// (Re)builds the index for `nodes` nodes, all free at time 0 (the
-  /// cluster's initial / post-reset state). Keeps allocations and the
-  /// currently selected backend.
+  /// cluster's initial / post-reset state). Keeps allocations.
   void reset(std::size_t nodes);
-
-  /// Same, selecting the storage backend (must be resolved - kFlat or
-  /// kBucket; pass the result of resolve_index_backend).
-  void reset(std::size_t nodes, IndexBackend backend);
-
-  IndexBackend backend() const { return backend_; }
 
   std::size_t size() const { return size_; }
 
   /// Repositions `node` after its release time changed from `from` to `to`.
   /// `from` must be the node's currently indexed time (throws
   /// std::logic_error otherwise - a desynced index is a bug, not a state).
-  /// Returns the reposition depth: how many entries were shifted to make
-  /// room (the flat backend's memmove length; bucket-local shifts for the
-  /// bucket backend). The cluster feeds it to the
+  /// Returns the reposition depth: how many entries the bucket-local
+  /// memmoves shifted to make room. The cluster feeds it to the
   /// `rtdls_index_commit_depth` histogram.
   RTDLS_HOT std::size_t update(NodeId node, Time from, Time to);
 
@@ -147,11 +119,6 @@ class AvailabilityIndex {
     return a.node < b.node;
   }
 
-  // --- flat backend ---------------------------------------------------------
-  RTDLS_HOT std::size_t update_flat(NodeId node, Time from, Time to);
-
-  // --- bucket backend -------------------------------------------------------
-  RTDLS_HOT std::size_t update_bucket(NodeId node, Time from, Time to);
   /// Directory position of the last bucket whose minimum is <= `key`
   /// (npos when the key precedes every bucket).
   RTDLS_HOT std::size_t locate_bucket(const Entry& key) const;
@@ -177,20 +144,16 @@ class AvailabilityIndex {
   static constexpr std::size_t kMinFanout = 16;
   static constexpr std::size_t kMergeMax = 96;
 
-  IndexBackend backend_ = IndexBackend::kFlat;
   std::size_t size_ = 0;
 
-  /// kFlat storage: all entries, sorted by (free_at, node).
-  std::vector<Entry> entries_;
-
-  /// kBucket storage. Buckets live in stable `slots_` (never reordered, so
-  /// the hot path only ever grows members - the rtdls-hot-path-alloc
-  /// contract); `order_[b]` is the slot of the b-th bucket in timeline
-  /// order and `mins_[b]` mirrors that bucket's first entry for directory
-  /// binary searches. Emptied slots are recycled through `free_slots_`
-  /// keeping their capacity. `prefix_[b]` = entries in buckets [0, b),
-  /// rebuilt lazily (mutable) because rank queries want it but updates
-  /// would pay O(#buckets) each to keep it eager.
+  /// Buckets live in stable `slots_` (never reordered, so the hot path only
+  /// ever grows members - the rtdls-hot-path-alloc contract); `order_[b]`
+  /// is the slot of the b-th bucket in timeline order and `mins_[b]`
+  /// mirrors that bucket's first entry for directory binary searches.
+  /// Emptied slots are recycled through `free_slots_` keeping their
+  /// capacity. `prefix_[b]` = entries in buckets [0, b), rebuilt lazily
+  /// (mutable) because rank queries want it but updates would pay
+  /// O(#buckets) each to keep it eager.
   std::vector<std::vector<Entry>> slots_;
   std::vector<std::uint32_t> order_;
   std::vector<Entry> mins_;

@@ -24,18 +24,6 @@ using TaskId = std::uint64_t;
 /// Sentinel for "no task".
 inline constexpr TaskId kNoTask = std::numeric_limits<TaskId>::max();
 
-/// Storage backend of the cluster's AvailabilityIndex. kAuto resolves at
-/// cluster construction: the RTDLS_INDEX environment variable
-/// ("flat" | "bucket") wins, else a node-count heuristic picks the bucketed
-/// timeline for large clusters (see cluster/availability_index.hpp). Both
-/// backends produce bit-identical schedules, so this is a pure performance
-/// knob - it is deliberately NOT serialized with cluster specs.
-enum class IndexBackend : std::uint8_t {
-  kAuto,
-  kFlat,    ///< one sorted vector; O(N) memmove per commit
-  kBucket,  ///< bucketed timeline; O(log N + fanout) per commit
-};
-
 /// Static cluster parameters: the tuple (N, Cms, Cps) from the paper's
 /// system model, optionally refined by a per-node speed profile.
 struct ClusterParams {
@@ -51,10 +39,6 @@ struct ClusterParams {
   /// is why generators preserving mean_cps == cps keep load axes comparable
   /// across heterogeneity levels.
   std::shared_ptr<const SpeedProfile> speed_profile;
-
-  /// AvailabilityIndex storage backend (see IndexBackend). Resolved once at
-  /// cluster construction; schedules are identical either way.
-  IndexBackend index_backend = IndexBackend::kAuto;
 
   /// beta = Cps / (Cms + Cps), Eq. (8). In (0, 1) whenever both costs > 0.
   double beta() const { return cps / (cms + cps); }

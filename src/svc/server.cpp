@@ -9,7 +9,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "cluster/availability_index.hpp"
 #include "obs/trace.hpp"
 #include "svc/snapshot.hpp"
 #include "util/build_info.hpp"
@@ -378,11 +377,7 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         StatusRequest::decode(in);
         bump(&AtomicCounters::status_queries);
         StatusReply reply;
-        // The availability-index backend rides along in the free-form build
-        // string (a pure perf knob does not warrant a protocol revision).
-        reply.build = util::build_description() + " index=" +
-                      cluster::index_backend_name(cluster::resolve_index_backend(
-                          config_.params.index_backend, config_.params.node_count));
+        reply.build = util::build_description();
         reply.algorithm = config_.algorithm;
         reply.node_count = config_.params.node_count;
         reply.workers = config_.workers;

@@ -1,137 +1,90 @@
-// Tests for the bucketed AvailabilityIndex backend (PR 10): backend
-// resolution precedence, N=10^4 randomized flat-vs-bucket differentials over
-// the three index mutations (commit / release_early / reset), the adversarial
-// monotone-arrival pattern that maximizes the flat backend's memmove, desync
-// detection on the bucket path, and full-simulation property runs pinning
-// bit-identical schedules across both backends (EDF/FIFO x DLT/MR2/OPR-MN-BF,
-// homogeneous and heterogeneous, with the admission cross-check armed).
+// Tests for the bucketed AvailabilityIndex: N=10^4 randomized storms over
+// the three index mutations (commit / release_early / reset) with every
+// query checked against a sort of the authoritative release times, the
+// adversarial monotone-arrival pattern that would make one sorted vector
+// shift all N entries per update, desync detection, and the in-bucket fast
+// path's depth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <memory>
-#include <optional>
-#include <string>
+#include <numeric>
 #include <vector>
 
 #include "cluster/availability_index.hpp"
 #include "cluster/cluster.hpp"
-#include "cluster/speed_profile.hpp"
-#include "sim/schedule_log.hpp"
-#include "sim/simulator.hpp"
-#include "workload/generator.hpp"
 #include "workload/rng.hpp"
 
 namespace rtdls {
 namespace {
 
 using cluster::AvailabilityIndex;
-using cluster::IndexBackend;
 using cluster::NodeId;
 using cluster::Time;
 
-/// Saves, clears, and restores RTDLS_INDEX so resolution tests control the
-/// environment regardless of how the suite itself was launched.
-class ScopedIndexEnv {
- public:
-  ScopedIndexEnv() {
-    if (const char* value = std::getenv("RTDLS_INDEX")) saved_ = value;
-    unsetenv("RTDLS_INDEX");
-  }
-  ~ScopedIndexEnv() {
-    if (saved_) {
-      setenv("RTDLS_INDEX", saved_->c_str(), 1);
-    } else {
-      unsetenv("RTDLS_INDEX");
-    }
-  }
-  void set(const char* value) { setenv("RTDLS_INDEX", value, 1); }
-  void clear() { unsetenv("RTDLS_INDEX"); }
-
- private:
-  std::optional<std::string> saved_;
-};
-
-TEST(IndexBackendResolution, ExplicitChoiceBeatsEnvironment) {
-  ScopedIndexEnv env;
-  env.set("flat");
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kBucket, 8), IndexBackend::kBucket);
-  env.set("bucket");
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kFlat, 100000),
-            IndexBackend::kFlat);
+/// The reference order: node ids stably sorted by max(free_at, now), so
+/// ties (every node floored at `now`, and equal release times past it) keep
+/// id order.
+std::vector<NodeId> reference_order(const std::vector<Time>& free_times, Time now) {
+  std::vector<NodeId> ids(free_times.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  std::stable_sort(ids.begin(), ids.end(), [&](NodeId a, NodeId b) {
+    return std::max(free_times[a], now) < std::max(free_times[b], now);
+  });
+  return ids;
 }
 
-TEST(IndexBackendResolution, AutoHonorsEnvironmentThenHeuristic) {
-  ScopedIndexEnv env;
-  env.set("bucket");
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kAuto, 8), IndexBackend::kBucket);
-  env.set("FLAT");  // case-insensitive
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kAuto, 100000),
-            IndexBackend::kFlat);
-  env.set("b-tree");
-  EXPECT_THROW(cluster::resolve_index_backend(IndexBackend::kAuto, 8),
-               std::invalid_argument);
-  env.clear();
-  // Heuristic crossover at 4096 nodes.
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kAuto, 4095), IndexBackend::kFlat);
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kAuto, 4096),
-            IndexBackend::kBucket);
-  // "auto" in the environment defers to the same heuristic.
-  env.set("auto");
-  EXPECT_EQ(cluster::resolve_index_backend(IndexBackend::kAuto, 64), IndexBackend::kFlat);
-}
-
-TEST(IndexBackendResolution, NamesAndUnresolvedReset) {
-  EXPECT_STREQ(cluster::index_backend_name(IndexBackend::kFlat), "flat");
-  EXPECT_STREQ(cluster::index_backend_name(IndexBackend::kBucket), "bucket");
-  EXPECT_STREQ(cluster::index_backend_name(IndexBackend::kAuto), "auto");
-  AvailabilityIndex index;
-  EXPECT_THROW(index.reset(8, IndexBackend::kAuto), std::invalid_argument);
-}
-
-// --- flat-vs-bucket differentials -------------------------------------------
-
-/// Asserts every query surface agrees between the two backends (and with the
-/// authoritative per-node times). `full` toggles the O(N) snapshot compares.
-void expect_backends_agree(const AvailabilityIndex& flat, const AvailabilityIndex& bucket,
-                           const std::vector<Time>& free_times, Time now, bool full) {
-  ASSERT_TRUE(flat.consistent_with(free_times));
-  ASSERT_TRUE(bucket.consistent_with(free_times));
-  ASSERT_EQ(flat.size(), bucket.size());
-  EXPECT_EQ(flat.available_by(now), bucket.available_by(now));
-  EXPECT_EQ(flat.available_by(0.0), bucket.available_by(0.0));
-  const std::size_t n = flat.size();
-  for (std::size_t k : {std::size_t{0}, n / 3, n / 2, n - 1}) {
-    EXPECT_EQ(flat.kth_free_time(k), bucket.kth_free_time(k)) << "k=" << k;
-  }
+/// Asserts the index mirrors `free_times` and answers every query as the
+/// reference sort does. `full` toggles the O(N log N) reference sort behind
+/// the rank and snapshot compares; the invariants and available_by are
+/// checked every time.
+void expect_matches_reference(const AvailabilityIndex& index,
+                              const std::vector<Time>& free_times, Time now, bool full) {
+  ASSERT_TRUE(index.consistent_with(free_times));
+  ASSERT_EQ(index.size(), free_times.size());
+  const auto free_by = [&](Time t) {
+    std::size_t count = 0;
+    for (const Time free_at : free_times) count += free_at <= t ? 1 : 0;
+    return count;
+  };
+  EXPECT_EQ(index.available_by(now), free_by(now)) << "now=" << now;
+  EXPECT_EQ(index.available_by(0.0), free_by(0.0));
   if (!full) return;
-  std::vector<Time> times_a, times_b;
-  flat.availability_into(now, times_a);
-  bucket.availability_into(now, times_b);
-  ASSERT_EQ(times_a, times_b) << "availability_into at now=" << now;
-  std::vector<NodeId> ids_a, ids_b;
-  flat.availability_with_ids_into(now, times_a, ids_a);
-  bucket.availability_with_ids_into(now, times_b, ids_b);
-  ASSERT_EQ(times_a, times_b) << "availability_with_ids_into times at now=" << now;
-  ASSERT_EQ(ids_a, ids_b) << "availability_with_ids_into ids at now=" << now;
+
+  const std::size_t n = free_times.size();
+  // Unfloored ranks: the order at now = 0 (release times are never negative).
+  const std::vector<NodeId> unfloored = reference_order(free_times, 0.0);
+  for (std::size_t k : {std::size_t{0}, n / 3, n / 2, n - 1}) {
+    EXPECT_EQ(index.kth_free_time(k), free_times[unfloored[k]]) << "k=" << k;
+  }
+  const std::vector<NodeId> order = reference_order(free_times, now);
+  std::vector<Time> expected_times;
+  for (const NodeId id : order) expected_times.push_back(std::max(free_times[id], now));
+  std::vector<Time> times;
+  index.availability_into(now, times);
+  ASSERT_EQ(times, expected_times) << "availability_into at now=" << now;
+  std::vector<NodeId> ids;
+  index.availability_with_ids_into(now, times, ids);
+  ASSERT_EQ(times, expected_times) << "availability_with_ids_into times at now=" << now;
+  ASSERT_EQ(ids, order) << "availability_with_ids_into ids at now=" << now;
   for (std::size_t want : {std::size_t{1}, n / 7, n / 2, n}) {
     if (want == 0) continue;
-    flat.earliest_free_nodes_into(now, want, ids_a);
-    bucket.earliest_free_nodes_into(now, want, ids_b);
-    ASSERT_EQ(ids_a, ids_b) << "earliest_free_nodes_into n=" << want << " now=" << now;
+    index.earliest_free_nodes_into(now, want, ids);
+    const std::vector<NodeId> expected(order.begin(),
+                                       order.begin() + static_cast<std::ptrdiff_t>(want));
+    ASSERT_EQ(ids, expected) << "earliest_free_nodes_into n=" << want << " now=" << now;
   }
 }
 
 TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
-  // The satellite's N=10^4 differential: identical randomized update storms
-  // (commits moving entries up, early releases moving them down, plus
-  // resets) on both backends, with the full query surface compared along
-  // the way. Times come off a coarse grid so duplicate free_at values (the
-  // node-id tie-break path) occur constantly.
+  // Randomized update storm at N=10^4 (commits moving entries up, early
+  // releases moving them down, plus a reset), with the full query surface
+  // compared against the reference along the way. Times come off a coarse
+  // grid so duplicate free_at values (the node-id tie-break path) occur
+  // constantly.
   constexpr std::size_t kNodes = 10000;
-  AvailabilityIndex flat, bucket;
-  flat.reset(kNodes, IndexBackend::kFlat);
-  bucket.reset(kNodes, IndexBackend::kBucket);
+  AvailabilityIndex index;
+  index.reset(kNodes);
   std::vector<Time> free_times(kNodes, 0.0);
   workload::Xoshiro256StarStar rng(20260809);
   Time now = 0.0;
@@ -142,56 +95,47 @@ TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
     if (action < 0.65) {
       // Commit: release moves forward, onto a coarse grid for ties.
       const Time to = from + 1.0 + std::floor(rng.next_double() * 40.0);
-      flat.update(node, from, to);
-      bucket.update(node, from, to);
+      index.update(node, from, to);
       free_times[node] = to;
     } else if (action < 0.85) {
       // Early release: move backwards (but not before `now`).
       const Time to = std::max(now, std::floor(from * (0.3 + 0.6 * rng.next_double())));
-      flat.update(node, from, to);
-      bucket.update(node, from, to);
+      index.update(node, from, to);
       free_times[node] = to;
     } else if (action < 0.95) {
       now += std::floor(rng.next_double() * 30.0);
     } else {
-      // No-op reposition: to == from must leave both backends untouched.
-      EXPECT_EQ(flat.update(node, from, from), 0u);
-      EXPECT_EQ(bucket.update(node, from, from), 0u);
+      // No-op reposition: to == from must leave the index untouched.
+      EXPECT_EQ(index.update(node, from, from), 0u);
     }
-    expect_backends_agree(flat, bucket, free_times, now, /*full=*/step % 16 == 0);
+    expect_matches_reference(index, free_times, now, /*full=*/step % 16 == 0);
   }
-  expect_backends_agree(flat, bucket, free_times, now, /*full=*/true);
+  expect_matches_reference(index, free_times, now, /*full=*/true);
 
-  // Mid-run reset: both backends return to the all-free state and keep
-  // their backend selection (the single-argument overload).
-  flat.reset(kNodes);
-  bucket.reset(kNodes);
-  EXPECT_EQ(flat.backend(), IndexBackend::kFlat);
-  EXPECT_EQ(bucket.backend(), IndexBackend::kBucket);
+  // Mid-run reset: back to the all-free state.
+  index.reset(kNodes);
   std::fill(free_times.begin(), free_times.end(), 0.0);
-  expect_backends_agree(flat, bucket, free_times, 0.0, /*full=*/true);
-  // And both keep working after the reset.
-  flat.update(17, 0.0, 99.0);
-  bucket.update(17, 0.0, 99.0);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
+  // And the index keeps working after the reset.
+  index.update(17, 0.0, 99.0);
   free_times[17] = 99.0;
-  expect_backends_agree(flat, bucket, free_times, 0.0, /*full=*/true);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
 }
 
 TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
-  // The flat backend's worst case: every update takes the earliest-free
-  // node (position 0) and releases it past the current maximum, dragging
-  // the entire array through memmove - exactly what a saturated
-  // monotone-arrival replay does. The bucket backend must stay bounded by
-  // its fanout while producing identical results.
+  // Every update takes the earliest-free node (rank 0) and releases it past
+  // the current maximum - exactly what a saturated monotone-arrival replay
+  // does. One sorted vector would shift all N - 1 other entries each time;
+  // the index must stay bounded by its bucket geometry while answering
+  // every query exactly.
   constexpr std::size_t kNodes = 10000;
-  AvailabilityIndex flat, bucket;
-  flat.reset(kNodes, IndexBackend::kFlat);
-  bucket.reset(kNodes, IndexBackend::kBucket);
+  AvailabilityIndex index;
+  index.reset(kNodes);
   std::vector<Time> free_times(kNodes, 0.0);
   Time horizon = 0.0;
-  std::size_t max_bucket_depth = 0;
+  std::size_t max_depth = 0;
   for (int step = 0; step < 4000; ++step) {
-    // argmin by (free_at, node): the entry at flat position 0.
+    // argmin by (free_at, node): the entry at rank 0.
     NodeId victim = 0;
     for (NodeId id = 1; id < kNodes; ++id) {
       if (free_times[id] < free_times[victim]) victim = id;
@@ -199,84 +143,63 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
     const Time from = free_times[victim];
     horizon += 1.0;
     const Time to = horizon + static_cast<Time>(kNodes);
-    const std::size_t flat_depth = flat.update(victim, from, to);
-    const std::size_t bucket_depth = bucket.update(victim, from, to);
+    max_depth = std::max(max_depth, index.update(victim, from, to));
     free_times[victim] = to;
-    // Position 0 -> position N-1: the flat memmove is maximal every time.
-    EXPECT_EQ(flat_depth, kNodes - 1);
-    max_bucket_depth = std::max(max_bucket_depth, bucket_depth);
-    if (step % 64 == 0) {
-      expect_backends_agree(flat, bucket, free_times, horizon, /*full=*/true);
-    }
+    expect_matches_reference(index, free_times, horizon, /*full=*/step % 64 == 0);
   }
   // Erase shift + insert shift, each bucket-local: two fanout-bounded
   // memmoves instead of ten thousand entries.
-  EXPECT_LE(max_bucket_depth, 256u);
-  expect_backends_agree(flat, bucket, free_times, horizon, /*full=*/true);
+  EXPECT_LE(max_depth, 256u);
+  expect_matches_reference(index, free_times, horizon, /*full=*/true);
 }
 
 TEST(AvailabilityIndexBucket, ClusterDifferentialCommitReleaseReset) {
-  // Same storm through the Cluster layer (commit / release_early / reset),
-  // selecting the backend via ClusterParams - the wiring the simulator and
-  // daemon use.
-  cluster::ClusterParams flat_params;
-  flat_params.node_count = 512;
-  flat_params.cms = 1.0;
-  flat_params.cps = 100.0;
-  flat_params.index_backend = IndexBackend::kFlat;
-  cluster::ClusterParams bucket_params = flat_params;
-  bucket_params.index_backend = IndexBackend::kBucket;
-  cluster::Cluster flat(flat_params);
-  cluster::Cluster bucket(bucket_params);
-  EXPECT_EQ(flat.index_backend(), IndexBackend::kFlat);
-  EXPECT_EQ(bucket.index_backend(), IndexBackend::kBucket);
+  // A storm through the Cluster layer (commit / release_early / reset) - the
+  // wiring the simulator and daemon use - on a 512-node, eight-bucket
+  // index, compared after every step with the reference sort of the nodes'
+  // own release times.
+  constexpr std::size_t kNodes = 512;
+  cluster::Cluster c({.node_count = kNodes, .cms = 1.0, .cps = 100.0});
 
   workload::Xoshiro256StarStar rng(777);
-  std::vector<Time> committed_until(512, 0.0);
+  std::vector<Time> committed_until(kNodes, 0.0);
+  std::vector<Time> free_times(kNodes);
   Time now = 0.0;
-  std::vector<Time> times_a, times_b;
-  std::vector<NodeId> ids_a, ids_b;
   for (int step = 0; step < 600; ++step) {
-    const auto node = static_cast<NodeId>(rng() % 512);
+    const auto node = static_cast<NodeId>(rng() % kNodes);
     const double action = rng.next_double();
     if (action < 0.70) {
       const Time start = std::max(committed_until[node], now) + rng.next_double() * 50.0;
       const Time end = start + 1.0 + rng.next_double() * 500.0;
-      flat.commit(node, static_cast<cluster::TaskId>(step), start, start, end);
-      bucket.commit(node, static_cast<cluster::TaskId>(step), start, start, end);
+      c.commit(node, static_cast<cluster::TaskId>(step), start, start, end);
       committed_until[node] = end;
     } else if (action < 0.85) {
       const Time at = committed_until[node] * (0.5 + 0.5 * rng.next_double());
-      flat.release_early(node, at);
-      bucket.release_early(node, at);
+      c.release_early(node, at);
       committed_until[node] = at;
     } else if (action < 0.97) {
       now += rng.next_double() * 100.0;
     } else {
-      flat.reset();
-      bucket.reset();
+      c.reset();
       std::fill(committed_until.begin(), committed_until.end(), 0.0);
       now = 0.0;
     }
-    ASSERT_TRUE(flat.index_consistent());
-    ASSERT_TRUE(bucket.index_consistent());
-    // Backend selection survives Cluster::reset().
-    ASSERT_EQ(bucket.index_backend(), IndexBackend::kBucket);
-    flat.availability_with_ids_into(now, times_a, ids_a);
-    bucket.availability_with_ids_into(now, times_b, ids_b);
-    ASSERT_EQ(times_a, times_b) << "step " << step;
-    ASSERT_EQ(ids_a, ids_b) << "step " << step;
-    flat.earliest_free_nodes_into(now, 128, ids_a);
-    bucket.earliest_free_nodes_into(now, 128, ids_b);
-    ASSERT_EQ(ids_a, ids_b) << "step " << step;
+    ASSERT_TRUE(c.index_consistent()) << "step " << step;
+    for (NodeId id = 0; id < kNodes; ++id) free_times[id] = c.node(id).free_at();
+    expect_matches_reference(c.index(), free_times, now, /*full=*/true);
+    const std::vector<NodeId> order = reference_order(free_times, now);
+    std::vector<NodeId> ids;
+    c.earliest_free_nodes_into(now, 128, ids);
+    ASSERT_EQ(ids, std::vector<NodeId>(order.begin(), order.begin() + 128))
+        << "step " << step;
   }
 }
 
 TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
-  // The bucket path must fail as loudly as the flat one on a desynced
-  // mirror: wrong `from` (any bucket) and unknown node ids both throw.
+  // A desynced mirror must fail loudly: wrong `from` (any bucket) and
+  // unknown node ids both throw.
   AvailabilityIndex index;
-  index.reset(300, IndexBackend::kBucket);  // several buckets
+  index.reset(300);  // several buckets
   EXPECT_THROW(index.update(2, 5.0, 10.0), std::logic_error);    // wrong `from`
   EXPECT_THROW(index.update(299, -1.0, 10.0), std::logic_error); // before every bucket
   EXPECT_THROW(index.update(300, 0.0, 10.0), std::logic_error);  // unknown node
@@ -290,7 +213,7 @@ TEST(AvailabilityIndexBucket, InBucketFastPathReportsLocalDepth) {
   // Repositioning within one bucket must not disturb the geometry and must
   // report the bucket-local shift, not a global one.
   AvailabilityIndex index;
-  index.reset(256, IndexBackend::kBucket);
+  index.reset(256);
   std::vector<Time> free_times(256, 0.0);
   // Spread entries so node i frees at i (one strictly increasing run).
   for (NodeId id = 0; id < 256; ++id) {
@@ -302,101 +225,36 @@ TEST(AvailabilityIndexBucket, InBucketFastPathReportsLocalDepth) {
   EXPECT_EQ(index.update(10, 10.0, 12.5), 2u);
   free_times[10] = 12.5;
   ASSERT_TRUE(index.consistent_with(free_times));
-}
 
-// --- schedule bit-identity property runs ------------------------------------
-
-workload::WorkloadParams property_params(std::uint64_t seed, double load) {
-  workload::WorkloadParams params;
-  params.cluster = {.node_count = 512, .cms = 1.0, .cps = 100.0};
-  params.system_load = load;
-  params.avg_sigma = 40.0;  // short tasks: dense arrivals, heavy index churn
-  params.dc_ratio = 20.0;
-  params.total_time = 60000.0;
-  params.seed = seed;
-  return params;
-}
-
-/// Runs one algorithm twice - flat index vs bucket index, admission
-/// cross-check armed both times - and requires byte-equal metrics and
-/// committed reservations. The index backend is pure representation; any
-/// divergence is a bucket-backend ordering bug.
-void expect_identical_schedules_across_backends(const std::string& algorithm,
-                                                const workload::WorkloadParams& params,
-                                                sim::ReleasePolicy release_policy,
-                                                bool heterogeneous) {
-  const auto tasks = workload::generate_workload(params);
-
-  sim::ScheduleLog flat_log;
-  sim::SimulatorConfig flat_config;
-  flat_config.params = params.cluster;
-  flat_config.params.index_backend = IndexBackend::kFlat;
-  flat_config.release_policy = release_policy;
-  flat_config.incremental_admission = true;
-  flat_config.cross_check_admission = true;
-  flat_config.schedule_log = &flat_log;
-  if (heterogeneous) {
-    flat_config.params.speed_profile = std::make_shared<const cluster::SpeedProfile>(
-        cluster::parse_speed_profile("lognormal:0.4,7", params.cluster.node_count, 100.0));
+  // An early release below its bucket's minimum stays in the bucket when it
+  // does not pass the previous bucket. One bucket of 16 (node i free at
+  // 1 + i): node 10 released to 0.5 becomes the new minimum by shifting the
+  // ten entries before it, not by an erase and a reinsert (5 + 15).
+  AvailabilityIndex single;
+  single.reset(16);
+  std::vector<Time> single_times(16);
+  for (NodeId id = 0; id < 16; ++id) {
+    single.update(id, 0.0, 1.0 + static_cast<Time>(id));
+    single_times[id] = 1.0 + static_cast<Time>(id);
   }
+  EXPECT_EQ(single.update(10, 11.0, 0.5), 10u);
+  single_times[10] = 0.5;
+  ASSERT_TRUE(single.consistent_with(single_times));
 
-  sim::ScheduleLog bucket_log;
-  sim::SimulatorConfig bucket_config = flat_config;
-  bucket_config.params.index_backend = IndexBackend::kBucket;
-  bucket_config.schedule_log = &bucket_log;
-
-  const sim::SimMetrics flat =
-      sim::simulate(flat_config, algorithm, tasks, params.total_time);
-  const sim::SimMetrics bucket =
-      sim::simulate(bucket_config, algorithm, tasks, params.total_time);
-
-  ASSERT_EQ(flat.accepted, bucket.accepted) << algorithm;
-  ASSERT_EQ(flat.rejected, bucket.rejected) << algorithm;
-  ASSERT_EQ(flat.reject_reasons, bucket.reject_reasons) << algorithm;
-  ASSERT_EQ(flat.deadline_misses, bucket.deadline_misses) << algorithm;
-  EXPECT_EQ(flat.response_time.mean(), bucket.response_time.mean()) << algorithm;
-  EXPECT_EQ(flat.busy_time, bucket.busy_time) << algorithm;
-  EXPECT_EQ(flat.idle_gap_time, bucket.idle_gap_time) << algorithm;
-
-  ASSERT_EQ(flat_log.size(), bucket_log.size()) << algorithm;
-  for (std::size_t i = 0; i < flat_log.size(); ++i) {
-    const sim::ScheduleEntry& a = flat_log.entries()[i];
-    const sim::ScheduleEntry& b = bucket_log.entries()[i];
-    ASSERT_EQ(a.task, b.task) << algorithm << " entry " << i;
-    ASSERT_EQ(a.node, b.node) << algorithm << " entry " << i;
-    ASSERT_EQ(a.start, b.start) << algorithm << " entry " << i;
-    ASSERT_EQ(a.end, b.end) << algorithm << " entry " << i;
-    ASSERT_EQ(a.alpha, b.alpha) << algorithm << " entry " << i;
+  // Two buckets of 64: nodes 0-63 stay free at 0, node i >= 64 frees at i.
+  // Node 70 released to 0.5 passes its bucket's minimum (64) but not the
+  // first bucket's maximum (node 63 at 0): six entries shift, and it becomes
+  // the second bucket's minimum.
+  AvailabilityIndex two;
+  two.reset(128);
+  std::vector<Time> two_times(128, 0.0);
+  for (NodeId id = 64; id < 128; ++id) {
+    two.update(id, 0.0, static_cast<Time>(id));
+    two_times[id] = static_cast<Time>(id);
   }
-}
-
-TEST(AvailabilityIndexBucketProperty, HomogeneousSchedulesBitIdentical) {
-  for (const char* algorithm :
-       {"EDF-DLT", "FIFO-DLT", "EDF-MR2", "FIFO-MR2", "EDF-OPR-MN-BF", "FIFO-OPR-MN-BF"}) {
-    expect_identical_schedules_across_backends(algorithm, property_params(21, 1.0),
-                                               sim::ReleasePolicy::kEstimate,
-                                               /*heterogeneous=*/false);
-  }
-}
-
-TEST(AvailabilityIndexBucketProperty, HeterogeneousSchedulesBitIdentical) {
-  for (const char* algorithm :
-       {"EDF-DLT", "FIFO-MR2", "EDF-OPR-MN-BF", "FIFO-OPR-MN-BF"}) {
-    expect_identical_schedules_across_backends(algorithm, property_params(23, 1.0),
-                                               sim::ReleasePolicy::kEstimate,
-                                               /*heterogeneous=*/true);
-  }
-}
-
-TEST(AvailabilityIndexBucketProperty, EarlyReleaseSchedulesBitIdentical) {
-  // kActual releases reposition entries backwards through release_early;
-  // both backends must track the same early-release churn.
-  expect_identical_schedules_across_backends("EDF-DLT", property_params(29, 1.1),
-                                             sim::ReleasePolicy::kActual,
-                                             /*heterogeneous=*/false);
-  expect_identical_schedules_across_backends("FIFO-MR2", property_params(31, 1.1),
-                                             sim::ReleasePolicy::kActual,
-                                             /*heterogeneous=*/true);
+  EXPECT_EQ(two.update(70, 70.0, 0.5), 6u);
+  two_times[70] = 0.5;
+  ASSERT_TRUE(two.consistent_with(two_times));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -87,14 +86,14 @@ TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
 
 TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
   // Randomized sequences of the three mutations the index must mirror,
-  // cross-checked against the brute-force sort after every step: on a small
-  // cluster, and on a bucket-backed one of a few hundred nodes whose floored
-  // prefix spans several 64-entry buckets.
-  const std::pair<std::size_t, cluster::IndexBackend> kClusters[] = {
-      {24, cluster::IndexBackend::kAuto}, {300, cluster::IndexBackend::kBucket}};
-  for (const auto& [nodes, backend] : kClusters) {
-    cluster::Cluster c(
-        {.node_count = nodes, .cms = 1.0, .cps = 100.0, .index_backend = backend});
+  // cross-checked against the brute-force sort after every step, at node
+  // counts on both sides of each bucket-geometry edge: one node, one
+  // partly filled and one full 64-entry bucket, a full bucket plus one
+  // (65), two full buckets plus one (129), and 300 nodes, whose floored
+  // prefix spans several buckets.
+  constexpr std::size_t kNodeCounts[] = {1, 16, 64, 65, 129, 300};
+  for (const std::size_t nodes : kNodeCounts) {
+    cluster::Cluster c({.node_count = nodes, .cms = 1.0, .cps = 100.0});
     workload::Xoshiro256StarStar rng(12345);
     std::vector<Time> committed_until(nodes, 0.0);
     Time now = 0.0;
@@ -119,7 +118,7 @@ TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
       if (step >= 200) widest_floor = std::max(widest_floor, c.index().available_by(now));
       expect_index_matches_reference(c, now);
     }
-    if (backend == cluster::IndexBackend::kBucket) {
+    if (nodes == 300) {
       EXPECT_GT(widest_floor, 2u * 64u);
     }
   }

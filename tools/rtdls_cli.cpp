@@ -99,21 +99,6 @@ sim::ReleasePolicy release_from_cli(const util::CliParser& cli) {
              : sim::ReleasePolicy::kEstimate;
 }
 
-void add_index_option(util::CliParser& cli) {
-  cli.add_option({"index",
-                  "availability-index backend: auto|flat|bucket (auto honors "
-                  "RTDLS_INDEX, then picks by cluster size)",
-                  "auto", false});
-}
-
-cluster::IndexBackend index_backend_from_cli(const util::CliParser& cli) {
-  const std::string value = util::to_lower(cli.get("index").value_or("auto"));
-  if (value == "flat") return cluster::IndexBackend::kFlat;
-  if (value == "bucket") return cluster::IndexBackend::kBucket;
-  if (value.empty() || value == "auto") return cluster::IndexBackend::kAuto;
-  throw std::invalid_argument("--index: expected auto|flat|bucket, got '" + value + "'");
-}
-
 // --- tracing ----------------------------------------------------------------
 
 void add_trace_option(util::CliParser& cli) {
@@ -218,7 +203,6 @@ int cmd_simulate(int argc, const char* const* argv) {
                   "", true});
   cli.add_option({"chunk-tasks", "tasks per streamed chunk (--stream)", "65536", false});
   cli.add_option({"algorithm", "algorithm name", "EDF-DLT", false});
-  add_index_option(cli);
   add_sim_config_options(cli);
   add_trace_option(cli);
   if (!cli.parse(argc, argv) || cli.get_flag("help")) {
@@ -236,7 +220,6 @@ int cmd_simulate(int argc, const char* const* argv) {
 
   sim::SimulatorConfig config;
   config.params = params.cluster;
-  config.params.index_backend = index_backend_from_cli(cli);
   config.release_policy = release_from_cli(cli);
   config.output_ratio = cli.get_double("output-ratio", 0.0);
   config.shared_link = cli.get_flag("shared-link");
@@ -750,7 +733,6 @@ int cmd_daemon(int argc, const char* const* argv) {
   cli.add_option({"het-profile",
                   "per-node speed profile key (same keys as `simulate --het-profile`)", "",
                   false});
-  add_index_option(cli);
   cli.add_option({"shards", "independent admission shards (one cluster each)", "4", false});
   cli.add_option({"workers", "connection worker threads", "4", false});
   cli.add_option({"deadline-ms", "default per-request wall-clock budget", "2000", false});
@@ -789,7 +771,6 @@ int cmd_daemon(int argc, const char* const* argv) {
     config.params.speed_profile = std::make_shared<const cluster::SpeedProfile>(
         cluster::parse_speed_profile(key, config.params.node_count, config.params.cps));
   }
-  config.params.index_backend = index_backend_from_cli(cli);
   config.shards = static_cast<std::size_t>(cli.get_int("shards", 4));
   config.workers = static_cast<std::size_t>(cli.get_int("workers", 4));
   config.default_deadline_ms = static_cast<std::uint32_t>(cli.get_int("deadline-ms", 2000));
@@ -804,10 +785,7 @@ int cmd_daemon(int argc, const char* const* argv) {
   RTDLS_LOG(kInfo) << "rtdlsd: " << live.algorithm << " on " << live.socket_path << " - "
                    << daemon.shard_count() << " shard(s) x " << live.params.node_count
                    << " nodes, " << live.workers << " worker(s), "
-                   << (live.incremental ? "incremental" : "stateless") << " sessions, "
-                   << cluster::index_backend_name(cluster::resolve_index_backend(
-                          live.params.index_backend, live.params.node_count))
-                   << " index";
+                   << (live.incremental ? "incremental" : "stateless") << " sessions";
   if (!live.restore_path.empty()) {
     RTDLS_LOG(kInfo) << "rtdlsd: restored " << daemon.shard_count() << " shard(s) from "
                      << live.restore_path;
