@@ -12,16 +12,17 @@
 // bucket-local runs, so CI gates the max depth at 2 x 128 (the split
 // threshold) whatever N is; ns/update is reported for information.
 //
-// Part 2 - streamed replay, RTDLS_REPLAY_TASKS (1e6) tasks: a trace CSV is
-// *written row by row* to a temp file (never materialized - generation must
-// not pollute the process's lifetime-max RSS) and then replayed through the
+// Part 2 - streamed replay, RTDLS_REPLAY_TASKS (1e6) tasks: a trace CSV
+// (about 30 MB at 1e6 rows) is *written row by row* to a temp file under
+// $TMPDIR, or /tmp when it is unset (never materialized - generation must
+// not pollute the process's lifetime-max RSS), then replayed through the
 // full bounded-memory pipeline: TraceReader -> StreamingTaskSource ->
-// ClusterSimulator::run_stream. Reported: tasks/sec, the source's peak
-// resident task count, getrusage peak RSS - the number CI gates to pin the
-// O(chunk) memory claim (a materialized million-task load would hold ~90 MB
-// of tasks + CSV text; the streamed pipeline should stay far under that) -
-// and the replay's deadline misses and Theorem-4 violations, which CI
-// requires to be zero.
+// ClusterSimulator::run_stream, and deleted. Reported: tasks/sec, the
+// source's peak resident task count, getrusage peak RSS - the number CI
+// gates to pin the O(chunk) memory claim (a materialized million-task load
+// would hold ~90 MB of tasks + CSV text; the streamed pipeline should stay
+// far under that) - and the replay's deadline misses and Theorem-4
+// violations, which CI requires to be zero.
 //
 //   replay_storm [out.json]
 //   RTDLS_REPLAY_NODES=100000   index size for the commit-path storm
@@ -29,6 +30,7 @@
 //   RTDLS_REPLAY_TASKS=1000000  streamed trace length
 //   RTDLS_REPLAY_SIM_NODES=512  cluster size for the streamed replay
 //   RTDLS_REPLAY_CHUNK=65536    TraceReader chunk size
+//   TMPDIR=/tmp                 directory for the temporary trace
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -189,8 +191,10 @@ int main(int argc, char** argv) {
               storm.ns_per_update, storm.max_depth, storm.mean_depth);
 
   // --- streamed replay ------------------------------------------------------
-  const std::string trace_path =
-      "/tmp/rtdls_replay_" + std::to_string(static_cast<long>(::getpid())) + ".csv";
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string trace_dir = tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+  const std::string trace_path = trace_dir + "/rtdls_replay_" +
+                                 std::to_string(static_cast<long>(::getpid())) + ".csv";
   std::printf("replay_storm: writing %zu-task trace to %s\n", replay_tasks,
               trace_path.c_str());
   write_trace(trace_path, replay_tasks);

@@ -1,4 +1,4 @@
-// Sparse edit a committed plan makes to a sorted availability row.
+// Sorted availability rows and the sparse edits committed plans make to them.
 //
 // Every release-time rule consumes the k earliest entries of the sorted
 // availability state and re-inserts its k node releases wherever the sort
@@ -10,10 +10,13 @@
 // the admission session keep O(k) deltas in flat columns plus sparse dense
 // checkpoints instead of one row per task.
 //
-// Heterogeneous rows carry a node-id column in strict (time, id) order; the
-// delta mirrors it with id payloads aligned with the sorted releases.
-// Per-position cps never rides along: speeds are constants derived from the
-// id column (same reasoning as AvailabilityIndex::Entry).
+// A row carries a node-id column exactly when nodes are not interchangeable
+// (a heterogeneous speed profile): then rows are in strict (time, id) order
+// and deltas carry the ids of their releases. An empty id column means
+// interchangeable nodes, so one row type, one merge and one delta column
+// type serve both models. Per-position cps never rides along: speeds are
+// constants derived from the id column (same reasoning as
+// AvailabilityIndex::Entry).
 //
 // Everything here is header-inline: the apply/replay merges are the
 // admission loop's innermost O(N) operation and must inline into their
@@ -31,134 +34,184 @@
 
 namespace rtdls::cluster {
 
+/// Availability state used by planning: release times of all N nodes,
+/// floored at `now` and sorted ascending, so `times[k-1]` is the instant at
+/// which k nodes are simultaneously available (and also the available time
+/// r_k of the k-th earliest node for IIT-utilizing partitioning). `ids[i]`
+/// owns `times[i]`, in strict (time, id) order; `ids` is empty when nodes
+/// are interchangeable.
+struct AvailabilityRow {
+  std::vector<Time> times;
+  std::vector<NodeId> ids;
+};
+
 namespace detail {
 
-/// In-place forward merge of the sorted run `incoming` (k entries) into
-/// state[k..n): safe because the write position i + (j - k) never passes the
-/// suffix read position j.
-inline void merge_releases(std::vector<Time>& state, const Time* incoming,
-                           std::size_t k) {
-  const std::size_t n = state.size();
+/// The one merge core: consumes the first k entries of `row` and merges the
+/// sorted run `in_times` (with `in_ids` when the row has ids) into the
+/// remainder - an in-place forward merge, safe because the write position
+/// pos never passes the suffix read position j. Rows without ids compare
+/// times only and ties take the incoming entry; rows with ids use strict
+/// (time, id) order.
+inline void merge_run(AvailabilityRow& row, const Time* in_times, const NodeId* in_ids,
+                      std::size_t k) {
+  std::vector<Time>& times = row.times;
+  const std::size_t n = times.size();
   std::size_t i = 0;
   std::size_t j = k;
   std::size_t pos = 0;
-  while (i < k && j < n) {
-    state[pos++] = state[j] < incoming[i] ? state[j++] : incoming[i++];
+  if (row.ids.empty()) {
+    while (i < k && j < n) {
+      times[pos++] = times[j] < in_times[i] ? times[j++] : in_times[i++];
+    }
+    while (i < k) times[pos++] = in_times[i++];
+    return;
   }
-  while (i < k) state[pos++] = incoming[i++];
-}
-
-/// Heterogeneous merge core: strict (time, id) pair order across both runs.
-/// The incoming run is read through accessors so span-pair (two flat
-/// columns) and pair-vector callers share the one merge - the tie-break
-/// must stay in a single place for replay to remain bit-identical.
-template <typename TimeAt, typename IdAt>
-inline void merge_releases_het_core(std::vector<Time>& state, std::vector<NodeId>& ids,
-                                    TimeAt in_time, IdAt in_id, std::size_t k) {
-  const std::size_t n = state.size();
-  std::size_t i = 0;
-  std::size_t j = k;
-  std::size_t pos = 0;
+  std::vector<NodeId>& ids = row.ids;
   while (i < k && j < n) {
-    const bool take_suffix =
-        state[j] < in_time(i) || (state[j] == in_time(i) && ids[j] < in_id(i));
-    if (take_suffix) {
-      state[pos] = state[j];
+    if (times[j] < in_times[i] || (times[j] == in_times[i] && ids[j] < in_ids[i])) {
+      times[pos] = times[j];
       ids[pos] = ids[j];
       ++j;
     } else {
-      state[pos] = in_time(i);
-      ids[pos] = in_id(i);
+      times[pos] = in_times[i];
+      ids[pos] = in_ids[i];
       ++i;
     }
     ++pos;
   }
-  while (i < k) {
-    state[pos] = in_time(i);
-    ids[pos] = in_id(i);
-    ++i;
-    ++pos;
+  for (; i < k; ++i, ++pos) {
+    times[pos] = in_times[i];
+    ids[pos] = in_ids[i];
   }
 }
 
-inline void merge_releases_het(std::vector<Time>& state, std::vector<NodeId>& ids,
-                               const Time* in_times, const NodeId* in_ids,
-                               std::size_t k) {
-  merge_releases_het_core(
-      state, ids, [in_times](std::size_t i) { return in_times[i]; },
-      [in_ids](std::size_t i) { return in_ids[i]; }, k);
-}
-
-inline void merge_releases_het(std::vector<Time>& state, std::vector<NodeId>& ids,
-                               const std::pair<Time, NodeId>* in, std::size_t k) {
-  merge_releases_het_core(
-      state, ids, [in](std::size_t i) { return in[i].first; },
-      [in](std::size_t i) { return in[i].second; }, k);
+/// Writes the k entries (times[i], ids[i]) into `out` in strict (time, id)
+/// order. out.ids first holds the sorted slot permutation; each position
+/// then reads its slot before overwriting it with that slot's id, so no
+/// buffer beyond `out` is needed.
+inline void sort_by_time_id(const Time* times, const NodeId* ids, std::size_t k,
+                            AvailabilityRow& out) {
+  out.times.resize(k);
+  out.ids.resize(k);
+  for (std::size_t i = 0; i < k; ++i) out.ids[i] = static_cast<NodeId>(i);
+  std::sort(out.ids.begin(), out.ids.end(), [times, ids](NodeId a, NodeId b) {
+    return times[a] < times[b] || (times[a] == times[b] && ids[a] < ids[b]);
+  });
+  for (std::size_t i = 0; i < k; ++i) {
+    const NodeId slot = out.ids[i];
+    out.times[i] = times[slot];
+    out.ids[i] = ids[slot];
+  }
 }
 
 }  // namespace detail
 
-/// Applies `releases` (the plan's node_release run, nondecreasing for every
-/// rule; defensively re-sorted otherwise) to the sorted row `state`: the
-/// first releases.size() entries are consumed and the releases merged into
-/// the remainder - an in-place O(N) forward merge.
+/// Floors every entry of `row` at `now` and puts it back in row order (the
+/// stateless test's input need not arrive sorted). A row with ids is sorted
+/// into `scratch` and swapped in.
+inline void floor_and_sort(AvailabilityRow& row, Time now, AvailabilityRow& scratch) {
+  for (Time& t : row.times) t = std::max(t, now);
+  if (row.ids.empty()) {
+    std::sort(row.times.begin(), row.times.end());
+    return;
+  }
+  if (row.ids.size() != row.times.size()) {
+    throw std::invalid_argument("floor_and_sort: id column size mismatch");
+  }
+  detail::sort_by_time_id(row.times.data(), row.ids.data(), row.times.size(), scratch);
+  std::swap(row, scratch);
+}
+
+/// Applies a plan's releases to `row`: the first releases.size() entries
+/// are consumed and the releases merged into the remainder - an in-place
+/// O(N) forward merge. `release_ids` are slot-aligned with `releases` and
+/// read only when the row has ids; releases need not arrive sorted (het
+/// multi-round releases keep slot identity; every homogeneous rule emits
+/// them nondecreasing).
 ///
-/// Contract: on return `scratch` holds exactly the k releases in sorted
-/// order - the delta that apply_delta replays. Callers that keep deltas in
-/// flat storage (the admission session) append it directly instead of
-/// paying a per-task allocation.
-RTDLS_HOT inline void apply_releases(std::vector<Time>& state, const std::vector<Time>& releases,
-                           std::vector<Time>& scratch) {
+/// Contract: on return `scratch` holds exactly the k releases in row order
+/// - the delta DeltaColumns::replay replays. The admission session appends
+/// it to flat storage (DeltaColumns::push) instead of paying a per-task
+/// allocation.
+RTDLS_HOT inline void apply_releases(AvailabilityRow& row,
+                                     const std::vector<Time>& releases,
+                                     const std::vector<NodeId>& release_ids,
+                                     AvailabilityRow& scratch) {
   const std::size_t k = releases.size();
-  if (k > state.size()) {
-    throw std::invalid_argument("apply_releases: more releases than slots");
+  const bool with_ids = !row.ids.empty();
+  if (k > row.times.size() || (with_ids && release_ids.size() != k)) {
+    throw std::invalid_argument("apply_releases: bad release columns");
   }
-  scratch.assign(releases.begin(), releases.end());
-  if (!std::is_sorted(scratch.begin(), scratch.end())) {
-    std::sort(scratch.begin(), scratch.end());  // defensive; no rule hits this
+  if (with_ids) {
+    detail::sort_by_time_id(releases.data(), release_ids.data(), k, scratch);
+  } else {
+    scratch.times.assign(releases.begin(), releases.end());
+    scratch.ids.clear();
+    if (!std::is_sorted(scratch.times.begin(), scratch.times.end())) {
+      // Defensive: every homogeneous rule emits nondecreasing releases.
+      std::sort(scratch.times.begin(), scratch.times.end());
+    }
   }
-  detail::merge_releases(state, scratch.data(), k);
+  detail::merge_run(row, scratch.times.data(), scratch.ids.data(), k);
 }
 
-/// Heterogeneous variant: `state`/`ids` are a (time, id) row in strict
-/// (time, id) order; `releases`/`release_ids` are slot-aligned (NOT
-/// necessarily sorted - het multi-round releases keep slot identity) and
-/// re-enter in pair order. Consumes the first releases.size() positions.
-/// Same scratch contract: on return it holds the k (time, id) pairs sorted.
-RTDLS_HOT inline void apply_releases_het(std::vector<Time>& state, std::vector<NodeId>& ids,
-                               const std::vector<Time>& releases,
-                               const std::vector<NodeId>& release_ids,
-                               std::vector<std::pair<Time, NodeId>>& scratch) {
-  const std::size_t k = releases.size();
-  if (k > state.size() || release_ids.size() != k) {
-    throw std::invalid_argument("apply_releases_het: bad release columns");
-  }
-  scratch.resize(k);
-  for (std::size_t i = 0; i < k; ++i) scratch[i] = {releases[i], release_ids[i]};
-  std::sort(scratch.begin(), scratch.end());
-  detail::merge_releases_het(state, ids, scratch.data(), k);
-}
+/// The admission session's delta stack in flat columns (flat so the steady
+/// state allocates nothing per planned task): delta r is the sorted run at
+/// [start(r), end[r]) of `times`, and of `ids` when the rows carry ids;
+/// otherwise `ids` stays empty.
+struct DeltaColumns {
+  std::vector<std::size_t> end;  ///< per delta: end offset into the columns
+  std::vector<Time> times;
+  std::vector<NodeId> ids;
 
-/// Replays one delta from flat storage (the admission session stores one
-/// delta per planned task and must not allocate per task): `new_times` /
-/// `new_ids` point at the k sorted entries the apply_releases* scratch held.
-/// Consumes the first k entries of the row and merges the new entries back
-/// in - bit-identical to the apply_releases call that produced them.
-RTDLS_HOT inline void apply_delta(std::vector<Time>& state, const Time* new_times,
-                        std::size_t k) {
-  if (k > state.size()) {
-    throw std::invalid_argument("apply_delta: delta wider than the row");
-  }
-  detail::merge_releases(state, new_times, k);
-}
+  std::size_t start(std::size_t r) const { return r == 0 ? 0 : end[r - 1]; }
 
-RTDLS_HOT inline void apply_delta_het(std::vector<Time>& state, std::vector<NodeId>& ids,
-                            const Time* new_times, const NodeId* new_ids,
-                            std::size_t k) {
-  if (k > state.size()) {
-    throw std::invalid_argument("apply_delta_het: delta wider than the row");
+  /// Appends one delta: the run apply_releases left in its scratch.
+  void push(const AvailabilityRow& run) {
+    times.insert(times.end(), run.times.begin(), run.times.end());
+    ids.insert(ids.end(), run.ids.begin(), run.ids.end());
+    end.push_back(times.size());
   }
-  detail::merge_releases_het(state, ids, new_times, new_ids, k);
-}
+
+  /// Replays delta r onto `row`: consumes its first k entries and merges the
+  /// delta back in - bit-identical to the apply_releases call that recorded
+  /// it.
+  RTDLS_HOT void replay(std::size_t r, AvailabilityRow& row) const {
+    const std::size_t begin = start(r);
+    const std::size_t k = end[r] - begin;
+    if (k > row.times.size()) {
+      throw std::invalid_argument("DeltaColumns::replay: delta wider than the row");
+    }
+    const NodeId* run_ids = ids.empty() ? nullptr : ids.data() + begin;
+    detail::merge_run(row, times.data() + begin, run_ids, k);
+  }
+
+  /// Keeps deltas [0, r).
+  void truncate(std::size_t r) {
+    const std::size_t cut = start(r);
+    end.resize(r);
+    times.resize(cut);
+    if (!ids.empty()) ids.resize(cut);  // an empty id column must not grow
+  }
+
+  /// Drops deltas [0, r) and rebases the remaining offsets.
+  void drop_front(std::size_t r) {
+    const std::size_t cut = start(r);
+    end.erase(end.begin(), end.begin() + static_cast<std::ptrdiff_t>(r));
+    for (std::size_t& e : end) e -= cut;
+    const auto flat_cut = static_cast<std::ptrdiff_t>(cut);
+    times.erase(times.begin(), times.begin() + flat_cut);
+    if (!ids.empty()) ids.erase(ids.begin(), ids.begin() + flat_cut);
+  }
+
+  /// Appends every delta of `other` after the last one here.
+  void append(const DeltaColumns& other) {
+    const std::size_t base = times.size();
+    for (const std::size_t e : other.end) end.push_back(base + e);
+    times.insert(times.end(), other.times.begin(), other.times.end());
+    ids.insert(ids.end(), other.ids.begin(), other.ids.end());
+  }
+};
 
 }  // namespace rtdls::cluster

@@ -37,34 +37,13 @@ void Cluster::reset() {
   ++version_;
 }
 
-AvailabilityView Cluster::availability(Time now) const {
-  AvailabilityView view;
-  view.now = now;
+void Cluster::availability_into(Time now, AvailabilityRow& row) const {
   if (params_.heterogeneous()) {
-    availability_with_ids_into(now, view.times, view.ids);
-    view.cps.resize(view.ids.size());
-    for (std::size_t i = 0; i < view.ids.size(); ++i) {
-      view.cps[i] = params_.node_cps(view.ids[i]);
-    }
+    index_.availability_with_ids_into(now, row.times, row.ids);
   } else {
-    availability_into(now, view.times);
+    index_.availability_into(now, row.times);
+    row.ids.clear();
   }
-  return view;
-}
-
-void Cluster::availability_into(Time now, std::vector<Time>& out) const {
-  index_.availability_into(now, out);
-}
-
-void Cluster::availability_with_ids_into(Time now, std::vector<Time>& times,
-                                         std::vector<NodeId>& ids) const {
-  index_.availability_with_ids_into(now, times, ids);
-}
-
-std::vector<NodeId> Cluster::earliest_free_nodes(Time now, std::size_t n) const {
-  std::vector<NodeId> ids;
-  earliest_free_nodes_into(now, n, ids);
-  return ids;
 }
 
 void Cluster::earliest_free_nodes_into(Time now, std::size_t n,

@@ -1,34 +1,21 @@
-// The cluster model: N homogeneous processing nodes behind one head node.
+// The cluster model: N processing nodes behind one head node, with the
+// paper's common Cps or, under a speed profile, a Cps per node.
 //
 // The scheduler plans against the *sorted vector of node release times*
-// (nodes are interchangeable in the paper's model); the cluster maps an
-// accepted plan onto concrete node ids and keeps per-node accounting.
+// (nodes are interchangeable in the paper's model, and that row carries no
+// ids); under a heterogeneous profile the row also names the node at each
+// position. The cluster maps an accepted plan onto concrete node ids and
+// keeps per-node accounting.
 #pragma once
 
 #include <vector>
 
+#include "cluster/availability_delta.hpp"
 #include "cluster/availability_index.hpp"
 #include "cluster/node.hpp"
 #include "cluster/types.hpp"
 
 namespace rtdls::cluster {
-
-/// Availability snapshot used by planning: release times of all N nodes,
-/// floored at `now` and sorted ascending, so `times[k-1]` is the instant at
-/// which k nodes are simultaneously available (and also the available time
-/// r_k of the k-th earliest node for IIT-utilizing partitioning).
-///
-/// Under a heterogeneous speed profile the snapshot additionally carries
-/// which node sits at each position and its unit processing cost: `ids[i]`
-/// owns `times[i]` and costs `cps[i]`, strictly ordered by (time, id). The
-/// id/cps columns are empty for homogeneous clusters, where positions are
-/// interchangeable.
-struct AvailabilityView {
-  Time now = 0.0;
-  std::vector<Time> times;   ///< sorted ascending, size N
-  std::vector<NodeId> ids;   ///< het only: node at each position
-  std::vector<double> cps;   ///< het only: unit processing cost per position
-};
 
 /// Mutable cluster state.
 class Cluster {
@@ -51,24 +38,16 @@ class Cluster {
   /// (back-to-back sweep cells reuse one cluster instead of reconstructing).
   void reset();
 
-  /// Builds the availability snapshot at time `now`.
-  AvailabilityView availability(Time now) const;
-
-  /// Same snapshot written into `out` (capacity reused; hot path). Served
-  /// from the sorted free-time index: an O(N) copy, no per-call sort.
-  void availability_into(Time now, std::vector<Time>& out) const;
-
-  /// Snapshot plus the owning node ids in strict (time, id) order - the
-  /// heterogeneous planning/admission input (see
-  /// AvailabilityIndex::availability_with_ids_into).
-  void availability_with_ids_into(Time now, std::vector<Time>& times,
-                                  std::vector<NodeId>& ids) const;
+  /// Writes the availability snapshot at `now` into `row` (capacity
+  /// reused; hot path), served from the sorted free-time index: an O(N)
+  /// copy, no per-call sort. The id column is filled, in strict (time, id)
+  /// order, exactly when params().heterogeneous(); otherwise it is left
+  /// empty (see AvailabilityIndex::availability_with_ids_into).
+  void availability_into(Time now, AvailabilityRow& row) const;
 
   /// Ids of the `n` earliest-available nodes at `now` (ties broken by id so
-  /// commitments are deterministic). `n` must not exceed size().
-  std::vector<NodeId> earliest_free_nodes(Time now, std::size_t n) const;
-
-  /// Same, written into `out` (capacity reused; hot path).
+  /// commitments are deterministic), written into `out` (capacity reused;
+  /// hot path). `n` must not exceed size().
   void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
   /// Commits node `id` to `task` over [start, end); see Node::commit for

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -64,31 +66,17 @@ AdmissionOutcome AdmissionController::test(
   if (new_task != nullptr) temp_list.push_back(new_task);
   order_tasks(policy_, temp_list);
 
-  const bool het = params.heterogeneous();
-  if (het) {
-    // Co-floor and co-sort the (time, id) columns into strict (time, id)
-    // order; an empty id column means free_times is indexed by node id.
-    if (node_ids.empty()) {
-      node_ids.resize(free_times.size());
-      for (std::size_t i = 0; i < node_ids.size(); ++i) {
-        node_ids[i] = static_cast<cluster::NodeId>(i);
-      }
-    } else if (node_ids.size() != free_times.size()) {
-      throw std::invalid_argument("AdmissionController::test: node_ids size mismatch");
+  // The row carries ids only when nodes are not interchangeable; there an
+  // empty id column means free_times is indexed by node id.
+  cluster::AvailabilityRow row{std::move(free_times), {}};
+  if (params.heterogeneous()) {
+    row.ids = std::move(node_ids);
+    if (row.ids.empty()) {
+      row.ids.resize(row.times.size());
+      std::iota(row.ids.begin(), row.ids.end(), cluster::NodeId{0});
     }
-    het_merge_scratch_.resize(free_times.size());
-    for (std::size_t i = 0; i < free_times.size(); ++i) {
-      het_merge_scratch_[i] = {std::max(free_times[i], now), node_ids[i]};
-    }
-    std::sort(het_merge_scratch_.begin(), het_merge_scratch_.end());
-    for (std::size_t i = 0; i < free_times.size(); ++i) {
-      free_times[i] = het_merge_scratch_[i].first;
-      node_ids[i] = het_merge_scratch_[i].second;
-    }
-  } else {
-    for (Time& t : free_times) t = std::max(t, now);
-    std::sort(free_times.begin(), free_times.end());
   }
+  cluster::floor_and_sort(row, now, merge_scratch_);
 
   AdmissionOutcome outcome;
   outcome.schedule.reserve(temp_list.size());
@@ -97,8 +85,8 @@ AdmissionOutcome AdmissionController::test(
     PlanRequest request;
     request.task = task;
     request.params = params;
-    request.free_times = &free_times;
-    request.node_ids = het ? &node_ids : nullptr;
+    request.free_times = &row.times;
+    request.node_ids = &row.ids;
     request.now = now;
     request.calendar = temp_calendar ? &*temp_calendar : nullptr;
 
@@ -119,11 +107,8 @@ AdmissionOutcome AdmissionController::test(
         temp_calendar->reserve(plan.node_ids[i], plan.reserve_from[i],
                                plan.node_release[i]);
       }
-    } else if (het) {
-      cluster::apply_releases_het(free_times, node_ids, plan.node_release, plan.node_ids,
-                                  het_merge_scratch_);
     } else {
-      cluster::apply_releases(free_times, plan.node_release, merge_scratch_);
+      cluster::apply_releases(row, plan.node_release, plan.node_ids, merge_scratch_);
     }
 
     outcome.schedule.push_back(ScheduledTask{task, std::move(result.plan)});
@@ -143,20 +128,16 @@ AdmissionOutcome AdmissionController::admit(
     }
     // "Release time" = end of the node's last committed reservation (the
     // calendar rule itself plans against the gaps).
-    live_times_.clear();
+    live_.times.clear();
     for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
       const auto& busy = calendar->busy(id);
-      live_times_.push_back(std::max(now, busy.empty() ? now : busy.back().end));
+      live_.times.push_back(std::max(now, busy.empty() ? now : busy.back().end));
     }
-    return test(&new_task, waiting, params, live_times_, now, calendar);
+    return test(&new_task, waiting, params, live_.times, now, calendar);
   }
   if (incremental) return test_incremental(new_task, waiting, params, cluster, now);
-  if (params.heterogeneous()) {
-    cluster.availability_with_ids_into(now, live_times_, live_ids_);
-    return test(&new_task, waiting, params, live_times_, now, nullptr, live_ids_);
-  }
-  cluster.availability_into(now, live_times_);
-  return test(&new_task, waiting, params, live_times_, now);
+  cluster.availability_into(now, live_);
+  return test(&new_task, waiting, params, live_.times, now, nullptr, live_.ids);
 }
 
 void commit_plan(const TaskPlan& plan, Time now, cluster::Cluster& cluster,
@@ -191,16 +172,13 @@ void AdmissionController::invalidate() {
   synced_prefix_ = 0;
   order_.clear();
   plans_.clear();
-  delta_end_.clear();
-  delta_times_.clear();
-  delta_ids_.clear();
+  deltas_.truncate(0);
   fronts_.clear();
   for (Checkpoint& cp : checkpoints_) retire_checkpoint(std::move(cp));
   checkpoints_.clear();
   cursor_valid_ = false;
-  top_times_.clear();
-  het_session_ = false;
-  top_ids_.clear();
+  top_.times.clear();
+  top_.ids.clear();
   // peak_ deliberately survives: a burst's high-water mark must outlive the
   // session rebuilds inside it (reset_session_stats() is the explicit reset).
 }
@@ -208,24 +186,22 @@ void AdmissionController::invalidate() {
 AdmissionController::SessionMemory AdmissionController::session_memory() const {
   SessionMemory mem;
   if (!cache_valid_) return mem;
-  std::size_t bytes = delta_times_.size() * sizeof(Time) +
-                      delta_ids_.size() * sizeof(cluster::NodeId) +
-                      delta_end_.size() * sizeof(std::size_t);
-  for (const Checkpoint& cp : checkpoints_) {
-    bytes += cp.times.size() * sizeof(Time) + cp.ids.size() * sizeof(cluster::NodeId);
-  }
-  bytes += top_times_.size() * sizeof(Time) + top_ids_.size() * sizeof(cluster::NodeId);
-  if (cursor_valid_) {
-    bytes += cursor_times_.size() * sizeof(Time) +
-             cursor_ids_.size() * sizeof(cluster::NodeId);
-  }
+  const auto row_bytes = [](const cluster::AvailabilityRow& row) {
+    return row.times.size() * sizeof(Time) + row.ids.size() * sizeof(cluster::NodeId);
+  };
+  std::size_t bytes = deltas_.times.size() * sizeof(Time) +
+                      deltas_.ids.size() * sizeof(cluster::NodeId) +
+                      deltas_.end.size() * sizeof(std::size_t);
+  for (const Checkpoint& cp : checkpoints_) bytes += row_bytes(cp.row);
+  bytes += row_bytes(top_);
+  if (cursor_valid_) bytes += row_bytes(cursor_);
   bytes += fronts_.size() * sizeof(Time);
   mem.bytes = bytes;
   // The historical representation held one dense row per planned position
-  // (rows head_..head_+planned_ pre-compaction, each N wide; het rows also
-  // mirrored an id column).
+  // (rows head_..head_+planned_ pre-compaction, each N wide; rows with ids
+  // also mirrored the id column).
   const std::size_t entry =
-      sizeof(Time) + (het_session_ ? sizeof(cluster::NodeId) : 0);
+      sizeof(Time) + (top_.ids.empty() ? 0 : sizeof(cluster::NodeId));
   mem.dense_equivalent_bytes = (head_ + planned_ + 1) * node_count_ * entry;
   return mem;
 }
@@ -252,8 +228,8 @@ void AdmissionController::retire_checkpoint(Checkpoint&& checkpoint) {
   // Cleared (not shrunk): the next take_checkpoint reuses the row capacity,
   // so the checkpoint churn of adoption truncations allocates nothing in
   // steady state.
-  checkpoint.times.clear();
-  checkpoint.ids.clear();
+  checkpoint.row.times.clear();
+  checkpoint.row.ids.clear();
   checkpoint_pool_.push_back(std::move(checkpoint));
 }
 
@@ -270,17 +246,9 @@ void AdmissionController::compact_head() {
   }
   if (cut == 0) return;  // nothing erasable yet; try again after more commits
   const auto offset = static_cast<std::ptrdiff_t>(cut);
-  const std::size_t flat_cut = delta_start(cut);
   order_.erase(order_.begin(), order_.begin() + offset);
   plans_.erase(plans_.begin(), plans_.begin() + offset);
-  delta_end_.erase(delta_end_.begin(), delta_end_.begin() + offset);
-  for (std::size_t& end : delta_end_) end -= flat_cut;
-  delta_times_.erase(delta_times_.begin(),
-                     delta_times_.begin() + static_cast<std::ptrdiff_t>(flat_cut));
-  if (het_session_) {
-    delta_ids_.erase(delta_ids_.begin(),
-                     delta_ids_.begin() + static_cast<std::ptrdiff_t>(flat_cut));
-  }
+  deltas_.drop_front(cut);
   fronts_.erase(fronts_.begin(), fronts_.begin() + offset);
   const auto keep = std::find_if(checkpoints_.begin(), checkpoints_.end(),
                                  [cut](const Checkpoint& cp) { return cp.pos >= cut; });
@@ -303,8 +271,7 @@ void AdmissionController::materialize_row(std::size_t pos) {
   if (pos == head_ + planned_) {
     // The frontier row is kept dense: append-at-the-end planning (FIFO
     // always, EDF whenever the new deadline sorts last) replays nothing.
-    work_state_ = top_times_;
-    if (het_session_) work_ids_ = top_ids_;
+    work_ = top_;
     return;
   }
   const auto after = std::upper_bound(
@@ -316,24 +283,13 @@ void AdmissionController::materialize_row(std::size_t pos) {
   std::size_t from = base.pos;
   if (cursor_valid_ && cursor_pos_ <= pos && cursor_pos_ > from) {
     from = cursor_pos_;
-    work_state_ = cursor_times_;
-    if (het_session_) work_ids_ = cursor_ids_;
+    work_ = cursor_;
   } else {
-    work_state_ = base.times;
-    if (het_session_) work_ids_ = base.ids;
+    work_ = base.row;
   }
   const std::size_t chain = pos - base.pos;
   admission_obs().delta_replays.add(pos - from);
-  for (std::size_t r = from; r < pos; ++r) {
-    const std::size_t begin = delta_start(r);
-    const std::size_t k = delta_end_[r] - begin;
-    if (het_session_) {
-      cluster::apply_delta_het(work_state_, work_ids_, delta_times_.data() + begin,
-                               delta_ids_.data() + begin, k);
-    } else {
-      cluster::apply_delta(work_state_, delta_times_.data() + begin, k);
-    }
-  }
+  for (std::size_t r = from; r < pos; ++r) deltas_.replay(r, work_);
   // A long replay marks a hot insertion point (policies tend to insert
   // arrivals into the same deadline neighborhood); checkpoint the rebuilt
   // row so the next arrival landing here replays nothing. The budget keeps
@@ -344,8 +300,7 @@ void AdmissionController::materialize_row(std::size_t pos) {
   if (chain > checkpoint_every_ / 2 && checkpoints_.size() < budget) {
     admission_obs().opportunistic_checkpoints.inc();
     Checkpoint cp = take_checkpoint(pos);
-    cp.times = work_state_;
-    if (het_session_) cp.ids = work_ids_;
+    cp.row = work_;
     checkpoints_.insert(after, std::move(cp));
   }
   if (pos != from) {
@@ -353,8 +308,7 @@ void AdmissionController::materialize_row(std::size_t pos) {
     // gap between the two positions.
     cursor_valid_ = true;
     cursor_pos_ = pos;
-    cursor_times_ = work_state_;
-    if (het_session_) cursor_ids_ = work_ids_;
+    cursor_ = work_;
   }
 }
 
@@ -395,14 +349,13 @@ AdmissionOutcome AdmissionController::test_incremental(
   }
   const std::size_t n = params.node_count;
   const std::size_t q = waiting.size();
-  const bool het = params.heterogeneous();
 
   // The session is reusable when nothing that feeds the plans has changed:
   // same availability version, no entry floored below `now` (rows are
   // sorted, so the cached front of row head_ suffices), the same waiting
-  // order, and the same homogeneous/heterogeneous mode.
-  bool reuse = cache_valid_ && cache_version_ == cluster.version() &&
-               node_count_ == n && het_session_ == het && order_.size() - head_ == q &&
+  // order, and rows that carry ids exactly when the params need them.
+  bool reuse = cache_valid_ && cache_version_ == cluster.version() && node_count_ == n &&
+               top_.ids.empty() != params.heterogeneous() && order_.size() - head_ == q &&
                fronts_.size() > head_ && fronts_[head_] >= now;
   if (reuse) reuse = std::equal(waiting.begin(), waiting.end(), order_.begin() + head_);
 
@@ -410,7 +363,6 @@ AdmissionOutcome AdmissionController::test_incremental(
     admission_obs().session_rebuilds.inc();
     invalidate();
     node_count_ = n;
-    het_session_ = het;
     // ~sqrt(N), floored at 16: below that the dense rows are so small that
     // checkpoint churn costs more than the replays it saves (the sparse
     // representation is a large-N play; tiny clusters just replay).
@@ -421,16 +373,11 @@ AdmissionOutcome AdmissionController::test_incremental(
     // sorted list is cheap and keeps a misordered caller correct (it merely
     // costs the incremental reuse).
     order_tasks(policy_, order_);
-    if (het) {
-      cluster.availability_with_ids_into(now, top_times_, top_ids_);
-    } else {
-      cluster.availability_into(now, top_times_);
-    }
+    cluster.availability_into(now, top_);
     Checkpoint base = take_checkpoint(0);
-    base.times = top_times_;
-    if (het) base.ids = top_ids_;
+    base.row = top_;
     checkpoints_.push_back(std::move(base));
-    fronts_.push_back(top_times_.front());
+    fronts_.push_back(top_.times.front());
     cache_valid_ = true;
     cache_version_ = cluster.version();
   }
@@ -472,8 +419,8 @@ AdmissionOutcome AdmissionController::test_incremental(
 
   PlanRequest request;
   request.params = params;
-  request.free_times = &work_state_;
-  request.node_ids = het ? &work_ids_ : nullptr;
+  request.free_times = &work_.times;
+  request.node_ids = &work_.ids;
   request.now = now;
 
   auto reject = [&](dlt::Infeasibility reason, const workload::Task* blocker) {
@@ -489,22 +436,10 @@ AdmissionOutcome AdmissionController::test_incremental(
 
   // Applies the freshly planned releases to the working row and appends the
   // resulting O(k) delta (the merge scratch holds exactly the sorted
-  // entries the merge consumed) to the given flat delta columns.
-  auto apply_and_record = [&](const TaskPlan& plan, std::vector<std::size_t>& ends,
-                              std::vector<Time>& times,
-                              std::vector<cluster::NodeId>& ids) {
-    if (het) {
-      cluster::apply_releases_het(work_state_, work_ids_, plan.node_release,
-                                  plan.node_ids, het_merge_scratch_);
-      for (std::size_t i = 0; i < plan.node_release.size(); ++i) {
-        times.push_back(het_merge_scratch_[i].first);
-        ids.push_back(het_merge_scratch_[i].second);
-      }
-    } else {
-      cluster::apply_releases(work_state_, plan.node_release, merge_scratch_);
-      times.insert(times.end(), merge_scratch_.begin(), merge_scratch_.end());
-    }
-    ends.push_back(times.size());
+  // entries the merge consumed) to the given delta columns.
+  auto apply_and_record = [&](const TaskPlan& plan, cluster::DeltaColumns& deltas) {
+    cluster::apply_releases(work_, plan.node_release, plan.node_ids, merge_scratch_);
+    deltas.push(merge_scratch_);
   };
 
   // Extend the waiting-only prefix up to the insertion point (runs only
@@ -514,22 +449,20 @@ AdmissionOutcome AdmissionController::test_incremental(
   // session consistent.
   for (std::size_t i = planned_; i < p; ++i) {
     if (screened) {
-      const dlt::Infeasibility doomed = screen_.screen(i - start, work_state_.front());
+      const dlt::Infeasibility doomed = screen_.screen(i - start, work_.times.front());
       if (doomed != dlt::Infeasibility::kNone) return reject(doomed, order_[head_ + i]);
     }
     request.task = order_[head_ + i];
     PlanResult result = rule_->plan(request);
     if (!result.feasible()) return reject(result.reason, order_[head_ + i]);
-    apply_and_record(result.plan, delta_end_, delta_times_, delta_ids_);
+    apply_and_record(result.plan, deltas_);
     plans_.push_back(std::move(result.plan));
-    fronts_.push_back(work_state_.front());
+    fronts_.push_back(work_.times.front());
     ++planned_;
-    top_times_ = work_state_;
-    if (het) top_ids_ = work_ids_;
+    top_ = work_;
     if (head_ + planned_ >= checkpoints_.back().pos + checkpoint_every_) {
       Checkpoint cp = take_checkpoint(head_ + planned_);
-      cp.times = work_state_;
-      if (het) cp.ids = work_ids_;
+      cp.row = work_;
       checkpoints_.push_back(std::move(cp));
     }
   }
@@ -537,9 +470,7 @@ AdmissionOutcome AdmissionController::test_incremental(
   // From the insertion point on the temp list diverges from the waiting
   // queue; plan into scratch and adopt only if the whole suffix fits.
   scratch_plans_.clear();
-  scratch_delta_end_.clear();
-  scratch_delta_times_.clear();
-  scratch_delta_ids_.clear();
+  scratch_deltas_.truncate(0);
   scratch_fronts_.clear();
   for (Checkpoint& cp : scratch_checkpoints_) retire_checkpoint(std::move(cp));
   scratch_checkpoints_.clear();
@@ -554,22 +485,20 @@ AdmissionOutcome AdmissionController::test_incremental(
   for (std::size_t i = p; i <= q; ++i) {
     const workload::Task* task = (i == p) ? &new_task : order_[head_ + i - 1];
     if (screened) {
-      const dlt::Infeasibility doomed = screen_.screen(i - start, work_state_.front());
+      const dlt::Infeasibility doomed = screen_.screen(i - start, work_.times.front());
       if (doomed != dlt::Infeasibility::kNone) return reject(doomed, task);
     }
     request.task = task;
     PlanResult result = rule_->plan(request);
     if (!result.feasible()) return reject(result.reason, task);
-    apply_and_record(result.plan, scratch_delta_end_, scratch_delta_times_,
-                     scratch_delta_ids_);
+    apply_and_record(result.plan, scratch_deltas_);
     scratch_plans_.push_back(std::move(result.plan));
-    scratch_fronts_.push_back(work_state_.front());
+    scratch_fronts_.push_back(work_.times.front());
     const std::size_t row = head_ + i + 1;  // row after planning temp entry i
     if (i < q && row >= last_checkpoint + checkpoint_every_) {
       // The final row needs no checkpoint: it becomes the dense frontier.
       Checkpoint cp = take_checkpoint(row);
-      cp.times = work_state_;
-      if (het) cp.ids = work_ids_;
+      cp.row = work_;
       scratch_checkpoints_.push_back(std::move(cp));
       last_checkpoint = row;
     }
@@ -581,17 +510,8 @@ AdmissionOutcome AdmissionController::test_incremental(
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(head_ + p), &new_task);
   plans_.resize(head_ + p);
   for (TaskPlan& plan : scratch_plans_) plans_.push_back(std::move(plan));
-  const std::size_t flat_base = delta_start(head_ + p);
-  delta_end_.resize(head_ + p);
-  delta_times_.resize(flat_base);
-  if (het) delta_ids_.resize(flat_base);
-  for (std::size_t end : scratch_delta_end_) delta_end_.push_back(flat_base + end);
-  delta_times_.insert(delta_times_.end(), scratch_delta_times_.begin(),
-                      scratch_delta_times_.end());
-  if (het) {
-    delta_ids_.insert(delta_ids_.end(), scratch_delta_ids_.begin(),
-                      scratch_delta_ids_.end());
-  }
+  deltas_.truncate(head_ + p);
+  deltas_.append(scratch_deltas_);
   fronts_.resize(head_ + p + 1);
   fronts_.insert(fronts_.end(), scratch_fronts_.begin(), scratch_fronts_.end());
   while (checkpoints_.back().pos > head_ + p) {
@@ -603,8 +523,7 @@ AdmissionOutcome AdmissionController::test_incremental(
   if (cursor_valid_ && cursor_pos_ > head_ + p) cursor_valid_ = false;
   for (Checkpoint& cp : scratch_checkpoints_) checkpoints_.push_back(std::move(cp));
   scratch_checkpoints_.clear();  // moved-from shells
-  std::swap(top_times_, work_state_);
-  if (het) std::swap(top_ids_, work_ids_);
+  std::swap(top_, work_);
   planned_ = q + 1;
   synced_prefix_ = q + 1;
   note_session_peak();
@@ -623,10 +542,10 @@ void AdmissionController::verify_against_full(
     const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
     const cluster::ClusterParams& params, const cluster::Cluster& cluster, Time now,
     const AdmissionOutcome& outcome) const {
-  cluster::AvailabilityView view = cluster.availability(now);
-  const AdmissionOutcome reference = test(&new_task, waiting, params,
-                                          std::move(view.times), now, nullptr,
-                                          std::move(view.ids));
+  cluster::AvailabilityRow row;
+  cluster.availability_into(now, row);
+  const AdmissionOutcome reference = test(&new_task, waiting, params, std::move(row.times),
+                                          now, nullptr, std::move(row.ids));
   auto fail = [](const std::string& what) {
     throw std::logic_error(
         "AdmissionController cross-check: incremental vs full Figure-2 mismatch: " + what);

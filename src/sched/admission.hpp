@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "cluster/availability_delta.hpp"
@@ -97,8 +96,8 @@ class AdmissionController {
   /// which earlier tasks' reservations are inserted, so the accepted plans
   /// are mutually conflict-free.
   ///
-  /// `node_ids`: owners of the free_times entries, required meaningful only
-  /// when params.heterogeneous() (nodes stop being interchangeable once
+  /// `node_ids`: owners of the free_times entries, read only under a
+  /// heterogeneous speed profile (nodes stop being interchangeable once
   /// speeds differ). Empty means free_times[i] belongs to node i. The pair
   /// columns are co-floored and co-sorted into the strict (time, id) order
   /// the het rules plan against.
@@ -114,8 +113,8 @@ class AdmissionController {
   ///  * calendar rules: each node's release is the end of its last
   ///    reservation in `calendar` (floored at `now`; required), full test();
   ///  * `incremental`: the warm session over `cluster` (test_incremental);
-  ///  * otherwise the stateless test() over `cluster`'s sorted snapshot at
-  ///    `now` (with the owning node ids when params are heterogeneous).
+  ///  * otherwise the stateless test() over `cluster`'s availability row
+  ///    at `now` (Cluster::availability_into).
   AdmissionOutcome admit(const workload::Task& new_task,
                          const std::vector<const workload::Task*>& waiting,
                          const cluster::ClusterParams& params,
@@ -191,38 +190,31 @@ class AdmissionController {
   // policy-front commit advances in O(1) by bumping head_ (compacted once
   // the consumed prefix outweighs the live part). Invariant when
   // cache_valid_: the live view of order_ is the waiting queue in policy
-  // order; "row r" (r = head_ + i) is the availability state before
-  // planning live entry i, with row head_ the floored sorted snapshot the
-  // session currently stands on; plans_[r] (i < planned_) is live entry
-  // i's plan against row r, and delta r - the sparse edit taking row r to
-  // row r + 1, i.e. the plan's k sorted releases (with id payloads for het
-  // sessions) - lives at [delta_start(r), delta_end_[r]) of the flat
-  // delta_times_/delta_ids_ columns (flat so the steady state allocates
-  // nothing per planned task; see cluster::apply_delta's span form);
+  // order; "row r" (r = head_ + i) is the availability row before planning
+  // live entry i, with row head_ the snapshot the session currently stands
+  // on; plans_[r] (i < planned_) is live entry i's plan against row r, and
+  // delta r of deltas_ is the sparse edit taking row r to row r + 1, i.e.
+  // the plan's k sorted releases (with their ids when the rows carry ids);
   // fronts_[r] is row r's first (minimum) entry, the O(1) "did `now`
   // overtake the snapshot" reuse check; rows exist for live 0..planned_.
   // Dense rows are materialized only in checkpoints_ (ascending positions,
   // always one at or before head_; storage recycled through
-  // checkpoint_pool_) and top_times_/top_ids_, the row at position
-  // head_ + planned_. synced_prefix_ counts the leading live entries whose
-  // plans the caller is known to hold verbatim.
+  // checkpoint_pool_) and top_, the row at position head_ + planned_.
+  // synced_prefix_ counts the leading live entries whose plans the caller
+  // is known to hold verbatim.
   struct Checkpoint {
     std::size_t pos = 0;
-    std::vector<Time> times;
-    std::vector<cluster::NodeId> ids;  ///< het sessions only
+    cluster::AvailabilityRow row;
   };
 
-  std::size_t delta_start(std::size_t r) const {
-    return r == 0 ? 0 : delta_end_[r - 1];
-  }
   Checkpoint take_checkpoint(std::size_t pos);
   void retire_checkpoint(Checkpoint&& checkpoint);
   void compact_head();
-  /// Copies row `pos` (absolute) into work_state_/work_ids_: nearest
-  /// checkpoint at or before `pos`, then the delta chain up to `pos`. When
-  /// the replayed chain is long, the rebuilt row is inserted as an
-  /// opportunistic checkpoint (repeated suffix re-plans around the same
-  /// insertion point then replay nothing).
+  /// Copies row `pos` (absolute) into work_: nearest checkpoint at or
+  /// before `pos`, then the delta chain up to `pos`. When the replayed
+  /// chain is long, the rebuilt row is inserted as an opportunistic
+  /// checkpoint (repeated suffix re-plans around the same insertion point
+  /// then replay nothing).
   void materialize_row(std::size_t pos);
   void note_session_peak();
 
@@ -235,9 +227,7 @@ class AdmissionController {
   std::size_t checkpoint_every_ = 1;  ///< ~sqrt(N) cadence
   std::vector<const workload::Task*> order_;
   std::vector<TaskPlan> plans_;
-  std::vector<std::size_t> delta_end_;         ///< per position: end offset
-  std::vector<Time> delta_times_;              ///< flat sorted-release runs
-  std::vector<cluster::NodeId> delta_ids_;     ///< het: aligned id payloads
+  cluster::DeltaColumns deltas_;
   std::vector<Time> fronts_;
   std::vector<Checkpoint> checkpoints_;
   std::vector<Checkpoint> checkpoint_pool_;    ///< retired rows, capacity kept
@@ -249,22 +239,15 @@ class AdmissionController {
   /// rows at or below the cursor, session rebuilds, and compaction past it.
   bool cursor_valid_ = false;
   std::size_t cursor_pos_ = 0;
-  std::vector<Time> cursor_times_;
-  std::vector<cluster::NodeId> cursor_ids_;
-  std::vector<Time> top_times_;
-  bool het_session_ = false;
-  std::vector<cluster::NodeId> top_ids_;
+  cluster::AvailabilityRow cursor_;
+  cluster::AvailabilityRow top_;
   SessionMemory peak_;
 
   // Scratch reused across calls (no per-arrival allocation steady-state).
-  std::vector<Time> live_times_;               ///< admit(): stateless input
-  std::vector<cluster::NodeId> live_ids_;
-  std::vector<Time> work_state_;
-  std::vector<cluster::NodeId> work_ids_;
+  cluster::AvailabilityRow live_;              ///< admit(): stateless input
+  cluster::AvailabilityRow work_;
   std::vector<TaskPlan> scratch_plans_;
-  std::vector<std::size_t> scratch_delta_end_;
-  std::vector<Time> scratch_delta_times_;
-  std::vector<cluster::NodeId> scratch_delta_ids_;
+  cluster::DeltaColumns scratch_deltas_;
   std::vector<Time> scratch_fronts_;
   std::vector<Checkpoint> scratch_checkpoints_;
   /// Batched hard-rejection screen over the tasks a test_incremental call
@@ -275,12 +258,11 @@ class AdmissionController {
   /// stays unscreened as the cross-check reference.
   het::QueueScreen screen_;
   std::vector<const workload::Task*> screen_tasks_;
-  /// apply_releases' merge buffer; mutable so the const (stateless) test()
-  /// reuses it too. Consistent with the single-thread affinity of the
-  /// controller (like the rules' plan scratch, one instance per simulator).
-  mutable std::vector<Time> merge_scratch_;
-  /// Het apply's (release, id) pair buffer, same mutability rationale.
-  mutable std::vector<std::pair<Time, cluster::NodeId>> het_merge_scratch_;
+  /// apply_releases' and floor_and_sort's buffer; mutable so the const
+  /// (stateless) test() reuses it too. Consistent with the single-thread
+  /// affinity of the controller (like the rules' plan scratch, one instance
+  /// per simulator).
+  mutable cluster::AvailabilityRow merge_scratch_;
 };
 
 /// Books an accepted plan's reservations at `now` - the commit step shared

@@ -27,10 +27,12 @@ struct PlanRequest {
   /// earliest node for IIT-utilizing rules.
   const std::vector<Time>* free_times = nullptr;
 
-  /// Owning node of each free_times position, in strict (time, id) order.
-  /// Non-null exactly when params.heterogeneous(): rules look up per-node
-  /// cps through params.node_cps(ids[i]) and record the chosen ids in the
-  /// plan, pinning the speeds their partition was computed for.
+  /// Owning node of each free_times position, in strict (time, id) order;
+  /// null or empty when nodes are interchangeable (the id column of
+  /// cluster::AvailabilityRow). Required, aligned with free_times, when
+  /// params.heterogeneous(): rules look up per-node cps through
+  /// params.node_cps(ids[i]) and record the chosen ids in the plan,
+  /// pinning the speeds their partition was computed for.
   const std::vector<cluster::NodeId>* node_ids = nullptr;
 
   Time now = 0.0;

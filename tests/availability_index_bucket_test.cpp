@@ -2,8 +2,9 @@
 // the three index mutations (commit / release_early / reset) with every
 // query checked against a sort of the authoritative release times, the
 // adversarial monotone-arrival pattern that would make one sorted vector
-// shift all N entries per update, desync detection, and the in-bucket fast
-// path's depth.
+// shift all N entries per update (with early releases that cross whole
+// buckets downwards), desync detection, and the in-bucket fast path's
+// depth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,6 +135,7 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
   std::vector<Time> free_times(kNodes, 0.0);
   Time horizon = 0.0;
   std::size_t max_depth = 0;
+  std::size_t deep_releases = 0;
   for (int step = 0; step < 4000; ++step) {
     // argmin by (free_at, node): the entry at rank 0.
     NodeId victim = 0;
@@ -145,8 +147,20 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
     const Time to = horizon + static_cast<Time>(kNodes);
     max_depth = std::max(max_depth, index.update(victim, from, to));
     free_times[victim] = to;
+    if (step % 97 == 96) {
+      // Now and then the node just committed, the last entry of the last
+      // bucket, finishes early at `now`. Once at least a full bucket's worth
+      // (128) of other entries lie above `now`, that down-move passes the
+      // previous bucket's last entry, so it must leave its bucket.
+      const auto above_now = static_cast<std::size_t>(std::count_if(
+          free_times.begin(), free_times.end(), [&](Time t) { return t > horizon; }));
+      if (above_now - 1 >= 128) ++deep_releases;
+      max_depth = std::max(max_depth, index.update(victim, to, horizon));
+      free_times[victim] = horizon;
+    }
     expect_matches_reference(index, free_times, horizon, /*full=*/step % 64 == 0);
   }
+  EXPECT_GE(deep_releases, 30u);
   // Erase shift + insert shift, each bucket-local: two fanout-bounded
   // memmoves instead of ten thousand entries.
   EXPECT_LE(max_depth, 256u);

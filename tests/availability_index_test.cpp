@@ -48,12 +48,13 @@ std::vector<NodeId> reference_earliest(const cluster::Cluster& c, Time now, std:
 
 void expect_index_matches_reference(const cluster::Cluster& c, Time now) {
   ASSERT_TRUE(c.index_consistent());
-  std::vector<Time> availability;
-  c.availability_into(now, availability);
+  cluster::AvailabilityRow row;
+  c.availability_into(now, row);
+  EXPECT_TRUE(row.ids.empty());  // homogeneous: interchangeable nodes
   const std::vector<Time> expected = reference_availability(c, now);
-  ASSERT_EQ(availability.size(), expected.size());
+  ASSERT_EQ(row.times.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(availability[i], expected[i]) << "position " << i << " at now=" << now;
+    EXPECT_EQ(row.times[i], expected[i]) << "position " << i << " at now=" << now;
   }
   for (std::size_t n : {std::size_t{1}, c.size() / 2, c.size()}) {
     if (n == 0) continue;
@@ -70,7 +71,7 @@ void expect_index_matches_reference(const cluster::Cluster& c, Time now) {
   }
   std::vector<Time> times;
   std::vector<NodeId> ids;
-  c.availability_with_ids_into(now, times, ids);
+  c.index().availability_with_ids_into(now, times, ids);
   EXPECT_EQ(times, expected_times) << "now=" << now;
   EXPECT_EQ(ids, expected_ids) << "now=" << now;
 }
@@ -150,11 +151,12 @@ TEST(AvailabilityIndex, RankQueriesMatchTheSnapshot) {
   EXPECT_EQ(c.index().available_by(100.0), 1u);
   EXPECT_EQ(c.index().available_by(350.0), 3u);
   EXPECT_EQ(c.index().available_by(800.0), 8u);
-  // kth_free_time(k) is availability()[k] whenever now precedes every
-  // release (the instant k+1 nodes are simultaneously available).
-  const auto view = c.availability(0.0);
+  // kth_free_time(k) is the snapshot's times[k] whenever now precedes
+  // every release (the instant k+1 nodes are simultaneously available).
+  cluster::AvailabilityRow row;
+  c.availability_into(0.0, row);
   for (std::size_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(c.index().kth_free_time(k), view.times[k]);
+    EXPECT_EQ(c.index().kth_free_time(k), row.times[k]);
   }
 }
 
@@ -230,7 +232,7 @@ void expect_identical_schedules_at_512(const std::string& algorithm,
 
 TEST(AvailabilityIndexLargeN, IncrementalMatchesFullAt512Nodes) {
   // EDF/FIFO x DLT/MR2 at N=512: the indexed availability reads, the merge
-  // in apply_plan, and the galloping n_min search must leave the schedules
+  // in apply_releases, and the galloping n_min search must leave the schedules
   // bit-identical to the stateless reference (cross-check mode throws on
   // the first divergent arrival).
   const char* algorithms[] = {"EDF-DLT", "FIFO-DLT", "EDF-MR2", "FIFO-MR2"};

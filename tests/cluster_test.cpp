@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 
@@ -76,18 +77,21 @@ TEST(Cluster, AvailabilitySortedAndFlooredAtNow) {
   Cluster cluster(small_params());
   cluster.commit(2, 1, 0.0, 0.0, 500.0);
   cluster.commit(0, 2, 0.0, 0.0, 300.0);
-  const AvailabilityView view = cluster.availability(100.0);
-  ASSERT_EQ(view.times.size(), 4u);
-  EXPECT_DOUBLE_EQ(view.times[0], 100.0);  // idle nodes floored at now
-  EXPECT_DOUBLE_EQ(view.times[1], 100.0);
-  EXPECT_DOUBLE_EQ(view.times[2], 300.0);
-  EXPECT_DOUBLE_EQ(view.times[3], 500.0);
+  AvailabilityRow row;
+  cluster.availability_into(100.0, row);
+  ASSERT_EQ(row.times.size(), 4u);
+  EXPECT_DOUBLE_EQ(row.times[0], 100.0);  // idle nodes floored at now
+  EXPECT_DOUBLE_EQ(row.times[1], 100.0);
+  EXPECT_DOUBLE_EQ(row.times[2], 300.0);
+  EXPECT_DOUBLE_EQ(row.times[3], 500.0);
+  EXPECT_TRUE(row.ids.empty());  // homogeneous nodes are interchangeable
 }
 
 TEST(Cluster, EarliestFreeNodesOrderAndTies) {
   Cluster cluster(small_params());
   cluster.commit(1, 9, 0.0, 0.0, 400.0);
-  const auto ids = cluster.earliest_free_nodes(0.0, 4);
+  std::vector<NodeId> ids;
+  cluster.earliest_free_nodes_into(0.0, 4, ids);
   ASSERT_EQ(ids.size(), 4u);
   // Idle nodes (0, 2, 3) first by id; busy node 1 last.
   EXPECT_EQ(ids[0], 0u);
@@ -98,8 +102,10 @@ TEST(Cluster, EarliestFreeNodesOrderAndTies) {
 
 TEST(Cluster, EarliestFreeNodesBoundsChecked) {
   Cluster cluster(small_params());
-  EXPECT_THROW(cluster.earliest_free_nodes(0.0, 5), std::invalid_argument);
-  EXPECT_TRUE(cluster.earliest_free_nodes(0.0, 0).empty());
+  std::vector<NodeId> ids{7};
+  EXPECT_THROW(cluster.earliest_free_nodes_into(0.0, 5, ids), std::invalid_argument);
+  cluster.earliest_free_nodes_into(0.0, 0, ids);
+  EXPECT_TRUE(ids.empty());
 }
 
 TEST(Cluster, TotalsAggregateAcrossNodes) {

@@ -2,10 +2,12 @@
 // capacity-jump scan.
 //
 // Three pillars:
-//  1. Delta replay: replaying the sorted releases apply_releases* leaves in
+//  1. Delta replay: replaying the sorted releases apply_releases leaves in
 //     its scratch (the flat delta the session records) onto a copy of the
-//     pre-state reproduces the post-state bit for bit (homogeneous and het
-//     rows) - the invariant the checkpointed session stands on.
+//     pre-state reproduces the post-state bit for bit (rows with and
+//     without ids), also after the session's column edits (truncate,
+//     drop_front, append) - the invariant the checkpointed session stands
+//     on.
 //  2. N=512 randomized property runs (EDF/FIFO x DLT/MR2/OPR-MN-BF, het and
 //     homogeneous) with the controller cross-check armed: the delta session
 //     must stay bitwise schedule-identical to the full Figure-2 test, and
@@ -17,10 +19,13 @@
 //     rejects of both flavors, whole-cluster infeasibility).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/availability_delta.hpp"
@@ -57,78 +62,226 @@ struct TestRng {
 
 // --- delta replay ----------------------------------------------------------
 
+/// Reference for apply_releases: the row's entries after its first k, plus
+/// the k releases, sorted by time (rows without ids) or by (time, id).
+cluster::AvailabilityRow reference_apply(
+    const cluster::AvailabilityRow& row, const std::vector<cluster::Time>& releases,
+    const std::vector<cluster::NodeId>& release_ids) {
+  const std::size_t k = releases.size();
+  std::vector<std::pair<cluster::Time, cluster::NodeId>> entries;
+  for (std::size_t i = k; i < row.times.size(); ++i) {
+    entries.emplace_back(row.times[i], row.ids.empty() ? 0 : row.ids[i]);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    entries.emplace_back(releases[i], row.ids.empty() ? 0 : release_ids[i]);
+  }
+  std::sort(entries.begin(), entries.end());
+  cluster::AvailabilityRow out;
+  for (const auto& [t, id] : entries) {
+    out.times.push_back(t);
+    if (!row.ids.empty()) out.ids.push_back(id);
+  }
+  return out;
+}
+
+/// A random row of n entries: times off `rng` (on a coarse grid when
+/// `ties`), with a strict (time, id) ordered id column when `with_ids`.
+cluster::AvailabilityRow random_row(TestRng& rng, std::size_t n, bool with_ids,
+                                    bool ties) {
+  std::vector<std::pair<cluster::Time, cluster::NodeId>> entries(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const cluster::Time t = rng.uniform(0.0, 1000.0);
+    entries[i] = {ties ? std::floor(t / 100.0) : t, static_cast<cluster::NodeId>(i)};
+  }
+  std::sort(entries.begin(), entries.end());
+  cluster::AvailabilityRow row;
+  for (const auto& [t, id] : entries) {
+    row.times.push_back(t);
+    if (with_ids) row.ids.push_back(id);
+  }
+  return row;
+}
+
 TEST(AvailabilityDelta, ReplayReproducesForwardApplicationBitwise) {
   TestRng rng(7);
-  std::vector<cluster::Time> merge_scratch;
+  cluster::AvailabilityRow merge_scratch;
+  const std::vector<cluster::NodeId> no_ids;
   for (int round = 0; round < 50; ++round) {
     const std::size_t n = 1 + rng.index(64);
     const std::size_t k = 1 + rng.index(n);
-    std::vector<cluster::Time> state(n);
-    for (auto& t : state) t = rng.uniform(0.0, 1000.0);
-    std::sort(state.begin(), state.end());
+    cluster::AvailabilityRow state =
+        random_row(rng, n, /*with_ids=*/false, /*ties=*/round % 2 == 0);
     std::vector<cluster::Time> releases(k);
     for (auto& t : releases) t = rng.uniform(0.0, 2000.0);
     std::sort(releases.begin(), releases.end());
 
-    const std::vector<cluster::Time> before = state;
-    cluster::apply_releases(state, releases, merge_scratch);
-    ASSERT_EQ(merge_scratch.size(), k);
-    ASSERT_TRUE(std::is_sorted(merge_scratch.begin(), merge_scratch.end()));
-    ASSERT_TRUE(std::is_sorted(state.begin(), state.end()));
+    const cluster::AvailabilityRow before = state;
+    cluster::apply_releases(state, releases, no_ids, merge_scratch);
+    ASSERT_EQ(merge_scratch.times.size(), k);
+    ASSERT_TRUE(merge_scratch.ids.empty());
+    ASSERT_TRUE(std::is_sorted(merge_scratch.times.begin(), merge_scratch.times.end()));
+    ASSERT_EQ(state.times, reference_apply(before, releases, no_ids).times)
+        << "round " << round;
+    ASSERT_TRUE(state.ids.empty());
 
-    std::vector<cluster::Time> replayed = before;
-    cluster::apply_delta(replayed, merge_scratch.data(), k);
-    ASSERT_EQ(replayed, state) << "round " << round;
+    cluster::DeltaColumns deltas;
+    deltas.push(merge_scratch);
+    ASSERT_TRUE(deltas.ids.empty());
+    cluster::AvailabilityRow replayed = before;
+    deltas.replay(0, replayed);
+    ASSERT_EQ(replayed.times, state.times) << "round " << round;
+    ASSERT_TRUE(replayed.ids.empty());
   }
 }
 
 TEST(AvailabilityDelta, HetReplayKeepsStrictTimeIdOrder) {
   TestRng rng(11);
-  std::vector<std::pair<cluster::Time, cluster::NodeId>> pair_scratch;
+  cluster::AvailabilityRow merge_scratch;
   for (int round = 0; round < 50; ++round) {
     const std::size_t n = 1 + rng.index(64);
     const std::size_t k = 1 + rng.index(n);
-    // Strict (time, id) ordered row.
-    std::vector<std::pair<cluster::Time, cluster::NodeId>> row(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      row[i] = {rng.uniform(0.0, 1000.0), static_cast<cluster::NodeId>(i)};
-    }
-    std::sort(row.begin(), row.end());
-    std::vector<cluster::Time> state(n);
-    std::vector<cluster::NodeId> ids(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      state[i] = row[i].first;
-      ids[i] = row[i].second;
-    }
+    cluster::AvailabilityRow state =
+        random_row(rng, n, /*with_ids=*/true, /*ties=*/round % 2 == 0);
     // Slot-aligned releases for the consumed prefix (not pre-sorted, like a
-    // het multi-round plan's per-slot completions).
+    // het multi-round plan's per-slot completions); on odd rounds every
+    // slot releases at one instant, so the ids alone decide the order.
     std::vector<cluster::Time> releases(k);
-    std::vector<cluster::NodeId> release_ids(ids.begin(), ids.begin() + k);
-    for (auto& t : releases) t = rng.uniform(500.0, 2000.0);
+    const auto consumed = static_cast<std::ptrdiff_t>(k);
+    std::vector<cluster::NodeId> release_ids(state.ids.begin(),
+                                             state.ids.begin() + consumed);
+    const cluster::Time common = rng.uniform(500.0, 2000.0);
+    for (auto& t : releases) t = round % 2 == 1 ? common : rng.uniform(500.0, 2000.0);
 
-    const std::vector<cluster::Time> before_t = state;
-    const std::vector<cluster::NodeId> before_i = ids;
-    cluster::apply_releases_het(state, ids, releases, release_ids, pair_scratch);
-    // Split the sorted pairs into the flat (time, id) columns the admission
-    // session records.
-    ASSERT_EQ(pair_scratch.size(), k);
-    std::vector<cluster::Time> delta_t;
-    std::vector<cluster::NodeId> delta_i;
-    for (const auto& [t, id] : pair_scratch) {
-      delta_t.push_back(t);
-      delta_i.push_back(id);
-    }
+    const cluster::AvailabilityRow before = state;
+    cluster::apply_releases(state, releases, release_ids, merge_scratch);
+    ASSERT_EQ(merge_scratch.times.size(), k);
+    ASSERT_EQ(merge_scratch.ids.size(), k);
+    const cluster::AvailabilityRow expected =
+        reference_apply(before, releases, release_ids);
+    ASSERT_EQ(state.times, expected.times) << "round " << round;
+    ASSERT_EQ(state.ids, expected.ids) << "round " << round;
 
-    std::vector<cluster::Time> replay_t = before_t;
-    std::vector<cluster::NodeId> replay_i = before_i;
-    cluster::apply_delta_het(replay_t, replay_i, delta_t.data(), delta_i.data(), k);
-    ASSERT_EQ(replay_t, state) << "round " << round;
-    ASSERT_EQ(replay_i, ids) << "round " << round;
+    // The scratch is the delta the admission session records.
+    cluster::DeltaColumns deltas;
+    deltas.push(merge_scratch);
+    cluster::AvailabilityRow replayed = before;
+    deltas.replay(0, replayed);
+    ASSERT_EQ(replayed.times, state.times) << "round " << round;
+    ASSERT_EQ(replayed.ids, state.ids) << "round " << round;
     for (std::size_t i = 1; i < n; ++i) {
-      ASSERT_TRUE(state[i - 1] < state[i] ||
-                  (state[i - 1] == state[i] && ids[i - 1] < ids[i]))
+      const bool tied = state.times[i - 1] == state.times[i];
+      ASSERT_TRUE(state.times[i - 1] < state.times[i] ||
+                  (tied && state.ids[i - 1] < state.ids[i]))
           << "round " << round << " position " << i;
     }
+  }
+}
+
+TEST(AvailabilityDelta, FloorAndSortOrdersRowsWithAndWithoutIds) {
+  TestRng rng(5);
+  cluster::AvailabilityRow scratch;
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t n = 1 + rng.index(64);
+    const bool with_ids = round % 2 == 1;
+    cluster::AvailabilityRow row;
+    for (std::size_t i = 0; i < n; ++i) {
+      row.times.push_back(std::floor(rng.uniform(0.0, 10.0)));
+      if (with_ids) row.ids.push_back(static_cast<cluster::NodeId>(n - 1 - i));
+    }
+    const cluster::Time now = 4.0;
+    std::vector<std::pair<cluster::Time, cluster::NodeId>> expected;
+    for (std::size_t i = 0; i < n; ++i) {
+      expected.emplace_back(std::max(row.times[i], now), with_ids ? row.ids[i] : 0);
+    }
+    std::sort(expected.begin(), expected.end());
+    cluster::floor_and_sort(row, now, scratch);
+    ASSERT_EQ(row.times.size(), n);
+    ASSERT_EQ(row.ids.size(), with_ids ? n : 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(row.times[i], expected[i].first) << "round " << round << " at " << i;
+      if (with_ids) {
+        ASSERT_EQ(row.ids[i], expected[i].second) << "round " << round << " at " << i;
+      }
+    }
+  }
+  cluster::AvailabilityRow bad{{1.0, 2.0}, {0}};
+  EXPECT_THROW(cluster::floor_and_sort(bad, 0.0, scratch), std::invalid_argument);
+}
+
+TEST(AvailabilityDelta, ColumnsTruncateDropFrontAndAppendKeepReplayExact) {
+  // A chain of deltas recorded from forward application; every edit of the
+  // columns must leave each remaining delta replaying its original step.
+  // Rows without ids must keep an empty id column through every edit.
+  for (const bool with_ids : {false, true}) {
+    TestRng rng(with_ids ? 23 : 29);
+    constexpr std::size_t kNodes = 40;
+    constexpr std::size_t kSteps = 12;
+    cluster::AvailabilityRow scratch;
+    std::vector<cluster::AvailabilityRow> rows{random_row(rng, kNodes, with_ids, true)};
+    cluster::DeltaColumns deltas;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      cluster::AvailabilityRow row = rows.back();
+      const std::size_t k = 1 + rng.index(8);
+      std::vector<cluster::Time> releases(k);
+      for (auto& t : releases) {
+        t = row.times[k - 1] + std::floor(rng.uniform(1.0, 300.0) / 50.0);
+      }
+      std::sort(releases.begin(), releases.end());
+      std::vector<cluster::NodeId> release_ids;
+      if (with_ids) {
+        release_ids.assign(row.ids.begin(),
+                           row.ids.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+      cluster::apply_releases(row, releases, release_ids, scratch);
+      deltas.push(scratch);
+      rows.push_back(row);
+    }
+    const auto replay_from = [&](const cluster::DeltaColumns& columns, std::size_t base,
+                                 std::size_t first) {
+      // Replays every delta of `columns` onto rows[base]; delta i must
+      // reproduce rows[first + i + 1].
+      cluster::AvailabilityRow row = rows[base];
+      for (std::size_t r = 0; r < columns.end.size(); ++r) {
+        columns.replay(r, row);
+        ASSERT_EQ(row.times, rows[first + r + 1].times) << "delta " << r;
+        ASSERT_EQ(row.ids, rows[first + r + 1].ids) << "delta " << r;
+      }
+    };
+    replay_from(deltas, 0, 0);
+
+    // Deltas 5.. rebuilt by hand as a second column set.
+    cluster::DeltaColumns tail;
+    for (std::size_t r = 5; r < kSteps; ++r) {
+      const auto from = static_cast<std::ptrdiff_t>(deltas.start(r));
+      const auto to = static_cast<std::ptrdiff_t>(deltas.end[r]);
+      tail.end.push_back(tail.times.size() + deltas.end[r] - deltas.start(r));
+      tail.times.insert(tail.times.end(), deltas.times.begin() + from,
+                        deltas.times.begin() + to);
+      if (with_ids) {
+        tail.ids.insert(tail.ids.end(), deltas.ids.begin() + from, deltas.ids.begin() + to);
+      }
+    }
+    cluster::DeltaColumns head = deltas;
+    head.truncate(5);
+    ASSERT_EQ(head.end.size(), 5u);
+    ASSERT_EQ(head.times.size(), deltas.start(5));
+    ASSERT_EQ(head.ids.size(), with_ids ? deltas.start(5) : 0);
+    replay_from(head, 0, 0);
+    head.append(tail);
+    ASSERT_EQ(head.end, deltas.end);
+    ASSERT_EQ(head.times, deltas.times);
+    ASSERT_EQ(head.ids, deltas.ids);
+
+    cluster::DeltaColumns dropped = deltas;
+    dropped.drop_front(5);
+    ASSERT_EQ(dropped.end.size(), kSteps - 5);
+    ASSERT_EQ(dropped.ids.size(), with_ids ? dropped.times.size() : 0);
+    replay_from(dropped, 5, 5);
+    dropped.drop_front(0);
+    dropped.truncate(dropped.end.size());
+    replay_from(dropped, 5, 5);
+    dropped.truncate(0);
+    EXPECT_TRUE(dropped.end.empty() && dropped.times.empty() && dropped.ids.empty());
   }
 }
 

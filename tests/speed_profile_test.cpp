@@ -127,7 +127,7 @@ TEST(ClusterParams, HeterogeneityEngagesOnlyWhenSpeedsDiffer) {
   EXPECT_FALSE(params.valid());
 }
 
-TEST(ClusterParams, AvailabilityViewCarriesIdsAndSpeeds) {
+TEST(ClusterParams, AvailabilityRowCarriesIdsAndSpeeds) {
   ClusterParams params{.node_count = 4, .cms = 1.0, .cps = 100.0};
   params.speed_profile =
       std::make_shared<const SpeedProfile>(SpeedProfile({40.0, 80.0, 120.0, 160.0}));
@@ -135,17 +135,30 @@ TEST(ClusterParams, AvailabilityViewCarriesIdsAndSpeeds) {
   cluster.commit(/*id=*/1, /*task=*/7, 0.0, 0.0, 50.0);
   cluster.commit(/*id=*/3, /*task=*/7, 0.0, 0.0, 20.0);
 
-  const AvailabilityView view = cluster.availability(10.0);
+  AvailabilityRow row;
+  cluster.availability_into(10.0, row);
   // Free nodes 0 and 2 floor to now=10 and re-sort by id; busy nodes follow
-  // by release time; each position's cps is its node's actual speed.
-  ASSERT_EQ(view.times.size(), 4u);
-  EXPECT_EQ(view.ids, (std::vector<NodeId>{0, 2, 3, 1}));
-  EXPECT_EQ(view.times, (std::vector<Time>{10.0, 10.0, 20.0, 50.0}));
-  EXPECT_EQ(view.cps, (std::vector<double>{40.0, 120.0, 160.0, 80.0}));
+  // by release time; each position's node has its own speed.
+  ASSERT_EQ(row.times.size(), 4u);
+  EXPECT_EQ(row.ids, (std::vector<NodeId>{0, 2, 3, 1}));
+  EXPECT_EQ(row.times, (std::vector<Time>{10.0, 10.0, 20.0, 50.0}));
+  std::vector<double> cps;
+  for (const NodeId id : row.ids) cps.push_back(params.node_cps(id));
+  EXPECT_EQ(cps, (std::vector<double>{40.0, 120.0, 160.0, 80.0}));
 
-  // Homogeneous clusters keep the lean times-only snapshot.
+  // Homogeneous clusters keep the lean times-only snapshot, and the same
+  // row drops a stale id column when it is refilled from one; so does an
+  // attached profile whose every speed equals the scalar cps.
   Cluster plain(ClusterParams{.node_count = 2, .cms = 1.0, .cps = 100.0});
-  EXPECT_TRUE(plain.availability(0.0).ids.empty());
+  plain.availability_into(0.0, row);
+  EXPECT_EQ(row.times, (std::vector<Time>{0.0, 0.0}));
+  EXPECT_TRUE(row.ids.empty());
+  ClusterParams all_equal{.node_count = 2, .cms = 1.0, .cps = 100.0};
+  all_equal.speed_profile =
+      std::make_shared<const SpeedProfile>(SpeedProfile::homogeneous(2, 100.0));
+  Cluster equal_speeds(all_equal);
+  equal_speeds.availability_into(0.0, row);
+  EXPECT_TRUE(row.ids.empty());
 }
 
 }  // namespace
