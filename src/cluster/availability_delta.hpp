@@ -87,17 +87,27 @@ inline void merge_run(AvailabilityRow& row, const Time* in_times, const NodeId* 
 }
 
 /// Writes the k entries (times[i], ids[i]) into `out` in strict (time, id)
-/// order. out.ids first holds the sorted slot permutation; each position
+/// order. Entries already in that order (a tied DLT prefix's releases
+/// always are) are copied after an O(k) check, without the sort.
+/// Otherwise out.ids first holds the sorted slot permutation; each position
 /// then reads its slot before overwriting it with that slot's id, so no
 /// buffer beyond `out` is needed.
 inline void sort_by_time_id(const Time* times, const NodeId* ids, std::size_t k,
                             AvailabilityRow& out) {
+  const auto before = [times, ids](std::size_t a, std::size_t b) {
+    return times[a] < times[b] || (times[a] == times[b] && ids[a] < ids[b]);
+  };
+  std::size_t ordered = 1;  // [0, ordered) is in strict order
+  while (ordered < k && before(ordered - 1, ordered)) ++ordered;
+  if (ordered >= k) {
+    out.times.assign(times, times + k);
+    out.ids.assign(ids, ids + k);
+    return;
+  }
   out.times.resize(k);
   out.ids.resize(k);
   for (std::size_t i = 0; i < k; ++i) out.ids[i] = static_cast<NodeId>(i);
-  std::sort(out.ids.begin(), out.ids.end(), [times, ids](NodeId a, NodeId b) {
-    return times[a] < times[b] || (times[a] == times[b] && ids[a] < ids[b]);
-  });
+  std::sort(out.ids.begin(), out.ids.end(), before);
   for (std::size_t i = 0; i < k; ++i) {
     const NodeId slot = out.ids[i];
     out.times[i] = times[slot];

@@ -45,17 +45,26 @@ std::size_t AvailabilityIndex::locate_bucket(const Entry& key) const {
   return static_cast<std::size_t>(it - mins_.begin()) - 1;
 }
 
+std::size_t AvailabilityIndex::find_entry(const Entry& key, std::size_t& at) const {
+  const std::size_t b = locate_bucket(key);
+  if (b == kNpos) return kNpos;
+  const std::vector<Entry>& bucket = slots_[order_[b]];
+  const auto it = std::lower_bound(bucket.begin(), bucket.end(), key, less);
+  if (it == bucket.end() || it->node != key.node || it->free_at != key.free_at) {
+    return kNpos;
+  }
+  at = static_cast<std::size_t>(it - bucket.begin());
+  return b;
+}
+
 std::size_t AvailabilityIndex::update(NodeId node, Time from, Time to) {
-  const Entry key{from, node};
-  const std::size_t bi = locate_bucket(key);
+  std::size_t at = 0;
+  const std::size_t bi = find_entry(Entry{from, node}, at);
   if (bi == kNpos) {
     throw std::logic_error("AvailabilityIndex::update: entry not found (index desync)");
   }
   std::vector<Entry>& src = slots_[order_[bi]];
-  const auto it = std::lower_bound(src.begin(), src.end(), key, less);
-  if (it == src.end() || it->node != node || it->free_at != from) {
-    throw std::logic_error("AvailabilityIndex::update: entry not found (index desync)");
-  }
+  const auto it = src.begin() + static_cast<std::ptrdiff_t>(at);
   if (to == from) {
     it->free_at = to;
     return 0;
@@ -118,15 +127,18 @@ std::size_t AvailabilityIndex::insert_bucket_entry(const Entry& moved) {
   return shift;
 }
 
-void AvailabilityIndex::split_bucket(std::size_t b) {
-  std::uint32_t slot;
+std::uint32_t AvailabilityIndex::acquire_slot() {
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();  // may move slots_; take references only after
+    return slot;
   }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void AvailabilityIndex::split_bucket(std::size_t b) {
+  const std::uint32_t slot = acquire_slot();
   std::vector<Entry>& lo = slots_[order_[b]];
   std::vector<Entry>& hi = slots_[slot];
   const std::size_t half = lo.size() / 2;
@@ -134,6 +146,356 @@ void AvailabilityIndex::split_bucket(std::size_t b) {
   lo.resize(half);
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(b) + 1, slot);
   mins_.insert(mins_.begin() + static_cast<std::ptrdiff_t>(b) + 1, hi.front());
+}
+
+std::size_t AvailabilityIndex::update_many(std::span<const NodeId> nodes,
+                                          std::span<const Time> from,
+                                          std::span<const Time> to) {
+  const std::size_t k = nodes.size();
+  if (from.size() != k || to.size() != k) {
+    throw std::invalid_argument("AvailabilityIndex::update_batch: column sizes differ");
+  }
+  if (k == 0) return 0;
+
+  // 1. Find all k entries against the unchanged directory (a throw leaves
+  //    the index as it was): their ids end up marked and their buckets
+  //    tallied.
+  locate_batch(nodes, from);
+
+  // 2. The new entries in order (plans usually arrive sorted already), cut
+  //    into runs by destination bucket - still the unchanged directory: a
+  //    run at or past bucket b's old minimum and before b + 1's stays
+  //    ordered however the removals move those minima.
+  batch_in_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) batch_in_[i] = Entry{to[i], nodes[i]};
+  if (!std::is_sorted(batch_in_.begin(), batch_in_.end(), less)) {
+    std::sort(batch_in_.begin(), batch_in_.end(), less);
+  }
+  batch_runs_.clear();
+  for (std::size_t begin = 0; begin < k;) {
+    const std::size_t found = locate_bucket(batch_in_[begin]);
+    const std::size_t b = found == kNpos ? 0 : found;
+    std::size_t end = k;
+    if (b + 1 < order_.size()) {
+      end = begin + 1;
+      while (end < k && less(batch_in_[end], mins_[b + 1])) ++end;
+    }
+    batch_runs_.push_back(Run{b, begin, end});
+    begin = end;
+  }
+
+  // 3. Each touched bucket once: compact out its moved entries, then merge
+  //    in its run. Only the directory minima change here; a run that would
+  //    overflow its bucket waits for the directory pass, which merges it
+  //    straight into the split pieces (so no bucket's storage ever grows
+  //    past what a split leaves).
+  std::size_t shifted = 0;
+  batch_pending_.clear();
+  for (const Run& run : batch_runs_) {
+    const std::size_t count = run.end - run.begin;
+    if (batch_removed_[run.bucket] != count) prefix_valid_ = false;
+    shifted += compact_bucket(run.bucket);
+    if (slots_[order_[run.bucket]].size() + count > kMaxFanout) {
+      batch_pending_.push_back(run);
+    } else {
+      shifted += merge_into_bucket(run.bucket, run.begin, run.end);
+      settle_bucket(run.bucket);
+    }
+  }
+  for (const std::uint32_t b : batch_touched_) {
+    if (batch_removed_[b] == 0) continue;  // had a run: done above
+    prefix_valid_ = false;
+    shifted += compact_bucket(b);
+    settle_bucket(b);
+  }
+  batch_touched_.clear();
+
+  // 4. One directory pass, only when a bucket emptied, overflows or can
+  //    fold into a neighbor.
+  if (!batch_pending_.empty()) shifted += rebuild_directory();
+  return shifted;
+}
+
+void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
+                                     std::span<const Time> from) {
+  const std::size_t k = nodes.size();
+  if (batch_removed_.size() < order_.size()) {
+    batch_removed_.resize(order_.size());
+    batch_first_.resize(order_.size());
+  }
+  // Mark every id, rejecting repeats, and note the range of the keys.
+  Entry lo{from[0], nodes[0]};
+  Entry hi = lo;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Entry key{from[i], nodes[i]};
+    const bool known = key.node < size_;
+    if (!known || marked(key.node)) {
+      set_marks(nodes.first(i), false);
+      throw std::logic_error(
+          known ? "AvailabilityIndex::update_batch: node repeated"
+                : "AvailabilityIndex::update: entry not found (index desync)");
+    }
+    set_mark(key.node, true);
+    if (less(key, lo)) lo = key;
+    if (less(hi, key)) hi = key;
+  }
+  // The keys lie in buckets [first, last]. Scan those when that reads no
+  // more entries than k binary searches over all N would compare;
+  // otherwise search for each key.
+  const std::size_t first = locate_bucket(lo);
+  bool found = first != kNpos;
+  if (found) {
+    const std::size_t budget = k * static_cast<std::size_t>(std::bit_width(size_));
+    std::size_t last = first;
+    std::size_t span = slots_[order_[first]].size();
+    while (span <= budget && last + 1 < order_.size() && !less(hi, mins_[last + 1])) {
+      span += slots_[order_[++last]].size();
+    }
+    found = span <= budget ? find_by_scan(first, last, nodes, from)
+                           : find_each(nodes, from);
+  }
+  if (!found) {
+    set_marks(nodes, false);
+    for (const std::uint32_t b : batch_touched_) batch_removed_[b] = 0;
+    batch_touched_.clear();
+    throw std::logic_error("AvailabilityIndex::update: entry not found (index desync)");
+  }
+}
+
+bool AvailabilityIndex::find_each(std::span<const NodeId> nodes,
+                                  std::span<const Time> from) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    std::size_t at = 0;
+    const std::size_t b = find_entry(Entry{from[i], nodes[i]}, at);
+    if (b == kNpos) return false;
+    tally(b, at);
+  }
+  return true;
+}
+
+bool AvailabilityIndex::find_by_scan(std::size_t first, std::size_t last,
+                                     std::span<const NodeId> nodes,
+                                     std::span<const Time> from) {
+  // node -> batch position, open addressing at load <= 1/2, so each marked
+  // entry the scan meets can be checked against its own `from`.
+  const std::size_t k = nodes.size();
+  const int bits = std::bit_width(2 * k - 1);
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  const auto home = [bits](NodeId node) {
+    const std::uint64_t hash = std::uint64_t{node} * 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(hash >> (64 - bits));
+  };
+  batch_keys_.assign(mask + 1, kNoKey);
+  batch_slots_.resize(mask + 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    std::size_t h = home(nodes[i]);
+    while (batch_keys_[h] != kNoKey) h = (h + 1) & mask;
+    batch_keys_[h] = nodes[i];
+    batch_slots_[h] = static_cast<std::uint32_t>(i);
+  }
+  std::size_t found = 0;
+  for (std::size_t b = first; b <= last; ++b) {
+    const std::vector<Entry>& bucket = slots_[order_[b]];
+    for (std::size_t j = 0; j < bucket.size(); ++j) {
+      const Entry& entry = bucket[j];
+      if (!marked(entry.node)) continue;
+      std::size_t h = home(entry.node);
+      while (batch_keys_[h] != entry.node) h = (h + 1) & mask;
+      if (from[batch_slots_[h]] != entry.free_at) return false;
+      tally(b, j);
+      ++found;
+    }
+  }
+  return found == k;
+}
+
+void AvailabilityIndex::tally(std::size_t b, std::size_t at) {
+  if (batch_removed_[b]++ == 0) {
+    batch_touched_.push_back(static_cast<std::uint32_t>(b));
+    batch_first_[b] = static_cast<std::uint32_t>(at);
+  } else {
+    batch_first_[b] = std::min(batch_first_[b], static_cast<std::uint32_t>(at));
+  }
+}
+
+void AvailabilityIndex::set_marks(std::span<const NodeId> nodes, bool on) const {
+  for (const NodeId node : nodes) set_mark(node, on);
+}
+
+std::size_t AvailabilityIndex::compact_bucket(std::size_t b) {
+  std::uint32_t& removed = batch_removed_[b];
+  if (removed == 0) return 0;
+  std::vector<Entry>& bucket = slots_[order_[b]];
+  std::size_t write = batch_first_[b];
+  std::size_t read = write;
+  for (std::uint32_t left = removed; left > 0; ++read) {
+    const NodeId node = bucket[read].node;
+    if (marked(node)) {
+      set_mark(node, false);
+      --left;
+    } else {
+      bucket[write++] = bucket[read];
+    }
+  }
+  // Past the last moved entry the rest shifts down in one block.
+  const std::size_t tail = bucket.size() - read;
+  std::memmove(bucket.data() + write, bucket.data() + read, tail * sizeof(Entry));
+  const std::size_t kept_after_first = write - batch_first_[b] + tail;
+  bucket.resize(write + tail);
+  removed = 0;
+  return kept_after_first;
+}
+
+std::size_t AvailabilityIndex::merge_into_bucket(std::size_t b, std::size_t begin,
+                                                 std::size_t end) {
+  std::vector<Entry>& bucket = slots_[order_[b]];
+  std::size_t kept = bucket.size();  // entries [0, kept) not yet placed
+  bucket.resize(kept + (end - begin));
+  // Back to front: each new entry goes after the entries below it, and the
+  // block above it moves up by the new entries still to come plus one. A
+  // new entry past every kept one (a run appended at the end) costs O(1).
+  for (std::size_t j = end; j-- > begin;) {
+    const Entry& moved = batch_in_[j];
+    std::size_t pos = kept;
+    if (pos > 0 && less(moved, bucket[pos - 1])) {
+      const auto below = bucket.begin() + static_cast<std::ptrdiff_t>(pos - 1);
+      const auto at = std::lower_bound(bucket.begin(), below, moved, less);
+      pos = static_cast<std::size_t>(at - bucket.begin());
+    }
+    const std::size_t gap = j - begin;
+    std::memmove(bucket.data() + pos + gap + 1, bucket.data() + pos,
+                 (kept - pos) * sizeof(Entry));
+    bucket[pos + gap] = moved;
+    kept = pos;
+  }
+  return bucket.size() - (end - begin) - kept;
+}
+
+void AvailabilityIndex::settle_bucket(std::size_t b) {
+  const std::vector<Entry>& bucket = slots_[order_[b]];
+  const std::size_t size = bucket.size();
+  if (size != 0) mins_[b] = bucket.front();
+  const auto fits = [&](std::size_t neighbor) {
+    return slots_[order_[neighbor]].size() + size <= kMergeMax;
+  };
+  if (size == 0 || (size < kMinFanout && b > 0 && fits(b - 1))) {
+    batch_pending_.push_back(Run{b, 0, 0});
+  } else if (size < kMinFanout && b + 1 < order_.size() && fits(b + 1)) {
+    // No left neighbor to fold into: fold the right one into this bucket.
+    batch_pending_.push_back(Run{b + 1, 0, 0});
+  }
+}
+
+std::size_t AvailabilityIndex::rebuild_directory() {
+  // By position; a position queued twice keeps the entry with the run.
+  std::sort(batch_pending_.begin(), batch_pending_.end(), [](const Run& a, const Run& b) {
+    return a.bucket < b.bucket ||
+           (a.bucket == b.bucket && a.end - a.begin > b.end - b.begin);
+  });
+  // The directory is rewritten in place from the left neighbor of the first
+  // pending bucket, so a pending bucket always has its left neighbor to
+  // fold into. Splits add entries: the tail first moves right by the most
+  // they can add, so the write position never passes the read position.
+  const std::size_t first = batch_pending_.front().bucket;
+  const std::size_t start = first == 0 ? 0 : first - 1;
+  const std::size_t old_size = order_.size();
+  std::size_t room = 0;
+  for (const Run& pending : batch_pending_) {
+    const std::size_t size =
+        slots_[order_[pending.bucket]].size() + (pending.end - pending.begin);
+    if (size > kMaxFanout) room += (size + kTargetFanout - 1) / kTargetFanout - 1;
+  }
+  if (room > 0) {
+    order_.resize(old_size + room);
+    mins_.resize(old_size + room);
+    const auto from = static_cast<std::ptrdiff_t>(start);
+    const auto to = static_cast<std::ptrdiff_t>(old_size);
+    std::copy_backward(order_.begin() + from, order_.begin() + to, order_.end());
+    std::copy_backward(mins_.begin() + from, mins_.begin() + to, mins_.end());
+  }
+  // Old position p now sits at p + room; [start, written) is final.
+  std::size_t written = start;
+  const auto keep = [&](std::size_t begin, std::size_t end) {
+    if (begin + room != written) {
+      const auto from = static_cast<std::ptrdiff_t>(begin + room);
+      const auto to = static_cast<std::ptrdiff_t>(end + room);
+      const auto at = static_cast<std::ptrdiff_t>(written);
+      std::copy(order_.begin() + from, order_.begin() + to, order_.begin() + at);
+      std::copy(mins_.begin() + from, mins_.begin() + to, mins_.begin() + at);
+    }
+    written += end - begin;
+  };
+  std::size_t shifted = 0;
+  std::size_t copied = start;  // old positions [start, copied) are placed
+  for (const Run& pending : batch_pending_) {
+    const std::size_t b = pending.bucket;
+    if (b < copied) continue;  // queued twice
+    keep(copied, b);
+    shifted += place_bucket(order_[b + room], pending.begin, pending.end, written);
+    copied = b + 1;
+  }
+  keep(copied, old_size);
+  order_.resize(written);
+  mins_.resize(written);
+  prefix_valid_ = false;
+  return shifted;
+}
+
+std::size_t AvailabilityIndex::place_bucket(std::uint32_t slot, std::size_t begin,
+                                            std::size_t end, std::size_t& written) {
+  const std::size_t size = slots_[slot].size() + (end - begin);
+  if (size == 0) {
+    free_slots_.push_back(slot);
+    return 0;
+  }
+  if (size > kMaxFanout) return split_merged(slot, begin, end, written);
+  if (written > 0) {
+    std::vector<Entry>& left = slots_[order_[written - 1]];
+    std::vector<Entry>& bucket = slots_[slot];
+    const bool small = size < kMinFanout || left.size() < kMinFanout;
+    if (small && left.size() + size <= kMergeMax) {
+      left.insert(left.end(), bucket.begin(), bucket.end());
+      bucket.clear();
+      free_slots_.push_back(slot);
+      return 0;
+    }
+  }
+  order_[written] = slot;
+  mins_[written] = slots_[slot].front();
+  ++written;
+  return 0;
+}
+
+std::size_t AvailabilityIndex::split_merged(std::uint32_t slot, std::size_t begin,
+                                            std::size_t end, std::size_t& written) {
+  // The bucket's entries merged with the run batch_in_[begin, end), written
+  // piece by piece: as many pieces as it takes to hold at most
+  // kTargetFanout each, sized evenly (so each also stays above
+  // kMinFanout). The first piece reuses the bucket's slot.
+  batch_merge_.assign(slots_[slot].begin(), slots_[slot].end());
+  const std::size_t kept = batch_merge_.size();
+  const std::size_t total = kept + (end - begin);
+  const std::size_t pieces = (total + kTargetFanout - 1) / kTargetFanout;
+  std::size_t i = 0;      // next kept entry
+  std::size_t j = begin;  // next run entry
+  std::size_t shifted = 0;
+  for (std::size_t p = 0; p < pieces; ++p) {
+    const std::uint32_t piece_slot = p == 0 ? slot : acquire_slot();  // may move slots_
+    std::vector<Entry>& piece = slots_[piece_slot];
+    piece.clear();
+    for (std::size_t n = total * (p + 1) / pieces - total * p / pieces; n > 0; --n) {
+      if (j < end && (i == kept || less(batch_in_[j], batch_merge_[i]))) {
+        piece.push_back(batch_in_[j++]);
+      } else {
+        if (j > begin) ++shifted;  // a kept entry behind a new one moved
+        piece.push_back(batch_merge_[i++]);
+      }
+    }
+    order_[written] = piece_slot;
+    mins_[written] = piece.front();
+    ++written;
+  }
+  return shifted;
 }
 
 void AvailabilityIndex::drop_bucket(std::size_t b) {
@@ -222,7 +584,7 @@ void AvailabilityIndex::availability_with_ids_into(Time now, std::vector<Time>& 
   for (std::size_t b = 0; b < order_.size(); ++b) {
     for (const Entry& entry : slots_[order_[b]]) {
       if (rank < floored) {
-        floored_marks_[entry.node / 64] |= std::uint64_t{1} << (entry.node % 64);
+        set_mark(entry.node, true);
       } else {
         ids[rank] = entry.node;
         times[rank] = entry.free_at;
@@ -287,7 +649,7 @@ bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) con
     if (slot >= slots_.size() || slot_used[slot]) return false;
     slot_used[slot] = true;
     const std::vector<Entry>& bucket = slots_[slot];
-    if (bucket.empty()) return false;
+    if (bucket.empty() || bucket.size() > kMaxFanout) return false;
     if (bucket[0].free_at != mins_[b].free_at || bucket[0].node != mins_[b].node) {
       return false;
     }

@@ -4,9 +4,10 @@
 // sorted vector of node release times on every arrival; rebuilding that
 // vector with a full sort is O(N log N) per plan and is the large-N
 // bottleneck named in ROADMAP. This index keeps the (free_at, node) pairs
-// permanently sorted and repositions exactly one entry per node mutation
-// (commit / early release), so snapshot reads degrade to an O(N) copy and
-// rank queries to an O(log N) binary search.
+// permanently sorted and repositions only the entries a mutation changes -
+// one for a single-node update, k for a plan's batch of k nodes - so
+// snapshot reads degrade to an O(N) copy and rank queries to an O(log N)
+// binary search.
 //
 // The sorted sequence is cut into fixed-fanout buckets (a two-level B-tree,
 // effectively), each a small sorted vector, with a directory of per-bucket
@@ -15,13 +16,19 @@
 // bucket-local memmoves of at most ~128 entries plus an O(#buckets)
 // directory shift when a bucket splits, merges or empties - O(log N +
 // fanout) per commit, where one contiguous sorted vector would memmove O(N)
-// entries (at N=10^5, ~1.6 MB from the front to the back). Rank /
+// entries (at N=10^5, ~1.6 MB from the front to the back). update_batch()
+// books k entries at once: it locates all k against the unchanged
+// directory, compacts each touched bucket once, merges the sorted new
+// entries into their destination buckets run by run, and fixes the
+// directory (drops, merges, multi-way splits) in one pass only when a
+// bucket emptied, shrank or overflowed - O(k log #buckets + the sizes of
+// the touched buckets), never more than k single updates. Rank /
 // order-statistic queries (available_by, kth_free_time) go through a lazily
 // rebuilt per-bucket prefix-sum (invalidated by update, rebuilt
 // O(#buckets) on the next query), so query trains between commits pay the
 // rebuild once. A cluster of at most 64 nodes is a single bucket, and every
-// move in it takes the in-bucket path: the same shifts a single sorted
-// vector would make.
+// single move in it takes the in-bucket path: the same shifts a single
+// sorted vector would make.
 //
 // The entries deliberately stay (free_at, node) without a cps column:
 // per-node speeds are constant, so the heterogeneous snapshot derives them
@@ -35,8 +42,9 @@
 //  * every entry's free_at equals the owning Node's free_at() - the Node
 //    remains the source of truth, the index is a mirror the Cluster updates
 //    inside the same mutation that bumps its availability version;
-//  * every bucket is non-empty, directory minima equal their bucket's first
-//    entry, and bucket boundaries preserve the global order.
+//  * every bucket is non-empty and holds at most kMaxFanout entries,
+//    directory minima equal their bucket's first entry, and bucket
+//    boundaries preserve the global order.
 //
 // A Fenwick count over bucketed release times was considered for the
 // first-crossing queries and rejected: release times are unbounded
@@ -47,6 +55,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/types.hpp"
@@ -75,6 +84,26 @@ class AvailabilityIndex {
   /// memmoves shifted to make room. The cluster feeds it to the
   /// `rtdls_index_commit_depth` histogram.
   RTDLS_HOT std::size_t update(NodeId node, Time from, Time to);
+
+  /// Repositions k entries as one batch: nodes[i] moves from from[i] to
+  /// to[i]. The result is the index k update() calls would leave (its order
+  /// is the strict (free_at, node) order whatever the bucket boundaries
+  /// are); an entry with to[i] == from[i] ends where it started. Throws
+  /// std::invalid_argument when the columns differ in length and
+  /// std::logic_error when an entry is missing (desync) or a node repeats,
+  /// in both cases before anything changes. k == 1 is update(), called
+  /// straight from here. Returns the entries moved: those the bucket
+  /// compactions and merges shifted, the batch's counterpart of update()'s
+  /// depth. Allocates nothing once its scratch has grown to the largest
+  /// batch and directory seen.
+  RTDLS_HOT std::size_t update_batch(std::span<const NodeId> nodes,
+                                     std::span<const Time> from,
+                                     std::span<const Time> to) {
+    if (nodes.size() == 1 && from.size() == 1 && to.size() == 1) {
+      return update(nodes[0], from[0], to[0]);
+    }
+    return update_many(nodes, from, to);
+  }
 
   /// Number of nodes with free_at <= t: the paper's AN(t) ("available
   /// nodes by t") quantity. O(log N).
@@ -122,6 +151,9 @@ class AvailabilityIndex {
   /// Directory position of the last bucket whose minimum is <= `key`
   /// (npos when the key precedes every bucket).
   RTDLS_HOT std::size_t locate_bucket(const Entry& key) const;
+  /// Directory position of the bucket holding exactly `key`, with its
+  /// in-bucket position in `at`; npos when the index has no such entry.
+  RTDLS_HOT std::size_t find_entry(const Entry& key, std::size_t& at) const;
   /// Rebuilds the per-bucket prefix-sum when an update invalidated it.
   RTDLS_HOT void ensure_prefix() const;
   /// Splits the oversized bucket at directory position `b` in two.
@@ -133,12 +165,69 @@ class AvailabilityIndex {
   RTDLS_HOT void maybe_merge(std::size_t b);
   /// Inserts `moved` at its ordered position; returns entries shifted.
   RTDLS_HOT std::size_t insert_bucket_entry(const Entry& moved);
+  /// A bucket slot for a split piece: a recycled one, else a new one (which
+  /// may move slots_, so take bucket references only after).
+  RTDLS_HOT std::uint32_t acquire_slot();
+
+  /// update_batch for any k other than one.
+  RTDLS_HOT std::size_t update_many(std::span<const NodeId> nodes,
+                                    std::span<const Time> from, std::span<const Time> to);
+  /// update_many steps. Marks the batch's ids and finds all its entries,
+  /// tallying them per bucket; throws (desync, repeated node) with every
+  /// mark and tally cleared, so nothing has changed.
+  RTDLS_HOT void locate_batch(std::span<const NodeId> nodes, std::span<const Time> from);
+  /// Finds each entry by binary search; false when one is missing.
+  RTDLS_HOT bool find_each(std::span<const NodeId> nodes, std::span<const Time> from);
+  /// Finds the entries by reading buckets [first, last] for marked ids,
+  /// checking each against its own `from`; false when one is missing.
+  RTDLS_HOT bool find_by_scan(std::size_t first, std::size_t last,
+                              std::span<const NodeId> nodes, std::span<const Time> from);
+  /// Counts a moved entry found at in-bucket position `at` of bucket `b`.
+  RTDLS_HOT void tally(std::size_t b, std::size_t at);
+  /// One node's bit in floored_marks_.
+  bool marked(NodeId node) const {
+    return (floored_marks_[node / 64] >> (node % 64) & 1) != 0;
+  }
+  void set_mark(NodeId node, bool on) const {
+    const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+    floored_marks_[node / 64] = on ? floored_marks_[node / 64] | bit
+                                   : floored_marks_[node / 64] & ~bit;
+  }
+  RTDLS_HOT void set_marks(std::span<const NodeId> nodes, bool on) const;
+  /// Removes the marked entries from the bucket at directory position `b`,
+  /// clearing their marks; returns the entries shifted.
+  RTDLS_HOT std::size_t compact_bucket(std::size_t b);
+  /// Merges the sorted run batch_in_[begin, end) into the bucket at `b`;
+  /// returns the entries shifted.
+  RTDLS_HOT std::size_t merge_into_bucket(std::size_t b, std::size_t begin,
+                                          std::size_t end);
+  /// After a batch touched the bucket at `b`: refreshes its directory
+  /// minimum and queues it for the directory pass when it emptied or
+  /// shrank below kMinFanout next to a bucket it fits into.
+  RTDLS_HOT void settle_bucket(std::size_t b);
+  /// The directory pass over batch_pending_: drops emptied buckets, folds
+  /// small buckets into their left neighbor, and merges each deferred run
+  /// into as many <= kTargetFanout pieces as it needs. Returns the entries
+  /// those merges shifted.
+  RTDLS_HOT std::size_t rebuild_directory();
+  /// Writes the bucket in `slot`, with the run batch_in_[begin, end)
+  /// merged in, at directory position `written` and advances it - or
+  /// recycles, folds or splits it, as rebuild_directory describes. Returns
+  /// the entries shifted.
+  RTDLS_HOT std::size_t place_bucket(std::uint32_t slot, std::size_t begin,
+                                     std::size_t end, std::size_t& written);
+  /// Writes the bucket in `slot` merged with batch_in_[begin, end) as
+  /// evenly sized pieces from directory position `written` on.
+  RTDLS_HOT std::size_t split_merged(std::uint32_t slot, std::size_t begin,
+                                     std::size_t end, std::size_t& written);
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   /// Bucket geometry: reset() fills buckets to kTargetFanout; update()
-  /// splits past kMaxFanout and merges neighbors whose combined size is at
-  /// most kMergeMax once one of them shrinks below kMinFanout. kMergeMax <
-  /// kMaxFanout keeps split/merge from ping-ponging on one hot boundary.
+  /// splits past kMaxFanout (in two; update_batch into as many pieces of at
+  /// most kTargetFanout as it takes) and merges neighbors whose combined
+  /// size is at most kMergeMax once one of them shrinks below kMinFanout.
+  /// kMergeMax < kMaxFanout keeps split/merge from ping-ponging on one hot
+  /// boundary.
   static constexpr std::size_t kTargetFanout = 64;
   static constexpr std::size_t kMaxFanout = 128;
   static constexpr std::size_t kMinFanout = 16;
@@ -161,9 +250,36 @@ class AvailabilityIndex {
   mutable std::vector<std::size_t> prefix_;
   mutable bool prefix_valid_ = false;
 
-  /// availability_with_ids_into scratch: one bit per node id, all clear
-  /// between calls (sized by reset(), so snapshots never allocate).
+  /// One bit per node id, all clear between calls (sized by reset(), so
+  /// nothing allocates): availability_with_ids_into marks the floored ids
+  /// in it, and update_batch the ids it moves.
   mutable std::vector<std::uint64_t> floored_marks_;
+
+  /// update_batch scratch, kept between calls, all O(k) except the
+  /// per-bucket tallies. batch_in_ holds the new entries in order,
+  /// batch_merge_ a bucket split_merged is rewriting, and batch_keys_ /
+  /// batch_slots_ find_by_scan's node -> batch position table.
+  /// batch_removed_[b] counts the moved entries found in the bucket at
+  /// directory position b and batch_first_[b] the lowest of their in-bucket
+  /// positions (zero between calls); batch_touched_ lists the positions
+  /// with removals, batch_runs_ the runs of batch_in_ by destination
+  /// position, and batch_pending_ the positions the directory pass must
+  /// visit (with their deferred runs).
+  struct Run {
+    std::size_t bucket = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  static constexpr NodeId kNoKey = static_cast<NodeId>(-1);
+  std::vector<Entry> batch_in_;
+  std::vector<Entry> batch_merge_;
+  std::vector<NodeId> batch_keys_;
+  std::vector<std::uint32_t> batch_slots_;
+  std::vector<std::uint32_t> batch_removed_;
+  std::vector<std::uint32_t> batch_first_;
+  std::vector<std::uint32_t> batch_touched_;
+  std::vector<Run> batch_runs_;
+  std::vector<Run> batch_pending_;
 };
 
 }  // namespace rtdls::cluster

@@ -9,11 +9,12 @@ namespace rtdls::cluster {
 
 namespace {
 
-/// Reposition-depth distribution across every index mutation: the entries
-/// each update's bucket-local memmoves shifted, bounded by the bucket
-/// geometry (at most two buckets' worth) whatever N is. Recorded here -
-/// not inside the RTDLS_HOT AvailabilityIndex::update - because histogram
-/// writes may grow a thread shard on first contact.
+/// Reposition-depth distribution, one sample per index mutation (a single
+/// update, or a whole batch - a committed plan or an early-release
+/// batch): the entries it shifted. A single update shifts at most two
+/// buckets' worth whatever N is; a batch shifts at most its touched
+/// buckets. Recorded here - not inside the RTDLS_HOT index mutators -
+/// because histogram writes may grow a thread shard on first contact.
 obs::Histogram& commit_depth_histogram() {
   static obs::Histogram histogram =
       obs::Registry::global().histogram("rtdls_index_commit_depth");
@@ -59,6 +60,49 @@ void Cluster::commit(NodeId id, TaskId task, Time usable_from, Time start, Time 
   const Time before = node.free_at();
   node.commit(task, usable_from, start, end);
   const std::size_t depth = index_.update(id, before, node.free_at());
+  commit_depth_histogram().record(static_cast<double>(depth));
+  ++version_;
+}
+
+void Cluster::commit_batch(std::span<const NodeId> ids, TaskId task,
+                           std::span<const Time> usable_from, std::span<const Time> start,
+                           std::span<const Time> end) {
+  const std::size_t k = ids.size();
+  if (usable_from.size() != k || start.size() != k || end.size() != k) {
+    throw std::invalid_argument("Cluster::commit_batch: column sizes differ");
+  }
+  batch_from_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Node& node = nodes_.at(ids[i]);
+    node.check_commit(start[i], end[i]);
+    batch_from_[i] = node.free_at();
+  }
+  reindex_batch(ids, end);
+  for (std::size_t i = 0; i < k; ++i) {
+    nodes_[ids[i]].commit(task, usable_from[i], start[i], end[i]);
+  }
+}
+
+void Cluster::release_early_batch(std::span<const NodeId> ids, std::span<const Time> at) {
+  const std::size_t k = ids.size();
+  if (at.size() != k) {
+    throw std::invalid_argument("Cluster::release_early_batch: column sizes differ");
+  }
+  batch_from_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Node& node = nodes_.at(ids[i]);
+    node.check_release_early(at[i]);
+    batch_from_[i] = node.free_at();
+  }
+  reindex_batch(ids, at);
+  for (std::size_t i = 0; i < k; ++i) nodes_[ids[i]].release_early(at[i]);
+}
+
+void Cluster::reindex_batch(std::span<const NodeId> ids, std::span<const Time> to) {
+  if (ids.empty()) return;
+  // Throws on a repeated id before anything changes, so the nodes are
+  // updated only after it.
+  const std::size_t depth = index_.update_batch(ids, batch_from_, to);
   commit_depth_histogram().record(static_cast<double>(depth));
   ++version_;
 }

@@ -8,6 +8,7 @@
 // keeps per-node accounting.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cluster/availability_delta.hpp"
@@ -27,8 +28,9 @@ class Cluster {
 
   const Node& node(NodeId id) const { return nodes_.at(id); }
 
-  /// Monotonic availability version: bumped by every mutation of any node's
-  /// release time (commit, early release, reset). An unchanged version
+  /// Monotonic availability version: bumped once by every mutation of node
+  /// release times (a single-node commit, early release or restore, a
+  /// batch of them, a reset). An unchanged version
   /// guarantees an unchanged availability snapshot for any `now` at or
   /// before the earliest node release, which lets the incremental admission
   /// path skip rebuilding and re-planning entirely.
@@ -54,8 +56,21 @@ class Cluster {
   /// the `usable_from` IIT-accounting parameter.
   void commit(NodeId id, TaskId task, Time usable_from, Time start, Time end);
 
+  /// Commits a plan's nodes as one batch: node ids[i] to `task` over
+  /// [start[i], end[i]) with usable_from[i], as commit() would, in one
+  /// index batch (AvailabilityIndex::update_batch). Every node's
+  /// preconditions are checked first, and the ids must be distinct: a throw
+  /// leaves every node and the index as they were.
+  void commit_batch(std::span<const NodeId> ids, TaskId task,
+                    std::span<const Time> usable_from, std::span<const Time> start,
+                    std::span<const Time> end);
+
   /// Releases node `id` early at `at` (actual completion before estimate).
   void release_early(NodeId id, Time at);
+
+  /// Releases node ids[i] early at at[i] for every i, as one batch with
+  /// commit_batch's all-or-nothing checks.
+  void release_early_batch(std::span<const NodeId> ids, std::span<const Time> at);
 
   /// Restores node `id` to an exact snapshot state (service-layer crash
   /// recovery): release time and accounting are taken verbatim, the sorted
@@ -78,10 +93,16 @@ class Cluster {
   bool index_consistent() const;
 
  private:
+  /// Reindexes nodes ids[i] from batch_from_[i] to to[i] in one batch and
+  /// records its depth sample; the batch mutators' common step.
+  void reindex_batch(std::span<const NodeId> ids, std::span<const Time> to);
+
   ClusterParams params_;
   std::vector<Node> nodes_;
   AvailabilityIndex index_;
   std::uint64_t version_ = 0;
+  /// The batch mutators' column of current release times (capacity reused).
+  std::vector<Time> batch_from_;
 };
 
 }  // namespace rtdls::cluster

@@ -31,10 +31,19 @@ class Node {
   /// Busy time [start, end) is added to the utilization accumulator.
   void commit(TaskId task, Time usable_from, Time start, Time end);
 
+  /// Throws what commit(task, usable_from, start, end) would throw, changing
+  /// nothing: std::invalid_argument when end < start, std::logic_error when
+  /// start overlaps the current commitment.
+  void check_commit(Time start, Time end) const;
+
   /// Releases the node (e.g. when an actual completion beats the estimate);
   /// the node becomes free at `at`, which must not exceed the committed
   /// release. The unused tail is credited back from busy accounting.
   void release_early(Time at);
+
+  /// Throws what release_early(at) would throw (std::logic_error when `at`
+  /// is past the committed release), changing nothing.
+  void check_release_early(Time at) const;
 
   /// Total time the node spent computing/receiving committed work.
   Time busy_time() const { return busy_time_; }

@@ -159,10 +159,8 @@ void commit_plan(const TaskPlan& plan, Time now, cluster::Cluster& cluster,
     // Map the plan's sorted slots onto the n earliest-free concrete nodes.
     cluster.earliest_free_nodes_into(now, plan.nodes, ids);
   }
-  for (std::size_t i = 0; i < plan.nodes; ++i) {
-    cluster.commit(ids[i], plan.task, plan.available[i], plan.reserve_from[i],
-                   plan.node_release[i]);
-  }
+  cluster.commit_batch(ids, plan.task, plan.available, plan.reserve_from,
+                       plan.node_release);
 }
 
 void AdmissionController::invalidate() {

@@ -267,10 +267,10 @@ class AdmissionController {
 
 /// Books an accepted plan's reservations at `now` - the commit step shared
 /// by every driver. Calendar plans (non-null `calendar`) reserve the exact
-/// intervals they chose; otherwise `cluster` commits heterogeneous plans on
-/// the node ids they were computed for, and homogeneous plans on the
-/// plan.nodes earliest-free nodes at `now` (ties by id). On return `ids`
-/// holds the node id of every plan slot.
+/// intervals they chose; otherwise `cluster` commits, as one batch,
+/// heterogeneous plans on the node ids they were computed for and
+/// homogeneous plans on the plan.nodes earliest-free nodes at `now` (ties
+/// by id). On return `ids` holds the node id of every plan slot.
 void commit_plan(const TaskPlan& plan, Time now, cluster::Cluster& cluster,
                  cluster::NodeCalendar* calendar, std::vector<cluster::NodeId>& ids);
 

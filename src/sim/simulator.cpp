@@ -350,10 +350,12 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
       // on node ids[i] at its own speed, so each node hands back exactly its
       // own unused tail (order statistics would release the wrong node when
       // speeds differ).
+      std::vector<Time>& at = release_at_scratch_;
+      at.resize(plan.nodes);
       for (std::size_t i = 0; i < plan.nodes; ++i) {
-        const Time at = std::min(timeline.completion[i], cluster_.node(ids[i]).free_at());
-        cluster_.release_early(ids[i], at);
+        at[i] = std::min(timeline.completion[i], cluster_.node(ids[i]).free_at());
       }
+      cluster_.release_early_batch(ids, at);
       return false;  // availability no longer matches the plan's releases
     }
     // Theorem 4: each node's actual finish is no later than the estimate it
@@ -368,10 +370,12 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
     std::sort(by_release.begin(), by_release.end(), [&](cluster::NodeId a, cluster::NodeId b) {
       return cluster_.node(a).free_at() < cluster_.node(b).free_at();
     });
+    std::vector<Time>& at = release_at_scratch_;
+    at.resize(by_release.size());
     for (std::size_t i = 0; i < by_release.size(); ++i) {
-      const Time at = std::min(actual_sorted[i], cluster_.node(by_release[i]).free_at());
-      cluster_.release_early(by_release[i], at);
+      at[i] = std::min(actual_sorted[i], cluster_.node(by_release[i]).free_at());
     }
+    cluster_.release_early_batch(by_release, at);
     return false;  // availability no longer matches the plan's releases
   }
   return !calendar_;

@@ -148,6 +148,7 @@ class ClusterSimulator {
   std::vector<cluster::NodeId> ids_scratch_;
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;
+  std::vector<Time> release_at_scratch_;
   std::vector<double> alpha_scratch_;
   sched::het::PlannerScratch het_roll_scratch_;
 };

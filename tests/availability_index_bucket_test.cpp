@@ -1,10 +1,10 @@
 // Tests for the bucketed AvailabilityIndex: N=10^4 randomized storms over
-// the three index mutations (commit / release_early / reset) with every
-// query checked against a sort of the authoritative release times, the
-// adversarial monotone-arrival pattern that would make one sorted vector
-// shift all N entries per update (with early releases that cross whole
-// buckets downwards), desync detection, and the in-bucket fast path's
-// depth.
+// the index mutations (commit / release_early / reset, single and batched)
+// with every query checked against a sort of the authoritative release
+// times, the adversarial monotone-arrival pattern that would make one
+// sorted vector shift all N entries per update (with early releases that
+// cross whole buckets downwards, and plan-sized batches landing in one
+// bucket), desync detection, and the in-bucket fast path's depth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <numeric>
 #include <vector>
 
+#include "batch_storm.hpp"
 #include "cluster/availability_index.hpp"
 #include "cluster/cluster.hpp"
 #include "workload/rng.hpp"
@@ -77,19 +78,61 @@ void expect_matches_reference(const AvailabilityIndex& index,
   }
 }
 
+/// Moves nodes `ids` to `to` in one update_batch and mirrors it in
+/// `free_times`; returns the batch's depth.
+std::size_t batch_update(AvailabilityIndex& index, std::vector<Time>& free_times,
+                         const std::vector<NodeId>& ids, const std::vector<Time>& to) {
+  std::vector<Time> from(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) from[i] = free_times[ids[i]];
+  const std::size_t depth = index.update_batch(ids, from, to);
+  for (std::size_t i = 0; i < ids.size(); ++i) free_times[ids[i]] = to[i];
+  return depth;
+}
+
 TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
   // Randomized update storm at N=10^4 (commits moving entries up, early
   // releases moving them down, plus a reset), with the full query surface
   // compared against the reference along the way. Times come off a coarse
   // grid so duplicate free_at values (the node-id tie-break path) occur
-  // constantly.
+  // constantly. Every 60th step also moves a batch of k nodes in one
+  // update_batch, k cycling from 1 to 2000: up or down, to one shared time
+  // or to distinct ones, the earliest-free nodes or a scattered subset.
   constexpr std::size_t kNodes = 10000;
+  constexpr std::size_t kBatchSizes[] = {1, 2, 9, 129, 257, 451, 2000};
   AvailabilityIndex index;
   index.reset(kNodes);
   std::vector<Time> free_times(kNodes, 0.0);
   workload::Xoshiro256StarStar rng(20260809);
+  workload::Xoshiro256StarStar batch_rng(9080626);
   Time now = 0.0;
+  std::size_t batches = 0;
   for (int step = 0; step < 3000; ++step) {
+    if (step % 60 == 59) {
+      const std::size_t k = kBatchSizes[batches % std::size(kBatchSizes)];
+      const bool down = batches % 3 == 2;
+      const bool shared_time = batches % 2 == 0;
+      const bool scattered = (batches / 2) % 2 == 1;
+      ++batches;
+      const std::vector<NodeId> ids =
+          test::pick_batch(free_times, now, k, scattered, batch_rng);
+      Time latest = 0.0;
+      for (const NodeId id : ids) latest = std::max(latest, free_times[id]);
+      const auto step_up = [&] {
+        return 1.0 + std::floor(batch_rng.next_double() * 40.0);
+      };
+      const auto scale_down = [&] { return 0.3 + 0.6 * batch_rng.next_double(); };
+      const Time shared =
+          down ? std::max(now, std::floor(latest * 0.5)) : latest + step_up();
+      std::vector<Time> to(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        const Time from = free_times[ids[i]];
+        const Time own =
+            down ? std::max(now, std::floor(from * scale_down())) : from + step_up();
+        to[i] = shared_time ? shared : own;
+      }
+      batch_update(index, free_times, ids, to);
+      expect_matches_reference(index, free_times, now, /*full=*/true);
+    }
     const auto node = static_cast<NodeId>(rng() % kNodes);
     const double action = rng.next_double();
     const Time from = free_times[node];
@@ -136,7 +179,22 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
   Time horizon = 0.0;
   std::size_t max_depth = 0;
   std::size_t deep_releases = 0;
+  workload::Xoshiro256StarStar batch_rng(451);
   for (int step = 0; step < 4000; ++step) {
+    if (step % 250 == 249) {
+      // A large DLT plan: the 451 earliest-free nodes all booked past the
+      // current maximum, at one shared release (every entry lands in the
+      // last bucket, which must split into many pieces, not two) or, every
+      // other time, at distinct ones.
+      const std::vector<NodeId> ids =
+          test::pick_batch(free_times, horizon, 451, /*scattered=*/false, batch_rng);
+      std::vector<Time> to(ids.size(), horizon + static_cast<Time>(kNodes) + 0.5);
+      if (step % 500 == 499) {
+        for (std::size_t i = 0; i < to.size(); ++i) to[i] += static_cast<Time>(i % 7);
+      }
+      batch_update(index, free_times, ids, to);
+      expect_matches_reference(index, free_times, horizon, /*full=*/true);
+    }
     // argmin by (free_at, node): the entry at rank 0.
     NodeId victim = 0;
     for (NodeId id = 1; id < kNodes; ++id) {
@@ -168,21 +226,34 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
 }
 
 TEST(AvailabilityIndexBucket, ClusterDifferentialCommitReleaseReset) {
-  // A storm through the Cluster layer (commit / release_early / reset) - the
-  // wiring the simulator and daemon use - on a 512-node, eight-bucket
-  // index, compared after every step with the reference sort of the nodes'
-  // own release times.
+  // A storm through the Cluster layer (commit / release_early / reset, and
+  // their batches) - the wiring the simulator and daemon use - on a
+  // 512-node, eight-bucket index, compared after every step with the
+  // reference sort of the nodes' own release times. Every eighth step books
+  // a batch of k nodes, k cycling from 1 to the whole cluster.
   constexpr std::size_t kNodes = 512;
+  constexpr std::size_t kBatchSizes[] = {1, 3, 17, 128, 129, 257, 400, 512};
   cluster::Cluster c({.node_count = kNodes, .cms = 1.0, .cps = 100.0});
 
   workload::Xoshiro256StarStar rng(777);
+  workload::Xoshiro256StarStar batch_rng(778);
   std::vector<Time> committed_until(kNodes, 0.0);
   std::vector<Time> free_times(kNodes);
   Time now = 0.0;
+  std::size_t batches = 0;
   for (int step = 0; step < 600; ++step) {
     const auto node = static_cast<NodeId>(rng() % kNodes);
     const double action = rng.next_double();
-    if (action < 0.70) {
+    if (step % 8 == 7) {
+      const std::size_t k = kBatchSizes[batches % std::size(kBatchSizes)];
+      const bool release = batches % 3 == 2;
+      const bool shared_time = batches % 2 == 0;
+      const bool scattered = (batches / 2) % 2 == 1;
+      ++batches;
+      test::book_batch(c, test::pick_batch(committed_until, now, k, scattered, batch_rng),
+                       release, shared_time, now, committed_until, batch_rng,
+                       static_cast<cluster::TaskId>(step));
+    } else if (action < 0.70) {
       const Time start = std::max(committed_until[node], now) + rng.next_double() * 50.0;
       const Time end = start + 1.0 + rng.next_double() * 500.0;
       c.commit(node, static_cast<cluster::TaskId>(step), start, start, end);
@@ -221,6 +292,48 @@ TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
   EXPECT_EQ(index.available_by(0.0), 299u);
   EXPECT_THROW(index.update(2, 0.0, 20.0), std::logic_error);  // stale `from`
   EXPECT_THROW(index.kth_free_time(300), std::invalid_argument);
+
+  // A batch checks every entry before it changes anything: a stale `from`
+  // in its last entry, an unknown node or a node named twice throws and
+  // leaves the index - and the id marks it shares with the het snapshot -
+  // as they were; so does a column-length mismatch.
+  std::vector<Time> free_times(300, 0.0);
+  free_times[2] = 10.0;
+  const std::vector<Time> zeros(3, 0.0);
+  const std::vector<Time> to{7.0, 8.0, 9.0};
+  const std::vector<NodeId> stale{5, 250, 2};
+  const std::vector<NodeId> unknown{5, 250, 300};
+  const std::vector<NodeId> repeated{5, 250, 5};
+  EXPECT_THROW(index.update_batch(stale, zeros, to), std::logic_error);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
+  EXPECT_THROW(index.update_batch(unknown, zeros, to), std::logic_error);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
+  EXPECT_THROW(index.update_batch(repeated, zeros, to), std::logic_error);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
+  EXPECT_THROW(index.update_batch(stale, std::vector<Time>(2, 0.0), to),
+               std::invalid_argument);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
+  // And the next valid batch applies in full.
+  const std::vector<NodeId> fresh{5, 250, 7};
+  batch_update(index, free_times, fresh, to);
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
+
+  // A batch dense in a small index is found by one scan of the buckets its
+  // keys span rather than by k searches; that scan must check each entry's
+  // own `from` too. Node 3 is at 5, not 0, inside the span [(0, 0), (10, 2)].
+  AvailabilityIndex small;
+  small.reset(16);
+  std::vector<Time> small_times(16, 0.0);
+  const std::vector<NodeId> spread{2, 3};
+  const std::vector<Time> spread_to{10.0, 5.0};
+  batch_update(small, small_times, spread, spread_to);
+  const std::vector<NodeId> dense{0, 1, 3, 2};
+  EXPECT_THROW(small.update_batch(dense, std::vector<Time>{0.0, 0.0, 0.0, 10.0},
+                                  std::vector<Time>(4, 20.0)),
+               std::logic_error);
+  expect_matches_reference(small, small_times, 0.0, /*full=*/true);
+  batch_update(small, small_times, dense, std::vector<Time>(4, 20.0));
+  expect_matches_reference(small, small_times, 0.0, /*full=*/true);
 }
 
 TEST(AvailabilityIndexBucket, InBucketFastPathReportsLocalDepth) {

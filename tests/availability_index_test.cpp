@@ -1,7 +1,8 @@
 // Tests for cluster::AvailabilityIndex (the sorted free-time index behind
 // Cluster's availability reads): unit equivalence against the brute-force
-// sort it replaced, index-consistency invariants across commit /
-// release_early / mid-run reset, and large-N (512 nodes) property tests
+// sort it replaced, index-consistency invariants across single and batched
+// commits and early releases and a mid-run reset, and large-N (512 nodes)
+// property tests
 // asserting the incremental admission path stays bit-identical to the
 // stateless Figure-2 reference on top of the index.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "batch_storm.hpp"
 #include "cluster/cluster.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
@@ -86,23 +88,42 @@ TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
 }
 
 TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
-  // Randomized sequences of the three mutations the index must mirror,
-  // cross-checked against the brute-force sort after every step, at node
-  // counts on both sides of each bucket-geometry edge: one node, one
-  // partly filled and one full 64-entry bucket, a full bucket plus one
-  // (65), two full buckets plus one (129), and 300 nodes, whose floored
-  // prefix spans several buckets.
+  // Randomized sequences of the mutations the index must mirror - single
+  // and batched commits and early releases - cross-checked against the
+  // brute-force sort after every step, at node counts on both sides of
+  // each bucket-geometry edge: one node, one partly filled and one full
+  // 64-entry bucket, a full bucket plus one (65), two full buckets plus
+  // one (129), and 300 nodes, whose floored prefix spans several buckets.
+  // Every tenth step books a batch of k nodes, k cycling from 1 to the
+  // whole cluster (past 2 x 128, the split threshold, at 300 nodes), to one
+  // shared release time or to distinct ones.
   constexpr std::size_t kNodeCounts[] = {1, 16, 64, 65, 129, 300};
+  constexpr std::size_t kBatchSizes[] = {1, 2, 8, 65, 129, 257, 300};
   for (const std::size_t nodes : kNodeCounts) {
     cluster::Cluster c({.node_count = nodes, .cms = 1.0, .cps = 100.0});
     workload::Xoshiro256StarStar rng(12345);
+    workload::Xoshiro256StarStar batch_rng(54321);
     std::vector<Time> committed_until(nodes, 0.0);
     Time now = 0.0;
     std::size_t widest_floor = 0;  // after the initial all-idle stretch
+    std::size_t batches = 0;
+    std::size_t largest_batch = 0;
     for (int step = 0; step < 400; ++step) {
       const auto node = static_cast<NodeId>(rng() % nodes);
       const double action = rng.next_double();
-      if (action < 0.70) {
+      if (step % 10 == 9) {
+        const std::size_t k =
+            std::min(nodes, kBatchSizes[batches % std::size(kBatchSizes)]);
+        const bool release = batches % 3 == 2;
+        const bool shared_time = batches % 2 == 0;
+        const bool scattered = (batches / 2) % 2 == 1;
+        ++batches;
+        largest_batch = std::max(largest_batch, k);
+        const std::vector<NodeId> ids =
+            test::pick_batch(committed_until, now, k, scattered, batch_rng);
+        test::book_batch(c, ids, release, shared_time, now, committed_until, batch_rng,
+                         static_cast<cluster::TaskId>(step));
+      } else if (action < 0.70) {
         // Commit the node to a new interval after its current release.
         const Time start = std::max(committed_until[node], now) + rng.next_double() * 50.0;
         const Time end = start + 1.0 + rng.next_double() * 500.0;
@@ -121,6 +142,7 @@ TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
     }
     if (nodes == 300) {
       EXPECT_GT(widest_floor, 2u * 64u);
+      EXPECT_GT(largest_batch, 2u * 128u);
     }
   }
 }

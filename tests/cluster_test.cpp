@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "obs/metrics.hpp"
 
 namespace rtdls::cluster {
 namespace {
@@ -123,6 +124,83 @@ TEST(Cluster, SequentialCommitsOnSameNode) {
   EXPECT_DOUBLE_EQ(cluster.node(0).free_at(), 200.0);
   EXPECT_DOUBLE_EQ(cluster.node(0).idle_gap_time(), 50.0);
   EXPECT_EQ(cluster.node(0).commitments(), 2u);
+}
+
+/// Every node's release time and accounting, and the cluster's version.
+struct ClusterState {
+  std::vector<Time> free_at;
+  std::vector<Time> busy;
+  std::vector<Time> idle_gap;
+  std::vector<std::size_t> commitments;
+  std::uint64_t version = 0;
+  bool operator==(const ClusterState&) const = default;
+};
+
+ClusterState state_of(const Cluster& cluster) {
+  ClusterState state;
+  for (NodeId id = 0; id < cluster.size(); ++id) {
+    state.free_at.push_back(cluster.node(id).free_at());
+    state.busy.push_back(cluster.node(id).busy_time());
+    state.idle_gap.push_back(cluster.node(id).idle_gap_time());
+    state.commitments.push_back(cluster.node(id).commitments());
+  }
+  state.version = cluster.version();
+  return state;
+}
+
+TEST(Cluster, BatchThatFailsAnyNodeCheckChangesNothing) {
+  // 200 nodes: a four-bucket index, so the batch spans buckets.
+  Cluster cluster({.node_count = 200, .cms = 1.0, .cps = 100.0});
+  for (NodeId id = 0; id < 200; id += 3) {
+    cluster.commit(id, 1, 0.0, 0.0, 10.0 + static_cast<Time>(id));
+  }
+  const ClusterState before = state_of(cluster);
+  ASSERT_TRUE(cluster.index_consistent());
+
+  // Nodes 1, 2, 4, ..., 97 start at 300; the last one, node 99, is booked
+  // until 109 and is asked to start at 50: an overlap.
+  std::vector<NodeId> ids;
+  for (NodeId id = 1; id < 100; ++id) {
+    if (id % 3 != 0) ids.push_back(id);
+  }
+  ids.push_back(99);
+  std::vector<Time> start(ids.size(), 300.0);
+  std::vector<Time> end(ids.size(), 400.0);
+  start.back() = 50.0;
+  EXPECT_THROW(cluster.commit_batch(ids, 2, start, start, end), std::logic_error);
+  EXPECT_EQ(state_of(cluster), before);
+  EXPECT_TRUE(cluster.index_consistent());
+
+  // A last node whose interval runs backwards, and a node named twice.
+  start.back() = 300.0;
+  end.back() = 200.0;
+  EXPECT_THROW(cluster.commit_batch(ids, 2, start, start, end), std::invalid_argument);
+  EXPECT_EQ(state_of(cluster), before);
+  end.back() = 400.0;
+  ids.back() = ids.front();
+  EXPECT_THROW(cluster.commit_batch(ids, 2, start, start, end), std::logic_error);
+  EXPECT_EQ(state_of(cluster), before);
+  EXPECT_TRUE(cluster.index_consistent());
+
+  // An early-release batch whose last node would release past its booking.
+  const std::vector<NodeId> busy{0, 3, 6};
+  const std::vector<Time> past{5.0, 5.0, 17.0};  // node 6 is booked until 16
+  EXPECT_THROW(cluster.release_early_batch(busy, past), std::logic_error);
+  EXPECT_EQ(state_of(cluster), before);
+  EXPECT_TRUE(cluster.index_consistent());
+
+  // A valid batch: every node booked, one version bump, one depth sample.
+  ids.back() = 99;
+  start.back() = 109.0;
+  const std::uint64_t samples =
+      obs::Registry::global().histogram_sample("rtdls_index_commit_depth").count;
+  cluster.commit_batch(ids, 2, start, start, end);
+  EXPECT_EQ(obs::Registry::global().histogram_sample("rtdls_index_commit_depth").count,
+            samples + 1);
+  EXPECT_EQ(cluster.version(), before.version + 1);
+  for (const NodeId id : ids) EXPECT_EQ(cluster.node(id).free_at(), 400.0) << id;
+  EXPECT_DOUBLE_EQ(cluster.node(99).busy_time(), 400.0);
+  EXPECT_TRUE(cluster.index_consistent());
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -137,25 +138,45 @@ TEST(AvailabilityDelta, ReplayReproducesForwardApplicationBitwise) {
 TEST(AvailabilityDelta, HetReplayKeepsStrictTimeIdOrder) {
   TestRng rng(11);
   cluster::AvailabilityRow merge_scratch;
-  for (int round = 0; round < 50; ++round) {
+  for (int round = 0; round < 80; ++round) {
     const std::size_t n = 1 + rng.index(64);
     const std::size_t k = 1 + rng.index(n);
     cluster::AvailabilityRow state =
         random_row(rng, n, /*with_ids=*/true, /*ties=*/round % 2 == 0);
-    // Slot-aligned releases for the consumed prefix (not pre-sorted, like a
-    // het multi-round plan's per-slot completions); on odd rounds every
-    // slot releases at one instant, so the ids alone decide the order.
+    // Slot-aligned releases for the consumed prefix, in four shapes:
+    //  0: random times, not pre-sorted (a het multi-round plan's per-slot
+    //     completions);
+    //  1: one instant with the ids in descending order, so the ids alone
+    //     decide the order and the run is out of order whenever k > 1;
+    //  2: one instant with the ids ascending - a tied DLT prefix, which
+    //     arrives already in strict (time, id) order;
+    //  3: strictly increasing times, also already in order.
+    const int shape = round % 4;
     std::vector<cluster::Time> releases(k);
     const auto consumed = static_cast<std::ptrdiff_t>(k);
     std::vector<cluster::NodeId> release_ids(state.ids.begin(),
                                              state.ids.begin() + consumed);
     const cluster::Time common = rng.uniform(500.0, 2000.0);
-    for (auto& t : releases) t = round % 2 == 1 ? common : rng.uniform(500.0, 2000.0);
+    for (auto& t : releases) {
+      t = shape == 1 || shape == 2 ? common : rng.uniform(500.0, 2000.0);
+    }
+    if (shape == 1) std::sort(release_ids.begin(), release_ids.end(), std::greater<>());
+    if (shape == 2) std::sort(release_ids.begin(), release_ids.end());
+    if (shape == 3) std::sort(releases.begin(), releases.end());
 
     const cluster::AvailabilityRow before = state;
     cluster::apply_releases(state, releases, release_ids, merge_scratch);
     ASSERT_EQ(merge_scratch.times.size(), k);
     ASSERT_EQ(merge_scratch.ids.size(), k);
+    // The scratch run equals a reference sort of the releases by (time, id),
+    // whether apply_releases sorted them or found them in order.
+    std::vector<std::pair<cluster::Time, cluster::NodeId>> run;
+    for (std::size_t i = 0; i < k; ++i) run.emplace_back(releases[i], release_ids[i]);
+    std::sort(run.begin(), run.end());
+    for (std::size_t i = 0; i < k; ++i) {
+      ASSERT_EQ(merge_scratch.times[i], run[i].first) << "round " << round << " at " << i;
+      ASSERT_EQ(merge_scratch.ids[i], run[i].second) << "round " << round << " at " << i;
+    }
     const cluster::AvailabilityRow expected =
         reference_apply(before, releases, release_ids);
     ASSERT_EQ(state.times, expected.times) << "round " << round;
