@@ -50,7 +50,7 @@ std::size_t AvailabilityIndex::find_entry(const Entry& key, std::size_t& at) con
   if (b == kNpos) return kNpos;
   const std::vector<Entry>& bucket = slots_[order_[b]];
   const auto it = std::lower_bound(bucket.begin(), bucket.end(), key, less);
-  if (it == bucket.end() || it->node != key.node || it->free_at != key.free_at) {
+  if (it == bucket.end() || !same(*it, key)) {
     return kNpos;
   }
   at = static_cast<std::size_t>(it - bucket.begin());
@@ -184,137 +184,97 @@ std::size_t AvailabilityIndex::update_many(std::span<const NodeId> nodes,
     begin = end;
   }
 
-  // 3. Each touched bucket once: compact out its moved entries, then merge
-  //    in its run. Only the directory minima change here; a run that would
-  //    overflow its bucket waits for the directory pass, which merges it
-  //    straight into the split pieces (so no bucket's storage ever grows
-  //    past what a split leaves).
-  std::size_t shifted = 0;
-  batch_pending_.clear();
+  // 3. Each touched bucket once, in directory order: compact out its moved
+  //    entries, then merge in its run. A run that would overflow its bucket
+  //    waits for the directory rebuild, which merges it straight into the
+  //    split pieces (so no bucket's storage ever grows past what a split
+  //    leaves). Every touched bucket is queued for step 4, with its run only
+  //    if deferred.
   for (const Run& run : batch_runs_) {
-    const std::size_t count = run.end - run.begin;
-    if (batch_removed_[run.bucket] != count) prefix_valid_ = false;
-    shifted += compact_bucket(run.bucket);
-    if (slots_[order_[run.bucket]].size() + count > kMaxFanout) {
-      batch_pending_.push_back(run);
-    } else {
-      shifted += merge_into_bucket(run.bucket, run.begin, run.end);
-      settle_bucket(run.bucket);
+    if (batch_removed_[run.bucket] == 0) {
+      batch_touched_.push_back(static_cast<std::uint32_t>(run.bucket));
     }
   }
+  if (!std::is_sorted(batch_touched_.begin(), batch_touched_.end())) {
+    std::sort(batch_touched_.begin(), batch_touched_.end());
+  }
+  std::size_t shifted = 0;
+  bool reshape = false;
+  batch_pending_.clear();
+  auto run = batch_runs_.begin();
   for (const std::uint32_t b : batch_touched_) {
-    if (batch_removed_[b] == 0) continue;  // had a run: done above
-    prefix_valid_ = false;
+    const bool has_run = run != batch_runs_.end() && run->bucket == b;
+    const std::size_t count = has_run ? run->end - run->begin : 0;
+    if (batch_removed_[b] != count) prefix_valid_ = false;
     shifted += compact_bucket(b);
-    settle_bucket(b);
+    const std::size_t size = slots_[order_[b]].size();
+    if (!has_run) {
+      reshape = reshape || size == 0;
+      batch_pending_.push_back(Run{b, 0, 0});
+    } else if (size + count > kMaxFanout) {
+      reshape = true;
+      batch_pending_.push_back(*run++);
+    } else {
+      shifted += merge_into_bucket(b, run->begin, run->end);
+      batch_pending_.push_back(Run{b, run->end, run->end});
+      ++run;
+    }
   }
   batch_touched_.clear();
 
-  // 4. One directory pass, only when a bucket emptied, overflows or can
-  //    fold into a neighbor.
-  if (!batch_pending_.empty()) shifted += rebuild_directory();
+  // 4. The directory: rebuilt once when a bucket emptied or overflows, else
+  //    only the touched minima change. Then the touched buckets that shrank
+  //    fold with a neighbor by update()'s own rule, last first so that the
+  //    positions still to visit stay put.
+  if (reshape) {
+    shifted += rebuild_directory();
+  } else {
+    for (const Run& pending : batch_pending_) {
+      mins_[pending.bucket] = slots_[order_[pending.bucket]].front();
+    }
+  }
+  for (auto it = batch_pending_.rbegin(); it != batch_pending_.rend(); ++it) {
+    if (it->bucket != kNpos) maybe_merge(it->bucket);
+  }
   return shifted;
 }
 
 void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
                                      std::span<const Time> from) {
-  const std::size_t k = nodes.size();
   if (batch_removed_.size() < order_.size()) {
     batch_removed_.resize(order_.size());
     batch_first_.resize(order_.size());
   }
-  // Mark every id, rejecting repeats, and note the range of the keys.
-  Entry lo{from[0], nodes[0]};
-  Entry hi = lo;
-  for (std::size_t i = 0; i < k; ++i) {
+  std::size_t b = kNpos;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Entry key{from[i], nodes[i]};
-    const bool known = key.node < size_;
-    if (!known || marked(key.node)) {
+    const bool repeated = key.node < size_ && marked(key.node);
+    // Keys often arrive in index order (a plan's earliest-free nodes): the
+    // entry right after the previous key's is checked before searching.
+    const bool next = b != kNpos && at + 1 < slots_[order_[b]].size() &&
+                      same(slots_[order_[b]][at + 1], key);
+    if (next) {
+      ++at;
+    } else if (!repeated) {
+      b = find_entry(key, at);
+    }
+    if (repeated || b == kNpos) {
       set_marks(nodes.first(i), false);
+      for (const std::uint32_t touched : batch_touched_) batch_removed_[touched] = 0;
+      batch_touched_.clear();
       throw std::logic_error(
-          known ? "AvailabilityIndex::update_batch: node repeated"
-                : "AvailabilityIndex::update: entry not found (index desync)");
+          repeated ? "AvailabilityIndex::update_batch: node repeated"
+                   : "AvailabilityIndex::update: entry not found (index desync)");
     }
     set_mark(key.node, true);
-    if (less(key, lo)) lo = key;
-    if (less(hi, key)) hi = key;
-  }
-  // The keys lie in buckets [first, last]. Scan those when that reads no
-  // more entries than k binary searches over all N would compare;
-  // otherwise search for each key.
-  const std::size_t first = locate_bucket(lo);
-  bool found = first != kNpos;
-  if (found) {
-    const std::size_t budget = k * static_cast<std::size_t>(std::bit_width(size_));
-    std::size_t last = first;
-    std::size_t span = slots_[order_[first]].size();
-    while (span <= budget && last + 1 < order_.size() && !less(hi, mins_[last + 1])) {
-      span += slots_[order_[++last]].size();
+    const auto pos = static_cast<std::uint32_t>(at);
+    if (batch_removed_[b]++ == 0) {
+      batch_touched_.push_back(static_cast<std::uint32_t>(b));
+      batch_first_[b] = pos;
+    } else {
+      batch_first_[b] = std::min(batch_first_[b], pos);
     }
-    found = span <= budget ? find_by_scan(first, last, nodes, from)
-                           : find_each(nodes, from);
-  }
-  if (!found) {
-    set_marks(nodes, false);
-    for (const std::uint32_t b : batch_touched_) batch_removed_[b] = 0;
-    batch_touched_.clear();
-    throw std::logic_error("AvailabilityIndex::update: entry not found (index desync)");
-  }
-}
-
-bool AvailabilityIndex::find_each(std::span<const NodeId> nodes,
-                                  std::span<const Time> from) {
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    std::size_t at = 0;
-    const std::size_t b = find_entry(Entry{from[i], nodes[i]}, at);
-    if (b == kNpos) return false;
-    tally(b, at);
-  }
-  return true;
-}
-
-bool AvailabilityIndex::find_by_scan(std::size_t first, std::size_t last,
-                                     std::span<const NodeId> nodes,
-                                     std::span<const Time> from) {
-  // node -> batch position, open addressing at load <= 1/2, so each marked
-  // entry the scan meets can be checked against its own `from`.
-  const std::size_t k = nodes.size();
-  const int bits = std::bit_width(2 * k - 1);
-  const std::size_t mask = (std::size_t{1} << bits) - 1;
-  const auto home = [bits](NodeId node) {
-    const std::uint64_t hash = std::uint64_t{node} * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(hash >> (64 - bits));
-  };
-  batch_keys_.assign(mask + 1, kNoKey);
-  batch_slots_.resize(mask + 1);
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t h = home(nodes[i]);
-    while (batch_keys_[h] != kNoKey) h = (h + 1) & mask;
-    batch_keys_[h] = nodes[i];
-    batch_slots_[h] = static_cast<std::uint32_t>(i);
-  }
-  std::size_t found = 0;
-  for (std::size_t b = first; b <= last; ++b) {
-    const std::vector<Entry>& bucket = slots_[order_[b]];
-    for (std::size_t j = 0; j < bucket.size(); ++j) {
-      const Entry& entry = bucket[j];
-      if (!marked(entry.node)) continue;
-      std::size_t h = home(entry.node);
-      while (batch_keys_[h] != entry.node) h = (h + 1) & mask;
-      if (from[batch_slots_[h]] != entry.free_at) return false;
-      tally(b, j);
-      ++found;
-    }
-  }
-  return found == k;
-}
-
-void AvailabilityIndex::tally(std::size_t b, std::size_t at) {
-  if (batch_removed_[b]++ == 0) {
-    batch_touched_.push_back(static_cast<std::uint32_t>(b));
-    batch_first_[b] = static_cast<std::uint32_t>(at);
-  } else {
-    batch_first_[b] = std::min(batch_first_[b], static_cast<std::uint32_t>(at));
   }
 }
 
@@ -371,103 +331,46 @@ std::size_t AvailabilityIndex::merge_into_bucket(std::size_t b, std::size_t begi
   return bucket.size() - (end - begin) - kept;
 }
 
-void AvailabilityIndex::settle_bucket(std::size_t b) {
-  const std::vector<Entry>& bucket = slots_[order_[b]];
-  const std::size_t size = bucket.size();
-  if (size != 0) mins_[b] = bucket.front();
-  const auto fits = [&](std::size_t neighbor) {
-    return slots_[order_[neighbor]].size() + size <= kMergeMax;
-  };
-  if (size == 0 || (size < kMinFanout && b > 0 && fits(b - 1))) {
-    batch_pending_.push_back(Run{b, 0, 0});
-  } else if (size < kMinFanout && b + 1 < order_.size() && fits(b + 1)) {
-    // No left neighbor to fold into: fold the right one into this bucket.
-    batch_pending_.push_back(Run{b + 1, 0, 0});
-  }
-}
-
 std::size_t AvailabilityIndex::rebuild_directory() {
-  // By position; a position queued twice keeps the entry with the run.
-  std::sort(batch_pending_.begin(), batch_pending_.end(), [](const Run& a, const Run& b) {
-    return a.bucket < b.bucket ||
-           (a.bucket == b.bucket && a.end - a.begin > b.end - b.begin);
-  });
-  // The directory is rewritten in place from the left neighbor of the first
-  // pending bucket, so a pending bucket always has its left neighbor to
-  // fold into. Splits add entries: the tail first moves right by the most
-  // they can add, so the write position never passes the read position.
-  const std::size_t first = batch_pending_.front().bucket;
-  const std::size_t start = first == 0 ? 0 : first - 1;
-  const std::size_t old_size = order_.size();
-  std::size_t room = 0;
-  for (const Run& pending : batch_pending_) {
-    const std::size_t size =
-        slots_[order_[pending.bucket]].size() + (pending.end - pending.begin);
-    if (size > kMaxFanout) room += (size + kTargetFanout - 1) / kTargetFanout - 1;
-  }
-  if (room > 0) {
-    order_.resize(old_size + room);
-    mins_.resize(old_size + room);
-    const auto from = static_cast<std::ptrdiff_t>(start);
-    const auto to = static_cast<std::ptrdiff_t>(old_size);
-    std::copy_backward(order_.begin() + from, order_.begin() + to, order_.end());
-    std::copy_backward(mins_.begin() + from, mins_.begin() + to, mins_.end());
-  }
-  // Old position p now sits at p + room; [start, written) is final.
-  std::size_t written = start;
-  const auto keep = [&](std::size_t begin, std::size_t end) {
-    if (begin + room != written) {
-      const auto from = static_cast<std::ptrdiff_t>(begin + room);
-      const auto to = static_cast<std::ptrdiff_t>(end + room);
-      const auto at = static_cast<std::ptrdiff_t>(written);
-      std::copy(order_.begin() + from, order_.begin() + to, order_.begin() + at);
-      std::copy(mins_.begin() + from, mins_.begin() + to, mins_.begin() + at);
-    }
-    written += end - begin;
+  // Into scratch, then swapped in: the spans between pending positions are
+  // copied as they are, an emptied bucket's slot is recycled, and a
+  // deferred run is merged with its bucket into split pieces. Each pending
+  // position is rewritten to its bucket's new one, or npos when it split or
+  // emptied.
+  batch_order_.clear();
+  batch_mins_.clear();
+  std::size_t copied = 0;  // old positions [0, copied) are placed
+  const auto copy_to = [&](std::size_t end) {
+    const auto first = static_cast<std::ptrdiff_t>(copied);
+    const auto last = static_cast<std::ptrdiff_t>(end);
+    batch_order_.insert(batch_order_.end(), order_.begin() + first, order_.begin() + last);
+    batch_mins_.insert(batch_mins_.end(), mins_.begin() + first, mins_.begin() + last);
   };
   std::size_t shifted = 0;
-  std::size_t copied = start;  // old positions [start, copied) are placed
-  for (const Run& pending : batch_pending_) {
-    const std::size_t b = pending.bucket;
-    if (b < copied) continue;  // queued twice
-    keep(copied, b);
-    shifted += place_bucket(order_[b + room], pending.begin, pending.end, written);
-    copied = b + 1;
+  for (Run& pending : batch_pending_) {
+    copy_to(pending.bucket);
+    const std::uint32_t slot = order_[pending.bucket];
+    copied = pending.bucket + 1;
+    pending.bucket = kNpos;
+    if (pending.begin != pending.end) {
+      shifted += split_merged(slot, pending.begin, pending.end);
+    } else if (slots_[slot].empty()) {
+      free_slots_.push_back(slot);
+    } else {
+      pending.bucket = batch_order_.size();
+      batch_order_.push_back(slot);
+      batch_mins_.push_back(slots_[slot].front());
+    }
   }
-  keep(copied, old_size);
-  order_.resize(written);
-  mins_.resize(written);
+  copy_to(order_.size());
+  order_.swap(batch_order_);
+  mins_.swap(batch_mins_);
   prefix_valid_ = false;
   return shifted;
 }
 
-std::size_t AvailabilityIndex::place_bucket(std::uint32_t slot, std::size_t begin,
-                                            std::size_t end, std::size_t& written) {
-  const std::size_t size = slots_[slot].size() + (end - begin);
-  if (size == 0) {
-    free_slots_.push_back(slot);
-    return 0;
-  }
-  if (size > kMaxFanout) return split_merged(slot, begin, end, written);
-  if (written > 0) {
-    std::vector<Entry>& left = slots_[order_[written - 1]];
-    std::vector<Entry>& bucket = slots_[slot];
-    const bool small = size < kMinFanout || left.size() < kMinFanout;
-    if (small && left.size() + size <= kMergeMax) {
-      left.insert(left.end(), bucket.begin(), bucket.end());
-      bucket.clear();
-      free_slots_.push_back(slot);
-      return 0;
-    }
-  }
-  order_[written] = slot;
-  mins_[written] = slots_[slot].front();
-  ++written;
-  return 0;
-}
-
 std::size_t AvailabilityIndex::split_merged(std::uint32_t slot, std::size_t begin,
-                                            std::size_t end, std::size_t& written) {
+                                            std::size_t end) {
   // The bucket's entries merged with the run batch_in_[begin, end), written
   // piece by piece: as many pieces as it takes to hold at most
   // kTargetFanout each, sized evenly (so each also stays above
@@ -491,9 +394,8 @@ std::size_t AvailabilityIndex::split_merged(std::uint32_t slot, std::size_t begi
         piece.push_back(batch_merge_[i++]);
       }
     }
-    order_[written] = piece_slot;
-    mins_[written] = piece.front();
-    ++written;
+    batch_order_.push_back(piece_slot);
+    batch_mins_.push_back(piece.front());
   }
   return shifted;
 }
@@ -507,7 +409,8 @@ void AvailabilityIndex::drop_bucket(std::size_t b) {
 void AvailabilityIndex::maybe_merge(std::size_t b) {
   if (slots_[order_[b]].size() >= kMinFanout || order_.size() < 2) return;
   // Merge right (so the directory erase stays a single shift); the last
-  // bucket merges left instead by retargeting the call.
+  // bucket merges left instead by retargeting the call. update_batch folds
+  // by this same rule.
   const std::size_t left = b + 1 < order_.size() ? b : b - 1;
   std::vector<Entry>& into = slots_[order_[left]];
   std::vector<Entry>& from = slots_[order_[left + 1]];

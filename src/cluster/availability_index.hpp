@@ -20,11 +20,12 @@
 // books k entries at once: it locates all k against the unchanged
 // directory, compacts each touched bucket once, merges the sorted new
 // entries into their destination buckets run by run, and fixes the
-// directory (drops, merges, multi-way splits) in one pass only when a
-// bucket emptied, shrank or overflowed - O(k log #buckets + the sizes of
-// the touched buckets), never more than k single updates. Rank /
-// order-statistic queries (available_by, kth_free_time) go through a lazily
-// rebuilt per-bucket prefix-sum (invalidated by update, rebuilt
+// directory (drops, multi-way splits) in one rebuild only when a bucket
+// emptied or overflowed, then folds each touched bucket that shrank by
+// update()'s rule - O(k log #buckets + the sizes of the touched buckets),
+// plus O(#buckets) when the directory changes, as a single update pays.
+// Rank / order-statistic queries (available_by, kth_free_time) go through
+// a lazily rebuilt per-bucket prefix-sum (invalidated by update, rebuilt
 // O(#buckets) on the next query), so query trains between commits pay the
 // rebuild once. A cluster of at most 64 nodes is a single bucket, and every
 // single move in it takes the in-bucket path: the same shifts a single
@@ -147,6 +148,9 @@ class AvailabilityIndex {
     if (a.free_at != b.free_at) return a.free_at < b.free_at;
     return a.node < b.node;
   }
+  static bool same(const Entry& a, const Entry& b) {
+    return a.node == b.node && a.free_at == b.free_at;
+  }
 
   /// Directory position of the last bucket whose minimum is <= `key`
   /// (npos when the key precedes every bucket).
@@ -161,7 +165,8 @@ class AvailabilityIndex {
   /// Removes the (empty) bucket at directory position `b`.
   RTDLS_HOT void drop_bucket(std::size_t b);
   /// Merges the undersized bucket at `b` into a neighbor when the combined
-  /// size stays below the split threshold.
+  /// size stays below the split threshold: the one fold rule, which
+  /// update() applies to the bucket it shrank and update_batch to each.
   RTDLS_HOT void maybe_merge(std::size_t b);
   /// Inserts `moved` at its ordered position; returns entries shifted.
   RTDLS_HOT std::size_t insert_bucket_entry(const Entry& moved);
@@ -172,18 +177,11 @@ class AvailabilityIndex {
   /// update_batch for any k other than one.
   RTDLS_HOT std::size_t update_many(std::span<const NodeId> nodes,
                                     std::span<const Time> from, std::span<const Time> to);
-  /// update_many steps. Marks the batch's ids and finds all its entries,
+  /// update_many steps. Marks the batch's ids and finds each entry - the
+  /// one right after the previous key's entry, else by find_entry -
   /// tallying them per bucket; throws (desync, repeated node) with every
   /// mark and tally cleared, so nothing has changed.
   RTDLS_HOT void locate_batch(std::span<const NodeId> nodes, std::span<const Time> from);
-  /// Finds each entry by binary search; false when one is missing.
-  RTDLS_HOT bool find_each(std::span<const NodeId> nodes, std::span<const Time> from);
-  /// Finds the entries by reading buckets [first, last] for marked ids,
-  /// checking each against its own `from`; false when one is missing.
-  RTDLS_HOT bool find_by_scan(std::size_t first, std::size_t last,
-                              std::span<const NodeId> nodes, std::span<const Time> from);
-  /// Counts a moved entry found at in-bucket position `at` of bucket `b`.
-  RTDLS_HOT void tally(std::size_t b, std::size_t at);
   /// One node's bit in floored_marks_.
   bool marked(NodeId node) const {
     return (floored_marks_[node / 64] >> (node % 64) & 1) != 0;
@@ -201,25 +199,16 @@ class AvailabilityIndex {
   /// returns the entries shifted.
   RTDLS_HOT std::size_t merge_into_bucket(std::size_t b, std::size_t begin,
                                           std::size_t end);
-  /// After a batch touched the bucket at `b`: refreshes its directory
-  /// minimum and queues it for the directory pass when it emptied or
-  /// shrank below kMinFanout next to a bucket it fits into.
-  RTDLS_HOT void settle_bucket(std::size_t b);
-  /// The directory pass over batch_pending_: drops emptied buckets, folds
-  /// small buckets into their left neighbor, and merges each deferred run
-  /// into as many <= kTargetFanout pieces as it needs. Returns the entries
-  /// those merges shifted.
+  /// Rebuilds the directory over batch_pending_ into batch_order_ /
+  /// batch_mins_ and swaps it in: drops emptied buckets and merges each
+  /// deferred run into as many <= kTargetFanout pieces as it needs.
+  /// Returns the entries those merges shifted.
   RTDLS_HOT std::size_t rebuild_directory();
-  /// Writes the bucket in `slot`, with the run batch_in_[begin, end)
-  /// merged in, at directory position `written` and advances it - or
-  /// recycles, folds or splits it, as rebuild_directory describes. Returns
-  /// the entries shifted.
-  RTDLS_HOT std::size_t place_bucket(std::uint32_t slot, std::size_t begin,
-                                     std::size_t end, std::size_t& written);
-  /// Writes the bucket in `slot` merged with batch_in_[begin, end) as
-  /// evenly sized pieces from directory position `written` on.
+  /// Appends the bucket in `slot`, merged with batch_in_[begin, end), to
+  /// the scratch directory as evenly sized pieces; returns the entries
+  /// shifted.
   RTDLS_HOT std::size_t split_merged(std::uint32_t slot, std::size_t begin,
-                                     std::size_t end, std::size_t& written);
+                                     std::size_t end);
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   /// Bucket geometry: reset() fills buckets to kTargetFanout; update()
@@ -256,30 +245,30 @@ class AvailabilityIndex {
   mutable std::vector<std::uint64_t> floored_marks_;
 
   /// update_batch scratch, kept between calls, all O(k) except the
-  /// per-bucket tallies. batch_in_ holds the new entries in order,
-  /// batch_merge_ a bucket split_merged is rewriting, and batch_keys_ /
-  /// batch_slots_ find_by_scan's node -> batch position table.
+  /// per-bucket tallies and the directory copy. batch_in_ holds the new
+  /// entries in order and batch_merge_ a bucket split_merged is rewriting.
   /// batch_removed_[b] counts the moved entries found in the bucket at
   /// directory position b and batch_first_[b] the lowest of their in-bucket
   /// positions (zero between calls); batch_touched_ lists the positions
-  /// with removals, batch_runs_ the runs of batch_in_ by destination
-  /// position, and batch_pending_ the positions the directory pass must
-  /// visit (with their deferred runs).
+  /// with removals and then every touched one, batch_runs_ the runs of
+  /// batch_in_ by destination position, and batch_pending_ every touched
+  /// position in order (with its run when deferred to the rebuild).
+  /// batch_order_ / batch_mins_ are the directory rebuild_directory writes
+  /// and swaps with order_ / mins_.
   struct Run {
     std::size_t bucket = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
   };
-  static constexpr NodeId kNoKey = static_cast<NodeId>(-1);
   std::vector<Entry> batch_in_;
   std::vector<Entry> batch_merge_;
-  std::vector<NodeId> batch_keys_;
-  std::vector<std::uint32_t> batch_slots_;
   std::vector<std::uint32_t> batch_removed_;
   std::vector<std::uint32_t> batch_first_;
   std::vector<std::uint32_t> batch_touched_;
   std::vector<Run> batch_runs_;
   std::vector<Run> batch_pending_;
+  std::vector<std::uint32_t> batch_order_;
+  std::vector<Entry> batch_mins_;
 };
 
 }  // namespace rtdls::cluster

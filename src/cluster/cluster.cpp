@@ -107,15 +107,6 @@ void Cluster::reindex_batch(std::span<const NodeId> ids, std::span<const Time> t
   ++version_;
 }
 
-void Cluster::release_early(NodeId id, Time at) {
-  Node& node = nodes_.at(id);
-  const Time before = node.free_at();
-  node.release_early(at);
-  const std::size_t depth = index_.update(id, before, node.free_at());
-  commit_depth_histogram().record(static_cast<double>(depth));
-  ++version_;
-}
-
 void Cluster::restore_node(NodeId id, Time free_at, Time busy_time, Time idle_gap_time,
                            std::size_t commitments) {
   Node& node = nodes_.at(id);

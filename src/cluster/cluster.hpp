@@ -29,11 +29,11 @@ class Cluster {
   const Node& node(NodeId id) const { return nodes_.at(id); }
 
   /// Monotonic availability version: bumped once by every mutation of node
-  /// release times (a single-node commit, early release or restore, a
-  /// batch of them, a reset). An unchanged version
-  /// guarantees an unchanged availability snapshot for any `now` at or
-  /// before the earliest node release, which lets the incremental admission
-  /// path skip rebuilding and re-planning entirely.
+  /// release times (a single-node commit or restore, a commit or
+  /// early-release batch, a reset). An unchanged version guarantees an
+  /// unchanged availability snapshot for any `now` at or before the
+  /// earliest node release, which lets the incremental admission path skip
+  /// rebuilding and re-planning entirely.
   std::uint64_t version() const { return version_; }
 
   /// Returns every node to the initial idle state, keeping allocations
@@ -65,11 +65,9 @@ class Cluster {
                     std::span<const Time> usable_from, std::span<const Time> start,
                     std::span<const Time> end);
 
-  /// Releases node `id` early at `at` (actual completion before estimate).
-  void release_early(NodeId id, Time at);
-
-  /// Releases node ids[i] early at at[i] for every i, as one batch with
-  /// commit_batch's all-or-nothing checks.
+  /// Releases node ids[i] early at at[i] (actual completion before
+  /// estimate) for every i, as one batch with commit_batch's all-or-nothing
+  /// checks; one node is a batch of one.
   void release_early_batch(std::span<const NodeId> ids, std::span<const Time> at);
 
   /// Restores node `id` to an exact snapshot state (service-layer crash

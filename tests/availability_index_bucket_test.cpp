@@ -260,7 +260,7 @@ TEST(AvailabilityIndexBucket, ClusterDifferentialCommitReleaseReset) {
       committed_until[node] = end;
     } else if (action < 0.85) {
       const Time at = committed_until[node] * (0.5 + 0.5 * rng.next_double());
-      c.release_early(node, at);
+      c.release_early_batch({&node, 1}, {&at, 1});
       committed_until[node] = at;
     } else if (action < 0.97) {
       now += rng.next_double() * 100.0;
@@ -318,9 +318,11 @@ TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
   batch_update(index, free_times, fresh, to);
   expect_matches_reference(index, free_times, 0.0, /*full=*/true);
 
-  // A batch dense in a small index is found by one scan of the buckets its
-  // keys span rather than by k searches; that scan must check each entry's
-  // own `from` too. Node 3 is at 5, not 0, inside the span [(0, 0), (10, 2)].
+  // Keys in index order are found entry after entry without a search, and
+  // that shortcut must still match each key's own `from`. After the first
+  // batch the index reads (0, 0), (0, 1), (0, 4), ..., (5, 3), (10, 2):
+  // node 3 is at 5, not 0, and node 4 sits right after node 1 but at 0,
+  // not 7.
   AvailabilityIndex small;
   small.reset(16);
   std::vector<Time> small_times(16, 0.0);
@@ -330,6 +332,11 @@ TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
   const std::vector<NodeId> dense{0, 1, 3, 2};
   EXPECT_THROW(small.update_batch(dense, std::vector<Time>{0.0, 0.0, 0.0, 10.0},
                                   std::vector<Time>(4, 20.0)),
+               std::logic_error);
+  expect_matches_reference(small, small_times, 0.0, /*full=*/true);
+  const std::vector<NodeId> next_node{0, 1, 4};
+  EXPECT_THROW(small.update_batch(next_node, std::vector<Time>{0.0, 0.0, 7.0},
+                                  std::vector<Time>(3, 20.0)),
                std::logic_error);
   expect_matches_reference(small, small_times, 0.0, /*full=*/true);
   batch_update(small, small_times, dense, std::vector<Time>(4, 20.0));

@@ -132,7 +132,7 @@ TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
       } else if (action < 0.85) {
         // Release it early somewhere inside its committed window.
         const Time at = committed_until[node] * (0.5 + 0.5 * rng.next_double());
-        c.release_early(node, at);
+        c.release_early_batch({&node, 1}, {&at, 1});
         committed_until[node] = at;
       } else {
         now += rng.next_double() * 100.0;
