@@ -2,9 +2,9 @@
 // (BENCH_planner.json in CI). The het resolver's post-crossing walk and the
 // OPR-MN comparator inspect O(N) prefixes per arrival; these benches pit the
 // historical scalar evaluation (full alpha-column rebuild per inspected
-// prefix, O(N^2) per walk) against the incremental cursor and the SoA batch
-// kernel that replaced it. All three produce bit-identical estimates (see
-// tests/planner_kernel_test.cpp); the benches measure only the cost.
+// prefix, O(N^2) per walk) against the incremental cursor that replaced it.
+// Both produce bit-identical estimates (see tests/planner_kernel_test.cpp);
+// the benches measure only the cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -85,21 +85,6 @@ void BM_PlannerWalkIncremental(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PlannerWalkIncremental)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
-
-/// The SoA batch form used by the OPR-MN-BF sweep: all N prefix estimates in
-/// one forward pass over flat columns.
-void BM_PlannerBatchEstimates(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto free_times = staggered(n);
-  const auto cps = het_cps(n);
-  std::vector<Time> out;
-  for (auto _ : state) {
-    sched::het::PlannerBatch::opr_mn_estimates(1.0, 200.0, free_times, cps, n, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PlannerBatchEstimates)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
 
 // --- DLT-IIT estimate: generalized Eq.-1 two-stage model --------------------
 

@@ -4,13 +4,14 @@
 //
 // Part 1 - commit path, N = RTDLS_REPLAY_NODES (1e5): one precomputed storm
 // of index repositions (70% commits moving entries forward, 30% early
-// releases moving them back - the exact mutation mix the simulator feeds
-// AvailabilityIndex::update) is replayed against the index and timed. The
+// releases moving them back) is replayed against the index and timed. The
 // op list is generated up front from a side array, so the timed loop
-// contains nothing but update() calls and a running max/sum of the depth
-// each returns: the entries it shifted. Every update shifts at most two
-// bucket-local runs, so CI gates the max depth at 2 x 128 (the split
-// threshold) whatever N is; ns/update is reported for information.
+// contains nothing but update() calls - each a batch of one - and a
+// running max/sum of the depth each returns: the entries it shifted. A
+// bucket holds at most 128 entries, so a single update's compaction shifts
+// at most the 127 after its old position and its merge (or split) at most
+// the 128 behind its new one; CI gates the max depth at 256 whatever N is.
+// ns/update is reported for information.
 //
 // Part 2 - streamed replay, RTDLS_REPLAY_TASKS (1e6) tasks: a trace CSV
 // (about 30 MB at 1e6 rows) is *written row by row* to a temp file under

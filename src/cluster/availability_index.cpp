@@ -9,7 +9,7 @@
 namespace rtdls::cluster {
 
 static_assert(std::is_trivially_copyable_v<AvailabilityIndex::Entry>,
-              "update() repositions entries with memmove");
+              "update_batch() repositions entries with memmove");
 
 void AvailabilityIndex::reset(std::size_t nodes) {
   size_ = nodes;
@@ -57,76 +57,6 @@ std::size_t AvailabilityIndex::find_entry(const Entry& key, std::size_t& at) con
   return b;
 }
 
-std::size_t AvailabilityIndex::update(NodeId node, Time from, Time to) {
-  std::size_t at = 0;
-  const std::size_t bi = find_entry(Entry{from, node}, at);
-  if (bi == kNpos) {
-    throw std::logic_error("AvailabilityIndex::update: entry not found (index desync)");
-  }
-  std::vector<Entry>& src = slots_[order_[bi]];
-  const auto it = src.begin() + static_cast<std::ptrdiff_t>(at);
-  if (to == from) {
-    it->free_at = to;
-    return 0;
-  }
-
-  const Entry moved{to, node};
-  // In-bucket fast path: the moved entry stays between the surrounding
-  // buckets, so only a bucket-local shift is needed and the bucket geometry
-  // is untouched. Moving up that means staying below the next bucket's min;
-  // moving down, staying above the previous bucket's maximum (it may pass
-  // this bucket's min and become the new one). A single bucket has neither
-  // neighbor, so every move in it takes this path.
-  const bool below_next = bi + 1 == order_.size() || less(moved, mins_[bi + 1]);
-  const bool above_prev = bi == 0 || !less(moved, mins_[bi]) ||
-                          less(slots_[order_[bi - 1]].back(), moved);
-  if (below_next && above_prev) {
-    std::size_t depth = 0;
-    if (to > from) {
-      const auto dest = std::lower_bound(it + 1, src.end(), moved, less);
-      depth = static_cast<std::size_t>(dest - it - 1);
-      std::memmove(&*it, &*it + 1, depth * sizeof(Entry));
-      *(dest - 1) = moved;
-    } else {
-      const auto dest = std::lower_bound(src.begin(), it, moved, less);
-      depth = static_cast<std::size_t>(it - dest);
-      std::memmove(&*dest + 1, &*dest, depth * sizeof(Entry));
-      *dest = moved;
-    }
-    mins_[bi] = src.front();
-    // Entry counts per bucket are unchanged, so the prefix sums survive.
-    return depth;
-  }
-
-  // Cross-bucket move: erase here, reinsert at the ordered position.
-  const std::size_t erase_shift = static_cast<std::size_t>(src.end() - it) - 1;
-  std::memmove(&*it, &*it + 1, erase_shift * sizeof(Entry));
-  src.pop_back();
-  prefix_valid_ = false;
-  if (src.empty()) {
-    drop_bucket(bi);
-  } else {
-    mins_[bi] = src.front();
-    maybe_merge(bi);
-  }
-  return erase_shift + insert_bucket_entry(moved);
-}
-
-std::size_t AvailabilityIndex::insert_bucket_entry(const Entry& moved) {
-  std::size_t bj = locate_bucket(moved);
-  if (bj == kNpos) bj = 0;  // new global minimum: prepend into the first bucket
-  std::vector<Entry>& dst = slots_[order_[bj]];
-  const auto pos = std::lower_bound(dst.begin(), dst.end(), moved, less);
-  const std::size_t shift = static_cast<std::size_t>(dst.end() - pos);
-  dst.push_back(moved);  // grow, then shift the tail right into the new slot
-  std::memmove(&dst[dst.size() - 1 - shift] + 1, &dst[dst.size() - 1 - shift],
-               shift * sizeof(Entry));
-  dst[dst.size() - 1 - shift] = moved;
-  mins_[bj] = dst.front();
-  if (dst.size() > kMaxFanout) split_bucket(bj);
-  return shift;
-}
-
 std::uint32_t AvailabilityIndex::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
@@ -137,20 +67,9 @@ std::uint32_t AvailabilityIndex::acquire_slot() {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void AvailabilityIndex::split_bucket(std::size_t b) {
-  const std::uint32_t slot = acquire_slot();
-  std::vector<Entry>& lo = slots_[order_[b]];
-  std::vector<Entry>& hi = slots_[slot];
-  const std::size_t half = lo.size() / 2;
-  hi.assign(lo.begin() + static_cast<std::ptrdiff_t>(half), lo.end());
-  lo.resize(half);
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(b) + 1, slot);
-  mins_.insert(mins_.begin() + static_cast<std::ptrdiff_t>(b) + 1, hi.front());
-}
-
-std::size_t AvailabilityIndex::update_many(std::span<const NodeId> nodes,
-                                          std::span<const Time> from,
-                                          std::span<const Time> to) {
+std::size_t AvailabilityIndex::update_batch(std::span<const NodeId> nodes,
+                                           std::span<const Time> from,
+                                           std::span<const Time> to) {
   const std::size_t k = nodes.size();
   if (from.size() != k || to.size() != k) {
     throw std::invalid_argument("AvailabilityIndex::update_batch: column sizes differ");
@@ -223,9 +142,8 @@ std::size_t AvailabilityIndex::update_many(std::span<const NodeId> nodes,
   batch_touched_.clear();
 
   // 4. The directory: rebuilt once when a bucket emptied or overflows, else
-  //    only the touched minima change. Then the touched buckets that shrank
-  //    fold with a neighbor by update()'s own rule, last first so that the
-  //    positions still to visit stay put.
+  //    only the touched minima change. Then each touched bucket gets the
+  //    fold rule, last first so that the positions still to visit stay put.
   if (reshape) {
     shifted += rebuild_directory();
   } else {
@@ -265,7 +183,7 @@ void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
       batch_touched_.clear();
       throw std::logic_error(
           repeated ? "AvailabilityIndex::update_batch: node repeated"
-                   : "AvailabilityIndex::update: entry not found (index desync)");
+                   : "AvailabilityIndex::update_batch: entry not found (index desync)");
     }
     set_mark(key.node, true);
     const auto pos = static_cast<std::uint32_t>(at);
@@ -400,24 +318,22 @@ std::size_t AvailabilityIndex::split_merged(std::uint32_t slot, std::size_t begi
   return shifted;
 }
 
-void AvailabilityIndex::drop_bucket(std::size_t b) {
-  free_slots_.push_back(order_[b]);
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(b));
-  mins_.erase(mins_.begin() + static_cast<std::ptrdiff_t>(b));
-}
-
 void AvailabilityIndex::maybe_merge(std::size_t b) {
   if (slots_[order_[b]].size() >= kMinFanout || order_.size() < 2) return;
   // Merge right (so the directory erase stays a single shift); the last
-  // bucket merges left instead by retargeting the call. update_batch folds
-  // by this same rule.
+  // bucket merges left instead by retargeting the call.
   const std::size_t left = b + 1 < order_.size() ? b : b - 1;
   std::vector<Entry>& into = slots_[order_[left]];
   std::vector<Entry>& from = slots_[order_[left + 1]];
   if (into.size() + from.size() > kMergeMax) return;
   into.insert(into.end(), from.begin(), from.end());
   from.clear();
-  drop_bucket(left + 1);
+  // A batch whose buckets each kept their size left the prefix sums valid,
+  // but a neighbor that shrank since this bucket last tried may fit now.
+  prefix_valid_ = false;
+  free_slots_.push_back(order_[left + 1]);
+  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
+  mins_.erase(mins_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
 }
 
 void AvailabilityIndex::ensure_prefix() const {
@@ -444,17 +360,6 @@ std::size_t AvailabilityIndex::available_by(Time t) const {
       bucket.begin(), bucket.end(), t,
       [](Time value, const Entry& entry) { return value < entry.free_at; });
   return prefix_[b] + static_cast<std::size_t>(jt - bucket.begin());
-}
-
-Time AvailabilityIndex::kth_free_time(std::size_t k) const {
-  if (k >= size_) {
-    throw std::invalid_argument("AvailabilityIndex::kth_free_time: k out of range");
-  }
-  ensure_prefix();
-  // Bucket containing rank k: last prefix <= k.
-  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), k);
-  const std::size_t b = static_cast<std::size_t>(it - prefix_.begin()) - 1;
-  return slots_[order_[b]][k - prefix_[b]].free_at;
 }
 
 void AvailabilityIndex::availability_into(Time now, std::vector<Time>& out) const {
@@ -495,13 +400,22 @@ void AvailabilityIndex::availability_with_ids_into(Time now, std::vector<Time>& 
       ++rank;
     }
   }
-  // Read back and clear: O(N / 64 + floored).
+  take_marks(floored, floored, ids.data());
+}
+
+void AvailabilityIndex::take_marks(std::size_t marked, std::size_t take,
+                                   NodeId* out) const {
+  // Word by word in id order, each cleared as it is read, up to the word
+  // holding the last mark.
   std::size_t i = 0;
-  for (std::size_t w = 0; i < floored; ++w) {
+  for (std::size_t w = 0; i < marked; ++w) {
     std::uint64_t word = floored_marks_[w];
     floored_marks_[w] = 0;
-    for (; word != 0; word &= word - 1) {
-      ids[i++] = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+    for (; word != 0; word &= word - 1, ++i) {
+      if (i < take) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+        out[i] = static_cast<NodeId>(w * 64 + bit);
+      }
     }
   }
 }
@@ -512,33 +426,23 @@ void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,
     throw std::invalid_argument("AvailabilityIndex::earliest_free_nodes: n exceeds size");
   }
   const std::size_t floored = available_by(now);
-  const std::size_t take = std::min(n, floored);
-  out.resize(floored);
-  for (std::size_t b = 0, i = 0; b < order_.size() && i < floored; ++b) {
+  // The floored prefix all ties at `now`: its ids are marked and its n
+  // smallest read back. Past the floor the index order (free_at, then id)
+  // is the answer order, so those ids land at their rank.
+  out.resize(n);
+  const std::size_t end = std::max(n, floored);
+  std::size_t rank = 0;
+  for (std::size_t b = 0; rank < end; ++b) {
     const std::vector<Entry>& bucket = slots_[order_[b]];
-    for (std::size_t j = 0; j < bucket.size() && i < floored; ++j) {
-      out[i++] = bucket[j].node;
+    for (std::size_t j = 0; j < bucket.size() && rank < end; ++j, ++rank) {
+      if (rank < floored) {
+        set_mark(bucket[j].node, true);
+      } else {
+        out[rank] = bucket[j].node;
+      }
     }
   }
-  // All floored nodes tie at `now`, so only their n smallest ids are needed.
-  if (take < floored) {
-    std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take), out.end());
-  }
-  std::sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take));
-  out.resize(take);
-  // Past the floor the index order (free_at, then id) is the answer order.
-  if (out.size() >= n) return;
-  ensure_prefix();
-  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), floored);
-  std::size_t b = static_cast<std::size_t>(it - prefix_.begin()) - 1;
-  std::size_t i = floored;
-  for (; b < order_.size() && out.size() < n; ++b) {
-    const std::vector<Entry>& bucket = slots_[order_[b]];
-    for (std::size_t j = i - prefix_[b]; j < bucket.size() && out.size() < n; ++j) {
-      out.push_back(bucket[j].node);
-      ++i;
-    }
-  }
+  take_marks(floored, std::min(n, floored), out.data());
 }
 
 bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) const {

@@ -5,31 +5,30 @@
 // vector with a full sort is O(N log N) per plan and is the large-N
 // bottleneck named in ROADMAP. This index keeps the (free_at, node) pairs
 // permanently sorted and repositions only the entries a mutation changes -
-// one for a single-node update, k for a plan's batch of k nodes - so
+// k for a plan's batch of k nodes, one for a single-node update - so
 // snapshot reads degrade to an O(N) copy and rank queries to an O(log N)
 // binary search.
 //
 // The sorted sequence is cut into fixed-fanout buckets (a two-level B-tree,
 // effectively), each a small sorted vector, with a directory of per-bucket
-// minima for O(log #buckets) bucket location. update() is a bucket-local
-// memmove when the entry stays inside its bucket, and otherwise two
-// bucket-local memmoves of at most ~128 entries plus an O(#buckets)
-// directory shift when a bucket splits, merges or empties - O(log N +
-// fanout) per commit, where one contiguous sorted vector would memmove O(N)
-// entries (at N=10^5, ~1.6 MB from the front to the back). update_batch()
-// books k entries at once: it locates all k against the unchanged
-// directory, compacts each touched bucket once, merges the sorted new
-// entries into their destination buckets run by run, and fixes the
-// directory (drops, multi-way splits) in one rebuild only when a bucket
-// emptied or overflowed, then folds each touched bucket that shrank by
-// update()'s rule - O(k log #buckets + the sizes of the touched buckets),
-// plus O(#buckets) when the directory changes, as a single update pays.
-// Rank / order-statistic queries (available_by, kth_free_time) go through
-// a lazily rebuilt per-bucket prefix-sum (invalidated by update, rebuilt
-// O(#buckets) on the next query), so query trains between commits pay the
-// rebuild once. A cluster of at most 64 nodes is a single bucket, and every
-// single move in it takes the in-bucket path: the same shifts a single
-// sorted vector would make.
+// minima for O(log #buckets) bucket location. Every mutation is one
+// update_batch() (update() is a batch of one): it locates its k entries
+// against the unchanged directory, compacts each touched bucket once,
+// merges the sorted new entries into their destination buckets run by run,
+// and fixes the directory in one rebuild only when a bucket emptied or
+// overflowed - an overflowing bucket splits into ceil(size / 64) even
+// pieces - then folds each touched bucket that shrank below 16 into a
+// neighbor when the two fit in 96. That is O(k log #buckets + the sizes of
+// the touched buckets), plus O(#buckets) when the directory changes, where
+// one contiguous sorted vector would memmove O(N) entries per node (at
+// N=10^5, ~1.6 MB from the front to the back). A single update shifts at
+// most two buckets' worth: the compaction moves the at most 127 entries
+// after the old position, the merge (or split) the at most 128 behind the
+// new one.
+// Rank queries (available_by) go through a lazily rebuilt per-bucket
+// prefix-sum (invalidated when bucket sizes change, rebuilt O(#buckets) on
+// the next query), so query trains between commits pay the rebuild once. A
+// cluster of at most 64 nodes is a single bucket.
 //
 // The entries deliberately stay (free_at, node) without a cps column:
 // per-node speeds are constant, so the heterogeneous snapshot derives them
@@ -78,41 +77,30 @@ class AvailabilityIndex {
 
   std::size_t size() const { return size_; }
 
-  /// Repositions `node` after its release time changed from `from` to `to`.
-  /// `from` must be the node's currently indexed time (throws
-  /// std::logic_error otherwise - a desynced index is a bug, not a state).
-  /// Returns the reposition depth: how many entries the bucket-local
-  /// memmoves shifted to make room. The cluster feeds it to the
-  /// `rtdls_index_commit_depth` histogram.
-  RTDLS_HOT std::size_t update(NodeId node, Time from, Time to);
-
   /// Repositions k entries as one batch: nodes[i] moves from from[i] to
-  /// to[i]. The result is the index k update() calls would leave (its order
-  /// is the strict (free_at, node) order whatever the bucket boundaries
-  /// are); an entry with to[i] == from[i] ends where it started. Throws
+  /// to[i], from[i] being its currently indexed time. The result's order is
+  /// the strict (free_at, node) order whatever the bucket boundaries are;
+  /// an entry with to[i] == from[i] ends where it started. Throws
   /// std::invalid_argument when the columns differ in length and
-  /// std::logic_error when an entry is missing (desync) or a node repeats,
-  /// in both cases before anything changes. k == 1 is update(), called
-  /// straight from here. Returns the entries moved: those the bucket
-  /// compactions and merges shifted, the batch's counterpart of update()'s
-  /// depth. Allocates nothing once its scratch has grown to the largest
-  /// batch and directory seen.
+  /// std::logic_error when an entry is missing (desync - a bug, not a
+  /// state) or a node repeats, in both cases before anything changes.
+  /// Returns the reposition depth: the entries the bucket compactions and
+  /// merges shifted, which the cluster feeds to the
+  /// `rtdls_index_commit_depth` histogram. Allocates nothing once its
+  /// scratch has grown to the largest batch and directory seen.
   RTDLS_HOT std::size_t update_batch(std::span<const NodeId> nodes,
                                      std::span<const Time> from,
-                                     std::span<const Time> to) {
-    if (nodes.size() == 1 && from.size() == 1 && to.size() == 1) {
-      return update(nodes[0], from[0], to[0]);
-    }
-    return update_many(nodes, from, to);
+                                     std::span<const Time> to);
+
+  /// Repositions `node` after its release time changed from `from` to `to`:
+  /// a batch of one.
+  RTDLS_HOT std::size_t update(NodeId node, Time from, Time to) {
+    return update_batch({&node, 1}, {&from, 1}, {&to, 1});
   }
 
   /// Number of nodes with free_at <= t: the paper's AN(t) ("available
   /// nodes by t") quantity. O(log N).
   RTDLS_HOT std::size_t available_by(Time t) const;
-
-  /// k-th smallest release time (0-based): the instant k+1 nodes are
-  /// simultaneously available. k must be < size().
-  RTDLS_HOT Time kth_free_time(std::size_t k) const;
 
   /// Writes the sorted availability snapshot floored at `now` into `out`:
   /// bit-identical to sorting max(free_at, now) over all nodes, without the
@@ -134,9 +122,10 @@ class AvailabilityIndex {
 
   /// Ids of the `n` earliest-available nodes at `now`, ties broken by id:
   /// bit-identical to a stable sort of all ids by (max(free_at, now), id).
-  /// Nodes already free at `now` all tie, so the floored prefix is reduced
-  /// to its n smallest ids via a partial selection instead of a full sort.
-  /// n must not exceed size().
+  /// Nodes already free at `now` all tie, so the floored prefix's ids go
+  /// through the node-id bitset as in availability_with_ids_into and its n
+  /// smallest are read back; the rest follow in index order. n must not
+  /// exceed size().
   RTDLS_HOT void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
   /// Debug/tests: true iff the invariants hold against the authoritative
@@ -158,26 +147,17 @@ class AvailabilityIndex {
   /// Directory position of the bucket holding exactly `key`, with its
   /// in-bucket position in `at`; npos when the index has no such entry.
   RTDLS_HOT std::size_t find_entry(const Entry& key, std::size_t& at) const;
-  /// Rebuilds the per-bucket prefix-sum when an update invalidated it.
+  /// Rebuilds the per-bucket prefix-sum when a mutation invalidated it.
   RTDLS_HOT void ensure_prefix() const;
-  /// Splits the oversized bucket at directory position `b` in two.
-  RTDLS_HOT void split_bucket(std::size_t b);
-  /// Removes the (empty) bucket at directory position `b`.
-  RTDLS_HOT void drop_bucket(std::size_t b);
   /// Merges the undersized bucket at `b` into a neighbor when the combined
-  /// size stays below the split threshold: the one fold rule, which
-  /// update() applies to the bucket it shrank and update_batch to each.
+  /// size stays at most kMergeMax: the fold rule update_batch applies to
+  /// each touched bucket.
   RTDLS_HOT void maybe_merge(std::size_t b);
-  /// Inserts `moved` at its ordered position; returns entries shifted.
-  RTDLS_HOT std::size_t insert_bucket_entry(const Entry& moved);
   /// A bucket slot for a split piece: a recycled one, else a new one (which
   /// may move slots_, so take bucket references only after).
   RTDLS_HOT std::uint32_t acquire_slot();
 
-  /// update_batch for any k other than one.
-  RTDLS_HOT std::size_t update_many(std::span<const NodeId> nodes,
-                                    std::span<const Time> from, std::span<const Time> to);
-  /// update_many steps. Marks the batch's ids and finds each entry - the
+  /// update_batch steps. Marks the batch's ids and finds each entry - the
   /// one right after the previous key's entry, else by find_entry -
   /// tallying them per bucket; throws (desync, repeated node) with every
   /// mark and tally cleared, so nothing has changed.
@@ -192,6 +172,10 @@ class AvailabilityIndex {
                                    : floored_marks_[node / 64] & ~bit;
   }
   RTDLS_HOT void set_marks(std::span<const NodeId> nodes, bool on) const;
+  /// Writes the `take` smallest of the `marked` ids marked in
+  /// floored_marks_ to out[0, take) in ascending order and clears every
+  /// mark: O(N / 64 + marked) at most.
+  RTDLS_HOT void take_marks(std::size_t marked, std::size_t take, NodeId* out) const;
   /// Removes the marked entries from the bucket at directory position `b`,
   /// clearing their marks; returns the entries shifted.
   RTDLS_HOT std::size_t compact_bucket(std::size_t b);
@@ -211,9 +195,9 @@ class AvailabilityIndex {
                                      std::size_t end);
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-  /// Bucket geometry: reset() fills buckets to kTargetFanout; update()
-  /// splits past kMaxFanout (in two; update_batch into as many pieces of at
-  /// most kTargetFanout as it takes) and merges neighbors whose combined
+  /// Bucket geometry: reset() fills buckets to kTargetFanout; update_batch
+  /// splits a bucket that would pass kMaxFanout into as many even pieces of
+  /// at most kTargetFanout as it takes, and merges neighbors whose combined
   /// size is at most kMergeMax once one of them shrinks below kMinFanout.
   /// kMergeMax < kMaxFanout keeps split/merge from ping-ponging on one hot
   /// boundary.
@@ -230,7 +214,7 @@ class AvailabilityIndex {
   /// mirrors that bucket's first entry for directory binary searches.
   /// Emptied slots are recycled through `free_slots_` keeping their
   /// capacity. `prefix_[b]` = entries in buckets [0, b), rebuilt lazily
-  /// (mutable) because rank queries want it but updates would pay
+  /// (mutable) because rank queries want it but mutations would pay
   /// O(#buckets) each to keep it eager.
   std::vector<std::vector<Entry>> slots_;
   std::vector<std::uint32_t> order_;
@@ -240,8 +224,9 @@ class AvailabilityIndex {
   mutable bool prefix_valid_ = false;
 
   /// One bit per node id, all clear between calls (sized by reset(), so
-  /// nothing allocates): availability_with_ids_into marks the floored ids
-  /// in it, and update_batch the ids it moves.
+  /// nothing allocates): availability_with_ids_into and
+  /// earliest_free_nodes_into mark the floored ids in it, and update_batch
+  /// the ids it moves.
   mutable std::vector<std::uint64_t> floored_marks_;
 
   /// update_batch scratch, kept between calls, all O(k) except the

@@ -9,12 +9,12 @@ namespace rtdls::cluster {
 
 namespace {
 
-/// Reposition-depth distribution, one sample per index mutation (a single
-/// update, or a whole batch - a committed plan or an early-release
-/// batch): the entries it shifted. A single update shifts at most two
-/// buckets' worth whatever N is; a batch shifts at most its touched
-/// buckets. Recorded here - not inside the RTDLS_HOT index mutators -
-/// because histogram writes may grow a thread shard on first contact.
+/// Reposition-depth distribution, one sample per index mutation (a
+/// committed plan, an early-release batch or a restored node): the entries
+/// it shifted. A batch shifts at most its touched buckets' entries, so a
+/// single node at most two buckets' worth whatever N is. Recorded here -
+/// not inside the RTDLS_HOT index mutators - because histogram writes may
+/// grow a thread shard on first contact.
 obs::Histogram& commit_depth_histogram() {
   static obs::Histogram histogram =
       obs::Registry::global().histogram("rtdls_index_commit_depth");
@@ -56,12 +56,7 @@ void Cluster::earliest_free_nodes_into(Time now, std::size_t n,
 }
 
 void Cluster::commit(NodeId id, TaskId task, Time usable_from, Time start, Time end) {
-  Node& node = nodes_.at(id);
-  const Time before = node.free_at();
-  node.commit(task, usable_from, start, end);
-  const std::size_t depth = index_.update(id, before, node.free_at());
-  commit_depth_histogram().record(static_cast<double>(depth));
-  ++version_;
+  commit_batch({&id, 1}, task, {&usable_from, 1}, {&start, 1}, {&end, 1});
 }
 
 void Cluster::commit_batch(std::span<const NodeId> ids, TaskId task,

@@ -52,8 +52,8 @@ class Cluster {
   /// hot path). `n` must not exceed size().
   void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
-  /// Commits node `id` to `task` over [start, end); see Node::commit for
-  /// the `usable_from` IIT-accounting parameter.
+  /// Commits node `id` to `task` over [start, end): a commit_batch of one.
+  /// See Node::commit for the `usable_from` IIT-accounting parameter.
   void commit(NodeId id, TaskId task, Time usable_from, Time start, Time end);
 
   /// Commits a plan's nodes as one batch: node ids[i] to `task` over
@@ -82,7 +82,7 @@ class Cluster {
   Time total_idle_gap_time() const;
 
   /// The sorted free-time index backing the availability reads; exposed for
-  /// rank queries (AvailabilityIndex::available_by / kth_free_time) and the
+  /// rank queries (AvailabilityIndex::available_by) and the
   /// index-consistency tests.
   const AvailabilityIndex& index() const { return index_; }
 

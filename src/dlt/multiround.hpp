@@ -10,8 +10,9 @@
 // out explicitly so the completion estimate is exact by construction rather
 // than an upper bound.
 //
-// This is an EXTENSION beyond the paper's evaluated algorithms; see
-// bench/ablation_multiround for its measured effect.
+// This is an EXTENSION beyond the paper's evaluated algorithms; see the
+// `ablation_multiround` figure (`rtdls_cli figure --id ablation_multiround`)
+// for its measured effect.
 #pragma once
 
 #include <cstddef>

@@ -154,7 +154,6 @@ class AdmissionController {
   /// test() and throws std::logic_error unless the outcomes (acceptance,
   /// reason, blocking task, and every plan, bitwise) are identical.
   void set_cross_check(bool on) { cross_check_ = on; }
-  bool cross_check() const { return cross_check_; }
 
   /// Session availability-state footprint. `bytes` is what the delta stack,
   /// checkpoints, frontier row, and per-row front times actually hold

@@ -104,27 +104,6 @@ Time PlannerBatch::window_duration(double cms, double sigma, const std::vector<d
   return sigma * cms + (p / denom) * sigma * cps[m - 1];
 }
 
-void PlannerBatch::opr_mn_estimates(double cms, double sigma, const std::vector<Time>& free,
-                                    const std::vector<double>& cps, std::size_t count,
-                                    std::vector<Time>& out) {
-  if (count == 0 || count > free.size() || count > cps.size()) {
-    throw std::invalid_argument("opr_mn_estimates: need 1 <= count <= column size");
-  }
-  out.resize(count);
-  double p = 1.0;
-  double denom = 1.0;
-  {
-    const double exec = sigma * cms + (p / denom) * sigma * cps[0];
-    out[0] = free[0] + exec;
-  }
-  for (std::size_t n = 2; n <= count; ++n) {
-    p = p * (cps[n - 2] / (cms + cps[n - 1]));
-    denom += p;
-    const double exec = sigma * cms + (p / denom) * sigma * cps[n - 1];
-    out[n - 1] = free[n - 1] + exec;
-  }
-}
-
 void QueueScreen::build(double cms, const workload::Task* const* tasks, std::size_t count) {
   tx_floor_.resize(count);
   deadline_.resize(count);

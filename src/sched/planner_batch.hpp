@@ -18,8 +18,6 @@
 //    divide column, ratio column - that the compiler vectorizes, followed
 //    by the order-sensitive scalar scan. No partition struct, no
 //    per-candidate allocation.
-//  * Batch kernels (opr_mn_estimates): evaluate a whole batch of candidate
-//    prefixes in one forward pass (O(1) amortized per prefix).
 //  * QueueScreen: the admission controller's suffix re-plan loop screens a
 //    batch of queued tasks through precomputed (sigma*Cms, deadline)
 //    columns before paying for a full plan() call; see the exactness
@@ -89,15 +87,6 @@ class PlannerBatch {
   /// recurrence, allocation-free.
   RTDLS_HOT static Time window_duration(double cms, double sigma, const std::vector<double>& cps,
                               std::size_t m);
-
-  // --- batch interface ------------------------------------------------------
-
-  /// Estimates for ALL prefixes n = 1..count in one forward pass (each entry
-  /// bit-identical to the scalar per-prefix evaluation): out[n-1] =
-  /// free[n-1] + sigma*Cms + alpha_n*sigma*cps[n-1]. O(1) per prefix.
-  RTDLS_HOT static void opr_mn_estimates(double cms, double sigma, const std::vector<Time>& free,
-                               const std::vector<double>& cps, std::size_t count,
-                               std::vector<Time>& out);
 
  private:
   void sync_cursor(const std::vector<double>& cps, std::size_t n);

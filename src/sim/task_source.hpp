@@ -90,9 +90,6 @@ class StreamingTaskSource final : public TaskSource {
   /// bench/replay_storm).
   std::size_t peak_resident_tasks() const { return peak_resident_; }
 
-  /// Chunks currently held live (>= 1 while tasks are outstanding).
-  std::size_t live_chunks() const { return chunks_.size(); }
-
  private:
   struct Chunk {
     std::vector<workload::Task> tasks;

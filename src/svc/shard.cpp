@@ -1,6 +1,7 @@
 #include "svc/shard.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "sched/plan_io.hpp"
@@ -241,26 +242,53 @@ void AdmissionShard::snapshot_to(util::WireWriter& out) const {
 }
 
 void AdmissionShard::restore_from(util::WireReader& in) {
-  now_ = in.f64();
-  seq_ = in.u64();
-  admits_ = in.u64();
-  accepted_ = in.u64();
-  rejected_ = in.u64();
-  committed_ = in.u64();
-  cancelled_ = in.u64();
+  const cluster::Time now = in.f64();
+  if (!std::isfinite(now)) throw std::runtime_error("shard restore: clock is not finite");
+  const std::uint64_t seq = in.u64();
+  const std::uint64_t admits = in.u64();
+  const std::uint64_t accepted = in.u64();
+  const std::uint64_t rejected = in.u64();
+  const std::uint64_t committed = in.u64();
+  const std::uint64_t cancelled = in.u64();
 
   const std::uint32_t nodes = in.u32();
   if (nodes != cluster_.size()) {
     throw std::runtime_error("shard restore: snapshot has " + std::to_string(nodes) +
                              " nodes, shard has " + std::to_string(cluster_.size()));
   }
+  // Every node record is read and checked before any is applied: a NaN
+  // release time has no place in the sorted index, so it would desync the
+  // index part-way through the restore, or after it.
+  struct NodeRecord {
+    cluster::Time free_at = 0.0;
+    cluster::Time busy_time = 0.0;
+    cluster::Time idle_gap = 0.0;
+    std::uint64_t commitments = 0;
+  };
+  std::vector<NodeRecord> records(nodes);
+  const auto valid = [](cluster::Time t) { return std::isfinite(t) && t >= 0.0; };
   for (cluster::NodeId id = 0; id < nodes; ++id) {
-    const cluster::Time free_at = in.f64();
-    const cluster::Time busy_time = in.f64();
-    const cluster::Time idle_gap = in.f64();
-    const std::uint64_t commitments = in.u64();
-    cluster_.restore_node(id, free_at, busy_time, idle_gap,
-                          static_cast<std::size_t>(commitments));
+    NodeRecord& record = records[id];
+    record.free_at = in.f64();
+    record.busy_time = in.f64();
+    record.idle_gap = in.f64();
+    record.commitments = in.u64();
+    if (!valid(record.free_at) || !valid(record.busy_time) || !valid(record.idle_gap)) {
+      throw std::runtime_error("shard restore: node " + std::to_string(id) +
+                               " has a negative or non-finite time");
+    }
+  }
+  now_ = now;
+  seq_ = seq;
+  admits_ = admits;
+  accepted_ = accepted;
+  rejected_ = rejected;
+  committed_ = committed;
+  cancelled_ = cancelled;
+  for (cluster::NodeId id = 0; id < nodes; ++id) {
+    const NodeRecord& record = records[id];
+    cluster_.restore_node(id, record.free_at, record.busy_time, record.idle_gap,
+                          static_cast<std::size_t>(record.commitments));
   }
 
   const bool has_calendar = in.u8() != 0;

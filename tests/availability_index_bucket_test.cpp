@@ -4,12 +4,14 @@
 // times, the adversarial monotone-arrival pattern that would make one
 // sorted vector shift all N entries per update (with early releases that
 // cross whole buckets downwards, and plan-sized batches landing in one
-// bucket), desync detection, and the in-bucket fast path's depth.
+// bucket), desync detection, the depth a single update reports, and the
+// fold that follows a batch which kept every touched bucket's size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "batch_storm.hpp"
@@ -54,11 +56,6 @@ void expect_matches_reference(const AvailabilityIndex& index,
   if (!full) return;
 
   const std::size_t n = free_times.size();
-  // Unfloored ranks: the order at now = 0 (release times are never negative).
-  const std::vector<NodeId> unfloored = reference_order(free_times, 0.0);
-  for (std::size_t k : {std::size_t{0}, n / 3, n / 2, n - 1}) {
-    EXPECT_EQ(index.kth_free_time(k), free_times[unfloored[k]]) << "k=" << k;
-  }
   const std::vector<NodeId> order = reference_order(free_times, now);
   std::vector<Time> expected_times;
   for (const NodeId id : order) expected_times.push_back(std::max(free_times[id], now));
@@ -87,6 +84,18 @@ std::size_t batch_update(AvailabilityIndex& index, std::vector<Time>& free_times
   const std::size_t depth = index.update_batch(ids, from, to);
   for (std::size_t i = 0; i < ids.size(); ++i) free_times[ids[i]] = to[i];
   return depth;
+}
+
+/// Moves nodes [first, last) to base, base + 1, ... in one update_batch.
+void spread_nodes(AvailabilityIndex& index, std::vector<Time>& free_times, NodeId first,
+                  NodeId last, Time base) {
+  std::vector<NodeId> ids;
+  std::vector<Time> to;
+  for (NodeId id = first; id < last; ++id) {
+    ids.push_back(id);
+    to.push_back(base + static_cast<Time>(id - first));
+  }
+  batch_update(index, free_times, ids, to);
 }
 
 TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
@@ -149,8 +158,9 @@ TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
     } else if (action < 0.95) {
       now += std::floor(rng.next_double() * 30.0);
     } else {
-      // No-op reposition: to == from must leave the index untouched.
-      EXPECT_EQ(index.update(node, from, from), 0u);
+      // No-op reposition: to == from is compacted out and merged back; the
+      // reference check below confirms the index is unchanged.
+      index.update(node, from, from);
     }
     expect_matches_reference(index, free_times, now, /*full=*/step % 16 == 0);
   }
@@ -219,8 +229,9 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
     expect_matches_reference(index, free_times, horizon, /*full=*/step % 64 == 0);
   }
   EXPECT_GE(deep_releases, 30u);
-  // Erase shift + insert shift, each bucket-local: two fanout-bounded
-  // memmoves instead of ten thousand entries.
+  // A batch of one shifts at most the 127 entries after its old position
+  // (compaction) plus the 128 behind its new one (merge or split): two
+  // bucket-local moves instead of ten thousand entries.
   EXPECT_LE(max_depth, 256u);
   expect_matches_reference(index, free_times, horizon, /*full=*/true);
 }
@@ -291,7 +302,6 @@ TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
   index.update(2, 0.0, 10.0);
   EXPECT_EQ(index.available_by(0.0), 299u);
   EXPECT_THROW(index.update(2, 0.0, 20.0), std::logic_error);  // stale `from`
-  EXPECT_THROW(index.kth_free_time(300), std::invalid_argument);
 
   // A batch checks every entry before it changes anything: a stale `from`
   // in its last entry, an unknown node or a node named twice throws and
@@ -343,52 +353,77 @@ TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
   expect_matches_reference(small, small_times, 0.0, /*full=*/true);
 }
 
-TEST(AvailabilityIndexBucket, InBucketFastPathReportsLocalDepth) {
-  // Repositioning within one bucket must not disturb the geometry and must
-  // report the bucket-local shift, not a global one.
+TEST(AvailabilityIndexBucket, SingleUpdateDepthIsCompactionPlusMerge) {
+  // A single update is a batch of one: its depth is the entries its bucket
+  // compaction shifts (those after the old position) plus the entries its
+  // merge shifts (those kept after the new position in the destination
+  // bucket). The geometry stays whatever the batch leaves; the order is
+  // always the strict (free_at, node) one.
+  //
+  // 256 nodes, node i booked to i in one batch: the last bucket takes the
+  // 255 entries past node 0 and splits into pieces of 63, 64, 64 and 64,
+  // and the first, left with node 0 alone, folds into the first piece -
+  // four buckets of 64, node i at position i % 64 of bucket i / 64.
   AvailabilityIndex index;
   index.reset(256);
   std::vector<Time> free_times(256, 0.0);
-  // Spread entries so node i frees at i (one strictly increasing run).
-  for (NodeId id = 0; id < 256; ++id) {
-    index.update(id, 0.0, static_cast<Time>(id));
-    free_times[id] = static_cast<Time>(id);
-  }
+  spread_nodes(index, free_times, 0, 256, 0.0);
   ASSERT_TRUE(index.consistent_with(free_times));
-  // Node 10 moves from 10.0 to 12.5: two entries (11, 12) shift left.
-  EXPECT_EQ(index.update(10, 10.0, 12.5), 2u);
+  // Node 10 moves from 10.0 to 12.5 inside its bucket: the compaction
+  // shifts the 53 entries after it (nodes 11-63), the merge the 51 it lands
+  // before (nodes 13-63).
+  EXPECT_EQ(index.update(10, 10.0, 12.5), 53u + 51u);
   free_times[10] = 12.5;
-  ASSERT_TRUE(index.consistent_with(free_times));
+  expect_matches_reference(index, free_times, 0.0, /*full=*/true);
 
-  // An early release below its bucket's minimum stays in the bucket when it
-  // does not pass the previous bucket. One bucket of 16 (node i free at
-  // 1 + i): node 10 released to 0.5 becomes the new minimum by shifting the
-  // ten entries before it, not by an erase and a reinsert (5 + 15).
+  // One bucket of 16, node i free at 1 + i. Node 10 released to 0.5 frees
+  // the 5 entries after it and becomes the new minimum in front of the
+  // other 15.
   AvailabilityIndex single;
   single.reset(16);
-  std::vector<Time> single_times(16);
-  for (NodeId id = 0; id < 16; ++id) {
-    single.update(id, 0.0, 1.0 + static_cast<Time>(id));
-    single_times[id] = 1.0 + static_cast<Time>(id);
-  }
-  EXPECT_EQ(single.update(10, 11.0, 0.5), 10u);
+  std::vector<Time> single_times(16, 0.0);
+  spread_nodes(single, single_times, 0, 16, 1.0);
+  EXPECT_EQ(single.update(10, 11.0, 0.5), 5u + 15u);
   single_times[10] = 0.5;
-  ASSERT_TRUE(single.consistent_with(single_times));
+  expect_matches_reference(single, single_times, 0.0, /*full=*/true);
+  // A no-op (to == from) is compacted out and merged back where it was:
+  // node 3, fifth after the move above, costs the 11 entries after it
+  // twice and leaves the order as it was.
+  EXPECT_EQ(single.update(3, 4.0, 4.0), 11u + 11u);
+  expect_matches_reference(single, single_times, 0.0, /*full=*/true);
 
   // Two buckets of 64: nodes 0-63 stay free at 0, node i >= 64 frees at i.
-  // Node 70 released to 0.5 passes its bucket's minimum (64) but not the
-  // first bucket's maximum (node 63 at 0): six entries shift, and it becomes
-  // the second bucket's minimum.
+  // Node 70 released to 0.5 leaves the second bucket (57 entries after it
+  // shift down) and lands at the end of the first, past every entry at 0,
+  // which shifts nothing.
   AvailabilityIndex two;
   two.reset(128);
   std::vector<Time> two_times(128, 0.0);
-  for (NodeId id = 64; id < 128; ++id) {
-    two.update(id, 0.0, static_cast<Time>(id));
-    two_times[id] = static_cast<Time>(id);
-  }
-  EXPECT_EQ(two.update(70, 70.0, 0.5), 6u);
+  spread_nodes(two, two_times, 64, 128, 64.0);
+  EXPECT_EQ(two.update(70, 70.0, 0.5), 57u);
   two_times[70] = 0.5;
-  ASSERT_TRUE(two.consistent_with(two_times));
+  expect_matches_reference(two, two_times, 0.0, /*full=*/true);
+}
+
+TEST(AvailabilityIndexBucket, FoldAfterSizeKeepingBatchRefreshesRankSums) {
+  // A bucket below the fold threshold keeps its place while its neighbor is
+  // too large to take it; once the neighbor shrinks, the next batch that
+  // touches the small bucket folds the two, even when every touched bucket
+  // kept its size. The rank sums must not survive that fold.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    AvailabilityIndex index;
+    index.reset(256);
+    std::vector<Time> free_times(256, 0.0);
+    spread_nodes(index, free_times, 0, 256, 0.0);       // four buckets of 64, node i at i
+    spread_nodes(index, free_times, 192, 222, 64.5);    // 30 more in the second: 94
+    spread_nodes(index, free_times, 10, 64, 1000.0);    // the first shrinks to 10
+    spread_nodes(index, free_times, 64, 84, 2000.0);    // the second shrinks to 74
+    expect_matches_reference(index, free_times, 0.0, /*full=*/false);  // rank sums built
+    // Nodes 0 (and 1) move inside the first bucket: sizes stay, then it folds.
+    spread_nodes(index, free_times, 0, static_cast<NodeId>(k), 0.25);
+    expect_matches_reference(index, free_times, 150.0, /*full=*/true);
+  }
 }
 
 }  // namespace

@@ -82,8 +82,6 @@ TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
   cluster::Cluster c({.node_count = 8, .cms = 1.0, .cps = 100.0});
   ASSERT_TRUE(c.index_consistent());
   EXPECT_EQ(c.index().available_by(0.0), 8u);
-  EXPECT_EQ(c.index().kth_free_time(0), 0.0);
-  EXPECT_EQ(c.index().kth_free_time(7), 0.0);
   expect_index_matches_reference(c, 0.0);
 }
 
@@ -173,12 +171,12 @@ TEST(AvailabilityIndex, RankQueriesMatchTheSnapshot) {
   EXPECT_EQ(c.index().available_by(100.0), 1u);
   EXPECT_EQ(c.index().available_by(350.0), 3u);
   EXPECT_EQ(c.index().available_by(800.0), 8u);
-  // kth_free_time(k) is the snapshot's times[k] whenever now precedes
-  // every release (the instant k+1 nodes are simultaneously available).
+  // Whenever now precedes every release, times[k] of the snapshot is the
+  // instant k+1 nodes are simultaneously available.
   cluster::AvailabilityRow row;
   c.availability_into(0.0, row);
   for (std::size_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(c.index().kth_free_time(k), row.times[k]);
+    EXPECT_EQ(c.index().available_by(row.times[k]), k + 1);
   }
 }
 

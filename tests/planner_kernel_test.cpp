@@ -8,7 +8,7 @@
 // cross-check. Pillars:
 //  1. AlphaRecurrence vs the scalar recurrence across graded sizes
 //     n in {1e2, 1e3, 1e4, 1e5}, het and homogeneous columns.
-//  2. PlannerBatch walk/batch/window kernels vs their scalar references,
+//  2. PlannerBatch walk and window kernels vs their scalar references,
 //     full prefix sweeps at small n and sampled prefixes at large n.
 //  3. The OPR-MN-BF fixed-point fallback: an engineered (selection,
 //     duration) 2-cycle that the bounded iteration used to skip silently
@@ -215,28 +215,6 @@ TEST(PlannerBatch, DltWalkMatchesPartitionBuildAcrossGradedSizes) {
               << "n=" << n << " tied=" << tied << " prefix=" << prefix;
         }
       }
-    }
-  }
-}
-
-TEST(PlannerBatch, BatchEstimatesMatchPerPrefixScalarEvaluation) {
-  TestRng rng(61);
-  std::vector<Time> got;
-  std::vector<double> alpha;
-  for (const bool het : {true, false}) {
-    const std::size_t n = 2048;
-    const double cms = rng.uniform(0.2, 5.0);
-    const double sigma = rng.uniform(10.0, 4000.0);
-    const std::vector<double> cps = random_cps(rng, n, het);
-    const std::vector<Time> free_times = sorted_free_times(rng, n, 10000.0);
-
-    sched::het::PlannerBatch::opr_mn_estimates(cms, sigma, free_times, cps, n, got);
-    ASSERT_EQ(got.size(), n);
-    for (std::size_t prefix = 1; prefix <= n; ++prefix) {
-      dlt::general_het_alpha_into(cms, cps, prefix, alpha);
-      const double exec = sigma * cms + alpha.back() * sigma * cps[prefix - 1];
-      ASSERT_EQ(got[prefix - 1], free_times[prefix - 1] + exec)
-          << "het=" << het << " prefix=" << prefix;
     }
   }
 }

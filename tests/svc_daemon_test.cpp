@@ -9,8 +9,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,6 +140,41 @@ TEST(SvcShard, SnapshotRestoreBitIdentityAcrossAlgorithms) {
     expect_snapshot_restore_bit_identity(algorithm, /*heterogeneous=*/false);
     expect_snapshot_restore_bit_identity(algorithm, /*heterogeneous=*/true);
   }
+}
+
+TEST(SvcShard, RestoreRejectsNonFiniteNodeTimeBeforeChangingState) {
+  // A snapshot whose node record carries a NaN release time must fail with
+  // the typed restore error, whichever node it is, and leave the shard as
+  // it was: such a time cannot be placed in the sorted availability index.
+  ShardConfig config;
+  config.params.node_count = 16;
+  AdmissionShard source("EDF-DLT", config);
+  for (const TestOp& op : scripted_ops(20)) apply_op(source, op);
+  const std::vector<std::uint8_t> good = snapshot_bytes(source);
+  const std::vector<std::uint8_t> fresh =
+      snapshot_bytes(AdmissionShard("EDF-DLT", config));
+
+  // Clock and six counters (8 bytes each), the node count (4), then per
+  // node free_at, busy, idle (f64) and commitments (u64).
+  constexpr std::size_t kNodesAt = 7 * 8 + 4;
+  util::WireWriter nan_writer;
+  nan_writer.f64(std::numeric_limits<double>::quiet_NaN());
+  const std::vector<std::uint8_t> nan = nan_writer.take();
+  for (const std::size_t node : {std::size_t{0}, std::size_t{15}}) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    std::vector<std::uint8_t> bad = good;
+    std::copy(nan.begin(), nan.end(),
+              bad.begin() + static_cast<std::ptrdiff_t>(kNodesAt + node * 32));
+    AdmissionShard restored("EDF-DLT", config);
+    util::WireReader reader(bad);
+    EXPECT_THROW(restored.restore_from(reader), std::runtime_error);
+    EXPECT_EQ(fresh, snapshot_bytes(restored));
+  }
+  // The unpatched bytes still restore.
+  AdmissionShard restored("EDF-DLT", config);
+  util::WireReader reader(good);
+  restored.restore_from(reader);
+  EXPECT_EQ(good, snapshot_bytes(restored));
 }
 
 TEST(SvcShard, StatelessSessionsMatchIncremental) {
