@@ -1,11 +1,10 @@
 // Campaign walkthrough: build an experiment plan with the fluent builders,
 // serialize it to a spec file (the shippable artifact), parse it back, run
-// the cell queue with a progress callback — whole and as two merged shards
-// — and verify both give identical results.
+// the cell queue on a thread pool with a progress callback, run it again
+// serially, and verify both give identical results.
 //
-// This is the single-process version of the multi-machine workflow in the
-// README ("Campaign workflow"): each machine would run one shard of the
-// same spec file and `rtdls_cli campaign merge` folds the cell files.
+// `rtdls_cli campaign run --spec file` runs the same spec file from the
+// command line (README, "Campaign workflow").
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -66,34 +65,23 @@ int main() {
   exp::run_campaign(campaign, options, aggregate);
   const std::vector<exp::SweepResult> whole = aggregate.take();
 
-  // 4. The same queue as two shards streamed to cell files, then merged.
-  const std::string shard_dir =
-      (std::filesystem::temp_directory_path() / "rtdls_demo_shards").string();
-  std::filesystem::create_directories(shard_dir);
-  std::vector<std::string> cell_files;
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    const std::string cells = shard_dir + "/shard" + std::to_string(shard) + ".csv";
-    exp::CampaignOptions shard_options;
-    shard_options.pool = &pool;
-    shard_options.shard = exp::ShardSelection{shard, 2};
-    exp::CellCsvSink sink(cells);
-    exp::run_campaign(campaign, shard_options, sink);
-    cell_files.push_back(cells);
-  }
-  const std::vector<exp::SweepResult> merged = exp::merge_cell_files(campaign, cell_files);
+  // 4. The same queue serially: per-cell seeding makes the pool invisible.
+  exp::AggregateSink serial_sink(campaign);
+  exp::run_campaign(campaign, exp::CampaignOptions{}, serial_sink);
+  const std::vector<exp::SweepResult> serial = serial_sink.take();
 
   bool identical = true;
   for (std::size_t s = 0; s < whole.size(); ++s) {
     for (std::size_t a = 0; a < whole[s].curves.size(); ++a) {
       const auto& want = whole[s].curves[a].series(exp::SweepMetric::kRejectRatio).raw;
-      const auto& got = merged[s].curves[a].series(exp::SweepMetric::kRejectRatio).raw;
+      const auto& got = serial[s].curves[a].series(exp::SweepMetric::kRejectRatio).raw;
       if (want != got) identical = false;
     }
   }
-  std::printf("shard-and-merge vs whole run: %s\n",
+  std::printf("serial vs pooled run: %s\n",
               identical ? "bit-identical" : "MISMATCH (bug!)");
 
-  for (const exp::SweepResult& panel : merged) {
+  for (const exp::SweepResult& panel : whole) {
     std::fputs(exp::render_sweep(panel).c_str(), stdout);
   }
   return identical ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "cluster/calendar.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/fp.hpp"
@@ -12,7 +13,11 @@ NodeCalendar::NodeCalendar(std::size_t nodes) : busy_(nodes) {
 }
 
 void NodeCalendar::reserve(NodeId id, Time start, Time end) {
-  if (end < start) throw std::invalid_argument("NodeCalendar::reserve: end before start");
+  // `end < start` alone is false for NaN, and a NaN bound defeats both
+  // overlap checks below for every later reservation on the node.
+  if (!std::isfinite(start) || !std::isfinite(end) || end < start) {
+    throw std::invalid_argument("NodeCalendar::reserve: bounds must be finite with start <= end");
+  }
   auto& intervals = busy_.at(id);
   const auto insert_at = std::upper_bound(
       intervals.begin(), intervals.end(), start,

@@ -29,8 +29,9 @@ class NodeCalendar {
 
   std::size_t size() const { return busy_.size(); }
 
-  /// Reserves [start, end) on `id`. Throws std::logic_error on overlap with
-  /// an existing reservation (callers must plan against gaps first).
+  /// Reserves [start, end) on `id`. Throws std::invalid_argument unless both
+  /// bounds are finite and start <= end, and std::logic_error on overlap
+  /// with an existing reservation (callers must plan against gaps first).
   void reserve(NodeId id, Time start, Time end);
 
   /// True if [start, end) does not intersect any reservation on `id`.

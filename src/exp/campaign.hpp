@@ -1,23 +1,18 @@
 // Campaigns: any set of figures flattened into one deterministic cell-level
 // work queue (sweep x load x run x algorithm), executed on the shared
-// ThreadPool with shard selection and streamed through ResultSinks.
+// ThreadPool and streamed through a ResultSink.
 //
 // Cell identity is the backbone: every cell has a stable global index
 // (sweep-major, then (load * runs + run) * algorithms + algorithm, matching
-// the classic run_sweep cell order), results are pure functions of
+// the classic run_sweep cell order), and results are pure functions of
 // (spec, load, run, algorithm) with per-cell seeding identical to
-// run_sweep's, and shards stripe cells by index (cell i runs in shard
-// i % shard_count). A sharded run merged with merge_cell_files is therefore
-// bit-identical to the unsharded run, raw samples and final CSVs included.
+// run_sweep's. A pooled run is therefore bit-identical to a serial one at
+// any pool size, raw samples and final CSVs included.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <fstream>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,8 +22,7 @@
 namespace rtdls::exp {
 
 /// Position of one cell in a campaign's (sweep x load x run x algorithm)
-/// grid. `index` is the stable global cell index used for shard striping
-/// and for cell-file merging.
+/// grid. `index` is the stable global cell index.
 struct CellRef {
   std::size_t index = 0;
   std::size_t sweep = 0;      ///< flattened sweep position (figure order)
@@ -56,11 +50,6 @@ class Campaign {
   /// Panels of all figures, flattened in figure order.
   const std::vector<SweepSpec>& sweeps() const { return sweeps_; }
 
-  /// (figure, panel) position of flattened sweep `sweep`.
-  std::pair<std::size_t, std::size_t> panel_of(std::size_t sweep) const {
-    return panel_of_[sweep];
-  }
-
   /// Total cells across all sweeps.
   std::size_t cell_count() const { return offsets_.back(); }
 
@@ -73,104 +62,39 @@ class Campaign {
  private:
   std::vector<FigureSpec> figures_;
   std::vector<SweepSpec> sweeps_;
-  std::vector<std::pair<std::size_t, std::size_t>> panel_of_;
   std::vector<std::size_t> offsets_;  ///< per-sweep cell offsets + total
 };
 
 /// Receives completed cells. consume() may be called concurrently from
-/// worker threads; implementations synchronize internally. close() is
-/// called once after the last cell of a run.
+/// worker threads; implementations synchronize internally.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
   virtual void consume(const Campaign& campaign, const CellResult& cell) = 0;
-  virtual void close() {}
 };
 
-/// Stripe of the cell queue executed by one process: cells whose
-/// index % count == index_.
-struct ShardSelection {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  bool contains(std::size_t cell) const { return cell % count == index; }
-};
-
-/// Parses "i/m" (0-based shard i of m); throws std::invalid_argument.
-ShardSelection parse_shard(const std::string& text);
-
-/// One cell that kept failing after every retry. `attempts` counts every
-/// execution (1 + retries); `error` is the last exception's what().
+/// One cell whose simulation threw; `error` is the exception's what().
 struct FailedCell {
   std::size_t index = 0;
-  std::size_t attempts = 0;
   std::string error;
 };
 
 struct CampaignOptions {
-  ShardSelection shard;               ///< default: the whole queue
-  util::ThreadPool* pool = nullptr;   ///< null: sequential execution
-  /// Explicit cell-index work list overriding the shard striping (resume
-  /// mode runs exactly the missing cells). Not owned; must outlive the run.
-  const std::vector<std::size_t>* cells = nullptr;
-  /// Called after each completed cell with the number done so far and the
-  /// total cells in this shard. Serialized (never concurrent).
+  util::ThreadPool* pool = nullptr;  ///< null: sequential execution
+  /// Called after each cell with the number done so far and the total cell
+  /// count. Serialized (never concurrent).
   std::function<void(const CellRef&, std::size_t done, std::size_t total)> progress;
-  /// Flaky-fleet tolerance: a cell whose simulation throws is re-run up to
-  /// `retries` more times before giving up on it. Sink errors are never
-  /// retried (a cell must not reach the sink twice).
-  std::size_t retries = 0;
-  /// When non-null, cells that still fail after the retries are appended
-  /// here (ascending index) and the run continues; the caller resolves them
-  /// (e.g. `campaign resume` on a healthier machine). When null, the first
-  /// exhausted cell's exception propagates and aborts the run - the
-  /// historical fail-fast behavior.
+  /// When non-null, cells whose simulation throws are appended here
+  /// (ascending index) and the run continues. When null, the first failing
+  /// cell's exception propagates and aborts the run.
   std::vector<FailedCell>* failed = nullptr;
-  /// Per-cell wall-clock budget in seconds; 0 disables. An attempt that
-  /// exceeds it counts as a failed attempt and flows through the same
-  /// retries/`failed` path as a thrown simulation. The runaway simulation
-  /// itself cannot be interrupted - it keeps running on a helper thread
-  /// (which pins its trace and simulator alive) until it finishes;
-  /// join_timed_out_cells() collects such threads.
-  double cell_timeout_sec = 0.0;
-  /// Cooperative cancellation (the SIGINT/SIGTERM path): when the pointed-to
-  /// flag becomes true, cells not yet started are skipped. Skipped cells
-  /// were never run, so `campaign resume` completes the run; in-flight
-  /// cells finish normally and reach the sink, and close() always runs, so
-  /// a cancelled shard's cell file is valid and flushed.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Non-empty: truncate-rewrite a tiny CSV heartbeat sidecar at this path
-  /// after every completed cell (done/total/failed/last cell/elapsed), so a
-  /// fleet operator can poll shard health with `cat`. Deliberately a
-  /// SEPARATE file from the cell CSV: sharded and merged cell files must
-  /// stay byte-identical, and a per-shard progress row would break that.
-  std::string heartbeat_path;
 };
 
-/// The heartbeat sidecar writer behind CampaignOptions::heartbeat_path.
-/// beat() is advisory: an unwritable path is ignored, never a run failure.
-class HeartbeatFile {
- public:
-  explicit HeartbeatFile(std::string path);
-  void beat(std::size_t done, std::size_t total, std::size_t failed,
-            std::size_t last_cell);
-
- private:
-  std::string path_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Executes the campaign's cell queue (or one shard of it) and streams
-/// every completed cell into `sink`. Deterministic per cell regardless of
-/// pool size or sharding.
+/// Executes the campaign's cell queue and streams every completed cell into
+/// `sink`. Deterministic per cell regardless of pool size. A cell that
+/// violates Theorem 4 in a sweep with halt_on_theorem4 fails with a
+/// std::logic_error.
 void run_campaign(const Campaign& campaign, const CampaignOptions& options, ResultSink& sink);
-
-/// Joins the helper threads left behind by cells that hit
-/// CampaignOptions::cell_timeout_sec (their simulations keep running after
-/// the cell was declared failed). Tests call this between runs so leak
-/// checkers see every thread finish; threads still alive at process exit
-/// are detached instead (never std::terminate).
-void join_timed_out_cells();
 
 /// In-memory aggregation into SweepResults, reproducing run_sweep
 /// bit-for-bit: cells land in their raw[] slots, take() computes the
@@ -187,73 +111,5 @@ class AggregateSink : public ResultSink {
  private:
   std::vector<SweepResult> results_;
 };
-
-/// Streaming per-cell CSV sink for shard outputs: one row per cell,
-/// appended (and flushed) as cells complete, doubles written bit-exactly.
-/// Row order follows completion and is not deterministic; merging restores
-/// canonical order by cell index.
-class CellCsvSink : public ResultSink {
- public:
-  /// Opens `path` for writing; throws std::runtime_error on failure.
-  /// `append` reopens an existing cell file and adds rows after what it
-  /// already holds instead of truncating (resume mode; the caller is
-  /// responsible for having validated the existing content, e.g. via
-  /// missing_cells).
-  explicit CellCsvSink(const std::string& path, bool append = false);
-  void consume(const Campaign& campaign, const CellResult& cell) override;
-  void close() override;
-
-  /// The header row every cell file starts with.
-  static std::vector<std::string> header();
-
- private:
-  std::string path_;
-  std::ofstream file_;
-  std::mutex mutex_;
-};
-
-/// Fans one cell stream out to several sinks (e.g. aggregate and stream
-/// cells in the same run).
-class TeeSink : public ResultSink {
- public:
-  explicit TeeSink(std::vector<ResultSink*> sinks) : sinks_(std::move(sinks)) {}
-  void consume(const Campaign& campaign, const CellResult& cell) override {
-    for (ResultSink* sink : sinks_) sink->consume(campaign, cell);
-  }
-  void close() override {
-    for (ResultSink* sink : sinks_) sink->close();
-  }
-
- private:
-  std::vector<ResultSink*> sinks_;
-};
-
-/// Folds shard cell files back into per-sweep results. Every campaign cell
-/// must appear exactly once across `paths`; missing, duplicate, or
-/// mismatching cells (wrong sweep id / algorithm / load for their index)
-/// throw std::runtime_error. The returned results are bit-identical to an
-/// unsharded run (wall_seconds excepted, which is 0 for merged results).
-///
-/// `failed` (optional): cells the shards recorded as failed-after-retries
-/// (read_failed_cells over the shards' sidecar reports). Coverage errors
-/// then say which absent cells FAILED on a shard (with their last error)
-/// and which were never run at all - the two need different operator
-/// responses (rerun/debug vs finish the fleet).
-std::vector<SweepResult> merge_cell_files(const Campaign& campaign,
-                                          const std::vector<std::string>& paths,
-                                          const std::vector<FailedCell>* failed = nullptr);
-
-/// Writes/reads a failed-cells sidecar report (CSV: cell, attempts, error).
-/// Shards with --retries write one next to their cell file; merge reads
-/// them to tell failed cells from never-run cells.
-void write_failed_cells(const std::string& path, const std::vector<FailedCell>& failed);
-std::vector<FailedCell> read_failed_cells(const std::string& path);
-
-/// Diffs existing cell files against the plan: the global indices of every
-/// cell the files do NOT cover, ascending. Rows are validated exactly like
-/// merge_cell_files (duplicates and cross-plan cells throw); only coverage
-/// may be partial. `campaign resume` re-runs exactly this list.
-std::vector<std::size_t> missing_cells(const Campaign& campaign,
-                                       const std::vector<std::string>& paths);
 
 }  // namespace rtdls::exp

@@ -33,8 +33,8 @@ struct FigureResult {
 };
 
 /// Evaluates the per-panel winner expectations against already-executed
-/// panel results - shared by run_figure and the campaign CLI, so merged
-/// shard results get the same PASS/WARN verdicts.
+/// panel results - shared by run_figure and the campaign CLI, so a
+/// multi-figure campaign gets the same PASS/WARN verdicts as one figure.
 std::vector<ShapeCheck> evaluate_checks(const std::vector<SweepResult>& panels);
 
 /// Runs all panels and evaluates the winner expectation per panel.

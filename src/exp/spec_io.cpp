@@ -1,5 +1,6 @@
 #include "exp/spec_io.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,7 +49,10 @@ void write_sweep(std::ostream& out, const SweepSpec& spec) {
 
 double parse_double_or_fail(std::size_t line, const std::string& key, std::string_view value) {
   double out = 0.0;
-  if (!util::parse_double(value, out)) fail(line, key + ": bad number '" + std::string(value) + "'");
+  // parse_double accepts "inf" and "nan"; no spec value may be either.
+  if (!util::parse_double(value, out) || !std::isfinite(out)) {
+    fail(line, key + ": bad number '" + std::string(value) + "'");
+  }
   return out;
 }
 

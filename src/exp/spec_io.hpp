@@ -1,6 +1,7 @@
 // Text serialization of experiment plans: SweepSpec / FigureSpec round-trip
 // through a key=value spec-file format, so campaigns are data that can be
-// versioned, diffed and shipped to shard machines instead of hard-coded C++.
+// versioned, diffed and run with `rtdls_cli campaign run --spec` instead of
+// hard-coded C++.
 //
 // Format: '#' comments, blank lines ignored, `[figure]` / `[sweep]` section
 // headers, `key = value` lines. A `[sweep]` section belongs to the most

@@ -242,6 +242,8 @@ void AdmissionShard::snapshot_to(util::WireWriter& out) const {
 }
 
 void AdmissionShard::restore_from(util::WireReader& in) {
+  // Every section is read and checked into locals before any is applied, so
+  // a snapshot that fails part-way leaves the shard as it was.
   const cluster::Time now = in.f64();
   if (!std::isfinite(now)) throw std::runtime_error("shard restore: clock is not finite");
   const std::uint64_t seq = in.u64();
@@ -256,9 +258,8 @@ void AdmissionShard::restore_from(util::WireReader& in) {
     throw std::runtime_error("shard restore: snapshot has " + std::to_string(nodes) +
                              " nodes, shard has " + std::to_string(cluster_.size()));
   }
-  // Every node record is read and checked before any is applied: a NaN
-  // release time has no place in the sorted index, so it would desync the
-  // index part-way through the restore, or after it.
+  // A NaN release time has no place in the sorted index: it would desync
+  // the index part-way through the restore, or after it.
   struct NodeRecord {
     cluster::Time free_at = 0.0;
     cluster::Time busy_time = 0.0;
@@ -278,6 +279,48 @@ void AdmissionShard::restore_from(util::WireReader& in) {
                                " has a negative or non-finite time");
     }
   }
+
+  const bool has_calendar = in.u8() != 0;
+  if (has_calendar != static_cast<bool>(calendar_)) {
+    throw std::runtime_error("shard restore: calendar presence mismatch");
+  }
+  std::unique_ptr<cluster::NodeCalendar> calendar;
+  if (calendar_) {
+    calendar = std::make_unique<cluster::NodeCalendar>(calendar_->size());
+    for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
+      const std::uint32_t count = in.u32();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const cluster::Time start = in.f64();
+        const cluster::Time end = in.f64();
+        try {
+          calendar->reserve(id, start, end);
+        } catch (const std::logic_error& error) {  // non-finite, reversed or overlapping
+          throw std::runtime_error("shard restore: node " + std::to_string(id) +
+                                   " calendar: " + error.what());
+        }
+      }
+    }
+  }
+
+  std::unordered_map<cluster::TaskId, std::unique_ptr<workload::Task>> tasks;
+  std::vector<WaitingEntry> waiting;
+  const std::uint32_t count = in.u32();
+  waiting.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto task = std::make_unique<workload::Task>(sched::read_task(in));
+    WaitingEntry entry;
+    entry.plan = sched::read_plan(in);
+    entry.commit_at = in.f64();
+    if (entry.plan.task != task->id) {
+      throw std::runtime_error("shard restore: plan/task id mismatch");
+    }
+    entry.task = task.get();
+    if (!tasks.emplace(task->id, std::move(task)).second) {
+      throw std::runtime_error("shard restore: duplicate waiting task id");
+    }
+    waiting.push_back(std::move(entry));
+  }
+
   now_ = now;
   seq_ = seq;
   admits_ = admits;
@@ -290,41 +333,9 @@ void AdmissionShard::restore_from(util::WireReader& in) {
     cluster_.restore_node(id, record.free_at, record.busy_time, record.idle_gap,
                           static_cast<std::size_t>(record.commitments));
   }
-
-  const bool has_calendar = in.u8() != 0;
-  if (has_calendar != static_cast<bool>(calendar_)) {
-    throw std::runtime_error("shard restore: calendar presence mismatch");
-  }
-  if (calendar_) {
-    calendar_->clear();
-    for (cluster::NodeId id = 0; id < calendar_->size(); ++id) {
-      const std::uint32_t count = in.u32();
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const cluster::Time start = in.f64();
-        const cluster::Time end = in.f64();
-        calendar_->reserve(id, start, end);  // throws on overlap: corrupt snapshot
-      }
-    }
-  }
-
-  tasks_.clear();
-  waiting_.clear();
-  const std::uint32_t count = in.u32();
-  waiting_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto task = std::make_unique<workload::Task>(sched::read_task(in));
-    WaitingEntry entry;
-    entry.plan = sched::read_plan(in);
-    entry.commit_at = in.f64();
-    if (entry.plan.task != task->id) {
-      throw std::runtime_error("shard restore: plan/task id mismatch");
-    }
-    entry.task = task.get();
-    if (!tasks_.emplace(task->id, std::move(task)).second) {
-      throw std::runtime_error("shard restore: duplicate waiting task id");
-    }
-    waiting_.push_back(std::move(entry));
-  }
+  if (calendar_) *calendar_ = std::move(*calendar);
+  tasks_ = std::move(tasks);
+  waiting_ = std::move(waiting);
   // The warm session rebuilds on the first admit - bit-identical outcomes by
   // the admission contract (the cache only ever derives from these inputs).
   controller_.invalidate();

@@ -100,7 +100,7 @@ class AdmissionShard {
 
   /// Inverse of snapshot_to, onto a freshly constructed shard with the same
   /// algorithm and params. Throws util::WireError / std::runtime_error on
-  /// malformed or inconsistent input.
+  /// malformed or inconsistent input, leaving the shard unchanged.
   void restore_from(util::WireReader& in);
 
   /// The op log (empty unless ShardConfig::record_ops).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/strings.hpp"
 
@@ -74,26 +75,34 @@ std::optional<std::string> CliParser::get(const std::string& name) const {
   return std::nullopt;
 }
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& raw,
+                            const char* expected) {
+  throw std::invalid_argument("option --" + name + ": expected " + expected + ", got '" +
+                              raw + "'");
+}
+
+}  // namespace
+
 double CliParser::get_double(const std::string& name, double fallback) const {
   const auto raw = get(name);
   if (!raw) return fallback;
-  double value = fallback;
-  return parse_double(*raw, value) ? value : fallback;
+  double value = 0.0;
+  if (!parse_double(*raw, value)) bad_value(name, *raw, "a number");
+  return value;
 }
 
 long long CliParser::get_int(const std::string& name, long long fallback) const {
-  const auto raw = get(name);
-  if (!raw) return fallback;
-  unsigned long long value = 0;
-  if (!parse_u64(*raw, value)) return fallback;
-  return static_cast<long long>(value);
+  return static_cast<long long>(get_uint64(name, static_cast<std::uint64_t>(fallback)));
 }
 
 std::uint64_t CliParser::get_uint64(const std::string& name, std::uint64_t fallback) const {
   const auto raw = get(name);
   if (!raw) return fallback;
   unsigned long long value = 0;
-  return parse_u64(*raw, value) ? static_cast<std::uint64_t>(value) : fallback;
+  if (!parse_u64(*raw, value)) bad_value(name, *raw, "a non-negative integer");
+  return static_cast<std::uint64_t>(value);
 }
 
 bool CliParser::get_flag(const std::string& name) const {

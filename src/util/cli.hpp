@@ -1,8 +1,9 @@
 // Tiny declarative command-line parser used by the example applications.
 //
 // Supports `--name value`, `--name=value` and boolean `--flag` options plus
-// positional arguments. Unknown options are reported as errors so typos in
-// experiment sweeps fail loudly rather than silently using defaults.
+// positional arguments. Unknown options and malformed numbers are reported
+// as errors so typos in experiment sweeps fail loudly rather than silently
+// using defaults.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,9 @@ class CliParser {
   /// Value of an option (default if not given on the command line).
   std::optional<std::string> get(const std::string& name) const;
 
-  /// Numeric accessors with fallbacks.
+  /// Numeric accessors: `fallback` when the option is unset and has no
+  /// default; std::invalid_argument naming the option and its text when
+  /// the value does not parse.
   double get_double(const std::string& name, double fallback) const;
   long long get_int(const std::string& name, long long fallback) const;
   /// Full-width unsigned accessor: 64-bit values (RNG seeds) survive the

@@ -1,9 +1,5 @@
 #include "util/csv.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
 #include "util/strings.hpp"
 
 namespace rtdls::util {
@@ -104,14 +100,6 @@ std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
     end_row();
   }
   return rows;
-}
-
-std::vector<std::vector<std::string>> parse_csv_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("parse_csv_file: cannot open " + path);
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_csv(text.str());
 }
 
 }  // namespace rtdls::util

@@ -35,11 +35,8 @@ class CsvWriter {
 };
 
 /// Parses CSV text into rows of fields. Handles quoted fields with embedded
-/// commas/quotes/newlines. Intended for reading back files we wrote.
+/// commas/quotes/newlines. Intended for reading back files we wrote, such
+/// as workload traces.
 std::vector<std::vector<std::string>> parse_csv(const std::string& text);
-
-/// Reads and parses a CSV file; throws std::runtime_error if it cannot be
-/// opened. Used by the campaign shard-merge tooling.
-std::vector<std::vector<std::string>> parse_csv_file(const std::string& path);
 
 }  // namespace rtdls::util

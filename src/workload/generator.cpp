@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "dlt/homogeneous.hpp"
@@ -29,8 +30,11 @@ double WorkloadParams::mean_interarrival() const {
 }
 
 bool WorkloadParams::valid() const {
-  return cluster.valid() && system_load > 0.0 && avg_sigma > 0.0 && dc_ratio > 0.0 &&
-         total_time > 0.0;
+  // Finite as well as positive: an infinite horizon or load never ends
+  // generation (at infinite load the mean interarrival gap is 0).
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  return cluster.valid() && positive(system_load) && positive(avg_sigma) &&
+         positive(dc_ratio) && positive(total_time);
 }
 
 Task generate_task(const WorkloadParams& params, Xoshiro256StarStar& rng,

@@ -38,6 +38,7 @@ struct WorkloadParams {
   /// Mean interarrival time 1/lambda = E(Avgsigma, N) / SystemLoad.
   double mean_interarrival() const;
 
+  /// Valid cluster; finite, positive load, sigma, DCRatio and horizon.
   bool valid() const;
 };
 

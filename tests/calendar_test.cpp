@@ -47,6 +47,25 @@ TEST(Calendar, OverlapThrows) {
   EXPECT_THROW(calendar.reserve(0, 20.0, 10.0), std::invalid_argument);
 }
 
+TEST(Calendar, NonFiniteBoundsAreRejected) {
+  // `end < start` is false for NaN; a NaN interval that got booked would
+  // defeat the overlap checks of every later reservation on the node.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  NodeCalendar calendar(1);
+  calendar.reserve(0, 0.0, 10.0);
+  EXPECT_THROW(calendar.reserve(0, 0.0, nan), std::invalid_argument);
+  EXPECT_THROW(calendar.reserve(0, nan, nan), std::invalid_argument);
+  EXPECT_THROW(calendar.reserve(0, nan, 30.0), std::invalid_argument);
+  EXPECT_THROW(calendar.reserve(0, 20.0, inf), std::invalid_argument);
+  EXPECT_THROW(calendar.reserve(0, -inf, 0.0), std::invalid_argument);
+  // Nothing was booked, and the node's interval still refuses overlaps.
+  ASSERT_EQ(calendar.busy(0).size(), 1u);
+  EXPECT_THROW(calendar.reserve(0, 5.0, 6.0), std::logic_error);
+  calendar.reserve(0, 10.0, 20.0);
+  EXPECT_EQ(calendar.busy(0).size(), 2u);
+}
+
 TEST(Calendar, OutOfOrderInsertionStaysSorted) {
   NodeCalendar calendar(1);
   calendar.reserve(0, 50.0, 60.0);

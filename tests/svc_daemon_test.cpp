@@ -177,6 +177,68 @@ TEST(SvcShard, RestoreRejectsNonFiniteNodeTimeBeforeChangingState) {
   EXPECT_EQ(good, snapshot_bytes(restored));
 }
 
+std::vector<std::uint8_t> status_bytes(const AdmissionShard& shard) {
+  ShardStatus status;
+  shard.fill_status(status);
+  util::WireWriter writer;
+  status.encode(writer);
+  return writer.take();
+}
+
+TEST(SvcShard, RestoreRejectsNanCalendarIntervalBeforeChangingState) {
+  // A calendar interval with a NaN bound passes a bare `end < start` check,
+  // and once booked it lets later reservations overlap. Restore must refuse
+  // it with the typed restore error and leave the shard as it was.
+  ShardConfig config;
+  config.params.node_count = 8;
+  AdmissionShard source("EDF-OPR-MN-BF", config);
+  for (const TestOp& op : scripted_ops(20)) apply_op(source, op);
+  const std::vector<std::uint8_t> good = snapshot_bytes(source);
+
+  // Walk to the first booked interval: clock and six counters, the node
+  // count, 32 bytes per node record, the calendar flag, then per node a
+  // u32 interval count and (start, end) f64 pairs.
+  util::WireReader walk(good);
+  for (int i = 0; i < 7; ++i) walk.u64();
+  const std::uint32_t nodes = walk.u32();
+  for (std::uint32_t i = 0; i < nodes * 4; ++i) walk.u64();
+  ASSERT_EQ(walk.u8(), 1u);
+  std::size_t end_at = 0;
+  for (std::uint32_t node = 0; node < nodes && end_at == 0; ++node) {
+    const std::uint32_t count = walk.u32();
+    if (count != 0) end_at = good.size() - walk.remaining() + 8;
+    for (std::uint32_t i = 0; i < 2 * count; ++i) walk.f64();
+  }
+  ASSERT_NE(end_at, 0u) << "the script booked no calendar interval";
+
+  util::WireWriter nan_writer;
+  nan_writer.f64(std::numeric_limits<double>::quiet_NaN());
+  const std::vector<std::uint8_t> nan = nan_writer.take();
+  std::vector<std::uint8_t> bad = good;
+  std::copy(nan.begin(), nan.end(), bad.begin() + static_cast<std::ptrdiff_t>(end_at));
+
+  // The target has state of its own, so "unchanged" is not just "fresh".
+  AdmissionShard restored("EDF-OPR-MN-BF", config);
+  for (const TestOp& op : scripted_ops(6)) apply_op(restored, op);
+  const std::vector<std::uint8_t> snapshot_before = snapshot_bytes(restored);
+  const std::vector<std::uint8_t> status_before = status_bytes(restored);
+  util::WireReader reader(bad);
+  try {
+    restored.restore_from(reader);
+    ADD_FAILURE() << "restore accepted a NaN calendar interval";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("shard restore"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(snapshot_before, snapshot_bytes(restored));
+  EXPECT_EQ(status_before, status_bytes(restored));
+
+  // The unpatched bytes still restore.
+  util::WireReader good_reader(good);
+  restored.restore_from(good_reader);
+  EXPECT_EQ(good, snapshot_bytes(restored));
+}
+
 TEST(SvcShard, StatelessSessionsMatchIncremental) {
   // The warm session is a pure cache: the same op script through
   // incremental and stateless shards must produce identical outcomes.

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
@@ -173,25 +173,6 @@ TEST(Csv, ParseMissingTrailingNewline) {
   ASSERT_EQ(rows[0].size(), 2u);
 }
 
-TEST(Csv, ParseCsvFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rtdls_util_csv_test.csv").string();
-  {
-    std::ofstream file(path);
-    CsvWriter writer(file);
-    writer.write_row({"h1", "h2"});
-    writer.write_numeric_row({0.25, 1e-9});
-  }
-  const auto rows = parse_csv_file(path);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0], "h1");
-  double v = 0.0;
-  ASSERT_TRUE(parse_double(rows[1][1], v));
-  EXPECT_EQ(v, 1e-9);
-  std::filesystem::remove(path);
-  EXPECT_THROW(parse_csv_file(path), std::runtime_error);
-}
-
 // --- cli ---------------------------------------------------------------------
 
 CliParser make_parser() {
@@ -259,6 +240,46 @@ TEST(Cli, GetUint64KeepsFullWidth) {
   EXPECT_EQ(cli.get_uint64("seed", 0), 42u);
   cli.add_option({"other", "no default", "", false});
   EXPECT_EQ(cli.get_uint64("other", 7), 7u);
+}
+
+/// The invalid_argument text `call` throws; empty when it does not throw.
+template <typename Call>
+std::string invalid_argument_text(Call call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheOption) {
+  // A typo must not silently become the default (`--nodes 1O24` used to run
+  // 16 nodes).
+  CliParser cli;
+  cli.add_option({"nodes", "cluster size", "16", false});
+  cli.add_option({"load", "system load", "0.5", false});
+  cli.add_option({"seed", "RNG seed", "42", false});
+  const char* argv[] = {"prog", "--nodes", "1O24", "--load", "0.9x", "--seed", "-1"};
+  ASSERT_TRUE(cli.parse(7, argv));
+  const std::string nodes = invalid_argument_text([&] { cli.get_int("nodes", 16); });
+  EXPECT_NE(nodes.find("--nodes"), std::string::npos) << nodes;
+  EXPECT_NE(nodes.find("1O24"), std::string::npos) << nodes;
+  const std::string load = invalid_argument_text([&] { cli.get_double("load", 0.5); });
+  EXPECT_NE(load.find("--load"), std::string::npos) << load;
+  EXPECT_NE(load.find("0.9x"), std::string::npos) << load;
+  const std::string seed = invalid_argument_text([&] { cli.get_uint64("seed", 42); });
+  EXPECT_NE(seed.find("--seed"), std::string::npos) << seed;
+  EXPECT_NE(seed.find("-1"), std::string::npos) << seed;
+
+  // Options left unset keep their defaults, or the fallback without one.
+  const char* defaults[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, defaults));
+  EXPECT_EQ(cli.get_int("nodes", 0), 16);
+  EXPECT_DOUBLE_EQ(cli.get_double("load", 0.0), 0.5);
+  EXPECT_EQ(cli.get_uint64("seed", 0), 42u);
+  cli.add_option({"other", "no default", "", false});
+  EXPECT_EQ(cli.get_int("other", -3), -3);
 }
 
 TEST(Cli, UsageMentionsOptions) {

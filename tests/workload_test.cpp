@@ -1,6 +1,7 @@
 // Tests for the workload generator (Section 5 model) and trace persistence.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "dlt/homogeneous.hpp"
@@ -43,6 +44,28 @@ TEST(WorkloadParams, InvalidDetection) {
   params.total_time = 0.0;
   EXPECT_FALSE(params.valid());
   EXPECT_THROW(generate_workload(params), std::invalid_argument);
+}
+
+TEST(WorkloadParams, NonFiniteParamsAreInvalid) {
+  // An infinite horizon is never reached, and at infinite load the mean
+  // interarrival gap is 0: either would generate until memory runs out.
+  // ASSERT_FALSE guards each generation call: should valid() ever accept
+  // these parameters again, the test stops before generating.
+  const double inf = std::numeric_limits<double>::infinity();
+  WorkloadParams params = baseline_params();
+  params.total_time = inf;
+  ASSERT_FALSE(params.valid());
+  EXPECT_THROW(generate_workload(params), std::invalid_argument);
+  params = baseline_params();
+  params.system_load = inf;
+  ASSERT_FALSE(params.valid());
+  EXPECT_THROW(generate_workload(params), std::invalid_argument);
+  params = baseline_params();
+  params.avg_sigma = inf;
+  EXPECT_FALSE(params.valid());
+  params = baseline_params();
+  params.dc_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(params.valid());
 }
 
 TEST(Generator, ArrivalsSortedWithinHorizonAndIdsSequential) {

@@ -5,18 +5,16 @@
 //   rtdls_cli simulate --trace trace.csv --algorithm EDF-DLT [...]
 //   rtdls_cli sweep --algorithms EDF-OPR-MN,EDF-DLT [...]    load sweep
 //   rtdls_cli figure --id fig03 [...]          reproduce one paper figure
-//   rtdls_cli campaign <list|run|shard|resume|merge>  multi-figure experiment plans
+//   rtdls_cli campaign <list|run>              multi-figure experiment plans
 //   rtdls_cli daemon --socket /tmp/rtdlsd.sock ...   admission-control daemon
 //   rtdls_cli admit|commit|cancel|status|snapshot|shutdown --socket ...
 //                                              client requests against a daemon
 //
 // A campaign is any set of figures flattened into one deterministic
-// cell-level work queue. One machine runs it whole (`campaign run
-// --figures all`); a fleet stripes it (`campaign shard --shard i/m --cells
-// shard_i.csv` per machine, then `campaign merge --cells
-// shard_0.csv,...`) and the merged CSVs are byte-identical to the
-// single-process run. Plans come from the built-in figure inventory
-// (--figures) or from declarative spec files (--spec, see exp/spec_io.hpp).
+// cell-level work queue, run on one machine's thread pool (`campaign run
+// --figures all`); its CSVs are byte-identical at any --jobs. Plans come
+// from the built-in figure inventory (--figures) or from declarative spec
+// files (--spec, see exp/spec_io.hpp).
 //
 // Run any subcommand with --help for its options.
 #include <atomic>
@@ -143,9 +141,8 @@ int write_trace(const std::string& path) {
 
 // --- signals ----------------------------------------------------------------
 
-/// SIGINT/SIGTERM land here. Campaign runs poll it as the cooperative cancel
-/// flag (skipped cells stay resumable, sinks flush); the daemon loop treats
-/// it exactly like a shutdown request (final snapshot included). A lock-free
+/// SIGINT/SIGTERM land here while the daemon runs; its loop treats them
+/// exactly like a shutdown request (final snapshot included). A lock-free
 /// atomic store is all the handler does, keeping it async-signal-safe.
 std::atomic<bool> g_interrupted{false};
 
@@ -372,8 +369,7 @@ exp::Campaign campaign_from_cli(const util::CliParser& cli, const exp::Scale& sc
 }
 
 /// Renders results figure by figure, writes the final CSV/gnuplot files,
-/// prints the shape checks. Shared by `campaign run` and `campaign merge`,
-/// so a merged fleet run is reported exactly like a single-process one.
+/// prints the shape checks.
 int report_campaign(const exp::Campaign& campaign, const std::vector<exp::SweepResult>& results,
                     const std::string& dir, bool quiet) {
   int failures = 0;
@@ -401,105 +397,6 @@ int report_campaign(const exp::Campaign& campaign, const std::vector<exp::SweepR
   return failures;
 }
 
-exp::CampaignOptions campaign_options(const util::CliParser& cli, util::ThreadPool& pool) {
-  exp::CampaignOptions options;
-  options.pool = &pool;
-  options.cell_timeout_sec = cli.get_double("cell-timeout-sec", 0.0);
-  options.heartbeat_path = cli.get("heartbeat").value_or("");
-  install_signal_handlers();
-  options.cancel = &g_interrupted;
-  if (cli.get_flag("progress")) {
-    options.progress = [](const exp::CellRef&, std::size_t done, std::size_t total) {
-      std::fprintf(stderr, "\rcampaign: %zu/%zu cells", done, total);
-      if (done == total) std::fputc('\n', stderr);
-      std::fflush(stderr);
-    };
-  }
-  return options;
-}
-
-void add_retries_option(util::CliParser& cli) {
-  cli.add_option({"heartbeat",
-                  "truncate-rewrite a tiny CSV progress sidecar here after every "
-                  "completed cell (done/total/failed/last cell/elapsed); kept "
-                  "separate from --cells so shard files stay byte-identical",
-                  "", false});
-  cli.add_option({"retries",
-                  "re-run a failed cell up to R times, then record it in a "
-                  "failed-cells report instead of aborting (default: abort)",
-                  "", false});
-  cli.add_option({"cell-timeout-sec",
-                  "per-cell wall-clock budget in seconds; a cell over budget "
-                  "counts as a failed attempt and follows the --retries path "
-                  "(0 = no budget)",
-                  "0", false});
-}
-
-/// Post-run bookkeeping shared by run/shard/resume: collect the helper
-/// threads of any timed-out cells, and turn a SIGINT/SIGTERM cancellation
-/// into the conventional 130 exit after pointing at the resume path.
-/// Returns < 0 when the run was NOT interrupted.
-int finish_campaign_run(const std::string& cells_path) {
-  exp::join_timed_out_cells();
-  if (!g_interrupted.load()) return -1;
-  if (cells_path.empty()) {
-    std::fprintf(stderr, "campaign: interrupted; no --cells file, so completed work was "
-                         "aggregate-only and is lost - rerun to completion\n");
-  } else {
-    std::fprintf(stderr,
-                 "campaign: interrupted; %s holds every completed cell (flushed) - finish "
-                 "with `rtdls_cli campaign resume --cells %s`\n",
-                 cells_path.c_str(), cells_path.c_str());
-  }
-  return 130;
-}
-
-/// Arms `options` for failure tolerance when --retries was passed: cells
-/// that still fail land in `failed` instead of aborting the run. Without
-/// --retries the historical fail-fast behavior stands.
-void arm_retries(const util::CliParser& cli, exp::CampaignOptions& options,
-                 std::vector<exp::FailedCell>& failed) {
-  const std::string retries = cli.get("retries").value_or("");
-  if (retries.empty()) return;
-  options.retries = static_cast<std::size_t>(cli.get_int("retries", 0));
-  options.failed = &failed;
-}
-
-/// Prints the failed-cells report and, when a cell file is in play, writes
-/// the `<cells>.failed` sidecar that `campaign merge` picks up to tell
-/// failed cells from never-run ones. Returns the exit code (1).
-int report_failed_cells(const std::vector<exp::FailedCell>& failed,
-                        const std::string& cells_path) {
-  std::fprintf(stderr, "campaign: %zu cell(s) failed after retries:\n", failed.size());
-  for (const exp::FailedCell& cell : failed) {
-    std::fprintf(stderr, "  cell %zu (%zu attempt(s)): %s\n", cell.index, cell.attempts,
-                 cell.error.c_str());
-  }
-  if (!cells_path.empty()) {
-    const std::string sidecar = cells_path + ".failed";
-    exp::write_failed_cells(sidecar, failed);
-    std::fprintf(stderr,
-                 "failed-cells report: %s (`campaign merge` reads it; `campaign resume "
-                 "--retries R` re-runs the cells)\n",
-                 sidecar.c_str());
-  }
-  return 1;
-}
-
-/// Loads the `<path>.failed` sidecars that exist next to the given cell
-/// files (merge's missing-vs-failed distinction).
-std::vector<exp::FailedCell> load_failed_sidecars(const std::vector<std::string>& paths) {
-  std::vector<exp::FailedCell> failed;
-  for (const std::string& path : paths) {
-    const std::string sidecar = path + ".failed";
-    if (!std::ifstream(sidecar).good()) continue;
-    for (exp::FailedCell& cell : exp::read_failed_cells(sidecar)) {
-      failed.push_back(std::move(cell));
-    }
-  }
-  return failed;
-}
-
 std::size_t campaign_jobs(const util::CliParser& cli, const exp::Scale& scale) {
   const std::size_t jobs = static_cast<std::size_t>(cli.get_int("jobs", 0));
   return jobs != 0 ? jobs : scale.jobs;
@@ -521,11 +418,9 @@ int cmd_campaign_run(int argc, const char* const* argv) {
   util::CliParser cli;
   add_campaign_plan_options(cli);
   cli.add_option({"csv-dir", "directory for final CSV/gnuplot output", "results", false});
-  cli.add_option({"cells", "also stream per-cell results to this CSV file", "", false});
   cli.add_option({"jobs", "worker threads (default: RTDLS_JOBS/hardware)", "0", false});
   cli.add_option({"progress", "print live cell progress to stderr", "", true});
   cli.add_option({"quiet", "skip tables/charts; print file paths and checks only", "", true});
-  add_retries_option(cli);
   if (!cli.parse(argc, argv) || cli.get_flag("help")) {
     std::fputs(cli.usage("rtdls_cli campaign run").c_str(), stderr);
     return cli.get_flag("help") ? 0 : 1;
@@ -533,168 +428,25 @@ int cmd_campaign_run(int argc, const char* const* argv) {
   const exp::Scale scale = exp::Scale::from_env();
   const exp::Campaign campaign = campaign_from_cli(cli, scale);
   util::ThreadPool pool(campaign_jobs(cli, scale));
-  exp::CampaignOptions options = campaign_options(cli, pool);
-  std::vector<exp::FailedCell> failed;
-  arm_retries(cli, options, failed);
+  exp::CampaignOptions options;
+  options.pool = &pool;
+  if (cli.get_flag("progress")) {
+    options.progress = [](const exp::CellRef&, std::size_t done, std::size_t total) {
+      std::fprintf(stderr, "\rcampaign: %zu/%zu cells", done, total);
+      if (done == total) std::fputc('\n', stderr);
+      std::fflush(stderr);
+    };
+  }
 
   exp::AggregateSink aggregate(campaign);
-  std::vector<exp::ResultSink*> sinks{&aggregate};
-  std::unique_ptr<exp::CellCsvSink> cells;
-  const std::string cells_path = cli.get("cells").value_or("");
-  if (!cells_path.empty()) {
-    cells = std::make_unique<exp::CellCsvSink>(cells_path);
-    sinks.push_back(cells.get());
-  }
-  exp::TeeSink tee(sinks);
-
   const auto wall_start = std::chrono::steady_clock::now();
-  exp::run_campaign(campaign, options, tee);
+  exp::run_campaign(campaign, options, aggregate);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
-  if (const int code = finish_campaign_run(cells_path); code >= 0) return code;
-  if (!failed.empty()) {
-    // The aggregate is incomplete; report the gaps instead of charts built
-    // on zero-filled cells. A --cells file keeps everything that finished.
-    return report_failed_cells(failed, cells_path);
-  }
   const int failures = report_campaign(campaign, aggregate.take(wall),
                                        cli.get("csv-dir").value(), cli.get_flag("quiet"));
   std::printf("campaign: %zu cells in %.3fs", campaign.cell_count(), wall);
-  if (failures != 0) std::printf(", %d shape check(s) below expectation at this scale", failures);
-  std::fputc('\n', stdout);
-  return 0;
-}
-
-int cmd_campaign_shard(int argc, const char* const* argv) {
-  util::CliParser cli;
-  add_campaign_plan_options(cli);
-  cli.add_option({"shard", "this machine's stripe i/m of the cell queue (0-based)", "", false});
-  cli.add_option({"cells", "output per-cell CSV file for this shard", "", false});
-  cli.add_option({"jobs", "worker threads (default: RTDLS_JOBS/hardware)", "0", false});
-  cli.add_option({"progress", "print live cell progress to stderr", "", true});
-  add_retries_option(cli);
-  if (!cli.parse(argc, argv) || cli.get_flag("help")) {
-    std::fputs(cli.usage("rtdls_cli campaign shard").c_str(), stderr);
-    return cli.get_flag("help") ? 0 : 1;
-  }
-  const std::string shard_text = cli.get("shard").value_or("");
-  const std::string cells_path = cli.get("cells").value_or("");
-  if (shard_text.empty() || cells_path.empty()) {
-    throw std::invalid_argument("campaign shard: --shard i/m and --cells file are required");
-  }
-  const exp::Scale scale = exp::Scale::from_env();
-  const exp::Campaign campaign = campaign_from_cli(cli, scale);
-  util::ThreadPool pool(campaign_jobs(cli, scale));
-  exp::CampaignOptions options = campaign_options(cli, pool);
-  options.shard = exp::parse_shard(shard_text);
-  std::vector<exp::FailedCell> failed;
-  arm_retries(cli, options, failed);
-
-  exp::CellCsvSink sink(cells_path);
-  const auto wall_start = std::chrono::steady_clock::now();
-  exp::run_campaign(campaign, options, sink);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  if (const int code = finish_campaign_run(cells_path); code >= 0) return code;
-  const std::size_t total = campaign.cell_count();
-  const std::size_t mine =
-      total / options.shard.count + (options.shard.index < total % options.shard.count ? 1 : 0);
-  std::printf("shard %zu/%zu: %zu of %zu cells -> %s (%.3fs)\n", options.shard.index,
-              options.shard.count, mine, total, cells_path.c_str(), wall);
-  if (!failed.empty()) return report_failed_cells(failed, cells_path);
-  return 0;
-}
-
-int cmd_campaign_resume(int argc, const char* const* argv) {
-  util::CliParser cli;
-  add_campaign_plan_options(cli);
-  cli.add_option({"cells", "existing cell CSV to diff against the plan and extend", "", false});
-  cli.add_option({"jobs", "worker threads (default: RTDLS_JOBS/hardware)", "0", false});
-  cli.add_option({"progress", "print live cell progress to stderr", "", true});
-  add_retries_option(cli);
-  if (!cli.parse(argc, argv) || cli.get_flag("help")) {
-    std::fputs(cli.usage("rtdls_cli campaign resume").c_str(), stderr);
-    return cli.get_flag("help") ? 0 : 1;
-  }
-  const std::string cells_path = cli.get("cells").value_or("");
-  if (cells_path.empty()) {
-    throw std::invalid_argument("campaign resume: --cells file is required");
-  }
-  const exp::Scale scale = exp::Scale::from_env();
-  const exp::Campaign campaign = campaign_from_cli(cli, scale);
-
-  // Diff the existing file against the plan (validating its rows like a
-  // merge would) and re-run exactly the missing cells, appending them.
-  const std::vector<std::size_t> missing = exp::missing_cells(campaign, {cells_path});
-  const std::size_t total = campaign.cell_count();
-  if (missing.empty()) {
-    std::printf("%s already covers all %zu cells; nothing to resume\n", cells_path.c_str(),
-                total);
-    return 0;
-  }
-  std::printf("%s covers %zu of %zu cells; resuming %zu missing\n", cells_path.c_str(),
-              total - missing.size(), total, missing.size());
-
-  util::ThreadPool pool(campaign_jobs(cli, scale));
-  exp::CampaignOptions options = campaign_options(cli, pool);
-  options.cells = &missing;
-  std::vector<exp::FailedCell> failed;
-  arm_retries(cli, options, failed);
-  exp::CellCsvSink sink(cells_path, /*append=*/true);
-  const auto wall_start = std::chrono::steady_clock::now();
-  exp::run_campaign(campaign, options, sink);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  if (const int code = finish_campaign_run(cells_path); code >= 0) return code;
-  if (!failed.empty()) {
-    std::printf("resumed %zu of %zu cells in %.3fs\n", missing.size() - failed.size(),
-                missing.size(), wall);
-    return report_failed_cells(failed, cells_path);
-  }
-  // Coverage check: the resumed file must now merge like a complete run.
-  const std::vector<std::size_t> still_missing = exp::missing_cells(campaign, {cells_path});
-  if (!still_missing.empty()) {
-    throw std::runtime_error("campaign resume: " + std::to_string(still_missing.size()) +
-                             " cells still missing after resume (first: cell " +
-                             std::to_string(still_missing.front()) + ")");
-  }
-  std::printf("resumed %zu cells in %.3fs; %s now complete (%zu cells) - merge with "
-              "`rtdls_cli campaign merge --cells %s`\n",
-              missing.size(), wall, cells_path.c_str(), total, cells_path.c_str());
-  return 0;
-}
-
-int cmd_campaign_merge(int argc, const char* const* argv) {
-  util::CliParser cli;
-  add_campaign_plan_options(cli);
-  cli.add_option({"cells", "comma-separated shard cell files (every shard)", "", false});
-  cli.add_option({"csv-dir", "directory for final CSV/gnuplot output", "results", false});
-  cli.add_option({"quiet", "skip tables/charts; print file paths and checks only", "", true});
-  if (!cli.parse(argc, argv) || cli.get_flag("help")) {
-    std::fputs(cli.usage("rtdls_cli campaign merge").c_str(), stderr);
-    return cli.get_flag("help") ? 0 : 1;
-  }
-  const std::string cells = cli.get("cells").value_or("");
-  if (cells.empty()) {
-    throw std::invalid_argument("campaign merge: --cells file[,file...] is required");
-  }
-  const exp::Scale scale = exp::Scale::from_env();
-  const exp::Campaign campaign = campaign_from_cli(cli, scale);
-  std::vector<std::string> paths;
-  for (const std::string& path : util::split(cells, ',')) {
-    paths.push_back(std::string(util::trim(path)));
-  }
-  // Sidecar failed-cells reports written by --retries runs let coverage
-  // errors tell failed cells from never-run ones.
-  const std::vector<exp::FailedCell> failed = load_failed_sidecars(paths);
-  const std::vector<exp::SweepResult> results =
-      exp::merge_cell_files(campaign, paths, failed.empty() ? nullptr : &failed);
-  const int failures = report_campaign(campaign, results, cli.get("csv-dir").value(),
-                                       cli.get_flag("quiet"));
-  std::printf("merged %zu cells from %zu shard file(s)", campaign.cell_count(), paths.size());
   if (failures != 0) std::printf(", %d shape check(s) below expectation at this scale", failures);
   std::fputc('\n', stdout);
   return 0;
@@ -704,20 +456,14 @@ int cmd_campaign(int argc, const char* const* argv) {
   const char* verb = argc >= 2 ? argv[1] : "";
   if (std::strcmp(verb, "list") == 0) return cmd_campaign_list();
   if (std::strcmp(verb, "run") == 0) return cmd_campaign_run(argc - 1, argv + 1);
-  if (std::strcmp(verb, "shard") == 0) return cmd_campaign_shard(argc - 1, argv + 1);
-  if (std::strcmp(verb, "resume") == 0) return cmd_campaign_resume(argc - 1, argv + 1);
-  if (std::strcmp(verb, "merge") == 0) return cmd_campaign_merge(argc - 1, argv + 1);
   std::fputs(
       "usage: rtdls_cli campaign <verb> [options]\n"
       "verbs:\n"
       "  list    the figure inventory (ids usable with --figures / spec `use =`)\n"
       "  run     execute a whole campaign: final CSVs, charts, shape checks\n"
-      "  shard   execute stripe i/m of the cell queue into a per-cell CSV\n"
-      "  resume  diff a cell CSV against the plan and re-run only missing cells\n"
-      "  merge   fold every shard's cell file into the final CSVs/checks\n"
       "plans: --figures fig03,fig08 | --figures paper | --figures all | --spec plan.spec\n",
       stderr);
-  return verb[0] == '\0' ? 1 : (std::strcmp(verb, "--help") == 0 ? 0 : 1);
+  return std::strcmp(verb, "--help") == 0 ? 0 : 1;
 }
 
 // --- daemon / service -------------------------------------------------------
@@ -996,7 +742,7 @@ void print_usage() {
       "  simulate     run one algorithm over a trace or generated workload\n"
       "  sweep        reject-ratio load sweep for a set of algorithms\n"
       "  figure       reproduce a paper figure / ablation by id\n"
-      "  campaign     run/shard/merge multi-figure experiment plans\n"
+      "  campaign     list/run multi-figure experiment plans\n"
       "  daemon       serve admission control over a unix socket (rtdlsd)\n"
       "  admit | commit | cancel | status | stats | snapshot | shutdown\n"
       "               client requests against a running daemon (--socket);\n"
