@@ -18,18 +18,22 @@
 // $TMPDIR, or /tmp when it is unset (never materialized - generation must
 // not pollute the process's lifetime-max RSS), then replayed through the
 // full bounded-memory pipeline: TraceReader -> StreamingTaskSource ->
-// ClusterSimulator::run_stream, and deleted. Reported: tasks/sec, the
-// source's peak resident task count, getrusage peak RSS - the number CI
-// gates to pin the O(chunk) memory claim (a materialized million-task load
-// would hold ~90 MB of tasks + CSV text; the streamed pipeline should stay
-// far under that) - and the replay's deadline misses and Theorem-4
-// violations, which CI requires to be zero.
+// ClusterSimulator::run_stream, and deleted. The trace is replayed twice:
+// on a homogeneous cluster and on a heterogeneous one (lognormal:0.5
+// speeds), whose admissions run the het prefix-scan planner off the
+// index's row view. Reported per leg: tasks/sec, the source's peak
+// resident task count, getrusage peak RSS - the number CI gates to pin the
+// O(chunk) memory claim (a materialized million-task load would hold ~90 MB
+// of tasks + CSV text; the streamed pipeline should stay far under that;
+// the het leg's figure is the process's peak over both legs) - and the
+// replay's deadline misses and Theorem-4 violations, which CI requires to
+// be zero.
 //
 //   replay_storm [out.json]
 //   RTDLS_REPLAY_NODES=100000   index size for the commit-path storm
 //   RTDLS_REPLAY_UPDATES=20000  repositions in the storm
 //   RTDLS_REPLAY_TASKS=1000000  streamed trace length
-//   RTDLS_REPLAY_SIM_NODES=512  cluster size for the streamed replay
+//   RTDLS_REPLAY_SIM_NODES=512  cluster size for the streamed replays
 //   RTDLS_REPLAY_CHUNK=65536    TraceReader chunk size
 //   TMPDIR=/tmp                 directory for the temporary trace
 #include <sys/resource.h>
@@ -46,6 +50,7 @@
 #include <vector>
 
 #include "cluster/availability_index.hpp"
+#include "cluster/speed_profile.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task_source.hpp"
@@ -159,6 +164,72 @@ void write_trace(const std::string& path, std::size_t tasks) {
   }
 }
 
+struct StreamedLeg {
+  double wall_seconds = 0.0;
+  double tasks_per_sec = 0.0;
+  sim::SimMetrics metrics;
+  std::size_t peak_resident_tasks = 0;
+  double peak_rss_mb = 0.0;
+};
+
+/// Replays the trace at `path` with EDF-DLT on `sim_nodes` nodes under the
+/// speed profile `profile` ("" for the homogeneous model).
+StreamedLeg replay_leg(const char* name, const std::string& path, std::size_t tasks,
+                       std::size_t sim_nodes, std::size_t chunk_tasks,
+                       const std::string& profile) {
+  sim::SimulatorConfig config;
+  config.params.node_count = sim_nodes;
+  config.params.cms = 1.0;
+  config.params.cps = 100.0;
+  if (!profile.empty()) {
+    config.params.speed_profile = std::make_shared<const cluster::SpeedProfile>(
+        cluster::parse_speed_profile(profile, sim_nodes, config.params.cps));
+  }
+
+  workload::TraceReader reader(path, {.chunk_tasks = chunk_tasks});
+  sim::StreamingTaskSource source(reader);
+  const sched::Algorithm algorithm = sched::make_algorithm("EDF-DLT");
+  sim::ClusterSimulator simulator(config, algorithm);
+
+  // Horizon past the last arrival (the row generator's maximum step).
+  const double horizon = static_cast<double>(tasks) * 270.0 + 10000.0;
+  StreamedLeg leg;
+  const auto start = std::chrono::steady_clock::now();
+  leg.metrics = simulator.run_stream(source, horizon);
+  leg.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  leg.tasks_per_sec = static_cast<double>(tasks) / leg.wall_seconds;
+  leg.peak_resident_tasks = source.peak_resident_tasks();
+  leg.peak_rss_mb = peak_rss_mb();
+  std::printf("%s replay: %zu tasks in %.2fs = %.0f tasks/s (%zu accepted, %zu rejected)\n",
+              name, tasks, leg.wall_seconds, leg.tasks_per_sec, leg.metrics.accepted,
+              leg.metrics.rejected);
+  std::printf("correctness: %zu deadline misses, %zu theorem-4 violations\n",
+              leg.metrics.deadline_misses, leg.metrics.theorem4_violations);
+  std::printf("memory: peak %zu resident tasks across %zu-task chunks, peak RSS %.1f MB\n",
+              leg.peak_resident_tasks, chunk_tasks, leg.peak_rss_mb);
+  return leg;
+}
+
+/// One leg's JSON object under `key`.
+void write_leg(std::ofstream& out, const char* key, const StreamedLeg& leg, std::size_t tasks,
+               std::size_t sim_nodes, std::size_t chunk_tasks, const char* profile) {
+  out << "  \"" << key << "\": {\n"
+      << "    \"tasks\": " << tasks << ",\n"
+      << "    \"sim_nodes\": " << sim_nodes << ",\n"
+      << "    \"speed_profile\": \"" << profile << "\",\n"
+      << "    \"chunk_tasks\": " << chunk_tasks << ",\n"
+      << "    \"accepted\": " << leg.metrics.accepted << ",\n"
+      << "    \"rejected\": " << leg.metrics.rejected << ",\n"
+      << "    \"deadline_misses\": " << leg.metrics.deadline_misses << ",\n"
+      << "    \"theorem4_violations\": " << leg.metrics.theorem4_violations << ",\n"
+      << "    \"wall_seconds\": " << leg.wall_seconds << ",\n"
+      << "    \"tasks_per_sec\": " << leg.tasks_per_sec << ",\n"
+      << "    \"peak_resident_tasks\": " << leg.peak_resident_tasks << ",\n"
+      << "    \"peak_rss_mb\": " << leg.peak_rss_mb << "\n"
+      << "  }";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,32 +271,12 @@ int main(int argc, char** argv) {
               trace_path.c_str());
   write_trace(trace_path, replay_tasks);
 
-  sim::SimulatorConfig config;
-  config.params.node_count = sim_nodes;
-  config.params.cms = 1.0;
-  config.params.cps = 100.0;
-
-  workload::TraceReader reader(trace_path, {.chunk_tasks = chunk_tasks});
-  sim::StreamingTaskSource source(reader);
-  const sched::Algorithm algorithm = sched::make_algorithm("EDF-DLT");
-  sim::ClusterSimulator simulator(config, algorithm);
-
-  // Horizon past the last arrival (the row generator's maximum step).
-  const double horizon = static_cast<double>(replay_tasks) * 270.0 + 10000.0;
-  const auto replay_start = std::chrono::steady_clock::now();
-  const sim::SimMetrics metrics = simulator.run_stream(source, horizon);
-  const double replay_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - replay_start).count();
+  constexpr const char* kHetProfile = "lognormal:0.5";
+  const StreamedLeg hom =
+      replay_leg("homogeneous", trace_path, replay_tasks, sim_nodes, chunk_tasks, "");
+  const StreamedLeg het = replay_leg("heterogeneous", trace_path, replay_tasks, sim_nodes,
+                                     chunk_tasks, kHetProfile);
   std::remove(trace_path.c_str());
-
-  const double tasks_per_sec = static_cast<double>(replay_tasks) / replay_wall;
-  const double rss_mb = peak_rss_mb();
-  std::printf("replay: %zu tasks in %.2fs = %.0f tasks/s (%zu accepted, %zu rejected)\n",
-              replay_tasks, replay_wall, tasks_per_sec, metrics.accepted, metrics.rejected);
-  std::printf("correctness: %zu deadline misses, %zu theorem-4 violations\n",
-              metrics.deadline_misses, metrics.theorem4_violations);
-  std::printf("memory: peak %zu resident tasks across %zu-task chunks, peak RSS %.1f MB\n",
-              source.peak_resident_tasks(), chunk_tasks, rss_mb);
 
   std::ofstream out(out_path);
   if (!out) {
@@ -241,21 +292,12 @@ int main(int argc, char** argv) {
       << "    \"ns_per_update\": " << storm.ns_per_update << ",\n"
       << "    \"max_depth\": " << storm.max_depth << ",\n"
       << "    \"mean_depth\": " << storm.mean_depth << "\n"
-      << "  },\n"
-      << "  \"streamed_replay\": {\n"
-      << "    \"tasks\": " << replay_tasks << ",\n"
-      << "    \"sim_nodes\": " << sim_nodes << ",\n"
-      << "    \"chunk_tasks\": " << chunk_tasks << ",\n"
-      << "    \"accepted\": " << metrics.accepted << ",\n"
-      << "    \"rejected\": " << metrics.rejected << ",\n"
-      << "    \"deadline_misses\": " << metrics.deadline_misses << ",\n"
-      << "    \"theorem4_violations\": " << metrics.theorem4_violations << ",\n"
-      << "    \"wall_seconds\": " << replay_wall << ",\n"
-      << "    \"tasks_per_sec\": " << tasks_per_sec << ",\n"
-      << "    \"peak_resident_tasks\": " << source.peak_resident_tasks() << ",\n"
-      << "    \"peak_rss_mb\": " << rss_mb << "\n"
-      << "  }\n"
-      << "}\n";
+      << "  },\n";
+  write_leg(out, "streamed_replay", hom, replay_tasks, sim_nodes, chunk_tasks, "");
+  out << ",\n";
+  write_leg(out, "streamed_replay_het", het, replay_tasks, sim_nodes, chunk_tasks,
+            kHetProfile);
+  out << "\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

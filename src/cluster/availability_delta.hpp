@@ -133,36 +133,45 @@ inline void floor_and_sort(AvailabilityRow& row, Time now, AvailabilityRow& scra
   std::swap(row, scratch);
 }
 
+/// Writes a plan's k releases into `run` in row order - by time, or by
+/// (time, id) when `with_ids` - the delta a merge consumes (merge_run via
+/// apply_releases or DeltaColumns::replay). `release_ids` are slot-aligned
+/// with `releases` and read only when `with_ids`; releases need not arrive
+/// sorted (het multi-round releases keep slot identity; every homogeneous
+/// rule emits them nondecreasing).
+inline void sort_releases(const std::vector<Time>& releases,
+                          const std::vector<NodeId>& release_ids, bool with_ids,
+                          AvailabilityRow& run) {
+  const std::size_t k = releases.size();
+  if (with_ids) {
+    if (release_ids.size() != k) {
+      throw std::invalid_argument("sort_releases: id column size mismatch");
+    }
+    detail::sort_by_time_id(releases.data(), release_ids.data(), k, run);
+    return;
+  }
+  run.times.assign(releases.begin(), releases.end());
+  run.ids.clear();
+  if (!std::is_sorted(run.times.begin(), run.times.end())) {
+    // Defensive: every homogeneous rule emits nondecreasing releases.
+    std::sort(run.times.begin(), run.times.end());
+  }
+}
+
 /// Applies a plan's releases to `row`: the first releases.size() entries
-/// are consumed and the releases merged into the remainder - an in-place
-/// O(N) forward merge. `release_ids` are slot-aligned with `releases` and
-/// read only when the row has ids; releases need not arrive sorted (het
-/// multi-round releases keep slot identity; every homogeneous rule emits
-/// them nondecreasing).
-///
-/// Contract: on return `scratch` holds exactly the k releases in row order
-/// - the delta DeltaColumns::replay replays. The admission session appends
-/// it to flat storage (DeltaColumns::push) instead of paying a per-task
-/// allocation.
+/// are consumed and the releases, in row order (sort_releases), merged into
+/// the remainder - an in-place O(N) forward merge. On return `scratch`
+/// holds exactly the k releases in row order: the delta
+/// DeltaColumns::replay replays.
 RTDLS_HOT inline void apply_releases(AvailabilityRow& row,
                                      const std::vector<Time>& releases,
                                      const std::vector<NodeId>& release_ids,
                                      AvailabilityRow& scratch) {
   const std::size_t k = releases.size();
-  const bool with_ids = !row.ids.empty();
-  if (k > row.times.size() || (with_ids && release_ids.size() != k)) {
+  if (k > row.times.size()) {
     throw std::invalid_argument("apply_releases: bad release columns");
   }
-  if (with_ids) {
-    detail::sort_by_time_id(releases.data(), release_ids.data(), k, scratch);
-  } else {
-    scratch.times.assign(releases.begin(), releases.end());
-    scratch.ids.clear();
-    if (!std::is_sorted(scratch.times.begin(), scratch.times.end())) {
-      // Defensive: every homogeneous rule emits nondecreasing releases.
-      std::sort(scratch.times.begin(), scratch.times.end());
-    }
-  }
+  sort_releases(releases, release_ids, !row.ids.empty(), scratch);
   detail::merge_run(row, scratch.times.data(), scratch.ids.data(), k);
 }
 
@@ -177,7 +186,8 @@ struct DeltaColumns {
 
   std::size_t start(std::size_t r) const { return r == 0 ? 0 : end[r - 1]; }
 
-  /// Appends one delta: the run apply_releases left in its scratch.
+  /// Appends one delta: a run sort_releases wrote (or apply_releases left
+  /// in its scratch).
   void push(const AvailabilityRow& run) {
     times.insert(times.end(), run.times.begin(), run.times.end());
     ids.insert(ids.end(), run.ids.begin(), run.ids.end());
@@ -185,8 +195,8 @@ struct DeltaColumns {
   }
 
   /// Replays delta r onto `row`: consumes its first k entries and merges the
-  /// delta back in - bit-identical to the apply_releases call that recorded
-  /// it.
+  /// delta back in - bit-identical to applying the releases it was sorted
+  /// from.
   RTDLS_HOT void replay(std::size_t r, AvailabilityRow& row) const {
     const std::size_t begin = start(r);
     const std::size_t k = end[r] - begin;

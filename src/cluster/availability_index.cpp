@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -13,8 +14,13 @@ static_assert(std::is_trivially_copyable_v<AvailabilityIndex::Entry>,
 
 void AvailabilityIndex::reset(std::size_t nodes) {
   size_ = nodes;
-  prefix_valid_ = false;
-  floored_marks_.assign((nodes + 63) / 64, 0);
+  moved_.assign((nodes + 63) / 64, 0);
+  // Every node is free at 0: the partition at watermark 0 holds them all.
+  watermark_ = 0.0;
+  floored_.assign((nodes + 63) / 64, ~std::uint64_t{0});
+  if (nodes % 64 != 0) floored_.back() = (std::uint64_t{1} << (nodes % 64)) - 1;
+  floored_count_ = nodes;
+  ++view_epoch_;
   order_.clear();
   mins_.clear();
   free_slots_.clear();
@@ -78,8 +84,17 @@ std::size_t AvailabilityIndex::update_batch(std::span<const NodeId> nodes,
 
   // 1. Find all k entries against the unchanged directory (a throw leaves
   //    the index as it was): their ids end up marked and their buckets
-  //    tallied.
+  //    tallied. The nodes that cross the watermark change sides of the
+  //    floored partition.
   locate_batch(nodes, from);
+  ++view_epoch_;
+  for (std::size_t i = 0; i < k; ++i) {
+    const bool floored = to[i] <= watermark_;
+    if (floored != (from[i] <= watermark_)) {
+      set_bit(floored_, nodes[i], floored);
+      floored_count_ = floored ? floored_count_ + 1 : floored_count_ - 1;
+    }
+  }
 
   // 2. The new entries in order (plans usually arrive sorted already), cut
   //    into runs by destination bucket - still the unchanged directory: a
@@ -124,7 +139,6 @@ std::size_t AvailabilityIndex::update_batch(std::span<const NodeId> nodes,
   for (const std::uint32_t b : batch_touched_) {
     const bool has_run = run != batch_runs_.end() && run->bucket == b;
     const std::size_t count = has_run ? run->end - run->begin : 0;
-    if (batch_removed_[b] != count) prefix_valid_ = false;
     shifted += compact_bucket(b);
     const std::size_t size = slots_[order_[b]].size();
     if (!has_run) {
@@ -167,7 +181,7 @@ void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
   std::size_t at = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Entry key{from[i], nodes[i]};
-    const bool repeated = key.node < size_ && marked(key.node);
+    const bool repeated = key.node < size_ && bit(moved_, key.node);
     // Keys often arrive in index order (a plan's earliest-free nodes): the
     // entry right after the previous key's is checked before searching.
     const bool next = b != kNpos && at + 1 < slots_[order_[b]].size() &&
@@ -178,14 +192,14 @@ void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
       b = find_entry(key, at);
     }
     if (repeated || b == kNpos) {
-      set_marks(nodes.first(i), false);
+      for (const NodeId node : nodes.first(i)) set_bit(moved_, node, false);
       for (const std::uint32_t touched : batch_touched_) batch_removed_[touched] = 0;
       batch_touched_.clear();
       throw std::logic_error(
           repeated ? "AvailabilityIndex::update_batch: node repeated"
                    : "AvailabilityIndex::update_batch: entry not found (index desync)");
     }
-    set_mark(key.node, true);
+    set_bit(moved_, key.node, true);
     const auto pos = static_cast<std::uint32_t>(at);
     if (batch_removed_[b]++ == 0) {
       batch_touched_.push_back(static_cast<std::uint32_t>(b));
@@ -196,10 +210,6 @@ void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
   }
 }
 
-void AvailabilityIndex::set_marks(std::span<const NodeId> nodes, bool on) const {
-  for (const NodeId node : nodes) set_mark(node, on);
-}
-
 std::size_t AvailabilityIndex::compact_bucket(std::size_t b) {
   std::uint32_t& removed = batch_removed_[b];
   if (removed == 0) return 0;
@@ -208,8 +218,8 @@ std::size_t AvailabilityIndex::compact_bucket(std::size_t b) {
   std::size_t read = write;
   for (std::uint32_t left = removed; left > 0; ++read) {
     const NodeId node = bucket[read].node;
-    if (marked(node)) {
-      set_mark(node, false);
+    if (bit(moved_, node)) {
+      set_bit(moved_, node, false);
       --left;
     } else {
       bucket[write++] = bucket[read];
@@ -283,7 +293,6 @@ std::size_t AvailabilityIndex::rebuild_directory() {
   copy_to(order_.size());
   order_.swap(batch_order_);
   mins_.swap(batch_mins_);
-  prefix_valid_ = false;
   return shifted;
 }
 
@@ -328,96 +337,145 @@ void AvailabilityIndex::maybe_merge(std::size_t b) {
   if (into.size() + from.size() > kMergeMax) return;
   into.insert(into.end(), from.begin(), from.end());
   from.clear();
-  // A batch whose buckets each kept their size left the prefix sums valid,
-  // but a neighbor that shrank since this bucket last tried may fit now.
-  prefix_valid_ = false;
   free_slots_.push_back(order_[left + 1]);
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
   mins_.erase(mins_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
 }
 
-void AvailabilityIndex::ensure_prefix() const {
-  if (prefix_valid_) return;
-  prefix_.resize(order_.size() + 1);
-  prefix_[0] = 0;
-  for (std::size_t b = 0; b < order_.size(); ++b) {
-    prefix_[b + 1] = prefix_[b] + slots_[order_[b]].size();
-  }
-  prefix_valid_ = true;
+std::size_t AvailabilityIndex::available_by(Time t) const {
+  // The entries before the first one past t: whole buckets, then a part.
+  std::size_t bucket = 0;
+  std::size_t at = 0;
+  locate_after(t, bucket, at);
+  for (std::size_t b = 0; b < bucket; ++b) at += slots_[order_[b]].size();
+  return at;
 }
 
-std::size_t AvailabilityIndex::available_by(Time t) const {
-  // Last bucket whose min free_at is <= t: everything before it is <= t in
-  // (free_at, node) order, everything after it starts past t.
+void AvailabilityIndex::locate_after(Time t, std::size_t& bucket, std::size_t& at) const {
+  // Last bucket whose min free_at is <= t holds the boundary (or it ends
+  // there and the boundary is the next bucket's first entry).
   const auto it = std::upper_bound(
       mins_.begin(), mins_.end(), t,
       [](Time value, const Entry& entry) { return value < entry.free_at; });
-  if (it == mins_.begin()) return 0;
-  const std::size_t b = static_cast<std::size_t>(it - mins_.begin()) - 1;
-  ensure_prefix();
-  const std::vector<Entry>& bucket = slots_[order_[b]];
+  bucket = 0;
+  at = 0;
+  if (it == mins_.begin()) return;
+  bucket = static_cast<std::size_t>(it - mins_.begin()) - 1;
+  const std::vector<Entry>& entries = slots_[order_[bucket]];
   const auto jt = std::upper_bound(
-      bucket.begin(), bucket.end(), t,
+      entries.begin(), entries.end(), t,
       [](Time value, const Entry& entry) { return value < entry.free_at; });
-  return prefix_[b] + static_cast<std::size_t>(jt - bucket.begin());
+  at = static_cast<std::size_t>(jt - entries.begin());
+  if (at == entries.size()) {
+    ++bucket;
+    at = 0;
+  }
+}
+
+void AvailabilityIndex::advance_floor(Time now) const {
+  if (now == watermark_) return;
+  ++view_epoch_;
+  std::size_t b = 0;
+  std::size_t at = 0;
+  if (now < watermark_) {
+    // Backwards: rebuild from the first entry.
+    std::fill(floored_.begin(), floored_.end(), 0);
+    floored_count_ = 0;
+  } else {
+    // Forwards: only the entries past the old watermark can join.
+    locate_after(watermark_, b, at);
+  }
+  watermark_ = now;
+  for (; b < order_.size(); ++b, at = 0) {
+    const std::vector<Entry>& bucket = slots_[order_[b]];
+    for (; at < bucket.size(); ++at) {
+      if (bucket[at].free_at > now) return;
+      set_bit(floored_, bucket[at].node, true);
+      ++floored_count_;
+    }
+  }
+}
+
+void AvailabilityIndex::open_view(Time now, bool with_ids, ViewCursor& cursor) const {
+  // A NaN watermark would leave every later partition wrong: no release
+  // time compares to it.
+  if (std::isnan(now)) throw std::invalid_argument("AvailabilityIndex::open_view: now is NaN");
+  advance_floor(now);
+  cursor.epoch = view_epoch_;
+  cursor.now = now;
+  cursor.with_ids = with_ids;
+  cursor.next = 0;
+  cursor.floored = floored_count_;
+  cursor.word = 0;
+  cursor.bits = floored_.empty() ? 0 : floored_[0];
+  locate_after(now, cursor.bucket, cursor.at);
+}
+
+void AvailabilityIndex::read_view(ViewCursor& cursor, std::size_t last, Time* times,
+                                  NodeId* ids) const {
+  if (cursor.epoch != view_epoch_) {
+    throw std::logic_error("AvailabilityIndex::read_view: the index changed under the view");
+  }
+  if (last > size_) throw std::out_of_range("AvailabilityIndex::read_view: past the row");
+  if (!cursor.with_ids) ids = nullptr;
+  std::size_t i = cursor.next;
+  // The floored prefix: every time is `now`, the ids ascend off the
+  // partition word by word.
+  const std::size_t floor_end = std::min(last, cursor.floored);
+  if (i < floor_end) {
+    const std::size_t count = floor_end - i;
+    if (times != nullptr) {
+      std::fill(times, times + count, cursor.now);
+      times += count;
+    }
+    if (ids != nullptr) {
+      for (std::size_t j = 0; j < count; ++j) {
+        while (cursor.bits == 0) cursor.bits = floored_[++cursor.word];
+        ids[j] = static_cast<NodeId>(cursor.word * 64 +
+                                     static_cast<std::size_t>(std::countr_zero(cursor.bits)));
+        cursor.bits &= cursor.bits - 1;
+      }
+      ids += count;
+    }
+    i = floor_end;
+  }
+  // Past the floor the index order is the row order.
+  while (i < last) {
+    const std::vector<Entry>& bucket = slots_[order_[cursor.bucket]];
+    const std::size_t count = std::min(bucket.size() - cursor.at, last - i);
+    const Entry* entry = bucket.data() + cursor.at;
+    if (times != nullptr) {
+      for (std::size_t j = 0; j < count; ++j) times[j] = entry[j].free_at;
+      times += count;
+    }
+    if (ids != nullptr) {
+      for (std::size_t j = 0; j < count; ++j) ids[j] = entry[j].node;
+      ids += count;
+    }
+    cursor.at += count;
+    i += count;
+    if (cursor.at == bucket.size()) {
+      ++cursor.bucket;
+      cursor.at = 0;
+    }
+  }
+  cursor.next = std::max(cursor.next, last);
 }
 
 void AvailabilityIndex::availability_into(Time now, std::vector<Time>& out) const {
-  const std::size_t floored = available_by(now);
+  ViewCursor cursor;
+  open_view(now, /*with_ids=*/false, cursor);
   out.resize(size_);
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(floored), now);
-  // Start at the bucket containing the first unfloored rank; the floored
-  // prefix was already filled without touching its entries.
-  ensure_prefix();
-  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), floored);
-  std::size_t b = static_cast<std::size_t>(it - prefix_.begin()) - 1;
-  std::size_t i = floored;
-  for (; b < order_.size(); ++b) {
-    const std::vector<Entry>& bucket = slots_[order_[b]];
-    for (std::size_t j = i - prefix_[b]; j < bucket.size(); ++j) {
-      out[i++] = bucket[j].free_at;
-    }
-  }
+  read_view(cursor, size_, out.data(), nullptr);
 }
 
 void AvailabilityIndex::availability_with_ids_into(Time now, std::vector<Time>& times,
                                                    std::vector<NodeId>& ids) const {
-  const std::size_t floored = available_by(now);
+  ViewCursor cursor;
+  open_view(now, /*with_ids=*/true, cursor);
   times.resize(size_);
   ids.resize(size_);
-  std::fill(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(floored), now);
-  // The floored prefix all ties at `now`, so its (floored time, id) order is
-  // plain id order: mark its ids here and read them back ascending below.
-  std::size_t rank = 0;
-  for (std::size_t b = 0; b < order_.size(); ++b) {
-    for (const Entry& entry : slots_[order_[b]]) {
-      if (rank < floored) {
-        set_mark(entry.node, true);
-      } else {
-        ids[rank] = entry.node;
-        times[rank] = entry.free_at;
-      }
-      ++rank;
-    }
-  }
-  take_marks(floored, floored, ids.data());
-}
-
-void AvailabilityIndex::take_marks(std::size_t marked, std::size_t take,
-                                   NodeId* out) const {
-  // Word by word in id order, each cleared as it is read, up to the word
-  // holding the last mark.
-  std::size_t i = 0;
-  for (std::size_t w = 0; i < marked; ++w) {
-    std::uint64_t word = floored_marks_[w];
-    floored_marks_[w] = 0;
-    for (; word != 0; word &= word - 1, ++i) {
-      if (i < take) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-        out[i] = static_cast<NodeId>(w * 64 + bit);
-      }
-    }
-  }
+  read_view(cursor, size_, times.data(), ids.data());
 }
 
 void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,
@@ -425,24 +483,10 @@ void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,
   if (n > size_) {
     throw std::invalid_argument("AvailabilityIndex::earliest_free_nodes: n exceeds size");
   }
-  const std::size_t floored = available_by(now);
-  // The floored prefix all ties at `now`: its ids are marked and its n
-  // smallest read back. Past the floor the index order (free_at, then id)
-  // is the answer order, so those ids land at their rank.
+  ViewCursor cursor;
+  open_view(now, /*with_ids=*/true, cursor);
   out.resize(n);
-  const std::size_t end = std::max(n, floored);
-  std::size_t rank = 0;
-  for (std::size_t b = 0; rank < end; ++b) {
-    const std::vector<Entry>& bucket = slots_[order_[b]];
-    for (std::size_t j = 0; j < bucket.size() && rank < end; ++j, ++rank) {
-      if (rank < floored) {
-        set_mark(bucket[j].node, true);
-      } else {
-        out[rank] = bucket[j].node;
-      }
-    }
-  }
-  take_marks(floored, std::min(n, floored), out.data());
+  read_view(cursor, n, nullptr, out.data());
 }
 
 bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) const {
@@ -474,12 +518,19 @@ bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) con
     if (slot >= slots_.size() || slot_used[slot]) return false;
     slot_used[slot] = true;
   }
-  if (prefix_valid_) {
-    if (prefix_.size() != order_.size() + 1 || prefix_[0] != 0) return false;
-    for (std::size_t b = 0; b < order_.size(); ++b) {
-      if (prefix_[b + 1] != prefix_[b] + slots_[order_[b]].size()) return false;
-    }
+  // The floored partition: exactly the nodes free by the watermark, counted
+  // (popcount also rules out stray bits past size_), and no moved marks
+  // left over from a batch.
+  if (floored_.size() != (size_ + 63) / 64 || moved_.size() != floored_.size()) return false;
+  std::size_t floored = 0;
+  for (NodeId id = 0; id < size_; ++id) {
+    const bool in = free_times[id] <= watermark_;
+    if (in != bit(floored_, id) || bit(moved_, id)) return false;
+    floored += in ? 1 : 0;
   }
+  std::size_t set = 0;
+  for (const std::uint64_t word : floored_) set += static_cast<std::size_t>(std::popcount(word));
+  if (floored != floored_count_ || set != floored_count_) return false;
   return true;
 }
 

@@ -5,9 +5,10 @@
 // vector with a full sort is O(N log N) per plan and is the large-N
 // bottleneck named in ROADMAP. This index keeps the (free_at, node) pairs
 // permanently sorted and repositions only the entries a mutation changes -
-// k for a plan's batch of k nodes, one for a single-node update - so
-// snapshot reads degrade to an O(N) copy and rank queries to an O(log N)
-// binary search.
+// k for a plan's batch of k nodes, one for a single-node update - and
+// serves the sorted row floored at `now` as a view whose positions are read
+// on demand (open_view / read_view, wrapped by AvailabilityView): a planner
+// that inspects m positions pays O(N/64 + m), not an O(N) copy.
 //
 // The sorted sequence is cut into fixed-fanout buckets (a two-level B-tree,
 // effectively), each a small sorted vector, with a directory of per-bucket
@@ -25,14 +26,22 @@
 // most two buckets' worth: the compaction moves the at most 127 entries
 // after the old position, the merge (or split) the at most 128 behind the
 // new one.
-// Rank queries (available_by) go through a lazily rebuilt per-bucket
-// prefix-sum (invalidated when bucket sizes change, rebuilt O(#buckets) on
-// the next query), so query trains between commits pay the rebuild once. A
-// cluster of at most 64 nodes is a single bucket.
+// A cluster of at most 64 nodes is a single bucket.
+//
+// The floored partition. Every node free by `now` reads `now` in the row,
+// so the row's floored prefix is ordered by id alone. The index keeps that
+// prefix as data: a node-id bitset of the nodes free by a watermark time,
+// with its count. Opening a view at a later `now` extends it by marking only
+// the entries the watermark passes (amortized O(1) per released node);
+// update_batch keeps it exact in O(k), flipping the bits of the nodes that
+// cross the watermark; a `now` earlier than the watermark rebuilds it,
+// O(N/64 + floored). A view then reads its floored ids in ascending order
+// straight off the bitset, and the rest of the row off the buckets from the
+// first entry past `now`.
 //
 // The entries deliberately stay (free_at, node) without a cps column:
-// per-node speeds are constant, so the heterogeneous snapshot derives them
-// from the id column instead of fattening the entries every update shifts.
+// per-node speeds are constant, so the heterogeneous row derives them from
+// the id column instead of fattening the entries every update shifts.
 //
 // Invariants (checked by consistent_with / the index tests):
 //  * iteration order is strictly (free_at, node) - the node id breaks
@@ -44,7 +53,9 @@
 //    inside the same mutation that bumps its availability version;
 //  * every bucket is non-empty and holds at most kMaxFanout entries,
 //    directory minima equal their bucket's first entry, and bucket
-//    boundaries preserve the global order.
+//    boundaries preserve the global order;
+//  * a node's partition bit is set iff its free_at <= the watermark, and
+//    the partition count is the number of set bits.
 //
 // A Fenwick count over bucketed release times was considered for the
 // first-crossing queries and rejected: release times are unbounded
@@ -99,37 +110,62 @@ class AvailabilityIndex {
   }
 
   /// Number of nodes with free_at <= t: the paper's AN(t) ("available
-  /// nodes by t") quantity. O(log N).
-  RTDLS_HOT std::size_t available_by(Time t) const;
+  /// nodes by t") quantity. O(log N + #buckets): the bucket sizes up to the
+  /// first entry past t.
+  std::size_t available_by(Time t) const;
 
-  /// Writes the sorted availability snapshot floored at `now` into `out`:
-  /// bit-identical to sorting max(free_at, now) over all nodes, without the
-  /// sort (the floored prefix collapses to `now`; the rest is already
-  /// ordered). O(N) copy.
+  /// Read state of one view of the row floored at `now` (see open_view):
+  /// where its next position comes from.
+  struct ViewCursor {
+    std::uint64_t epoch = 0;  ///< the index state the view was opened on
+    Time now = 0.0;
+    bool with_ids = false;
+    std::size_t next = 0;     ///< the next position to read
+    std::size_t floored = 0;  ///< positions [0, floored) all read `now`
+    std::size_t word = 0;     ///< partition word holding the next floored id
+    std::uint64_t bits = 0;   ///< that word's ids not read yet
+    std::size_t bucket = 0;   ///< directory position of the next entry past the floor
+    std::size_t at = 0;       ///< its position in that bucket
+  };
+
+  /// Opens a view of the sorted row floored at `now` - the row a pair sort
+  /// of (max(free_at, now), id) would produce - with no position read yet.
+  /// Moves the partition's watermark to `now` first (extending it, or
+  /// rebuilding it when `now` precedes the watermark). O(log N) plus the
+  /// entries the watermark passes. Throws std::invalid_argument, with the
+  /// partition untouched, when `now` is NaN.
+  RTDLS_HOT void open_view(Time now, bool with_ids, ViewCursor& cursor) const;
+
+  /// Reads view positions [cursor.next, last) into times[0, last - next)
+  /// and, for a view opened with ids, ids[0, last - next); either pointer
+  /// may be null to skip its column. The floored prefix reads `now` with
+  /// its ids ascending off the partition bitset, the rest the entries in
+  /// index order: O(words scanned + positions read). Throws
+  /// std::logic_error when the index changed or the watermark moved since
+  /// the view opened (its cursor would read a different row), and
+  /// std::out_of_range past size().
+  RTDLS_HOT void read_view(ViewCursor& cursor, std::size_t last, Time* times,
+                           NodeId* ids) const;
+
+  /// The whole row floored at `now` into `out`: bit-identical to sorting
+  /// max(free_at, now) over all nodes, without the sort. O(N).
   RTDLS_HOT void availability_into(Time now, std::vector<Time>& out) const;
 
-  /// Same snapshot plus the matching node ids (ids[i] owns times[i]),
-  /// strictly ordered by (floored time, id): the floored prefix all ties at
-  /// `now`, so its ids are put in ascending order - the same order a pair
-  /// sort of (max(free_at, now), id) would produce. The heterogeneous
-  /// planning path consumes this: the id column is what lets rules look up
-  /// per-node cps and record the concrete nodes their alpha was computed
-  /// for, and the strict (time, id) order is the invariant the admission
-  /// session's functional state evolution preserves. O(N): the floored ids
-  /// are marked in a node-id bitset and read back in id order, no sort.
+  /// Same row plus the matching node ids (ids[i] owns times[i]), strictly
+  /// ordered by (floored time, id) - the order a pair sort of
+  /// (max(free_at, now), id) would produce. O(N).
   RTDLS_HOT void availability_with_ids_into(Time now, std::vector<Time>& times,
-                                  std::vector<NodeId>& ids) const;
+                                            std::vector<NodeId>& ids) const;
 
   /// Ids of the `n` earliest-available nodes at `now`, ties broken by id:
-  /// bit-identical to a stable sort of all ids by (max(free_at, now), id).
-  /// Nodes already free at `now` all tie, so the floored prefix's ids go
-  /// through the node-id bitset as in availability_with_ids_into and its n
-  /// smallest are read back; the rest follow in index order. n must not
-  /// exceed size().
+  /// the first n ids of the view at `now`, bit-identical to a stable sort
+  /// of all ids by (max(free_at, now), id). O(N/64 + n) past the partition
+  /// update. n must not exceed size().
   RTDLS_HOT void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
   /// Debug/tests: true iff the invariants hold against the authoritative
-  /// per-node release times (free_times[i] = node i's free_at()).
+  /// per-node release times (free_times[i] = node i's free_at()), the
+  /// floored partition's bits and count included.
   bool consistent_with(const std::vector<Time>& free_times) const;
 
  private:
@@ -147,8 +183,6 @@ class AvailabilityIndex {
   /// Directory position of the bucket holding exactly `key`, with its
   /// in-bucket position in `at`; npos when the index has no such entry.
   RTDLS_HOT std::size_t find_entry(const Entry& key, std::size_t& at) const;
-  /// Rebuilds the per-bucket prefix-sum when a mutation invalidated it.
-  RTDLS_HOT void ensure_prefix() const;
   /// Merges the undersized bucket at `b` into a neighbor when the combined
   /// size stays at most kMergeMax: the fold rule update_batch applies to
   /// each touched bucket.
@@ -162,20 +196,20 @@ class AvailabilityIndex {
   /// tallying them per bucket; throws (desync, repeated node) with every
   /// mark and tally cleared, so nothing has changed.
   RTDLS_HOT void locate_batch(std::span<const NodeId> nodes, std::span<const Time> from);
-  /// One node's bit in floored_marks_.
-  bool marked(NodeId node) const {
-    return (floored_marks_[node / 64] >> (node % 64) & 1) != 0;
+  /// One node's bit in a node-id bitset.
+  static bool bit(const std::vector<std::uint64_t>& bits, NodeId node) {
+    return (bits[node / 64] >> (node % 64) & 1) != 0;
   }
-  void set_mark(NodeId node, bool on) const {
-    const std::uint64_t bit = std::uint64_t{1} << (node % 64);
-    floored_marks_[node / 64] = on ? floored_marks_[node / 64] | bit
-                                   : floored_marks_[node / 64] & ~bit;
+  static void set_bit(std::vector<std::uint64_t>& bits, NodeId node, bool on) {
+    const std::uint64_t mask = std::uint64_t{1} << (node % 64);
+    bits[node / 64] = on ? bits[node / 64] | mask : bits[node / 64] & ~mask;
   }
-  RTDLS_HOT void set_marks(std::span<const NodeId> nodes, bool on) const;
-  /// Writes the `take` smallest of the `marked` ids marked in
-  /// floored_marks_ to out[0, take) in ascending order and clears every
-  /// mark: O(N / 64 + marked) at most.
-  RTDLS_HOT void take_marks(std::size_t marked, std::size_t take, NodeId* out) const;
+  /// The first entry with free_at > t: its directory position and in-bucket
+  /// position, or (order_.size(), 0) when there is none.
+  RTDLS_HOT void locate_after(Time t, std::size_t& bucket, std::size_t& at) const;
+  /// Moves the partition's watermark to `now`: marks the entries it passes,
+  /// or rebuilds the bitset when `now` is earlier.
+  RTDLS_HOT void advance_floor(Time now) const;
   /// Removes the marked entries from the bucket at directory position `b`,
   /// clearing their marks; returns the entries shifted.
   RTDLS_HOT std::size_t compact_bucket(std::size_t b);
@@ -213,21 +247,24 @@ class AvailabilityIndex {
   /// is the slot of the b-th bucket in timeline order and `mins_[b]`
   /// mirrors that bucket's first entry for directory binary searches.
   /// Emptied slots are recycled through `free_slots_` keeping their
-  /// capacity. `prefix_[b]` = entries in buckets [0, b), rebuilt lazily
-  /// (mutable) because rank queries want it but mutations would pay
-  /// O(#buckets) each to keep it eager.
+  /// capacity.
   std::vector<std::vector<Entry>> slots_;
   std::vector<std::uint32_t> order_;
   std::vector<Entry> mins_;
   std::vector<std::uint32_t> free_slots_;
-  mutable std::vector<std::size_t> prefix_;
-  mutable bool prefix_valid_ = false;
+
+  /// The floored partition: bit i set iff node i's free_at <= watermark_,
+  /// floored_count_ of them. Mutable because opening a view moves the
+  /// watermark; view_epoch_ counts every change to the partition or the
+  /// buckets, so a cursor opened before one is detected as stale.
+  mutable Time watermark_ = 0.0;
+  mutable std::vector<std::uint64_t> floored_;
+  mutable std::size_t floored_count_ = 0;
+  mutable std::uint64_t view_epoch_ = 0;
 
   /// One bit per node id, all clear between calls (sized by reset(), so
-  /// nothing allocates): availability_with_ids_into and
-  /// earliest_free_nodes_into mark the floored ids in it, and update_batch
-  /// the ids it moves.
-  mutable std::vector<std::uint64_t> floored_marks_;
+  /// nothing allocates): update_batch marks the ids it moves.
+  std::vector<std::uint64_t> moved_;
 
   /// update_batch scratch, kept between calls, all O(k) except the
   /// per-bucket tallies and the directory copy. batch_in_ holds the new

@@ -4,7 +4,9 @@
 // The scheduler plans against the *sorted vector of node release times*
 // (nodes are interchangeable in the paper's model, and that row carries no
 // ids); under a heterogeneous profile the row also names the node at each
-// position. The cluster maps an accepted plan onto concrete node ids and
+// position. The cluster serves that row from its free-time index, as a view
+// that fills positions on demand (open_view) or as a whole copy
+// (availability_into), maps an accepted plan onto concrete node ids and
 // keeps per-node accounting.
 #pragma once
 
@@ -13,6 +15,7 @@
 
 #include "cluster/availability_delta.hpp"
 #include "cluster/availability_index.hpp"
+#include "cluster/availability_view.hpp"
 #include "cluster/node.hpp"
 #include "cluster/types.hpp"
 
@@ -31,7 +34,7 @@ class Cluster {
   /// Monotonic availability version: bumped once by every mutation of node
   /// release times (a single-node commit or restore, a commit or
   /// early-release batch, a reset). An unchanged version guarantees an
-  /// unchanged availability snapshot for any `now` at or before the
+  /// unchanged availability row for any `now` at or before the
   /// earliest node release, which lets the incremental admission path skip
   /// rebuilding and re-planning entirely.
   std::uint64_t version() const { return version_; }
@@ -40,16 +43,23 @@ class Cluster {
   /// (back-to-back sweep cells reuse one cluster instead of reconstructing).
   void reset();
 
-  /// Writes the availability snapshot at `now` into `row` (capacity
-  /// reused; hot path), served from the sorted free-time index: an O(N)
-  /// copy, no per-call sort. The id column is filled, in strict (time, id)
-  /// order, exactly when params().heterogeneous(); otherwise it is left
-  /// empty (see AvailabilityIndex::availability_with_ids_into).
+  /// Opens `view` on the availability row at `now`: positions fill as the
+  /// planner reads them, O(N/64 + positions read) (see AvailabilityView).
+  /// The row carries ids, in strict (time, id) order, exactly when
+  /// params().heterogeneous(). Any mutation of the cluster invalidates the
+  /// view; so does a view or read at another `now`.
+  void open_view(Time now, AvailabilityView& view) const {
+    view.open(index_, now, params_.heterogeneous());
+  }
+
+  /// The whole availability row at `now` into `row` (capacity reused): the
+  /// open_view row with every position filled, O(N), no per-call sort.
   void availability_into(Time now, AvailabilityRow& row) const;
 
   /// Ids of the `n` earliest-available nodes at `now` (ties broken by id so
   /// commitments are deterministic), written into `out` (capacity reused;
-  /// hot path). `n` must not exceed size().
+  /// hot path): the first n ids of the view at `now`. `n` must not exceed
+  /// size().
   void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
   /// Commits node `id` to `task` over [start, end): a commit_batch of one.

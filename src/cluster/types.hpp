@@ -1,6 +1,7 @@
 // Shared vocabulary types for the cluster model.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -51,9 +52,13 @@ struct ClusterParams {
   /// Defined in speed_profile.cpp.
   double node_cps(NodeId id) const;
 
-  /// True when the parameters form a valid model.
+  /// True when the parameters form a valid model: at least one node and
+  /// finite, positive costs. An infinite Cms or Cps would make every
+  /// transmission or computation endless, so no task could ever be
+  /// planned; the workload generator would divide by it.
   bool valid() const {
-    return node_count > 0 && cms > 0.0 && cps > 0.0 &&
+    const auto cost = [](double c) { return std::isfinite(c) && c > 0.0; };
+    return node_count > 0 && cost(cms) && cost(cps) &&
            (speed_profile == nullptr || profile_valid());
   }
 

@@ -77,6 +77,7 @@ AdmissionOutcome AdmissionController::test(
     }
   }
   cluster::floor_and_sort(row, now, merge_scratch_);
+  cluster::AvailabilityView view(std::move(row));
 
   AdmissionOutcome outcome;
   outcome.schedule.reserve(temp_list.size());
@@ -85,8 +86,7 @@ AdmissionOutcome AdmissionController::test(
     PlanRequest request;
     request.task = task;
     request.params = params;
-    request.free_times = &row.times;
-    request.node_ids = &row.ids;
+    request.row = &view;
     request.now = now;
     request.calendar = temp_calendar ? &*temp_calendar : nullptr;
 
@@ -108,7 +108,7 @@ AdmissionOutcome AdmissionController::test(
                                plan.node_release[i]);
       }
     } else {
-      cluster::apply_releases(row, plan.node_release, plan.node_ids, merge_scratch_);
+      cluster::apply_releases(view.dense(), plan.node_release, plan.node_ids, merge_scratch_);
     }
 
     outcome.schedule.push_back(ScheduledTask{task, std::move(result.plan)});
@@ -175,8 +175,8 @@ void AdmissionController::invalidate() {
   for (Checkpoint& cp : checkpoints_) retire_checkpoint(std::move(cp));
   checkpoints_.clear();
   cursor_valid_ = false;
-  top_.times.clear();
-  top_.ids.clear();
+  top_pos_ = kNpos;
+  work_pos_ = kNpos;
   // peak_ deliberately survives: a burst's high-water mark must outlive the
   // session rebuilds inside it (reset_session_stats() is the explicit reset).
 }
@@ -191,15 +191,14 @@ AdmissionController::SessionMemory AdmissionController::session_memory() const {
                       deltas_.ids.size() * sizeof(cluster::NodeId) +
                       deltas_.end.size() * sizeof(std::size_t);
   for (const Checkpoint& cp : checkpoints_) bytes += row_bytes(cp.row);
-  bytes += row_bytes(top_);
+  if (top_pos_ != kNpos) bytes += row_bytes(top_);
   if (cursor_valid_) bytes += row_bytes(cursor_);
   bytes += fronts_.size() * sizeof(Time);
   mem.bytes = bytes;
   // The historical representation held one dense row per planned position
   // (rows head_..head_+planned_ pre-compaction, each N wide; rows with ids
   // also mirrored the id column).
-  const std::size_t entry =
-      sizeof(Time) + (top_.ids.empty() ? 0 : sizeof(cluster::NodeId));
+  const std::size_t entry = sizeof(Time) + (with_ids_ ? sizeof(cluster::NodeId) : 0);
   mem.dense_equivalent_bytes = (head_ + planned_ + 1) * node_count_ * entry;
   return mem;
 }
@@ -232,17 +231,10 @@ void AdmissionController::retire_checkpoint(Checkpoint&& checkpoint) {
 }
 
 void AdmissionController::compact_head() {
-  if (head_ == 0) return;
-  // The cut must land on a dense row (everything below it is erased, so the
-  // delta chain can no longer reach positions before the first checkpoint):
-  // use the last checkpoint at or before head_. One always exists at
-  // position 0 (the rebuild seeds it and every compaction keeps the cut).
-  std::size_t cut = 0;
-  for (const Checkpoint& cp : checkpoints_) {
-    if (cp.pos > head_) break;
-    cut = cp.pos;
-  }
-  if (cut == 0) return;  // nothing erasable yet; try again after more commits
+  // Row head_ is always at hand (the live view), so everything below it can
+  // go: the consumed entries, their deltas, and the dense rows they hold.
+  const std::size_t cut = head_;
+  if (cut == 0) return;
   const auto offset = static_cast<std::ptrdiff_t>(cut);
   order_.erase(order_.begin(), order_.begin() + offset);
   plans_.erase(plans_.begin(), plans_.begin() + offset);
@@ -262,43 +254,62 @@ void AdmissionController::compact_head() {
       cursor_pos_ -= cut;
     }
   }
-  head_ -= cut;
+  if (top_pos_ != kNpos) top_pos_ = top_pos_ < cut ? kNpos : top_pos_ - cut;
+  head_ = 0;
 }
 
-void AdmissionController::materialize_row(std::size_t pos) {
-  if (pos == head_ + planned_) {
-    // The frontier row is kept dense: append-at-the-end planning (FIFO
-    // always, EDF whenever the new deadline sorts last) replays nothing.
-    work_ = top_;
-    return;
-  }
+void AdmissionController::materialize_row(std::size_t pos, bool take_top,
+                                          const cluster::Cluster& cluster, Time now) {
+  if (work_pos_ == pos) return;  // the live view a rebuild just opened
+  // The closest dense row at or below `pos` (rows below head_ are stale);
+  // on a tie top_ wins, as it may be swapped in instead of copied.
   const auto after = std::upper_bound(
       checkpoints_.begin(), checkpoints_.end(), pos,
       [](std::size_t p, const Checkpoint& cp) { return p < cp.pos; });
-  const Checkpoint& base = *(after - 1);  // exists: position 0 is always kept
-  // Start from whichever dense row is closest below `pos`: the nearest
-  // checkpoint, or the cursor (the row the previous arrival rebuilt).
-  std::size_t from = base.pos;
-  if (cursor_valid_ && cursor_pos_ <= pos && cursor_pos_ > from) {
-    from = cursor_pos_;
-    work_ = cursor_;
+  const Checkpoint* base =
+      after != checkpoints_.begin() && (after - 1)->pos >= head_ ? &*(after - 1) : nullptr;
+  std::size_t from = kNpos;
+  const cluster::AvailabilityRow* source = nullptr;
+  const auto offer = [&](std::size_t at, const cluster::AvailabilityRow* row) {
+    if (at >= head_ && at <= pos && (from == kNpos || at > from)) {
+      from = at;
+      source = row;
+    }
+  };
+  if (top_pos_ != kNpos) offer(top_pos_, &top_);
+  if (cursor_valid_) offer(cursor_pos_, &cursor_);
+  if (base != nullptr) offer(base->pos, &base->row);
+  const bool swap_top = take_top && source == &top_;
+
+  if (from == kNpos || (pos == head_ && !swap_top)) {
+    // Row head_ is the live view: left unfilled when planning starts there
+    // (the plan reads only what it inspects), filled in full to replay on.
+    cluster.open_view(now, work_);
+    from = head_;
+  } else if (swap_top) {
+    work_.swap(top_);
+    top_pos_ = kNpos;
   } else {
-    work_ = base.row;
+    work_.assign(*source);
   }
-  const std::size_t chain = pos - base.pos;
+  work_pos_ = from;
   admission_obs().delta_replays.add(pos - from);
-  for (std::size_t r = from; r < pos; ++r) deltas_.replay(r, work_);
+  catch_up(pos, head_ + planned_);
+  // The frontier needs no bookkeeping: append-at-the-end planning (FIFO
+  // always, EDF whenever the new deadline sorts last) starts from top_.
+  if (pos == head_ + planned_) return;
   // A long replay marks a hot insertion point (policies tend to insert
   // arrivals into the same deadline neighborhood); checkpoint the rebuilt
   // row so the next arrival landing here replays nothing. The budget keeps
   // the dense-row count at the sqrt(N)-cadence O(rows / sqrt(N)) bound even
   // when insertion points wander (otherwise opportunistic rows would erode
   // the memory win the sparse session exists for).
+  const std::size_t chain = pos - (base != nullptr ? base->pos : head_);
   const std::size_t budget = (head_ + planned_) / checkpoint_every_ + 3;
   if (chain > checkpoint_every_ / 2 && checkpoints_.size() < budget) {
     admission_obs().opportunistic_checkpoints.inc();
     Checkpoint cp = take_checkpoint(pos);
-    cp.row = work_;
+    cp.row = work_.dense();
     checkpoints_.insert(after, std::move(cp));
   }
   if (pos != from) {
@@ -306,8 +317,33 @@ void AdmissionController::materialize_row(std::size_t pos) {
     // gap between the two positions.
     cursor_valid_ = true;
     cursor_pos_ = pos;
-    cursor_ = work_;
+    cursor_ = work_.dense();
   }
+}
+
+void AdmissionController::catch_up(std::size_t pos, std::size_t suffix) {
+  for (; work_pos_ < pos; ++work_pos_) {
+    if (work_pos_ < suffix) {
+      deltas_.replay(work_pos_, work_.dense());
+    } else {
+      scratch_deltas_.replay(work_pos_ - suffix, work_.dense());
+      scratch_merged_ = true;
+    }
+  }
+}
+
+void AdmissionController::settle_work(bool accepted, std::size_t suffix) {
+  // A partly filled view never outlives the call: the next commit, or a
+  // view at another `now`, would change what its unread positions say.
+  if (work_pos_ != kNpos && !work_.settle()) work_pos_ = kNpos;
+  if (work_pos_ != kNpos && (accepted || !scratch_merged_)) {
+    work_.swap(top_);
+    top_pos_ = work_pos_;
+  } else if (accepted && top_pos_ != kNpos && top_pos_ > suffix) {
+    top_pos_ = kNpos;  // a row the adopted suffix replaced
+  }
+  work_pos_ = kNpos;
+  scratch_merged_ = false;
 }
 
 void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& plan,
@@ -324,17 +360,30 @@ void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& 
     return;
   }
   // Policy-order-front commit: its reservations are exactly the front
-  // plan's releases, so the post-commit availability snapshot equals the
-  // next row and the whole session just shifts by one - O(1) via the head
-  // offset (the frontier row and every checkpoint keep their positions),
-  // compacted back to the nearest checkpoint once the consumed prefix
-  // outweighs the live part (amortized O(1) per advance).
+  // plan's releases, so the post-commit availability view equals the next
+  // row and the whole session just shifts by one - O(1) via the head
+  // offset (the dense rows keep their positions), compacted once the
+  // consumed prefix outweighs the live part (amortized O(1) per advance).
   ++head_;
   --planned_;
   if (synced_prefix_ > 0) --synced_prefix_;
   cache_version_ = cluster_version;
   if (head_ > 64 && head_ > order_.size() - head_) compact_head();
 }
+
+namespace {
+
+/// First entry of the row `row` becomes once `run` (a plan's sorted
+/// releases) is merged in: the smaller of the first unconsumed entry and
+/// the run's first. Reads one position past the consumed prefix.
+Time front_after(const cluster::AvailabilityView& row, const cluster::AvailabilityRow& run) {
+  const std::size_t k = run.times.size();
+  if (k == 0) return row.front();
+  if (k >= row.size()) return run.times.front();
+  return std::min(row.at(k), run.times.front());
+}
+
+}  // namespace
 
 AdmissionOutcome AdmissionController::test_incremental(
     const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
@@ -347,13 +396,16 @@ AdmissionOutcome AdmissionController::test_incremental(
   }
   const std::size_t n = params.node_count;
   const std::size_t q = waiting.size();
+  work_pos_ = kNpos;  // work_ holds no row between calls
+  scratch_merged_ = false;
 
   // The session is reusable when nothing that feeds the plans has changed:
   // same availability version, no entry floored below `now` (rows are
   // sorted, so the cached front of row head_ suffices), the same waiting
-  // order, and rows that carry ids exactly when the params need them.
+  // order, and rows that carry ids exactly when the params need them. Row
+  // head_ is then the live view at `now`.
   bool reuse = cache_valid_ && cache_version_ == cluster.version() && node_count_ == n &&
-               top_.ids.empty() != params.heterogeneous() && order_.size() - head_ == q &&
+               with_ids_ == params.heterogeneous() && order_.size() - head_ == q &&
                fronts_.size() > head_ && fronts_[head_] >= now;
   if (reuse) reuse = std::equal(waiting.begin(), waiting.end(), order_.begin() + head_);
 
@@ -361,6 +413,7 @@ AdmissionOutcome AdmissionController::test_incremental(
     admission_obs().session_rebuilds.inc();
     invalidate();
     node_count_ = n;
+    with_ids_ = params.heterogeneous();
     // ~sqrt(N), floored at 16: below that the dense rows are so small that
     // checkpoint churn costs more than the replays it saves (the sparse
     // representation is a large-N play; tiny clusters just replay).
@@ -371,11 +424,10 @@ AdmissionOutcome AdmissionController::test_incremental(
     // sorted list is cheap and keeps a misordered caller correct (it merely
     // costs the incremental reuse).
     order_tasks(policy_, order_);
-    cluster.availability_into(now, top_);
-    Checkpoint base = take_checkpoint(0);
-    base.row = top_;
-    checkpoints_.push_back(std::move(base));
-    fronts_.push_back(top_.times.front());
+    // Row 0 is the live view; its front is one position of it.
+    cluster.open_view(now, work_);
+    work_pos_ = 0;
+    fronts_.push_back(work_.front());
     cache_valid_ = true;
     cache_version_ = cluster.version();
   }
@@ -394,11 +446,12 @@ AdmissionOutcome AdmissionController::test_incremental(
   AdmissionOutcome outcome;
   const std::size_t start = std::min(p, planned_);
   outcome.reused_prefix = std::min(synced_prefix_, start);
+  const std::size_t suffix = head_ + p;  // first row the new task's plan feeds
 
-  // Working availability state := row of live position `start`: the dense
-  // frontier when planning appends at the end, otherwise the nearest
-  // checkpoint plus a bounded delta-chain replay.
-  materialize_row(head_ + start);
+  // Working availability state := row of live position `start`. A call that
+  // plans only the new task (p == q) may take top_ itself: nothing it
+  // merges can leave work_ off the session's rows.
+  materialize_row(head_ + start, p == q, cluster, now);
 
   // Batched hard-rejection screen: gather every task this call may plan
   // (temp-list order, i.e. screen index i - start for temp position i) into
@@ -417,8 +470,7 @@ AdmissionOutcome AdmissionController::test_incremental(
 
   PlanRequest request;
   request.params = params;
-  request.free_times = &work_.times;
-  request.node_ids = &work_.ids;
+  request.row = &work_;
   request.now = now;
 
   auto reject = [&](dlt::Infeasibility reason, const workload::Task* blocker) {
@@ -427,40 +479,55 @@ AdmissionOutcome AdmissionController::test_incremental(
     outcome.blocking_task = blocker->id;
     outcome.reused_prefix = 0;
     outcome.schedule.clear();
+    settle_work(false, suffix);
     note_session_peak();
     if (cross_check_) verify_against_full(new_task, waiting, params, cluster, now, outcome);
     return outcome;
   };
 
-  // Applies the freshly planned releases to the working row and appends the
-  // resulting O(k) delta (the merge scratch holds exactly the sorted
-  // entries the merge consumed) to the given delta columns.
-  auto apply_and_record = [&](const TaskPlan& plan, cluster::DeltaColumns& deltas) {
-    cluster::apply_releases(work_, plan.node_release, plan.node_ids, merge_scratch_);
+  // Plans task `task` against row `pos`: merges the previous plan's
+  // releases into work_ first (deferred until a plan reads them), then
+  // records this plan's sorted releases as an O(k) delta in `deltas` and
+  // returns the next row's front. The merge of the call's last plan stays
+  // deferred: a later call that plans from the frontier does it.
+  Time front = fronts_[head_ + start];
+  auto plan_at = [&](std::size_t pos, const workload::Task* task,
+                     cluster::DeltaColumns& deltas) {
+    catch_up(pos, suffix);
+    request.task = task;
+    PlanResult result = rule_->plan(request);
+    if (!result.feasible()) return result;
+    cluster::sort_releases(result.plan.node_release, result.plan.node_ids, with_ids_,
+                           merge_scratch_);
+    if (merge_scratch_.times.size() > n) {
+      throw std::invalid_argument("test_incremental: plan releases more nodes than the row");
+    }
+    front = front_after(work_, merge_scratch_);
     deltas.push(merge_scratch_);
+    return result;
   };
 
   // Extend the waiting-only prefix up to the insertion point (runs only
   // after a rejected rebuild left the session partially planned). These
-  // plans do not involve the new task, so they survive a rejection; the
-  // frontier row is synced per step so a mid-loop rejection leaves the
-  // session consistent.
+  // plans do not involve the new task, so they survive a rejection, and
+  // the session is consistent after every step.
   for (std::size_t i = planned_; i < p; ++i) {
     if (screened) {
-      const dlt::Infeasibility doomed = screen_.screen(i - start, work_.times.front());
+      const dlt::Infeasibility doomed = screen_.screen(i - start, front);
       if (doomed != dlt::Infeasibility::kNone) return reject(doomed, order_[head_ + i]);
     }
-    request.task = order_[head_ + i];
-    PlanResult result = rule_->plan(request);
+    PlanResult result = plan_at(head_ + i, order_[head_ + i], deltas_);
     if (!result.feasible()) return reject(result.reason, order_[head_ + i]);
-    apply_and_record(result.plan, deltas_);
     plans_.push_back(std::move(result.plan));
-    fronts_.push_back(work_.times.front());
+    fronts_.push_back(front);
     ++planned_;
-    top_ = work_;
-    if (head_ + planned_ >= checkpoints_.back().pos + checkpoint_every_) {
-      Checkpoint cp = take_checkpoint(head_ + planned_);
-      cp.row = work_;
+    const std::size_t row = head_ + planned_;
+    const std::size_t last =
+        checkpoints_.empty() ? head_ : std::max(head_, checkpoints_.back().pos);
+    if (row >= last + checkpoint_every_) {
+      catch_up(row, suffix);
+      Checkpoint cp = take_checkpoint(row);
+      cp.row = work_.dense();
       checkpoints_.push_back(std::move(cp));
     }
   }
@@ -474,29 +541,28 @@ AdmissionOutcome AdmissionController::test_incremental(
   scratch_checkpoints_.clear();
   // Checkpoints above the insertion point describe rows of the suffix being
   // replaced and are dropped at adoption; the cadence for the re-planned
-  // rows measures from the last one that will survive.
-  std::size_t last_checkpoint = 0;
+  // rows measures from the last one that will survive (or the base).
+  std::size_t last_checkpoint = head_;
   for (const Checkpoint& cp : checkpoints_) {
-    if (cp.pos > head_ + p) break;
-    last_checkpoint = cp.pos;
+    if (cp.pos > suffix) break;
+    last_checkpoint = std::max(last_checkpoint, cp.pos);
   }
   for (std::size_t i = p; i <= q; ++i) {
     const workload::Task* task = (i == p) ? &new_task : order_[head_ + i - 1];
     if (screened) {
-      const dlt::Infeasibility doomed = screen_.screen(i - start, work_.times.front());
+      const dlt::Infeasibility doomed = screen_.screen(i - start, front);
       if (doomed != dlt::Infeasibility::kNone) return reject(doomed, task);
     }
-    request.task = task;
-    PlanResult result = rule_->plan(request);
+    PlanResult result = plan_at(head_ + i, task, scratch_deltas_);
     if (!result.feasible()) return reject(result.reason, task);
-    apply_and_record(result.plan, scratch_deltas_);
     scratch_plans_.push_back(std::move(result.plan));
-    scratch_fronts_.push_back(work_.times.front());
+    scratch_fronts_.push_back(front);
     const std::size_t row = head_ + i + 1;  // row after planning temp entry i
     if (i < q && row >= last_checkpoint + checkpoint_every_) {
-      // The final row needs no checkpoint: it becomes the dense frontier.
+      // The final row needs no checkpoint: it is the frontier.
+      catch_up(row, suffix);
       Checkpoint cp = take_checkpoint(row);
-      cp.row = work_;
+      cp.row = work_.dense();
       scratch_checkpoints_.push_back(std::move(cp));
       last_checkpoint = row;
     }
@@ -505,25 +571,25 @@ AdmissionOutcome AdmissionController::test_incremental(
   // Accepted: adopt the scratch suffix into the session. The replaced
   // suffix rolls back by truncation (its deltas, fronts, and checkpoints
   // simply fall off the stack).
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(head_ + p), &new_task);
-  plans_.resize(head_ + p);
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(suffix), &new_task);
+  plans_.resize(suffix);
   for (TaskPlan& plan : scratch_plans_) plans_.push_back(std::move(plan));
-  deltas_.truncate(head_ + p);
+  deltas_.truncate(suffix);
   deltas_.append(scratch_deltas_);
-  fronts_.resize(head_ + p + 1);
+  fronts_.resize(suffix + 1);
   fronts_.insert(fronts_.end(), scratch_fronts_.begin(), scratch_fronts_.end());
-  while (checkpoints_.back().pos > head_ + p) {
+  while (!checkpoints_.empty() && checkpoints_.back().pos > suffix) {
     retire_checkpoint(std::move(checkpoints_.back()));
     checkpoints_.pop_back();
   }
   // The cursor row at the insertion point survives (row head_ + p depends
   // only on the plans before it); anything above described replaced rows.
-  if (cursor_valid_ && cursor_pos_ > head_ + p) cursor_valid_ = false;
+  if (cursor_valid_ && cursor_pos_ > suffix) cursor_valid_ = false;
   for (Checkpoint& cp : scratch_checkpoints_) checkpoints_.push_back(std::move(cp));
   scratch_checkpoints_.clear();  // moved-from shells
-  std::swap(top_, work_);
   planned_ = q + 1;
   synced_prefix_ = q + 1;
+  settle_work(true, suffix);
   note_session_peak();
   admission_obs().replan_suffix.record(static_cast<double>(q + 1 - p));
 

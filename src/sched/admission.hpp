@@ -23,19 +23,27 @@
 // entries, so the session stores one sparse delta per planned task - its k
 // sorted releases in flat columns, O(k) bytes (cluster/availability_delta)
 // - instead of the dense N-wide row per task it used to copy (O(Q*N) bytes
-// per arrival burst). Dense rows survive only as
-//  * checkpoints every ~sqrt(N) planned positions (plus opportunistic ones
-//    where suffix re-plans actually land), and
-//  * the materialized frontier row after the last planned task (the common
-//    append-at-the-end planning start).
-// A suffix re-plan starting mid-queue rebuilds its dense starting row by
-// copying the nearest checkpoint at or before the insertion point and
-// replaying the bounded delta chain up to it - bit-identical to the row the
-// dense representation held, because the replay runs the exact merge that
-// produced the row originally. Policy-front commits still advance in O(1)
-// (head offset); rejected/replaced suffixes roll back by truncating the
-// delta stack. Peak memory per burst drops from O(Q*N) to
-// O(Q*k + sqrt(N)*N), measured by session_memory()/peak_session_memory().
+// per arrival burst). The base row is not stored at all: whenever the
+// session is reusable, its row head_ equals the cluster's live availability
+// view at `now` (same availability version, no entry floored past `now`),
+// so planning from it opens that view, and a plan reads only the positions
+// it inspects. Dense rows survive only as
+//  * checkpoints every ~sqrt(N) planned positions above the base (plus
+//    opportunistic ones where suffix re-plans actually land),
+//  * the last dense row a call planned against (top_), kept together with
+//    the deltas after it: the last plan's releases are merged into the
+//    frontier only when a later call plans from it, and
+//  * the cursor row at the last mid-queue insertion point.
+// A suffix re-plan starting mid-queue rebuilds its dense starting row from
+// the closest of these at or below the insertion point (or the live view)
+// and replays the bounded delta chain up to it - bit-identical to the row
+// the dense representation held, because the replay runs the exact merge
+// that produced the row originally. A partly filled view never outlives
+// the call that opened it: a commit or a view at another `now` invalidates
+// it. Policy-front commits still advance in O(1) (head offset);
+// rejected/replaced suffixes roll back by truncating the delta stack. Peak
+// memory per burst drops from O(Q*N) to O(Q*k + sqrt(N)*N), measured by
+// session_memory()/peak_session_memory().
 //
 // Drivers (the simulator and the daemon's admission shard) do not pick
 // among these themselves: admit() runs the test against their live Cluster
@@ -190,36 +198,51 @@ class AdmissionController {
   // the consumed prefix outweighs the live part). Invariant when
   // cache_valid_: the live view of order_ is the waiting queue in policy
   // order; "row r" (r = head_ + i) is the availability row before planning
-  // live entry i, with row head_ the snapshot the session currently stands
-  // on; plans_[r] (i < planned_) is live entry i's plan against row r, and
-  // delta r of deltas_ is the sparse edit taking row r to row r + 1, i.e.
-  // the plan's k sorted releases (with their ids when the rows carry ids);
-  // fronts_[r] is row r's first (minimum) entry, the O(1) "did `now`
+  // live entry i, with row head_ the live index view the session currently
+  // stands on; plans_[r] (i < planned_) is live entry i's plan against row
+  // r, and delta r of deltas_ is the sparse edit taking row r to row r + 1,
+  // i.e. the plan's k sorted releases (with their ids when the rows carry
+  // ids); fronts_[r] is row r's first (minimum) entry, the O(1) "did `now`
   // overtake the snapshot" reuse check; rows exist for live 0..planned_.
-  // Dense rows are materialized only in checkpoints_ (ascending positions,
-  // always one at or before head_; storage recycled through
-  // checkpoint_pool_) and top_, the row at position head_ + planned_.
-  // synced_prefix_ counts the leading live entries whose plans the caller
-  // is known to hold verbatim.
+  // Dense rows are materialized only in checkpoints_ (ascending positions;
+  // those below head_ are stale until compaction drops them; storage
+  // recycled through checkpoint_pool_), top_ (row top_pos_, kNpos when
+  // none) and the cursor. synced_prefix_ counts the leading live entries
+  // whose plans the caller is known to hold verbatim.
   struct Checkpoint {
     std::size_t pos = 0;
     cluster::AvailabilityRow row;
   };
 
+  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
   Checkpoint take_checkpoint(std::size_t pos);
   void retire_checkpoint(Checkpoint&& checkpoint);
   void compact_head();
-  /// Copies row `pos` (absolute) into work_: nearest checkpoint at or
-  /// before `pos`, then the delta chain up to `pos`. When the replayed
-  /// chain is long, the rebuilt row is inserted as an opportunistic
-  /// checkpoint (repeated suffix re-plans around the same insertion point
-  /// then replay nothing).
-  void materialize_row(std::size_t pos);
+  /// Brings work_ to row `pos` (absolute, head_ <= pos <= head_ + planned_)
+  /// from the closest row at hand: top_ (swapped in when `take_top`, else
+  /// copied), the cursor or a checkpoint, each at or below `pos`, or else
+  /// the live view at head_ - left unfilled when `pos` is head_ itself.
+  /// Then it replays the delta chain up to `pos`. When the replayed chain
+  /// is long, the rebuilt row is inserted as an opportunistic checkpoint
+  /// (repeated suffix re-plans around the same insertion point then replay
+  /// nothing).
+  void materialize_row(std::size_t pos, bool take_top, const cluster::Cluster& cluster,
+                       Time now);
+  /// Merges the recorded deltas up to row `pos` into work_ (the session's
+  /// below `suffix`, the call's scratch ones from it on).
+  void catch_up(std::size_t pos, std::size_t suffix);
+  /// Ends a call's use of work_: a dense session row becomes top_ (on
+  /// acceptance every row up to the frontier is one), a partly filled view
+  /// is dropped; rows above `suffix` that an acceptance replaced are
+  /// forgotten.
+  void settle_work(bool accepted, std::size_t suffix);
   void note_session_peak();
 
   bool cache_valid_ = false;
   std::uint64_t cache_version_ = 0;
   std::size_t node_count_ = 0;
+  bool with_ids_ = false;  ///< rows carry node ids (heterogeneous params)
   std::size_t head_ = 0;
   std::size_t planned_ = 0;
   std::size_t synced_prefix_ = 0;
@@ -230,21 +253,33 @@ class AdmissionController {
   std::vector<Time> fronts_;
   std::vector<Checkpoint> checkpoints_;
   std::vector<Checkpoint> checkpoint_pool_;    ///< retired rows, capacity kept
-  /// Cursor cache: the row most recently rebuilt by materialize_row, kept
-  /// dense. Policies insert consecutive arrivals into nearby queue
-  /// positions (EDF deadlines trend upward with arrival time), so the next
-  /// materialization usually replays the few deltas past the cursor rather
-  /// than a whole checkpoint chain. Invalidation: an adoption that replaces
-  /// rows at or below the cursor, session rebuilds, and compaction past it.
+  /// Cursor cache: the row most recently rebuilt mid-queue by
+  /// materialize_row, kept dense. Policies insert consecutive arrivals into
+  /// nearby queue positions (EDF deadlines trend upward with arrival time),
+  /// so the next materialization usually replays the few deltas past the
+  /// cursor rather than a whole checkpoint chain. Invalidation: an adoption
+  /// that replaces rows at or below the cursor, session rebuilds, and
+  /// compaction past it.
   bool cursor_valid_ = false;
   std::size_t cursor_pos_ = 0;
   cluster::AvailabilityRow cursor_;
+  /// The last dense row a call planned against, at top_pos_ (kNpos when
+  /// none): after an acceptance that is the last task's row, one delta
+  /// behind the frontier, so appending at the end replays that one delta in
+  /// place instead of copying a frontier row.
+  std::size_t top_pos_ = kNpos;
   cluster::AvailabilityRow top_;
   SessionMemory peak_;
 
   // Scratch reused across calls (no per-arrival allocation steady-state).
   cluster::AvailabilityRow live_;              ///< admit(): stateless input
-  cluster::AvailabilityRow work_;
+  /// The row the next plan reads: the live view, or a dense row. Holds row
+  /// work_pos_ within a test_incremental call; scratch_merged_ records that
+  /// a merged delta of the call's scratch suffix made it a row that exists
+  /// only if the suffix is adopted.
+  cluster::AvailabilityView work_;
+  std::size_t work_pos_ = kNpos;
+  bool scratch_merged_ = false;
   std::vector<TaskPlan> scratch_plans_;
   cluster::DeltaColumns scratch_deltas_;
   std::vector<Time> scratch_fronts_;
@@ -257,10 +292,10 @@ class AdmissionController {
   /// stays unscreened as the cross-check reference.
   het::QueueScreen screen_;
   std::vector<const workload::Task*> screen_tasks_;
-  /// apply_releases' and floor_and_sort's buffer; mutable so the const
-  /// (stateless) test() reuses it too. Consistent with the single-thread
-  /// affinity of the controller (like the rules' plan scratch, one instance
-  /// per simulator).
+  /// apply_releases' and floor_and_sort's buffer, and the sorted run of the
+  /// plan a call just recorded; mutable so the const (stateless) test()
+  /// reuses it too. Consistent with the single-thread affinity of the
+  /// controller (like the rules' plan scratch, one instance per simulator).
   mutable cluster::AvailabilityRow merge_scratch_;
 };
 

@@ -1,12 +1,12 @@
 // EDF/FIFO-DLT partitioning (Section 4.1.1): the paper's new algorithm.
 //
 // Node-count resolution (see NodeSearch in partition_rule.hpp):
-//  * kIterative - scan n = 1..N; with rn(n) = free_times[n-1], take the
+//  * kIterative - scan n = 1..N; with rn(n) = row position n-1, take the
 //    first n with n_min_tilde(rn(n)) <= n. rn(n) is nondecreasing in n and
 //    n_min_tilde nondecreasing in rn, so the first crossing satisfies the
 //    bound with equality (n > 1): it IS the n_min_tilde assignment, reached
 //    as the least fixed point of the pseudocode's circular definition.
-//  * kOptimistic - n = n_min_tilde(free_times[0]) computed once at the
+//  * kOptimistic - n = n_min_tilde(row front) computed once at the
 //    earliest possible start; the explicit completion check then rejects
 //    tasks whose n nodes only gather too late.
 // The two hard-infeasibility reasons (deadline passed / pure transmission
@@ -32,11 +32,11 @@ class DltIitRule final : public het::ScratchRule {
     detail::validate_request(request);
     if (request.params.heterogeneous()) return het::plan_dlt_iit(request, het_scratch_);
     const workload::Task& task = *request.task;
-    const std::vector<Time>& free_times = *request.free_times;
+    const cluster::AvailabilityView& row = *request.row;
     const Time deadline = task.abs_deadline();
 
     auto [assigned, reason] =
-        detail::resolve_node_count(search_, request.params, task.sigma(), deadline, free_times);
+        detail::resolve_node_count(search_, request.params, task.sigma(), deadline, row);
     if (reason == dlt::Infeasibility::kNeedsMoreNodes) {
       // n_min_tilde is only an UPPER bound for the IIT-utilizing execution
       // time E_hat <= E (Eq. 9). When the bound exceeds the cluster, the
@@ -44,14 +44,15 @@ class DltIitRule final : public het::ScratchRule {
       // e_i <= A_i + D_i test decide - and with E_hat the whole cluster can
       // succeed where the bound (and OPR-MN) must give up. This clamped
       // retry is where utilizing IITs admits tasks the baseline rejects.
-      assigned = free_times.size();
+      assigned = row.size();
       reason = dlt::Infeasibility::kNone;
     }
     if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
 
-    // free_times is sorted; the scratch partition avoids re-allocating the
+    // The row is sorted; the scratch partition avoids re-allocating the
     // model vectors on every one of the admission loop's plan() calls.
-    dlt::build_het_partition_into(request.params, task.sigma(), free_times, assigned,
+    row.fill(assigned);
+    dlt::build_het_partition_into(request.params, task.sigma(), row.times(), assigned,
                                   scratch_);
     const dlt::HetPartition& part = scratch_;
     const Time est = part.estimated_completion();
@@ -76,8 +77,8 @@ class DltIitRule final : public het::ScratchRule {
   std::string_view name() const override { return "DLT"; }
 
   // Both paths reject at the row front exactly as the screen predicts: het
-  // via hard_reject at position 1, homogeneous via minimum_nodes at
-  // free_times[0] (kNeedsMoreNodes is the only clamped-retried reason; the
+  // via hard_reject at position 1, homogeneous via minimum_nodes at the
+  // row front (kNeedsMoreNodes is the only clamped-retried reason; the
   // screen never returns it).
   bool hard_rejects_at_front() const override { return true; }
 
@@ -101,48 +102,47 @@ namespace {
 /// a single position) costs no extra n_min evaluation.
 std::pair<std::size_t, dlt::Infeasibility> first_infeasible_reason(
     const cluster::ClusterParams& params, double sigma, Time deadline,
-    const std::vector<Time>& free_times, std::size_t feasible, std::size_t infeasible,
+    const cluster::AvailabilityView& row, std::size_t feasible, std::size_t infeasible,
     dlt::Infeasibility known_reason) {
   std::size_t lo = feasible + 1;
   std::size_t hi = infeasible;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (dlt::minimum_nodes(params, sigma, deadline, free_times[mid - 1]).feasible()) {
+    if (dlt::minimum_nodes(params, sigma, deadline, row.at(mid - 1)).feasible()) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
   if (lo == infeasible) return {0, known_reason};
-  return {0, dlt::minimum_nodes(params, sigma, deadline, free_times[lo - 1]).reason};
+  return {0, dlt::minimum_nodes(params, sigma, deadline, row.at(lo - 1)).reason};
 }
 
 }  // namespace
 
 std::pair<std::size_t, dlt::Infeasibility> resolve_node_count(
     NodeSearch search, const cluster::ClusterParams& params, double sigma, Time deadline,
-    const std::vector<Time>& free_times) {
-  const std::size_t cluster_size = free_times.size();
+    const cluster::AvailabilityView& row) {
+  const std::size_t cluster_size = row.size();
   if (search == NodeSearch::kOptimistic) {
-    const dlt::NminResult need =
-        dlt::minimum_nodes(params, sigma, deadline, free_times.front());
+    const dlt::NminResult need = dlt::minimum_nodes(params, sigma, deadline, row.front());
     if (!need.feasible()) return {0, need.reason};
     if (need.nodes > cluster_size) return {0, dlt::Infeasibility::kNeedsMoreNodes};
     return {need.nodes, dlt::Infeasibility::kNone};
   }
   // Galloping least-fixed-point search, outcome-identical to the linear
-  // n = 1..N scan. n_min_tilde(rn) is nondecreasing in rn and
-  // rn(n) = free_times[n-1] is nondecreasing in n, so from a failing n with
+  // n = 1..N scan. n_min_tilde(rn) is nondecreasing in rn and rn(n) (row
+  // position n-1) is nondecreasing in n, so from a failing n with
   // m = n_min_tilde(rn(n)) > n every n' in (n, m) also fails
   // (n_min_tilde(rn(n')) >= m > n') and the search jumps straight to m:
-  // O(log N)-ish evaluations on real availability states instead of O(N).
+  // O(log N)-ish evaluations on real availability states instead of O(N),
+  // and the row fills only up to the last landing.
   std::size_t feasible_up_to = 0;  // largest position known feasible
   std::size_t n = 1;
   while (n <= cluster_size) {
-    const dlt::NminResult need =
-        dlt::minimum_nodes(params, sigma, deadline, free_times[n - 1]);
+    const dlt::NminResult need = dlt::minimum_nodes(params, sigma, deadline, row.at(n - 1));
     if (!need.feasible()) {
-      return first_infeasible_reason(params, sigma, deadline, free_times, feasible_up_to, n,
+      return first_infeasible_reason(params, sigma, deadline, row, feasible_up_to, n,
                                      need.reason);
     }
     if (need.nodes <= n) return {need.nodes, dlt::Infeasibility::kNone};
@@ -151,9 +151,9 @@ std::pair<std::size_t, dlt::Infeasibility> resolve_node_count(
       // No position can succeed any more; the scan would still surface an
       // infeasibility if rn crosses the threshold before N.
       const dlt::NminResult at_end =
-          dlt::minimum_nodes(params, sigma, deadline, free_times[cluster_size - 1]);
+          dlt::minimum_nodes(params, sigma, deadline, row.at(cluster_size - 1));
       if (!at_end.feasible()) {
-        return first_infeasible_reason(params, sigma, deadline, free_times, feasible_up_to,
+        return first_infeasible_reason(params, sigma, deadline, row, feasible_up_to,
                                        cluster_size, at_end.reason);
       }
       return {0, dlt::Infeasibility::kNeedsMoreNodes};

@@ -14,19 +14,10 @@ namespace rtdls::sched::het {
 
 namespace {
 
-/// Fills scratch.cps with the actual speed at every availability position.
-void gather_cps(const PlanRequest& request, PlannerScratch& scratch) {
-  const std::vector<cluster::NodeId>& ids = *request.node_ids;
-  scratch.cps.resize(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    scratch.cps[i] = request.params.node_cps(ids[i]);
-  }
-}
-
 /// Copies the chosen prefix's identity columns into the plan.
 void pin_prefix(const PlanRequest& request, const PlannerScratch& scratch, std::size_t n,
                 TaskPlan& plan) {
-  const std::vector<cluster::NodeId>& ids = *request.node_ids;
+  const std::vector<cluster::NodeId>& ids = request.row->ids();
   plan.node_ids.assign(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(n));
   plan.node_cps.assign(scratch.cps.begin(),
                        scratch.cps.begin() + static_cast<std::ptrdiff_t>(n));
@@ -43,11 +34,11 @@ dlt::Infeasibility hard_reject(double sigma, double cms, Time deadline, Time rn)
 }
 
 /// Extends scratch.cps with actual speeds up to position `upto` (exclusive
-/// prefix length). The scan gathers lazily so a plan touching k positions
-/// never reads the other N - k ids.
+/// prefix length; the row must be filled that far). The planners gather
+/// lazily so a plan touching k positions never reads the other N - k ids.
 void gather_cps_prefix(const PlanRequest& request, PlannerScratch& scratch,
                        std::size_t upto) {
-  const std::vector<cluster::NodeId>& ids = *request.node_ids;
+  const std::vector<cluster::NodeId>& ids = request.row->ids();
   for (std::size_t i = scratch.cps.size(); i < upto; ++i) {
     scratch.cps.push_back(request.params.node_cps(ids[i]));
   }
@@ -79,6 +70,10 @@ dlt::Infeasibility first_hard_reason(double sigma, double cms, Time deadline,
   return hard_reject(sigma, cms, deadline, free_times[lo - 1]);
 }
 
+/// Positions the first-feasible walk fills past the one it inspects: one
+/// index bucket's worth, so a walk of w positions pays w / 64 view reads.
+constexpr std::size_t kWalkReadAhead = 63;
+
 /// First-feasible availability-prefix scan shared by the DLT-IIT and OPR-MN
 /// het planners, outcome-identical to the linear n = 1..N walk those rules
 /// historically ran (same accept position, same reject reason), with the
@@ -105,8 +100,9 @@ dlt::Infeasibility first_hard_reason(double sigma, double cms, Time deadline,
 ///    prefix whose estimate meets the deadline.
 ///
 /// `estimate_at(n)` must leave the caller's scratch (partition/alpha/batch)
-/// in the state matching position n; scratch.cps is gathered up to every
-/// position handed to it. Positions are handed out in strictly increasing
+/// in the state matching position n; the row is filled and scratch.cps
+/// gathered up to every position handed to it, and no further than the
+/// last position the scan inspects. Positions are handed out in strictly increasing
 /// order, which is what lets the estimate lambdas ride scratch.batch's
 /// shared alpha cursor (begun here) instead of re-running the Eq. (4)-(5)
 /// chain from scratch per candidate. Returns the accepted n, or (0, reason).
@@ -114,9 +110,10 @@ template <typename EstimateAt>
 std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
     const PlanRequest& request, PlannerScratch& scratch, double sigma, Time deadline,
     EstimateAt&& estimate_at) {
-  const std::vector<Time>& free_times = *request.free_times;
+  const cluster::AvailabilityView& row = *request.row;
+  const std::vector<Time>& free_times = row.times();
   const double cms = request.params.cms;
-  const std::size_t cluster_size = free_times.size();
+  const std::size_t cluster_size = row.size();
   ++scratch.counters.resolver_walks;
   scratch.cps.clear();
   scratch.batch.begin_walk(cms, sigma);
@@ -130,9 +127,11 @@ std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
   std::size_t crossing = 0;  // first position with capacity >= sigma
   std::size_t target = 1;    // next jump landing to hard-check
 
-  // Phase 1: gallop to the capacity crossing.
+  // Phase 1: gallop to the capacity crossing. A landing is a lower bound on
+  // the crossing, so the row fills exactly the positions the sum reads.
   while (crossing == 0) {
     bool crossed = false;
+    row.fill(target);
     while (summed < target) {
       gather_cps_prefix(request, scratch, summed + 1);
       capacity += (deadline - free_times[summed]) / scratch.cps[summed];
@@ -168,8 +167,11 @@ std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
     }
   }
 
-  // Phase 2: linear first-feasible walk from the crossing.
+  // Phase 2: linear first-feasible walk from the crossing. It inspects one
+  // position per step, so the row fills a block ahead rather than one
+  // position per call.
   for (std::size_t n = crossing; n <= cluster_size; ++n) {
+    if (n > free_times.size()) row.fill(std::min(cluster_size, n + kWalkReadAhead));
     if (n > clear) {
       const dlt::Infeasibility hard =
           hard_reject(sigma, cms, deadline, free_times[n - 1]);
@@ -189,7 +191,7 @@ std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
 
 PlanResult plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch) {
   const workload::Task& task = *request.task;
-  const std::vector<Time>& free_times = *request.free_times;
+  const std::vector<Time>& free_times = request.row->times();
   const double sigma = task.sigma();
   const Time deadline = task.abs_deadline();
 
@@ -223,7 +225,7 @@ PlanResult plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch) {
 
 PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
   const workload::Task& task = *request.task;
-  const std::vector<Time>& free_times = *request.free_times;
+  const std::vector<Time>& free_times = request.row->times();
   const double sigma = task.sigma();
   const Time deadline = task.abs_deadline();
 
@@ -260,13 +262,16 @@ PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
 
 PlanResult plan_opr_an(const PlanRequest& request, PlannerScratch& scratch) {
   const workload::Task& task = *request.task;
-  const std::vector<Time>& free_times = *request.free_times;
+  const cluster::AvailabilityView& row = *request.row;
   const double sigma = task.sigma();
   const Time deadline = task.abs_deadline();
-  const std::size_t n = free_times.size();
+  const std::size_t n = row.size();
+  row.fill(n);  // the whole row
+  const std::vector<Time>& free_times = row.times();
   const Time rn = free_times.back();
   if (deadline <= rn) return PlanResult::infeasible(dlt::Infeasibility::kDeadlinePassed);
-  gather_cps(request, scratch);
+  scratch.cps.clear();
+  gather_cps_prefix(request, scratch, n);
 
   dlt::general_het_alpha_into(request.params.cms, scratch.cps, n, scratch.alpha);
   const double exec =
@@ -291,12 +296,15 @@ PlanResult plan_opr_an(const PlanRequest& request, PlannerScratch& scratch) {
 
 PlanResult plan_user_split(const PlanRequest& request, PlannerScratch& scratch) {
   const workload::Task& task = *request.task;
-  const std::vector<Time>& free_times = *request.free_times;
+  const cluster::AvailabilityView& row = *request.row;
   const double sigma = task.sigma();
   const Time deadline = task.abs_deadline();
-  std::size_t n = task.user_nodes == 0 ? free_times.size() : task.user_nodes;
-  n = std::min(n, free_times.size());
-  gather_cps(request, scratch);
+  std::size_t n = task.user_nodes == 0 ? row.size() : task.user_nodes;
+  n = std::min(n, row.size());
+  row.fill(n);
+  const std::vector<Time>& free_times = row.times();
+  scratch.cps.clear();
+  gather_cps_prefix(request, scratch, n);
 
   // Exact equal-split rollout: node i receives chunk i over the sequential
   // channel once it is free, then computes at its own speed.

@@ -18,8 +18,9 @@
 //    only hard-checks the jump landings; an infeasible landing binary-
 //    searches the skipped range so the linear scan's exact accept position
 //    and reject reason are preserved (hard rejection is monotone in r_n).
-//    Speeds are gathered lazily up to the largest inspected position, so a
-//    plan that accepts a k-node prefix never reads the other N - k ids.
+//    The row is filled, and speeds gathered, only up to the largest
+//    inspected position, so a plan that accepts a k-node prefix never reads
+//    the other N - k positions.
 //  * Each prefix's estimate comes from the generalized Eq.-1 equivalent
 //    model over the offered nodes' *actual* speeds
 //    (dlt::build_het_partition_into feeding general_het_alpha_into). OPR-MN
@@ -47,10 +48,9 @@ namespace rtdls::sched::het {
 /// Reusable scratch shared by the het planning entry points. One instance
 /// per rule (same single-thread affinity as the rules' other scratch).
 struct PlannerScratch {
-  /// Actual speeds of the offered positions. The prefix scan fills this
-  /// lazily up to the largest position it actually inspects (O(accept)
-  /// instead of O(N) per plan); entry points that consume every position
-  /// (OPR-AN, UserSplit) still gather the full column.
+  /// Actual speeds of the offered positions, gathered up to the largest
+  /// position a planner inspects (O(accept) instead of O(N) per plan): the
+  /// prefix scan's landing, UserSplit's n, OPR-AN's whole row.
   std::vector<double> cps;
   std::vector<double> alpha;        ///< general_het_alpha output
   dlt::HetPartition partition;      ///< generalized Eq.-1 model

@@ -31,17 +31,18 @@ class MultiRoundRule final : public het::ScratchRule {
       return het::plan_multiround(request, rounds_, het_scratch_);
     }
     const workload::Task& task = *request.task;
-    const std::vector<Time>& free_times = *request.free_times;
+    const cluster::AvailabilityView& row = *request.row;
     const Time deadline = task.abs_deadline();
 
     // Same n_min first-crossing as the single-round rules; the shared
     // resolver gallops on the sorted availability instead of scanning.
     const auto [assigned, reason] = detail::resolve_node_count(
-        NodeSearch::kIterative, request.params, task.sigma(), deadline, free_times);
+        NodeSearch::kIterative, request.params, task.sigma(), deadline, row);
     if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
 
-    std::vector<Time> available(free_times.begin(),
-                                free_times.begin() + static_cast<std::ptrdiff_t>(assigned));
+    row.fill(assigned);
+    std::vector<Time> available(row.times().begin(),
+                                row.times().begin() + static_cast<std::ptrdiff_t>(assigned));
     const dlt::MultiRoundSchedule schedule = dlt::build_multiround_schedule(
         request.params, task.sigma(), available, rounds_);
     const Time est = schedule.task_completion();

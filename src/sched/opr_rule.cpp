@@ -22,16 +22,18 @@ namespace rtdls::sched {
 namespace {
 
 /// Fills the OPR plan: all `assigned` nodes reserved from r_n to est.
-TaskPlan make_opr_plan(const PlanRequest& request, std::size_t assigned, Time rn) {
+TaskPlan make_opr_plan(const PlanRequest& request, std::size_t assigned) {
   const workload::Task& task = *request.task;
-  const std::vector<Time>& free_times = *request.free_times;
+  const cluster::AvailabilityView& row = *request.row;
+  row.fill(assigned);
+  const Time rn = row.times()[assigned - 1];
   const Time est = rn + dlt::homogeneous_execution_time(request.params, task.sigma(),
                                                         assigned);
   TaskPlan plan;
   plan.task = task.id;
   plan.nodes = assigned;
-  plan.available.assign(free_times.begin(),
-                        free_times.begin() + static_cast<std::ptrdiff_t>(assigned));
+  plan.available.assign(row.times().begin(),
+                        row.times().begin() + static_cast<std::ptrdiff_t>(assigned));
   plan.reserve_from.assign(assigned, rn);  // simultaneous allocation: IITs wasted
   plan.node_release.assign(assigned, est);
   dlt::homogeneous_partition_into(request.params, assigned, plan.alpha);
@@ -47,15 +49,14 @@ class OprMnRule final : public het::ScratchRule {
     detail::validate_request(request);
     if (request.params.heterogeneous()) return het::plan_opr_mn(request, het_scratch_);
     const workload::Task& task = *request.task;
-    const std::vector<Time>& free_times = *request.free_times;
     const Time deadline = task.abs_deadline();
 
-    const auto [assigned, reason] =
-        detail::resolve_node_count(search_, request.params, task.sigma(), deadline, free_times);
+    const auto [assigned, reason] = detail::resolve_node_count(
+        search_, request.params, task.sigma(), deadline, *request.row);
     if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
 
     PlanResult result;
-    result.plan = make_opr_plan(request, assigned, free_times[assigned - 1]);
+    result.plan = make_opr_plan(request, assigned);
     if (fp::after(result.plan.est_completion, deadline)) {
       // Live under kOptimistic; floating-point guard under kIterative.
       return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
@@ -79,15 +80,14 @@ class OprAnRule final : public het::ScratchRule {
     detail::validate_request(request);
     if (request.params.heterogeneous()) return het::plan_opr_an(request, het_scratch_);
     const workload::Task& task = *request.task;
-    const std::vector<Time>& free_times = *request.free_times;
-    const std::size_t n = free_times.size();
-    const Time rn = free_times.back();
+    const std::size_t n = request.row->size();
+    const Time rn = request.row->at(n - 1);  // the whole row
     const Time deadline = task.abs_deadline();
 
     if (deadline <= rn) return PlanResult::infeasible(dlt::Infeasibility::kDeadlinePassed);
 
     PlanResult result;
-    result.plan = make_opr_plan(request, n, rn);
+    result.plan = make_opr_plan(request, n);
     if (fp::after(result.plan.est_completion, deadline)) {
       return PlanResult::infeasible(dlt::Infeasibility::kNeedsMoreNodes);
     }

@@ -8,19 +8,13 @@ namespace detail {
 
 void validate_request(const PlanRequest& request) {
   if (request.task == nullptr) throw std::invalid_argument("PlanRequest: null task");
-  if (request.free_times == nullptr) {
-    throw std::invalid_argument("PlanRequest: null free_times");
-  }
-  if (request.free_times->size() != request.params.node_count) {
-    throw std::invalid_argument("PlanRequest: free_times size != node count");
+  if (request.row == nullptr) throw std::invalid_argument("PlanRequest: null row");
+  if (request.row->size() != request.params.node_count) {
+    throw std::invalid_argument("PlanRequest: row size != node count");
   }
   if (!request.params.valid()) throw std::invalid_argument("PlanRequest: invalid params");
-  if (request.params.heterogeneous()) {
-    if (request.node_ids == nullptr ||
-        request.node_ids->size() != request.free_times->size()) {
-      throw std::invalid_argument(
-          "PlanRequest: heterogeneous params need node_ids aligned with free_times");
-    }
+  if (request.params.heterogeneous() && !request.row->with_ids()) {
+    throw std::invalid_argument("PlanRequest: heterogeneous params need a row with node ids");
   }
 }
 

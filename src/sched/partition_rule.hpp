@@ -1,7 +1,8 @@
 // Decision #2/#3 of the Figure-2 framework: how a task is partitioned and
 // how many nodes it is assigned. Each concrete rule plans one task against
-// the sorted node release times; the admission controller composes rules
-// with an ordering policy into a full schedulability test.
+// the sorted node release times, read through an AvailabilityView that
+// fills the positions the rule inspects; the admission controller composes
+// rules with an ordering policy into a full schedulability test.
 #pragma once
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/availability_view.hpp"
 #include "cluster/calendar.hpp"
 #include "dlt/params.hpp"
 #include "sched/plan.hpp"
@@ -21,19 +23,22 @@ struct PlanRequest {
   const workload::Task* task = nullptr;
   cluster::ClusterParams params;
 
-  /// Release times of all N nodes, sorted ascending and floored at `now`.
-  /// free_times[k-1] is both (a) the earliest instant k nodes are
-  /// simultaneously available and (b) the available time r_k of the k-th
-  /// earliest node for IIT-utilizing rules.
-  const std::vector<Time>* free_times = nullptr;
-
-  /// Owning node of each free_times position, in strict (time, id) order;
-  /// null or empty when nodes are interchangeable (the id column of
-  /// cluster::AvailabilityRow). Required, aligned with free_times, when
-  /// params.heterogeneous(): rules look up per-node cps through
-  /// params.node_cps(ids[i]) and record the chosen ids in the plan,
-  /// pinning the speeds their partition was computed for.
-  const std::vector<cluster::NodeId>* node_ids = nullptr;
+  /// The availability row: release times of all N nodes, floored at `now`
+  /// and sorted ascending. Position k-1 is both (a) the earliest instant k
+  /// nodes are simultaneously available and (b) the available time r_k of
+  /// the k-th earliest node for IIT-utilizing rules. Under a heterogeneous
+  /// profile the row also names each position's node, in strict (time, id)
+  /// order: rules look up per-node cps through params.node_cps(ids()[i])
+  /// and record the chosen ids in the plan, pinning the speeds their
+  /// partition was computed for.
+  ///
+  /// Input contract: the row fills on demand, for every rule alike. A rule
+  /// calls row->fill(n) (or reads row->at(i)) before it reads times()[i] or
+  /// ids()[i] for i < n, and asks for no more than it inspects - the prefix
+  /// scans extend the fill as they gallop, whole-row rules (OPR-AN) ask for
+  /// N. The buffers hold exactly the filled positions, so a read past the
+  /// fill fails the bounds-checked build's assertions.
+  const cluster::AvailabilityView* row = nullptr;
 
   Time now = 0.0;
 
@@ -96,7 +101,7 @@ class PartitionRule {
  public:
   virtual ~PartitionRule() = default;
 
-  /// Plans `request.task` against the availability snapshot; returns an
+  /// Plans `request.task` against the availability row; returns an
   /// infeasibility reason when no assignment meets the deadline.
   virtual PlanResult plan(const PlanRequest& request) const = 0;
 

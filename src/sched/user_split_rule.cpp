@@ -22,16 +22,17 @@ class UserSplitRule final : public het::ScratchRule {
     detail::validate_request(request);
     if (request.params.heterogeneous()) return het::plan_user_split(request, het_scratch_);
     const workload::Task& task = *request.task;
-    const std::vector<Time>& free_times = *request.free_times;
+    const cluster::AvailabilityView& row = *request.row;
     const Time deadline = task.abs_deadline();
 
     // The "user" request; a degenerate 0 (e.g. hand-built task) means "ask
     // for the whole cluster".
-    std::size_t n = task.user_nodes == 0 ? free_times.size() : task.user_nodes;
-    n = std::min(n, free_times.size());
+    std::size_t n = task.user_nodes == 0 ? row.size() : task.user_nodes;
+    n = std::min(n, row.size());
 
-    std::vector<Time> available(free_times.begin(),
-                                free_times.begin() + static_cast<std::ptrdiff_t>(n));
+    row.fill(n);
+    std::vector<Time> available(row.times().begin(),
+                                row.times().begin() + static_cast<std::ptrdiff_t>(n));
     const dlt::UserSplitSchedule schedule =
         dlt::build_user_split_schedule(request.params, task.sigma(), available);
     if (fp::after(schedule.task_completion(), deadline)) {

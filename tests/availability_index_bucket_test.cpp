@@ -1,11 +1,13 @@
 // Tests for the bucketed AvailabilityIndex: N=10^4 randomized storms over
 // the index mutations (commit / release_early / reset, single and batched)
-// with every query checked against a sort of the authoritative release
-// times, the adversarial monotone-arrival pattern that would make one
-// sorted vector shift all N entries per update (with early releases that
-// cross whole buckets downwards, and plan-sized batches landing in one
-// bucket), desync detection, the depth a single update reports, and the
-// fold that follows a batch which kept every touched bucket's size.
+// and over `now` (forward, kept, landed on a release time, moved back),
+// with every query - the row view and its floored partition included -
+// checked against a sort of the authoritative release times, the
+// adversarial monotone-arrival pattern that would make one sorted vector
+// shift all N entries per update (with early releases that cross whole
+// buckets downwards, and plan-sized batches landing in one bucket), desync
+// detection, stale-view detection, the depth a single update reports, and
+// the fold that follows a batch which kept every touched bucket's size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,8 +42,9 @@ std::vector<NodeId> reference_order(const std::vector<Time>& free_times, Time no
 
 /// Asserts the index mirrors `free_times` and answers every query as the
 /// reference sort does. `full` toggles the O(N log N) reference sort behind
-/// the rank and snapshot compares; the invariants and available_by are
-/// checked every time.
+/// the rank and snapshot compares and the whole-row view; the invariants,
+/// available_by and the view up to one past its floored prefix are checked
+/// every time.
 void expect_matches_reference(const AvailabilityIndex& index,
                               const std::vector<Time>& free_times, Time now, bool full) {
   ASSERT_TRUE(index.consistent_with(free_times));
@@ -53,6 +56,10 @@ void expect_matches_reference(const AvailabilityIndex& index,
   };
   EXPECT_EQ(index.available_by(now), free_by(now)) << "now=" << now;
   EXPECT_EQ(index.available_by(0.0), free_by(0.0));
+  // The view, and through it the floored partition the watermark now
+  // stands at (consistent_with checks its bits and count once more).
+  test::expect_view_matches(index, free_times, now, full);
+  ASSERT_TRUE(index.consistent_with(free_times));
   if (!full) return;
 
   const std::size_t n = free_times.size();
@@ -114,6 +121,7 @@ TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
   workload::Xoshiro256StarStar rng(20260809);
   workload::Xoshiro256StarStar batch_rng(9080626);
   Time now = 0.0;
+  std::size_t now_moves = 0;
   std::size_t batches = 0;
   for (int step = 0; step < 3000; ++step) {
     if (step % 60 == 59) {
@@ -156,7 +164,7 @@ TEST(AvailabilityIndexBucket, RandomizedDifferentialAtTenThousandNodes) {
       index.update(node, from, to);
       free_times[node] = to;
     } else if (action < 0.95) {
-      now += std::floor(rng.next_double() * 30.0);
+      now = test::next_now(now, free_times, now_moves++, 30.0, rng);
     } else {
       // No-op reposition: to == from is compacted out and merged back; the
       // reference check below confirms the index is unchanged.
@@ -251,6 +259,7 @@ TEST(AvailabilityIndexBucket, ClusterDifferentialCommitReleaseReset) {
   std::vector<Time> committed_until(kNodes, 0.0);
   std::vector<Time> free_times(kNodes);
   Time now = 0.0;
+  std::size_t now_moves = 0;
   std::size_t batches = 0;
   for (int step = 0; step < 600; ++step) {
     const auto node = static_cast<NodeId>(rng() % kNodes);
@@ -274,7 +283,8 @@ TEST(AvailabilityIndexBucket, ClusterDifferentialCommitReleaseReset) {
       c.release_early_batch({&node, 1}, {&at, 1});
       committed_until[node] = at;
     } else if (action < 0.97) {
-      now += rng.next_double() * 100.0;
+      for (NodeId id = 0; id < kNodes; ++id) free_times[id] = c.node(id).free_at();
+      now = test::next_now(now, free_times, now_moves++, 100.0, rng);
     } else {
       c.reset();
       std::fill(committed_until.begin(), committed_until.end(), 0.0);
@@ -409,7 +419,7 @@ TEST(AvailabilityIndexBucket, FoldAfterSizeKeepingBatchRefreshesRankSums) {
   // A bucket below the fold threshold keeps its place while its neighbor is
   // too large to take it; once the neighbor shrinks, the next batch that
   // touches the small bucket folds the two, even when every touched bucket
-  // kept its size. The rank sums must not survive that fold.
+  // kept its size. Rank queries and the view must read the folded layout.
   for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
     SCOPED_TRACE("k=" + std::to_string(k));
     AvailabilityIndex index;
@@ -419,7 +429,7 @@ TEST(AvailabilityIndexBucket, FoldAfterSizeKeepingBatchRefreshesRankSums) {
     spread_nodes(index, free_times, 192, 222, 64.5);    // 30 more in the second: 94
     spread_nodes(index, free_times, 10, 64, 1000.0);    // the first shrinks to 10
     spread_nodes(index, free_times, 64, 84, 2000.0);    // the second shrinks to 74
-    expect_matches_reference(index, free_times, 0.0, /*full=*/false);  // rank sums built
+    expect_matches_reference(index, free_times, 0.0, /*full=*/false);
     // Nodes 0 (and 1) move inside the first bucket: sizes stay, then it folds.
     spread_nodes(index, free_times, 0, static_cast<NodeId>(k), 0.25);
     expect_matches_reference(index, free_times, 150.0, /*full=*/true);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -76,6 +77,16 @@ void expect_index_matches_reference(const cluster::Cluster& c, Time now) {
   c.index().availability_with_ids_into(now, times, ids);
   EXPECT_EQ(times, expected_times) << "now=" << now;
   EXPECT_EQ(ids, expected_ids) << "now=" << now;
+  // The row view at lengths 0, 1, F, F + 1 and N, and the cluster's own
+  // (id-less, homogeneous) view in full.
+  std::vector<Time> free_times;
+  for (NodeId id = 0; id < c.size(); ++id) free_times.push_back(c.node(id).free_at());
+  test::expect_view_matches(c.index(), free_times, now, /*whole=*/true);
+  cluster::AvailabilityView view;
+  c.open_view(now, view);
+  EXPECT_FALSE(view.with_ids());
+  EXPECT_EQ(view.dense().times, expected);
+  ASSERT_TRUE(c.index_consistent());
 }
 
 TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
@@ -87,7 +98,8 @@ TEST(AvailabilityIndex, InitialStateIsAllFreeInIdOrder) {
 
 TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
   // Randomized sequences of the mutations the index must mirror - single
-  // and batched commits and early releases - cross-checked against the
+  // and batched commits and early releases - and of `now` (forward, kept,
+  // landed on a release time, moved back), cross-checked against the
   // brute-force sort after every step, at node counts on both sides of
   // each bucket-geometry edge: one node, one partly filled and one full
   // 64-entry bucket, a full bucket plus one (65), two full buckets plus
@@ -103,6 +115,7 @@ TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
     workload::Xoshiro256StarStar batch_rng(54321);
     std::vector<Time> committed_until(nodes, 0.0);
     Time now = 0.0;
+    std::size_t now_moves = 0;
     std::size_t widest_floor = 0;  // after the initial all-idle stretch
     std::size_t batches = 0;
     std::size_t largest_batch = 0;
@@ -133,7 +146,7 @@ TEST(AvailabilityIndex, TracksRandomCommitReleaseSequences) {
         c.release_early_batch({&node, 1}, {&at, 1});
         committed_until[node] = at;
       } else {
-        now += rng.next_double() * 100.0;
+        now = test::next_now(now, committed_until, now_moves++, 100.0, rng);
       }
       if (step >= 200) widest_floor = std::max(widest_floor, c.index().available_by(now));
       expect_index_matches_reference(c, now);
@@ -178,6 +191,36 @@ TEST(AvailabilityIndex, RankQueriesMatchTheSnapshot) {
   for (std::size_t k = 0; k < 8; ++k) {
     EXPECT_EQ(c.index().available_by(row.times[k]), k + 1);
   }
+}
+
+TEST(AvailabilityIndex, ViewGoesStaleWhenTheIndexOrWatermarkMoves) {
+  // A view reads the index through a cursor: a mutation, or a view opened
+  // at another `now`, changes the row under it, and its next fill throws
+  // instead of mixing two rows. A view opened at the same `now` leaves it
+  // valid; settling a partly filled view drops it.
+  cluster::Cluster c({.node_count = 200, .cms = 1.0, .cps = 100.0});
+  for (NodeId id = 0; id < 200; id += 3) c.commit(id, 1, 0.0, 0.0, 10.0 + id);
+  cluster::AvailabilityView view;
+  c.open_view(5.0, view);
+  view.fill(10);
+  cluster::AvailabilityView same;
+  c.open_view(5.0, same);
+  view.fill(150);
+  EXPECT_EQ(view.times().size(), 150u);
+  cluster::AvailabilityView later;
+  c.open_view(6.0, later);
+  EXPECT_THROW(view.fill(160), std::logic_error);
+  later.fill(20);
+  c.commit(1, 2, 6.0, 6.0, 500.0);
+  EXPECT_THROW(later.fill(21), std::logic_error);
+  EXPECT_FALSE(later.settle());
+  EXPECT_TRUE(later.times().empty());
+  EXPECT_THROW(same.fill(201), std::out_of_range);
+  // A NaN `now` is refused before it can move the watermark.
+  EXPECT_THROW(c.open_view(std::numeric_limits<Time>::quiet_NaN(), later),
+               std::invalid_argument);
+  ASSERT_TRUE(c.index_consistent());
+  expect_index_matches_reference(c, 6.0);
 }
 
 TEST(AvailabilityIndex, DesyncedUpdateThrows) {

@@ -1,9 +1,15 @@
-// Batched commits and early releases for the availability-index storms:
-// picks a batch of distinct nodes and books it through the Cluster's batch
-// mutators, mirroring each node's release time in the caller's array.
+// Helpers for the availability-index storms: batched commits and early
+// releases (a batch of distinct nodes booked through the Cluster's batch
+// mutators, each node's release time mirrored in the caller's array), the
+// four ways a storm moves `now` - and with it the floored partition's
+// watermark - and the check of the index's row view against the reference
+// order.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -72,6 +78,81 @@ inline void book_batch(cluster::Cluster& c, const std::vector<cluster::NodeId>& 
     c.commit_batch(ids, task, start, start, at);
   }
   for (std::size_t i = 0; i < k; ++i) free_times[ids[i]] = at[i];
+}
+
+/// The next `now` of a storm, by `move` % 4: forward by up to `step`
+/// (floored, so it may also stay), kept, landed exactly on a random node's
+/// release time (the partition's inclusive edge), or moved back - which
+/// makes the index rebuild its partition instead of extending it.
+inline cluster::Time next_now(cluster::Time now, const std::vector<cluster::Time>& free_times,
+                              std::size_t move, double step,
+                              workload::Xoshiro256StarStar& rng) {
+  switch (move % 4) {
+    case 0:
+      return now + std::floor(rng.next_double() * step);
+    case 1:
+      return now;
+    case 2:
+      return free_times[rng() % free_times.size()];
+    default:
+      return std::floor(now * rng.next_double());
+  }
+}
+
+/// Asserts the index's view at `now` - opened with ids and without -
+/// against the reference order, a sort of (max(free_at, now), id), filled
+/// in turn to lengths 0, 1, F, F + 1 and, when `whole`, N (F being the
+/// nodes free by `now`): each fill holds exactly that many positions and
+/// matches the reference prefix. The prefix up to F + 1 costs O(N) (the
+/// floored ids ascend, then the least (free_at, id) past `now`); only the
+/// whole row needs the sort.
+inline void expect_view_matches(const cluster::AvailabilityIndex& index,
+                                const std::vector<cluster::Time>& free_times,
+                                cluster::Time now, bool whole) {
+  const std::size_t n = free_times.size();
+  std::vector<cluster::NodeId> ids;
+  std::vector<cluster::NodeId> rest;
+  for (cluster::NodeId id = 0; id < n; ++id) {
+    (free_times[id] <= now ? ids : rest).push_back(id);
+  }
+  const std::size_t floored = ids.size();
+  const auto before = [&](cluster::NodeId a, cluster::NodeId b) {
+    return free_times[a] < free_times[b] || (free_times[a] == free_times[b] && a < b);
+  };
+  if (whole) {
+    std::sort(rest.begin(), rest.end(), before);
+    ids.insert(ids.end(), rest.begin(), rest.end());
+  } else if (!rest.empty()) {
+    ids.push_back(*std::min_element(rest.begin(), rest.end(), before));
+  }
+  std::vector<std::size_t> lengths{0, 1, floored, floored + 1, whole ? n : 0};
+  std::sort(lengths.begin(), lengths.end());
+  lengths.erase(std::unique(lengths.begin(), lengths.end()), lengths.end());
+  for (const bool with_ids : {false, true}) {
+    cluster::AvailabilityView view;
+    view.open(index, now, with_ids);
+    ASSERT_EQ(view.size(), n);
+    ASSERT_EQ(view.with_ids(), with_ids);
+    for (const std::size_t length : lengths) {
+      if (length > ids.size()) break;
+      view.fill(length);
+      ASSERT_EQ(view.times().size(), length) << "now=" << now;
+      ASSERT_EQ(view.ids().size(), with_ids ? length : 0) << "now=" << now;
+      for (std::size_t i = 0; i < length; ++i) {
+        const cluster::NodeId id = ids[i];
+        ASSERT_EQ(view.times()[i], std::max(free_times[id], now))
+            << "position " << i << " of " << length << ", F=" << floored << ", now=" << now;
+        if (with_ids) {
+          ASSERT_EQ(view.ids()[i], id)
+              << "position " << i << " of " << length << ", F=" << floored << ", now=" << now;
+        }
+      }
+    }
+    // A whole view settles into a dense row; a partly filled one empties.
+    const bool complete = view.times().size() == n;
+    ASSERT_EQ(view.settle(), complete);
+    ASSERT_EQ(view.times().size(), complete ? n : 0);
+  }
 }
 
 }  // namespace rtdls::test

@@ -2,6 +2,7 @@
 // availability snapshots, early release.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -18,6 +19,24 @@ TEST(ClusterParams, Beta) {
   EXPECT_TRUE(small_params().valid());
   EXPECT_FALSE(ClusterParams{.node_count = 0}.valid());
   EXPECT_FALSE((ClusterParams{.node_count = 4, .cms = 0.0, .cps = 1.0}).valid());
+}
+
+TEST(ClusterParams, InfiniteOrNanCostsAreInvalid) {
+  // A cost must be finite as well as positive: an infinite Cms or Cps
+  // passed validation once, so a simulation failed deep inside the workload
+  // generator and a daemon shard started only to reject every admit.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    ClusterParams cms = small_params();
+    cms.cms = bad;
+    ClusterParams cps = small_params();
+    cps.cps = bad;
+    EXPECT_FALSE(cms.valid()) << "cms=" << bad;
+    EXPECT_FALSE(cps.valid()) << "cps=" << bad;
+    EXPECT_THROW(Cluster{cms}, std::invalid_argument) << "cms=" << bad;
+    EXPECT_THROW(Cluster{cps}, std::invalid_argument) << "cps=" << bad;
+  }
 }
 
 TEST(Node, CommitTracksBusyAndRelease) {

@@ -152,11 +152,11 @@ TEST(OutputRule, BudgetsResultPhaseIntoDeadline) {
   const sched::Algorithm io = sched::make_algorithm("EDF-DLT-IO20");
   const sched::Algorithm plain = sched::make_algorithm("EDF-DLT");
   const workload::Task task = make_task(1, 0.0, 200.0, 3000.0);
-  std::vector<cluster::Time> free_times(16, 0.0);
+  const cluster::AvailabilityView free_times({std::vector<cluster::Time>(16, 0.0), {}});
   sched::PlanRequest request;
   request.task = &task;
   request.params = paper_params();
-  request.free_times = &free_times;
+  request.row = &free_times;
 
   const sched::PlanResult with_io = io.rule->plan(request);
   const sched::PlanResult without = plain.rule->plan(request);
@@ -183,11 +183,11 @@ TEST(OutputRule, RejectsWhenResultsAloneBlowDeadline) {
   // delta*sigma*Cms = 0.5 * 600 * 1 = 300 >= D = 250.
   const sched::Algorithm io = sched::make_algorithm("EDF-DLT-IO50");
   const workload::Task task = make_task(1, 0.0, 600.0, 250.0);
-  std::vector<cluster::Time> free_times(16, 0.0);
+  const cluster::AvailabilityView free_times({std::vector<cluster::Time>(16, 0.0), {}});
   sched::PlanRequest request;
   request.task = &task;
   request.params = paper_params();
-  request.free_times = &free_times;
+  request.row = &free_times;
   const sched::PlanResult result = io.rule->plan(request);
   EXPECT_FALSE(result.feasible());
 }
@@ -243,11 +243,11 @@ TEST(BackfillRule, RequiresCalendar) {
   const sched::Algorithm bf = sched::make_algorithm("EDF-OPR-MN-BF");
   EXPECT_TRUE(bf.rule->uses_calendar());
   const workload::Task task = make_task(1, 0.0, 200.0, 3000.0);
-  std::vector<cluster::Time> free_times(16, 0.0);
+  const cluster::AvailabilityView free_times({std::vector<cluster::Time>(16, 0.0), {}});
   sched::PlanRequest request;
   request.task = &task;
   request.params = paper_params();
-  request.free_times = &free_times;
+  request.row = &free_times;
   EXPECT_THROW(bf.rule->plan(request), std::invalid_argument);
 }
 
@@ -255,12 +255,12 @@ TEST(BackfillRule, IdleClusterMatchesOprMn) {
   const sched::Algorithm bf = sched::make_algorithm("EDF-OPR-MN-BF");
   const sched::Algorithm mn = sched::make_algorithm("EDF-OPR-MN");
   const workload::Task task = make_task(1, 0.0, 200.0, 3000.0);
-  std::vector<cluster::Time> free_times(16, 0.0);
+  const cluster::AvailabilityView free_times({std::vector<cluster::Time>(16, 0.0), {}});
   cluster::NodeCalendar calendar(16);
   sched::PlanRequest request;
   request.task = &task;
   request.params = paper_params();
-  request.free_times = &free_times;
+  request.row = &free_times;
   request.calendar = &calendar;
   const sched::PlanResult a = bf.rule->plan(request);
   const sched::PlanResult b = mn.rule->plan(request);
@@ -276,13 +276,13 @@ TEST(BackfillRule, FillsAGapInFrontOfAReservation) {
   // which the release-time OPR-MN view (free at 6000) cannot see.
   cluster::NodeCalendar calendar(16);
   for (cluster::NodeId id = 0; id < 16; ++id) calendar.reserve(id, 5000.0, 6000.0);
-  std::vector<cluster::Time> release_view(16, 6000.0);
+  const cluster::AvailabilityView release_view({std::vector<cluster::Time>(16, 6000.0), {}});
 
   const workload::Task task = make_task(1, 0.0, 30.0, 3000.0);
   sched::PlanRequest request;
   request.task = &task;
   request.params = paper_params();
-  request.free_times = &release_view;
+  request.row = &release_view;
   request.calendar = &calendar;
 
   const sched::Algorithm bf = sched::make_algorithm("EDF-OPR-MN-BF");
@@ -335,12 +335,13 @@ TEST(BackfillRule, NudgedNminOvershootRetriesInsteadOfRejecting) {
   // On an empty calendar the only candidate time is t=0, so pre-fix the
   // rule rejected this task outright.
   cluster::NodeCalendar calendar(params.node_count);
-  std::vector<cluster::Time> free_times(params.node_count, 0.0);
+  const cluster::AvailabilityView free_times(
+      {std::vector<cluster::Time>(params.node_count, 0.0), {}});
   const workload::Task task = make_task(1, 0.0, trigger_sigma, deadline);
   sched::PlanRequest request;
   request.task = &task;
   request.params = params;
-  request.free_times = &free_times;
+  request.row = &free_times;
   request.calendar = &calendar;
 
   const sched::Algorithm bf = sched::make_algorithm("EDF-OPR-MN-BF");

@@ -292,14 +292,12 @@ TEST(BackfillFixedPoint, RuleExposesAndResetsFallbackCounter) {
   workload::Task task;
   task.id = 1;
   task.spec = {0.0, 1.0, 2000.0};
-  std::vector<Time> free_times = {0.0, 0.0};
-  std::vector<cluster::NodeId> ids = {0, 1};
+  const cluster::AvailabilityView row({{0.0, 0.0}, {0, 1}});
 
   sched::PlanRequest request;
   request.task = &task;
   request.params = params;
-  request.free_times = &free_times;
-  request.node_ids = &ids;
+  request.row = &row;
   request.now = 0.0;
   request.calendar = &calendar;
 

@@ -25,10 +25,11 @@ workload::Task make_task(double arrival, double sigma, double deadline,
 
 PlanResult plan_with(const PartitionRule& rule, const workload::Task& task,
                      std::vector<cluster::Time> free_times, double now = 0.0) {
+  const cluster::AvailabilityView row({std::move(free_times), {}});
   PlanRequest request;
   request.task = &task;
   request.params = paper_params();
-  request.free_times = &free_times;
+  request.row = &row;
   request.now = now;
   return rule.plan(request);
 }
@@ -136,9 +137,9 @@ TEST(DltRule, MalformedRequestThrows) {
   EXPECT_THROW(rule->plan(request), std::invalid_argument);
   const workload::Task task = make_task(0.0, 200.0, 3000.0);
   request.task = &task;
-  std::vector<cluster::Time> wrong_size(3, 0.0);
+  const cluster::AvailabilityView wrong_size({std::vector<cluster::Time>(3, 0.0), {}});
   request.params = paper_params();
-  request.free_times = &wrong_size;
+  request.row = &wrong_size;
   EXPECT_THROW(rule->plan(request), std::invalid_argument);
 }
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,6 +140,20 @@ TEST(SvcShard, SnapshotRestoreBitIdentityAcrossAlgorithms) {
        {"EDF-DLT", "FIFO-DLT", "EDF-MR2", "FIFO-MR2", "EDF-OPR-MN-BF", "FIFO-OPR-MN-BF"}) {
     expect_snapshot_restore_bit_identity(algorithm, /*heterogeneous=*/false);
     expect_snapshot_restore_bit_identity(algorithm, /*heterogeneous=*/true);
+  }
+}
+
+TEST(SvcShard, InfiniteClusterCostsFailAtConstruction) {
+  // A shard over an infinite Cms or Cps used to start and then reject every
+  // admit as transmission-too-long; the cluster parameters now fail with
+  // the typed invalid-argument error before the shard exists.
+  for (const bool channel : {true, false}) {
+    ShardConfig config;
+    config.params.node_count = 16;
+    (channel ? config.params.cms : config.params.cps) =
+        std::numeric_limits<double>::infinity();
+    EXPECT_THROW(AdmissionShard("EDF-DLT", config), std::invalid_argument)
+        << (channel ? "cms" : "cps");
   }
 }
 

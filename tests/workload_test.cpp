@@ -66,6 +66,15 @@ TEST(WorkloadParams, NonFiniteParamsAreInvalid) {
   params = baseline_params();
   params.dc_ratio = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(params.valid());
+  // Infinite cluster costs fail validation up front, not mid-generation.
+  params = baseline_params();
+  params.cluster.cms = inf;
+  ASSERT_FALSE(params.valid());
+  EXPECT_THROW(generate_workload(params), std::invalid_argument);
+  params = baseline_params();
+  params.cluster.cps = inf;
+  ASSERT_FALSE(params.valid());
+  EXPECT_THROW(generate_workload(params), std::invalid_argument);
 }
 
 TEST(Generator, ArrivalsSortedWithinHorizonAndIdsSequential) {
