@@ -342,15 +342,6 @@ void AvailabilityIndex::maybe_merge(std::size_t b) {
   mins_.erase(mins_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
 }
 
-std::size_t AvailabilityIndex::available_by(Time t) const {
-  // The entries before the first one past t: whole buckets, then a part.
-  std::size_t bucket = 0;
-  std::size_t at = 0;
-  locate_after(t, bucket, at);
-  for (std::size_t b = 0; b < bucket; ++b) at += slots_[order_[b]].size();
-  return at;
-}
-
 void AvailabilityIndex::locate_after(Time t, std::size_t& bucket, std::size_t& at) const {
   // Last bucket whose min free_at is <= t holds the boundary (or it ends
   // there and the boundary is the next bucket's first entry).

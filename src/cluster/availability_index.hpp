@@ -109,10 +109,9 @@ class AvailabilityIndex {
     return update_batch({&node, 1}, {&from, 1}, {&to, 1});
   }
 
-  /// Number of nodes with free_at <= t: the paper's AN(t) ("available
-  /// nodes by t") quantity. O(log N + #buckets): the bucket sizes up to the
-  /// first entry past t.
-  std::size_t available_by(Time t) const;
+  /// The least release time over all nodes, not floored at any `now`: the
+  /// first bucket's minimum, O(1). Requires size() > 0.
+  Time earliest_release() const { return mins_.front().free_at; }
 
   /// Read state of one view of the row floored at `now` (see open_view):
   /// where its next position comes from.

@@ -56,6 +56,10 @@ class Cluster {
   /// open_view row with every position filled, O(N), no per-call sort.
   void availability_into(Time now, AvailabilityRow& row) const;
 
+  /// The earliest release time over all nodes, not floored at any `now`:
+  /// O(1) off the index.
+  Time earliest_release() const { return index_.earliest_release(); }
+
   /// Ids of the `n` earliest-available nodes at `now` (ties broken by id so
   /// commitments are deterministic), written into `out` (capacity reused;
   /// hot path): the first n ids of the view at `now`. `n` must not exceed
@@ -92,8 +96,7 @@ class Cluster {
   Time total_idle_gap_time() const;
 
   /// The sorted free-time index backing the availability reads; exposed for
-  /// rank queries (AvailabilityIndex::available_by) and the
-  /// index-consistency tests.
+  /// the index-consistency tests.
   const AvailabilityIndex& index() const { return index_; }
 
   /// Debug/tests: true iff the index invariants hold against every node's

@@ -24,8 +24,6 @@ struct AdmissionObs {
       obs::Registry::global().counter("rtdls_admission_delta_replays_total");
   obs::Counter checkpoints =
       obs::Registry::global().counter("rtdls_admission_checkpoints_total");
-  obs::Counter opportunistic_checkpoints = obs::Registry::global().counter(
-      "rtdls_admission_opportunistic_checkpoints_total");
   /// Re-planned suffix length (temp-list entries from the insertion point)
   /// per accepted incremental admission.
   obs::Histogram replan_suffix = obs::Registry::global().histogram(
@@ -171,10 +169,8 @@ void AdmissionController::invalidate() {
   order_.clear();
   plans_.clear();
   deltas_.truncate(0);
-  fronts_.clear();
   for (Checkpoint& cp : checkpoints_) retire_checkpoint(std::move(cp));
   checkpoints_.clear();
-  cursor_valid_ = false;
   top_pos_ = kNpos;
   work_pos_ = kNpos;
   // peak_ deliberately survives: a burst's high-water mark must outlive the
@@ -192,8 +188,6 @@ AdmissionController::SessionMemory AdmissionController::session_memory() const {
                       deltas_.end.size() * sizeof(std::size_t);
   for (const Checkpoint& cp : checkpoints_) bytes += row_bytes(cp.row);
   if (top_pos_ != kNpos) bytes += row_bytes(top_);
-  if (cursor_valid_) bytes += row_bytes(cursor_);
-  bytes += fronts_.size() * sizeof(Time);
   mem.bytes = bytes;
   // The historical representation held one dense row per planned position
   // (rows head_..head_+planned_ pre-compaction, each N wide; rows with ids
@@ -239,7 +233,6 @@ void AdmissionController::compact_head() {
   order_.erase(order_.begin(), order_.begin() + offset);
   plans_.erase(plans_.begin(), plans_.begin() + offset);
   deltas_.drop_front(cut);
-  fronts_.erase(fronts_.begin(), fronts_.begin() + offset);
   const auto keep = std::find_if(checkpoints_.begin(), checkpoints_.end(),
                                  [cut](const Checkpoint& cp) { return cp.pos >= cut; });
   for (auto it = checkpoints_.begin(); it != keep; ++it) {
@@ -247,13 +240,6 @@ void AdmissionController::compact_head() {
   }
   checkpoints_.erase(checkpoints_.begin(), keep);
   for (Checkpoint& cp : checkpoints_) cp.pos -= cut;
-  if (cursor_valid_) {
-    if (cursor_pos_ < cut) {
-      cursor_valid_ = false;
-    } else {
-      cursor_pos_ -= cut;
-    }
-  }
   if (top_pos_ != kNpos) top_pos_ = top_pos_ < cut ? kNpos : top_pos_ - cut;
   head_ = 0;
 }
@@ -263,11 +249,6 @@ void AdmissionController::materialize_row(std::size_t pos, bool take_top,
   if (work_pos_ == pos) return;  // the live view a rebuild just opened
   // The closest dense row at or below `pos` (rows below head_ are stale);
   // on a tie top_ wins, as it may be swapped in instead of copied.
-  const auto after = std::upper_bound(
-      checkpoints_.begin(), checkpoints_.end(), pos,
-      [](std::size_t p, const Checkpoint& cp) { return p < cp.pos; });
-  const Checkpoint* base =
-      after != checkpoints_.begin() && (after - 1)->pos >= head_ ? &*(after - 1) : nullptr;
   std::size_t from = kNpos;
   const cluster::AvailabilityRow* source = nullptr;
   const auto offer = [&](std::size_t at, const cluster::AvailabilityRow* row) {
@@ -277,8 +258,10 @@ void AdmissionController::materialize_row(std::size_t pos, bool take_top,
     }
   };
   if (top_pos_ != kNpos) offer(top_pos_, &top_);
-  if (cursor_valid_) offer(cursor_pos_, &cursor_);
-  if (base != nullptr) offer(base->pos, &base->row);
+  const auto after = std::upper_bound(
+      checkpoints_.begin(), checkpoints_.end(), pos,
+      [](std::size_t p, const Checkpoint& cp) { return p < cp.pos; });
+  if (after != checkpoints_.begin()) offer((after - 1)->pos, &(after - 1)->row);
   const bool swap_top = take_top && source == &top_;
 
   if (from == kNpos || (pos == head_ && !swap_top)) {
@@ -295,30 +278,6 @@ void AdmissionController::materialize_row(std::size_t pos, bool take_top,
   work_pos_ = from;
   admission_obs().delta_replays.add(pos - from);
   catch_up(pos, head_ + planned_);
-  // The frontier needs no bookkeeping: append-at-the-end planning (FIFO
-  // always, EDF whenever the new deadline sorts last) starts from top_.
-  if (pos == head_ + planned_) return;
-  // A long replay marks a hot insertion point (policies tend to insert
-  // arrivals into the same deadline neighborhood); checkpoint the rebuilt
-  // row so the next arrival landing here replays nothing. The budget keeps
-  // the dense-row count at the sqrt(N)-cadence O(rows / sqrt(N)) bound even
-  // when insertion points wander (otherwise opportunistic rows would erode
-  // the memory win the sparse session exists for).
-  const std::size_t chain = pos - (base != nullptr ? base->pos : head_);
-  const std::size_t budget = (head_ + planned_) / checkpoint_every_ + 3;
-  if (chain > checkpoint_every_ / 2 && checkpoints_.size() < budget) {
-    admission_obs().opportunistic_checkpoints.inc();
-    Checkpoint cp = take_checkpoint(pos);
-    cp.row = work_.dense();
-    checkpoints_.insert(after, std::move(cp));
-  }
-  if (pos != from) {
-    // Remember the rebuilt row; the next nearby insertion replays only the
-    // gap between the two positions.
-    cursor_valid_ = true;
-    cursor_pos_ = pos;
-    cursor_ = work_.dense();
-  }
 }
 
 void AdmissionController::catch_up(std::size_t pos, std::size_t suffix) {
@@ -371,20 +330,6 @@ void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& 
   if (head_ > 64 && head_ > order_.size() - head_) compact_head();
 }
 
-namespace {
-
-/// First entry of the row `row` becomes once `run` (a plan's sorted
-/// releases) is merged in: the smaller of the first unconsumed entry and
-/// the run's first. Reads one position past the consumed prefix.
-Time front_after(const cluster::AvailabilityView& row, const cluster::AvailabilityRow& run) {
-  const std::size_t k = run.times.size();
-  if (k == 0) return row.front();
-  if (k >= row.size()) return run.times.front();
-  return std::min(row.at(k), run.times.front());
-}
-
-}  // namespace
-
 AdmissionOutcome AdmissionController::test_incremental(
     const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
     const cluster::ClusterParams& params, const cluster::Cluster& cluster, Time now) {
@@ -400,13 +345,15 @@ AdmissionOutcome AdmissionController::test_incremental(
   scratch_merged_ = false;
 
   // The session is reusable when nothing that feeds the plans has changed:
-  // same availability version, no entry floored below `now` (rows are
-  // sorted, so the cached front of row head_ suffices), the same waiting
-  // order, and rows that carry ids exactly when the params need them. Row
-  // head_ is then the live view at `now`.
+  // same availability version, the same waiting order, rows that carry ids
+  // exactly when the params need them, and a row head_ that is still the
+  // live view. Row head_ stands for the live view at floor_; the view at
+  // `now` is the same row when `now` is floor_, or when no node frees
+  // before either instant, so that neither floors an entry (the index's
+  // earliest release answers that in O(1)).
   bool reuse = cache_valid_ && cache_version_ == cluster.version() && node_count_ == n &&
                with_ids_ == params.heterogeneous() && order_.size() - head_ == q &&
-               fronts_.size() > head_ && fronts_[head_] >= now;
+               (now == floor_ || cluster.earliest_release() >= std::max(now, floor_));
   if (reuse) reuse = std::equal(waiting.begin(), waiting.end(), order_.begin() + head_);
 
   if (!reuse) {
@@ -424,13 +371,13 @@ AdmissionOutcome AdmissionController::test_incremental(
     // sorted list is cheap and keeps a misordered caller correct (it merely
     // costs the incremental reuse).
     order_tasks(policy_, order_);
-    // Row 0 is the live view; its front is one position of it.
+    // Row 0 is the live view.
     cluster.open_view(now, work_);
     work_pos_ = 0;
-    fronts_.push_back(work_.front());
     cache_valid_ = true;
     cache_version_ = cluster.version();
   }
+  floor_ = now;
 
   // Policy insertion point of the new task in the ordered waiting queue.
   // policy_less is a strict total order (ties break by arrival then id), so
@@ -453,21 +400,6 @@ AdmissionOutcome AdmissionController::test_incremental(
   // merges can leave work_ off the session's rows.
   materialize_row(head_ + start, p == q, cluster, now);
 
-  // Batched hard-rejection screen: gather every task this call may plan
-  // (temp-list order, i.e. screen index i - start for temp position i) into
-  // flat (sigma*Cms, deadline) columns once. Each planning step below then
-  // rejects a doomed task straight off the columns - the exact (reason,
-  // blocker) the rule's own scan would return, per the
-  // hard_rejects_at_front() contract - without paying for the plan() call.
-  const bool screened = rule_->hard_rejects_at_front();
-  if (screened) {
-    screen_tasks_.clear();
-    for (std::size_t i = start; i < p; ++i) screen_tasks_.push_back(order_[head_ + i]);
-    screen_tasks_.push_back(&new_task);
-    for (std::size_t i = p + 1; i <= q; ++i) screen_tasks_.push_back(order_[head_ + i - 1]);
-    screen_.build(params.cms, screen_tasks_.data(), screen_tasks_.size());
-  }
-
   PlanRequest request;
   request.params = params;
   request.row = &work_;
@@ -487,10 +419,9 @@ AdmissionOutcome AdmissionController::test_incremental(
 
   // Plans task `task` against row `pos`: merges the previous plan's
   // releases into work_ first (deferred until a plan reads them), then
-  // records this plan's sorted releases as an O(k) delta in `deltas` and
-  // returns the next row's front. The merge of the call's last plan stays
-  // deferred: a later call that plans from the frontier does it.
-  Time front = fronts_[head_ + start];
+  // records this plan's sorted releases as an O(k) delta in `deltas`. The
+  // merge of the call's last plan stays deferred: a later call that plans
+  // from the frontier does it.
   auto plan_at = [&](std::size_t pos, const workload::Task* task,
                      cluster::DeltaColumns& deltas) {
     catch_up(pos, suffix);
@@ -502,24 +433,19 @@ AdmissionOutcome AdmissionController::test_incremental(
     if (merge_scratch_.times.size() > n) {
       throw std::invalid_argument("test_incremental: plan releases more nodes than the row");
     }
-    front = front_after(work_, merge_scratch_);
     deltas.push(merge_scratch_);
     return result;
   };
 
-  // Extend the waiting-only prefix up to the insertion point (runs only
-  // after a rejected rebuild left the session partially planned). These
-  // plans do not involve the new task, so they survive a rejection, and
-  // the session is consistent after every step.
+  // Extend the waiting-only prefix up to the insertion point: after every
+  // rebuild whose insertion point is past 0 (the rebuild planned nothing),
+  // and after a rejection that stopped short of it. These plans do not
+  // involve the new task, so they survive a rejection, and the session is
+  // consistent after every step.
   for (std::size_t i = planned_; i < p; ++i) {
-    if (screened) {
-      const dlt::Infeasibility doomed = screen_.screen(i - start, front);
-      if (doomed != dlt::Infeasibility::kNone) return reject(doomed, order_[head_ + i]);
-    }
     PlanResult result = plan_at(head_ + i, order_[head_ + i], deltas_);
     if (!result.feasible()) return reject(result.reason, order_[head_ + i]);
     plans_.push_back(std::move(result.plan));
-    fronts_.push_back(front);
     ++planned_;
     const std::size_t row = head_ + planned_;
     const std::size_t last =
@@ -536,7 +462,6 @@ AdmissionOutcome AdmissionController::test_incremental(
   // queue; plan into scratch and adopt only if the whole suffix fits.
   scratch_plans_.clear();
   scratch_deltas_.truncate(0);
-  scratch_fronts_.clear();
   for (Checkpoint& cp : scratch_checkpoints_) retire_checkpoint(std::move(cp));
   scratch_checkpoints_.clear();
   // Checkpoints above the insertion point describe rows of the suffix being
@@ -549,14 +474,9 @@ AdmissionOutcome AdmissionController::test_incremental(
   }
   for (std::size_t i = p; i <= q; ++i) {
     const workload::Task* task = (i == p) ? &new_task : order_[head_ + i - 1];
-    if (screened) {
-      const dlt::Infeasibility doomed = screen_.screen(i - start, front);
-      if (doomed != dlt::Infeasibility::kNone) return reject(doomed, task);
-    }
     PlanResult result = plan_at(head_ + i, task, scratch_deltas_);
     if (!result.feasible()) return reject(result.reason, task);
     scratch_plans_.push_back(std::move(result.plan));
-    scratch_fronts_.push_back(front);
     const std::size_t row = head_ + i + 1;  // row after planning temp entry i
     if (i < q && row >= last_checkpoint + checkpoint_every_) {
       // The final row needs no checkpoint: it is the frontier.
@@ -569,22 +489,17 @@ AdmissionOutcome AdmissionController::test_incremental(
   }
 
   // Accepted: adopt the scratch suffix into the session. The replaced
-  // suffix rolls back by truncation (its deltas, fronts, and checkpoints
-  // simply fall off the stack).
+  // suffix rolls back by truncation (its deltas and checkpoints simply fall
+  // off the stack).
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(suffix), &new_task);
   plans_.resize(suffix);
   for (TaskPlan& plan : scratch_plans_) plans_.push_back(std::move(plan));
   deltas_.truncate(suffix);
   deltas_.append(scratch_deltas_);
-  fronts_.resize(suffix + 1);
-  fronts_.insert(fronts_.end(), scratch_fronts_.begin(), scratch_fronts_.end());
   while (!checkpoints_.empty() && checkpoints_.back().pos > suffix) {
     retire_checkpoint(std::move(checkpoints_.back()));
     checkpoints_.pop_back();
   }
-  // The cursor row at the insertion point survives (row head_ + p depends
-  // only on the plans before it); anything above described replaced rows.
-  if (cursor_valid_ && cursor_pos_ > suffix) cursor_valid_ = false;
   for (Checkpoint& cp : scratch_checkpoints_) checkpoints_.push_back(std::move(cp));
   scratch_checkpoints_.clear();  // moved-from shells
   planned_ = q + 1;

@@ -25,15 +25,14 @@
 // - instead of the dense N-wide row per task it used to copy (O(Q*N) bytes
 // per arrival burst). The base row is not stored at all: whenever the
 // session is reusable, its row head_ equals the cluster's live availability
-// view at `now` (same availability version, no entry floored past `now`),
-// so planning from it opens that view, and a plan reads only the positions
-// it inspects. Dense rows survive only as
-//  * checkpoints every ~sqrt(N) planned positions above the base (plus
-//    opportunistic ones where suffix re-plans actually land),
+// view at `now` (same availability version, and either the last call's
+// `now` or no node freeing before either instant), so planning from it
+// opens that view, and a plan reads only the positions it inspects. Dense
+// rows survive only as
+//  * checkpoints every ~sqrt(N) planned positions above the base, and
 //  * the last dense row a call planned against (top_), kept together with
 //    the deltas after it: the last plan's releases are merged into the
-//    frontier only when a later call plans from it, and
-//  * the cursor row at the last mid-queue insertion point.
+//    frontier only when a later call plans from it.
 // A suffix re-plan starting mid-queue rebuilds its dense starting row from
 // the closest of these at or below the insertion point (or the live view)
 // and replays the bounded delta chain up to it - bit-identical to the row
@@ -57,7 +56,6 @@
 #include "cluster/availability_delta.hpp"
 #include "cluster/cluster.hpp"
 #include "sched/partition_rule.hpp"
-#include "sched/planner_batch.hpp"
 #include "sched/policy.hpp"
 
 namespace rtdls::sched {
@@ -164,11 +162,11 @@ class AdmissionController {
   void set_cross_check(bool on) { cross_check_ = on; }
 
   /// Session availability-state footprint. `bytes` is what the delta stack,
-  /// checkpoints, frontier row, and per-row front times actually hold
-  /// (size-based, so it is deterministic); `dense_equivalent_bytes` is what
-  /// the historical one-dense-row-per-task representation would hold for the
-  /// same session (rows * N * entry width) - the denominator of the memory-
-  /// reduction claims in tests and BM_AdmissionBurst.
+  /// checkpoints and top_ actually hold (size-based, so it is
+  /// deterministic); `dense_equivalent_bytes` is what the historical
+  /// one-dense-row-per-task representation would hold for the same session
+  /// (rows * N * entry width) - the denominator of the memory-reduction
+  /// claims in tests and BM_AdmissionBurst.
   struct SessionMemory {
     std::size_t bytes = 0;
     std::size_t dense_equivalent_bytes = 0;
@@ -198,17 +196,16 @@ class AdmissionController {
   // the consumed prefix outweighs the live part). Invariant when
   // cache_valid_: the live view of order_ is the waiting queue in policy
   // order; "row r" (r = head_ + i) is the availability row before planning
-  // live entry i, with row head_ the live index view the session currently
-  // stands on; plans_[r] (i < planned_) is live entry i's plan against row
-  // r, and delta r of deltas_ is the sparse edit taking row r to row r + 1,
-  // i.e. the plan's k sorted releases (with their ids when the rows carry
-  // ids); fronts_[r] is row r's first (minimum) entry, the O(1) "did `now`
-  // overtake the snapshot" reuse check; rows exist for live 0..planned_.
-  // Dense rows are materialized only in checkpoints_ (ascending positions;
-  // those below head_ are stale until compaction drops them; storage
-  // recycled through checkpoint_pool_), top_ (row top_pos_, kNpos when
-  // none) and the cursor. synced_prefix_ counts the leading live entries
-  // whose plans the caller is known to hold verbatim.
+  // live entry i, with row head_ the live index view at floor_, the `now`
+  // of the last call; plans_[r] (i < planned_) is live entry i's plan
+  // against row r, and delta r of deltas_ is the sparse edit taking row r
+  // to row r + 1, i.e. the plan's k sorted releases (with their ids when
+  // the rows carry ids); rows exist for live 0..planned_. Dense rows are
+  // materialized only in checkpoints_ (ascending positions; those below
+  // head_ are stale until compaction drops them; storage recycled through
+  // checkpoint_pool_) and top_ (row top_pos_, kNpos when none).
+  // synced_prefix_ counts the leading live entries whose plans the caller
+  // is known to hold verbatim.
   struct Checkpoint {
     std::size_t pos = 0;
     cluster::AvailabilityRow row;
@@ -221,12 +218,9 @@ class AdmissionController {
   void compact_head();
   /// Brings work_ to row `pos` (absolute, head_ <= pos <= head_ + planned_)
   /// from the closest row at hand: top_ (swapped in when `take_top`, else
-  /// copied), the cursor or a checkpoint, each at or below `pos`, or else
-  /// the live view at head_ - left unfilled when `pos` is head_ itself.
-  /// Then it replays the delta chain up to `pos`. When the replayed chain
-  /// is long, the rebuilt row is inserted as an opportunistic checkpoint
-  /// (repeated suffix re-plans around the same insertion point then replay
-  /// nothing).
+  /// copied) or a checkpoint, each at or below `pos`, or else the live view
+  /// at head_ - left unfilled when `pos` is head_ itself. Then it replays
+  /// the delta chain up to `pos`.
   void materialize_row(std::size_t pos, bool take_top, const cluster::Cluster& cluster,
                        Time now);
   /// Merges the recorded deltas up to row `pos` into work_ (the session's
@@ -247,22 +241,12 @@ class AdmissionController {
   std::size_t planned_ = 0;
   std::size_t synced_prefix_ = 0;
   std::size_t checkpoint_every_ = 1;  ///< ~sqrt(N) cadence
+  Time floor_ = 0.0;                  ///< the last call's `now`
   std::vector<const workload::Task*> order_;
   std::vector<TaskPlan> plans_;
   cluster::DeltaColumns deltas_;
-  std::vector<Time> fronts_;
   std::vector<Checkpoint> checkpoints_;
   std::vector<Checkpoint> checkpoint_pool_;    ///< retired rows, capacity kept
-  /// Cursor cache: the row most recently rebuilt mid-queue by
-  /// materialize_row, kept dense. Policies insert consecutive arrivals into
-  /// nearby queue positions (EDF deadlines trend upward with arrival time),
-  /// so the next materialization usually replays the few deltas past the
-  /// cursor rather than a whole checkpoint chain. Invalidation: an adoption
-  /// that replaces rows at or below the cursor, session rebuilds, and
-  /// compaction past it.
-  bool cursor_valid_ = false;
-  std::size_t cursor_pos_ = 0;
-  cluster::AvailabilityRow cursor_;
   /// The last dense row a call planned against, at top_pos_ (kNpos when
   /// none): after an acceptance that is the last task's row, one delta
   /// behind the frontier, so appending at the end replays that one delta in
@@ -282,16 +266,7 @@ class AdmissionController {
   bool scratch_merged_ = false;
   std::vector<TaskPlan> scratch_plans_;
   cluster::DeltaColumns scratch_deltas_;
-  std::vector<Time> scratch_fronts_;
   std::vector<Checkpoint> scratch_checkpoints_;
-  /// Batched hard-rejection screen over the tasks a test_incremental call
-  /// may plan (rules with hard_rejects_at_front() only): one SoA gather of
-  /// (sigma*Cms, deadline) columns per call, then each planning step checks
-  /// the columns before paying for rule_->plan(). Outcome-identical by the
-  /// contract on PartitionRule::hard_rejects_at_front; the stateless test()
-  /// stays unscreened as the cross-check reference.
-  het::QueueScreen screen_;
-  std::vector<const workload::Task*> screen_tasks_;
   /// apply_releases' and floor_and_sort's buffer, and the sorted run of the
   /// plan a call just recorded; mutable so the const (stateless) test()
   /// reuses it too. Consistent with the single-thread affinity of the

@@ -76,12 +76,6 @@ class DltIitRule final : public het::ScratchRule {
 
   std::string_view name() const override { return "DLT"; }
 
-  // Both paths reject at the row front exactly as the screen predicts: het
-  // via hard_reject at position 1, homogeneous via minimum_nodes at the
-  // row front (kNeedsMoreNodes is the only clamped-retried reason; the
-  // screen never returns it).
-  bool hard_rejects_at_front() const override { return true; }
-
  private:
   NodeSearch search_;
   /// Reused across plan() calls (see PartitionRule's thread-affinity note).

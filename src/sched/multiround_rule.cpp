@@ -79,10 +79,6 @@ class MultiRoundRule final : public het::ScratchRule {
 
   std::string_view name() const override { return name_; }
 
-  // Node count comes from the same resolver / het scan as the DLT rule, so
-  // the first-position hard rejections are identical.
-  bool hard_rejects_at_front() const override { return true; }
-
  private:
   std::size_t rounds_;
   std::unique_ptr<PartitionRule> fallback_;

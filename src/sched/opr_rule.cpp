@@ -66,10 +66,6 @@ class OprMnRule final : public het::ScratchRule {
 
   std::string_view name() const override { return "OPR-MN"; }
 
-  // Same first-position hard rejections as the DLT rule (shared
-  // resolve_node_count / het scan).
-  bool hard_rejects_at_front() const override { return true; }
-
  private:
   NodeSearch search_;
 };

@@ -58,9 +58,6 @@ class OutputAwareRule final : public PartitionRule {
 
   std::string_view name() const override { return name_; }
 
-  // The decorator tightens the deadline before delegating, so the screen's
-  // raw-deadline columns would mispredict: keep hard_rejects_at_front()
-  // false. Counters still flow through from the inner rule.
   PlannerCounters planner_counters() const override { return inner_->planner_counters(); }
   void reset_planner_counters() const override { inner_->reset_planner_counters(); }
 

@@ -112,18 +112,9 @@ class PartitionRule {
   /// backfilling) instead of the sorted release times.
   virtual bool uses_calendar() const { return false; }
 
-  /// Exactness contract for the admission controller's batched queue screen
-  /// (het::QueueScreen): a rule returning true promises that whenever
-  ///   deadline - front <= 0            (kDeadlinePassed), or
-  ///   sigma*Cms >= deadline - front    (kTransmissionTooLong)
-  /// holds at the availability row's front (= r_1 of the row the task plans
-  /// against), its plan() returns infeasible with that exact reason - so the
-  /// controller may reject straight off precomputed columns without calling
-  /// plan(). Holds for the first-position hard rejections of the DLT/OPR-MN
-  /// prefix scans (monotone in r_n, so position 1 fires first) and for
-  /// dlt::minimum_nodes' gamma test (fl(a/b) >= 1 whenever a >= b, so the
-  /// closed form rejects identically). Must stay false for rules that modify
-  /// the deadline (output-aware decorator) or plan against a calendar.
+  /// Uncalled: nothing reads it. It stays only because perfbench's
+  /// TimedRule declares an override of it, which would no longer compile
+  /// without this base; delete the two together.
   virtual bool hard_rejects_at_front() const { return false; }
 
   /// Planner counters accumulated since the last reset (rules without

@@ -104,13 +104,4 @@ Time PlannerBatch::window_duration(double cms, double sigma, const std::vector<d
   return sigma * cms + (p / denom) * sigma * cps[m - 1];
 }
 
-void QueueScreen::build(double cms, const workload::Task* const* tasks, std::size_t count) {
-  tx_floor_.resize(count);
-  deadline_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    tx_floor_[i] = tasks[i]->sigma() * cms;
-    deadline_[i] = tasks[i]->abs_deadline();
-  }
-}
-
 }  // namespace rtdls::sched::het

@@ -18,10 +18,6 @@
 //    divide column, ratio column - that the compiler vectorizes, followed
 //    by the order-sensitive scalar scan. No partition struct, no
 //    per-candidate allocation.
-//  * QueueScreen: the admission controller's suffix re-plan loop screens a
-//    batch of queued tasks through precomputed (sigma*Cms, deadline)
-//    columns before paying for a full plan() call; see the exactness
-//    contract on PartitionRule::hard_rejects_at_front.
 //
 // Proof obligation: every kernel accumulates in the exact scan order of the
 // scalar reference (general_het_alpha_into / build_het_partition_into), so
@@ -35,7 +31,6 @@
 #include "dlt/het_model.hpp"
 #include "util/annotations.hpp"
 #include "dlt/params.hpp"
-#include "workload/task.hpp"
 
 namespace rtdls::sched::het {
 
@@ -101,35 +96,6 @@ class PlannerBatch {
   double dlt_denom_ = 1.0;        ///< running denominator of the last DLT prefix
   std::size_t dlt_n_ = 0;         ///< length of the last DLT prefix
   bool dlt_tied_ = false;         ///< last DLT prefix was tied (columns unused)
-};
-
-/// Structure-of-arrays screen over a batch of queued tasks awaiting a
-/// suffix re-plan. One gather pass pulls each task's transmission floor
-/// sigma_i*Cms and absolute deadline into flat columns; the admission loop
-/// then rejects a doomed task straight off the columns - exactly the
-/// (reason, position) the rule's own scan would return, per the
-/// PartitionRule::hard_rejects_at_front contract - without paying for the
-/// plan() call.
-class QueueScreen {
- public:
-  /// Gathers the screen columns for `count` tasks.
-  void build(double cms, const workload::Task* const* tasks, std::size_t count);
-
-  std::size_t size() const { return deadline_.size(); }
-
-  /// The paper's two hard rejections for task `i` evaluated at availability
-  /// row front `front` (= r_1 of the row the task would plan against).
-  /// Bit-identical to het::hard_reject / dlt::minimum_nodes at r_1.
-  RTDLS_HOT dlt::Infeasibility screen(std::size_t i, Time front) const {
-    const Time slack = deadline_[i] - front;
-    if (slack <= 0.0) return dlt::Infeasibility::kDeadlinePassed;
-    if (tx_floor_[i] >= slack) return dlt::Infeasibility::kTransmissionTooLong;
-    return dlt::Infeasibility::kNone;
-  }
-
- private:
-  std::vector<double> tx_floor_;  ///< sigma_i * Cms
-  std::vector<Time> deadline_;    ///< absolute deadlines
 };
 
 }  // namespace rtdls::sched::het

@@ -17,6 +17,26 @@ std::vector<std::uint8_t> encode_reply(const Reply& reply) {
   return writer.take();
 }
 
+/// Why `task` cannot be planned, or empty when it can: the rules load_trace
+/// applies to a trace row (a finite arrival >= 0, a finite sigma > 0, a
+/// finite relative deadline > 0) and an id other than the kNoTask
+/// sentinel. A NaN arrival would otherwise be admitted: the shard clock
+/// ignores it, and every deadline comparison with NaN passes.
+std::string task_problem(const workload::Task& task) {
+  const std::string name = "task " + std::to_string(task.id);
+  if (task.id == cluster::kNoTask) return name + ": the id is reserved";
+  if (!std::isfinite(task.arrival()) || task.arrival() < 0.0) {
+    return name + ": arrival must be finite and >= 0";
+  }
+  if (!std::isfinite(task.sigma()) || task.sigma() <= 0.0) {
+    return name + ": sigma must be finite and > 0";
+  }
+  if (!std::isfinite(task.rel_deadline()) || task.rel_deadline() <= 0.0) {
+    return name + ": relative deadline must be finite and > 0";
+  }
+  return {};
+}
+
 }  // namespace
 
 AdmissionShard::AdmissionShard(const std::string& algorithm_name, const ShardConfig& config)
@@ -86,6 +106,11 @@ void AdmissionShard::adopt_schedule(std::size_t reused_prefix,
 }
 
 AdmitReply AdmissionShard::admit(const TaskRecord& record) {
+  // Checked before anything changes: a refused record leaves no trace.
+  const workload::Task candidate = record.to_task();
+  if (const std::string problem = task_problem(candidate); !problem.empty()) {
+    throw ShardError(ErrorCode::kBadPayload, problem);
+  }
   ++admits_;
   if (tasks_.count(record.id) != 0) {
     throw ShardError(ErrorCode::kUnknownTask,
@@ -93,7 +118,7 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
   }
   advance_to(std::max(record.arrival, now_));
 
-  auto owned = std::make_unique<workload::Task>(record.to_task());
+  auto owned = std::make_unique<workload::Task>(candidate);
   const workload::Task& task = *owned;
   tasks_.emplace(record.id, std::move(owned));
 
@@ -308,6 +333,9 @@ void AdmissionShard::restore_from(util::WireReader& in) {
   waiting.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     auto task = std::make_unique<workload::Task>(sched::read_task(in));
+    if (const std::string problem = task_problem(*task); !problem.empty()) {
+      throw std::runtime_error("shard restore: waiting " + problem);
+    }
     WaitingEntry entry;
     entry.plan = sched::read_plan(in);
     entry.commit_at = in.f64();

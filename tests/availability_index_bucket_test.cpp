@@ -42,20 +42,12 @@ std::vector<NodeId> reference_order(const std::vector<Time>& free_times, Time no
 
 /// Asserts the index mirrors `free_times` and answers every query as the
 /// reference sort does. `full` toggles the O(N log N) reference sort behind
-/// the rank and snapshot compares and the whole-row view; the invariants,
-/// available_by and the view up to one past its floored prefix are checked
-/// every time.
+/// the snapshot compares and the whole-row view; the invariants and the
+/// view up to one past its floored prefix are checked every time.
 void expect_matches_reference(const AvailabilityIndex& index,
                               const std::vector<Time>& free_times, Time now, bool full) {
   ASSERT_TRUE(index.consistent_with(free_times));
   ASSERT_EQ(index.size(), free_times.size());
-  const auto free_by = [&](Time t) {
-    std::size_t count = 0;
-    for (const Time free_at : free_times) count += free_at <= t ? 1 : 0;
-    return count;
-  };
-  EXPECT_EQ(index.available_by(now), free_by(now)) << "now=" << now;
-  EXPECT_EQ(index.available_by(0.0), free_by(0.0));
   // The view, and through it the floored partition the watermark now
   // stands at (consistent_with checks its bits and count once more).
   test::expect_view_matches(index, free_times, now, full);
@@ -310,15 +302,15 @@ TEST(AvailabilityIndexBucket, BucketDesyncThrows) {
   EXPECT_THROW(index.update(299, -1.0, 10.0), std::logic_error); // before every bucket
   EXPECT_THROW(index.update(300, 0.0, 10.0), std::logic_error);  // unknown node
   index.update(2, 0.0, 10.0);
-  EXPECT_EQ(index.available_by(0.0), 299u);
+  std::vector<Time> free_times(300, 0.0);
+  free_times[2] = 10.0;
+  ASSERT_TRUE(index.consistent_with(free_times));
   EXPECT_THROW(index.update(2, 0.0, 20.0), std::logic_error);  // stale `from`
 
   // A batch checks every entry before it changes anything: a stale `from`
   // in its last entry, an unknown node or a node named twice throws and
   // leaves the index - and the id marks it shares with the het snapshot -
   // as they were; so does a column-length mismatch.
-  std::vector<Time> free_times(300, 0.0);
-  free_times[2] = 10.0;
   const std::vector<Time> zeros(3, 0.0);
   const std::vector<Time> to{7.0, 8.0, 9.0};
   const std::vector<NodeId> stale{5, 250, 2};

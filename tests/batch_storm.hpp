@@ -105,11 +105,13 @@ inline cluster::Time next_now(cluster::Time now, const std::vector<cluster::Time
 /// nodes free by `now`): each fill holds exactly that many positions and
 /// matches the reference prefix. The prefix up to F + 1 costs O(N) (the
 /// floored ids ascend, then the least (free_at, id) past `now`); only the
-/// whole row needs the sort.
+/// whole row needs the sort. Also checks earliest_release(), the least
+/// release time unfloored.
 inline void expect_view_matches(const cluster::AvailabilityIndex& index,
                                 const std::vector<cluster::Time>& free_times,
                                 cluster::Time now, bool whole) {
   const std::size_t n = free_times.size();
+  ASSERT_EQ(index.earliest_release(), *std::min_element(free_times.begin(), free_times.end()));
   std::vector<cluster::NodeId> ids;
   std::vector<cluster::NodeId> rest;
   for (cluster::NodeId id = 0; id < n; ++id) {

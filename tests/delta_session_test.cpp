@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,7 +37,9 @@
 #include "cluster/speed_profile.hpp"
 #include "dlt/het_model.hpp"
 #include "obs/metrics.hpp"
+#include "sched/admission.hpp"
 #include "sched/het_planner.hpp"
+#include "sched/registry.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
@@ -427,7 +430,7 @@ TEST_P(DeltaSession, ShallowQueueBitIdenticalToStatelessTest) {
   // With the queue empty at every arrival, nothing is ever appended to a
   // reused session: no delta is replayed, and a rule whose plans read a
   // prefix never leaves a dense row in the session - only the O(k) deltas
-  // and fronts (a dense row would be 4096 positions of time, and id).
+  // (a dense row would be 4096 positions of time, and id).
   const bool prefix_scan = algorithm.find("-DLT") != std::string::npos ||
                            algorithm.find("-MR") != std::string::npos ||
                            algorithm.find("-OPR-MN") != std::string::npos;
@@ -485,6 +488,115 @@ TEST(DeltaSession, PeakStateBytesDropAtLeastFiveFoldVsDenseRows) {
       sim::simulate(het_config, "EDF-DLT", tasks, params.total_time);
   ASSERT_GT(het.admission_peak_bytes, 0u);
   EXPECT_GE(het.admission_peak_dense_bytes, 5 * het.admission_peak_bytes);
+}
+
+// --- the session's reuse check ---------------------------------------------
+
+/// A cross-check-armed EDF-DLT session over 16 nodes (hom, or the het
+/// profile `profile`) driven the way the simulator drives it: admit() at a
+/// `now`, the waiting queue updated from each accepted outcome, and a front
+/// commit booked through commit_plan() and reported with on_commit().
+struct SessionDriver {
+  explicit SessionDriver(const std::string& profile)
+      : params(cluster_params(profile)),
+        cluster(params),
+        algorithm(sched::make_algorithm("EDF-DLT")),
+        controller(algorithm.policy, algorithm.rule.get()) {
+    controller.set_cross_check(true);
+  }
+
+  static cluster::ClusterParams cluster_params(const std::string& profile) {
+    cluster::ClusterParams params{.node_count = 16, .cms = 1.0, .cps = 100.0};
+    if (!profile.empty()) {
+      params.speed_profile = std::make_shared<const SpeedProfile>(
+          cluster::parse_speed_profile(profile, params.node_count, params.cps));
+    }
+    return params;
+  }
+
+  /// Admits a task of 10 data units (one node of 16 meets the deadline)
+  /// arriving at `now`.
+  bool admit(cluster::TaskId id, cluster::Time now, cluster::Time rel_deadline) {
+    workload::Task& task = tasks.emplace_back();
+    task.id = id;
+    task.spec.arrival = now;
+    task.spec.sigma = 10.0;
+    task.spec.rel_deadline = rel_deadline;
+    const sched::AdmissionOutcome outcome =
+        controller.admit(task, waiting, params, cluster, nullptr, now, /*incremental=*/true);
+    if (!outcome.accepted) return false;
+    waiting.resize(outcome.reused_prefix);
+    plans.resize(outcome.reused_prefix);
+    for (const sched::ScheduledTask& scheduled : outcome.schedule) {
+      waiting.push_back(scheduled.task);
+      plans.push_back(scheduled.plan);
+    }
+    return true;
+  }
+
+  void commit_front(cluster::Time now) {
+    std::vector<cluster::NodeId> ids;
+    sched::commit_plan(plans.front(), now, cluster, nullptr, ids);
+    controller.on_commit(waiting.front(), plans.front(), cluster.version());
+    waiting.erase(waiting.begin());
+    plans.erase(plans.begin());
+  }
+
+  static std::uint64_t rebuilds() {
+    return obs::Registry::global().counter_value("rtdls_admission_session_rebuilds_total");
+  }
+
+  cluster::ClusterParams params;
+  cluster::Cluster cluster;
+  sched::Algorithm algorithm;
+  sched::AdmissionController controller;
+  std::deque<workload::Task> tasks;  // stable addresses
+  std::vector<const workload::Task*> waiting;
+  std::vector<sched::TaskPlan> plans;
+};
+
+TEST(DeltaSession, FrontCommitAtTheSameInstantKeepsTheSession) {
+  // Row head_ stands for the live view at the last call's `now`. A front
+  // commit at that same instant leaves it the live view even while idle
+  // nodes read `now` in it, so a second admission at that instant reuses
+  // the session; at a later `now` the idle nodes read later, and the
+  // session rebuilds. Outcomes are the same either way (the cross-check is
+  // armed), so only the rebuild count shows which branch ran.
+  for (const std::string profile : {"", "lognormal:0.5,3"}) {
+    SCOPED_TRACE(profile.empty() ? "hom" : "het");
+    SessionDriver session(profile);
+    ASSERT_TRUE(session.admit(1, 10.0, 5000.0));
+    ASSERT_EQ(session.waiting.size(), 1u);
+    session.commit_front(10.0);
+    ASSERT_LT(session.cluster.earliest_release(), 10.0);  // idle nodes floor at 10
+
+    const std::uint64_t before = SessionDriver::rebuilds();
+    ASSERT_TRUE(session.admit(2, 10.0, 6000.0));
+    EXPECT_EQ(SessionDriver::rebuilds(), before);
+
+    ASSERT_LT(session.cluster.earliest_release(), 20.0);
+    ASSERT_TRUE(session.admit(3, 20.0, 7000.0));
+    EXPECT_EQ(SessionDriver::rebuilds(), before + 1);
+  }
+}
+
+TEST(DeltaSession, EarlierNowRebuildsTheSession) {
+  // A `now` before the last call's floors entries the session's rows hold
+  // at the later instant: with every node busy until 17-20.75, a session
+  // built at 20 holds 20 where the view at 15 reads 17. Admitting at 15
+  // must rebuild rather than reuse the task planned at 20 (the armed
+  // cross-check throws on the stale plan).
+  for (const std::string profile : {"", "lognormal:0.5,3"}) {
+    SCOPED_TRACE(profile.empty() ? "hom" : "het");
+    SessionDriver session(profile);
+    for (cluster::NodeId id = 0; id < 16; ++id) {
+      session.cluster.commit(id, 100 + id, 0.0, 0.0, 17.0 + 0.25 * id);
+    }
+    ASSERT_TRUE(session.admit(1, 20.0, 3000.0));
+    const std::uint64_t before = SessionDriver::rebuilds();
+    EXPECT_NO_THROW(session.admit(2, 15.0, 4000.0));
+    EXPECT_EQ(SessionDriver::rebuilds(), before + 1);
+  }
 }
 
 // --- het resolver differential ---------------------------------------------

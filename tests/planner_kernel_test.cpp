@@ -1,5 +1,5 @@
 // Differential property tests for the batched planning kernels
-// (dlt::AlphaRecurrence + sched::het::PlannerBatch + het::QueueScreen).
+// (dlt::AlphaRecurrence + sched::het::PlannerBatch).
 //
 // The kernels' contract is not "close": every incremental / SoA path must
 // return the BIT-identical value of the scalar reference it replaced
@@ -15,8 +15,8 @@
 //     must now be detected, counted, and resolved conservatively.
 //  4. Cross-check-armed EDF/FIFO x DLT/MR2/OPR-MN-BF simulations (het and
 //     homogeneous) under overloads that force front hard-rejections, so the
-//     admission QueueScreen's shortcut is exercised against the unscreened
-//     stateless reference.
+//     incremental session's rejections at the availability front are held
+//     to the stateless reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,10 +313,10 @@ TEST(BackfillFixedPoint, RuleExposesAndResetsFallbackCounter) {
 // --- 4. cross-check-armed planner property runs -----------------------------
 
 /// Overloaded bursts with deadlines tight enough that waiting tasks' slack
-/// runs out at the availability front - the regime the admission
-/// QueueScreen short-circuits. The armed cross-check throws on ANY
-/// divergence (acceptance, reason, blocking task, every plan bitwise) from
-/// the unscreened stateless Figure-2 test.
+/// runs out at the availability front, so the rules' first-position hard
+/// rejections fire inside suffix re-plans. The armed cross-check throws on
+/// ANY divergence (acceptance, reason, blocking task, every plan bitwise)
+/// from the stateless Figure-2 test.
 class PlannerKernelSims
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
@@ -348,8 +348,8 @@ TEST_P(PlannerKernelSims, ScreenedIncrementalMatchesUnscreenedReference) {
   EXPECT_GT(metrics.accepted, 0u) << algorithm;
   EXPECT_GT(metrics.rejected, 0u) << algorithm;
   if (!calendar_rule) {
-    // The screen only fires on the hard-rejection families; the overload
-    // must actually reach them or this test exercises nothing.
+    // The overload must actually reach the hard-rejection families or this
+    // test exercises nothing.
     const std::size_t hard =
         metrics.reject_reasons[static_cast<std::size_t>(
             dlt::Infeasibility::kDeadlinePassed)] +

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/speed_profile.hpp"
@@ -249,6 +250,100 @@ TEST(SvcShard, RestoreRejectsNanCalendarIntervalBeforeChangingState) {
   EXPECT_EQ(status_before, status_bytes(restored));
 
   // The unpatched bytes still restore.
+  util::WireReader good_reader(good);
+  restored.restore_from(good_reader);
+  EXPECT_EQ(good, snapshot_bytes(restored));
+}
+
+TEST(SvcShard, AdmitRejectsMalformedTaskRecordsBeforeChangingState) {
+  // The fields load_trace refuses in a trace row. A NaN arrival used to be
+  // admitted - the shard clock ignored it and every deadline comparison
+  // passed - after which the id could never be admitted again.
+  ShardConfig config;
+  config.params.node_count = 16;
+  AdmissionShard shard("EDF-DLT", config);
+  for (const TestOp& op : scripted_ops(6)) apply_op(shard, op);
+  const std::vector<std::uint8_t> snapshot_before = snapshot_bytes(shard);
+  const std::vector<std::uint8_t> status_before = status_bytes(shard);
+
+  TaskRecord valid;
+  valid.id = 100;
+  valid.arrival = 20000.0;
+  valid.sigma = 200.0;
+  valid.rel_deadline = 3000.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with = [&](auto edit) {
+    TaskRecord record = valid;
+    edit(record);
+    return record;
+  };
+  const std::vector<std::pair<std::string, TaskRecord>> malformed{
+      {"NaN arrival", with([&](TaskRecord& r) { r.arrival = nan; })},
+      {"infinite sigma", with([&](TaskRecord& r) { r.sigma = inf; })},
+      {"zero deadline", with([&](TaskRecord& r) { r.rel_deadline = 0.0; })},
+      {"NaN deadline", with([&](TaskRecord& r) { r.rel_deadline = nan; })},
+      {"kNoTask id", with([&](TaskRecord& r) { r.id = cluster::kNoTask; })},
+  };
+  for (const auto& [what, record] : malformed) {
+    SCOPED_TRACE(what);
+    try {
+      shard.admit(record);
+      ADD_FAILURE() << "admitted";
+    } catch (const ShardError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kBadPayload) << error.what();
+    }
+    EXPECT_EQ(snapshot_before, snapshot_bytes(shard));
+    EXPECT_EQ(status_before, status_bytes(shard));
+  }
+  EXPECT_TRUE(shard.admit(valid).accepted);
+}
+
+TEST(SvcShard, RestoreRejectsAWaitingTaskWithNanArrivalBeforeChangingState) {
+  // Restore applies admit's task check to every waiting task.
+  ShardConfig config;
+  config.params.node_count = 16;
+  AdmissionShard source("EDF-DLT", config);
+  for (const TestOp& op : scripted_ops(6)) apply_op(source, op);
+  TaskRecord record;
+  record.id = 100;
+  record.arrival = 20000.0;
+  record.sigma = 200.0;
+  record.rel_deadline = 3000.0;
+  ASSERT_TRUE(source.admit(record).accepted);
+  const std::vector<std::uint8_t> good = snapshot_bytes(source);
+
+  // Clock and six counters, the node count, 32 bytes per node record, the
+  // calendar flag, the waiting count, then the first task's id and arrival.
+  util::WireReader walk(good);
+  for (int i = 0; i < 7; ++i) walk.u64();
+  const std::uint32_t nodes = walk.u32();
+  for (std::uint32_t i = 0; i < nodes * 4; ++i) walk.u64();
+  ASSERT_EQ(walk.u8(), 0u);
+  ASSERT_GT(walk.u32(), 0u);
+  walk.u64();
+  const std::size_t arrival_at = good.size() - walk.remaining();
+  util::WireWriter nan_writer;
+  nan_writer.f64(std::numeric_limits<double>::quiet_NaN());
+  const std::vector<std::uint8_t> nan = nan_writer.take();
+  std::vector<std::uint8_t> bad = good;
+  std::copy(nan.begin(), nan.end(), bad.begin() + static_cast<std::ptrdiff_t>(arrival_at));
+
+  AdmissionShard restored("EDF-DLT", config);
+  for (const TestOp& op : scripted_ops(4)) apply_op(restored, op);
+  const std::vector<std::uint8_t> snapshot_before = snapshot_bytes(restored);
+  const std::vector<std::uint8_t> status_before = status_bytes(restored);
+  util::WireReader reader(bad);
+  try {
+    restored.restore_from(reader);
+    ADD_FAILURE() << "restore accepted a NaN arrival";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("shard restore"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(snapshot_before, snapshot_bytes(restored));
+  EXPECT_EQ(status_before, status_bytes(restored));
+
   util::WireReader good_reader(good);
   restored.restore_from(good_reader);
   EXPECT_EQ(good, snapshot_bytes(restored));
