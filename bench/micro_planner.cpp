@@ -2,7 +2,8 @@
 // (BENCH_planner.json in CI). The het resolver's post-crossing walk and the
 // OPR-MN comparator inspect O(N) prefixes per arrival; these benches pit the
 // historical scalar evaluation (full alpha-column rebuild per inspected
-// prefix, O(N^2) per walk) against the incremental cursor that replaced it.
+// prefix, O(N^2) per walk) against the kernels that replaced it (the fused
+// walk over the incremental cursor, the DLT equivalent-model columns).
 // Both produce bit-identical estimates (see tests/planner_kernel_test.cpp);
 // the benches measure only the cost.
 #include <benchmark/benchmark.h>
@@ -67,20 +68,33 @@ void BM_PlannerWalkScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_PlannerWalkScalar)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
 
-/// The replacement: one shared AlphaRecurrence cursor, O(1) amortized per
-/// inspected prefix, O(N) per walk.
+/// The replacement, as the planner runs it: the fused kernel
+/// (PlannerBatch::reference_walk) over prefixes 1..N, one shared
+/// AlphaRecurrence cursor, O(1) per inspected prefix, O(N) per walk. The
+/// row is idle (every node free at 0: the tied stretch an idle cluster's
+/// DLT-IIT walk takes, and the shape of every OPR-MN prefix), and the
+/// deadline clears every hard check but is met by no prefix, so each of
+/// the N prefixes is hard-checked, extended and estimated.
 void BM_PlannerWalkIncremental(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto free_times = staggered(n);
+  const std::vector<Time> idle(n, 0.0);
   const auto cps = het_cps(n);
+  const double sigma = 200.0;
+  // A cheap channel keeps alpha_n from decaying geometrically along the
+  // prefix, so every estimate stays above the deadline: the slack is just
+  // over sigma*cms, and each estimate adds alpha_n*sigma*cps_n >> 1e-3.
+  const double cms = 0.01;
+  const Time deadline = sigma * cms + 1e-3;
   sched::het::PlannerBatch batch;
   for (auto _ : state) {
-    batch.begin_walk(1.0, 200.0);
-    Time last = 0.0;
-    for (std::size_t prefix = 1; prefix <= n; ++prefix) {
-      last = batch.opr_walk_estimate(free_times, cps, prefix);
+    batch.begin_walk(cms, sigma);
+    const sched::het::PlannerBatch::WalkStop stop =
+        batch.reference_walk(idle.data(), cps.data(), 1, n, 0, deadline);
+    if (stop.accepted || stop.estimated != n) {
+      state.SkipWithError("the walk stopped before prefix N");
+      break;
     }
-    benchmark::DoNotOptimize(last);
+    benchmark::DoNotOptimize(stop.estimate);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }

@@ -74,7 +74,7 @@ void Cluster::commit_batch(std::span<const NodeId> ids, TaskId task,
   }
   reindex_batch(ids, end);
   for (std::size_t i = 0; i < k; ++i) {
-    nodes_[ids[i]].commit(task, usable_from[i], start[i], end[i]);
+    nodes_[ids[i]].book(task, usable_from[i], start[i], end[i]);
   }
 }
 

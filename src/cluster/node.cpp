@@ -12,15 +12,6 @@ void Node::check_commit(Time start, Time end) const {
   }
 }
 
-void Node::commit(TaskId task, Time usable_from, Time start, Time end) {
-  check_commit(start, end);
-  if (start > usable_from) idle_gap_time_ += start - usable_from;
-  busy_time_ += end - start;
-  free_at_ = end;
-  current_task_ = task;
-  ++commitments_;
-}
-
 void Node::check_release_early(Time at) const {
   if (at > free_at_) {
     throw std::logic_error("Node::release_early: later than committed release");

@@ -29,12 +29,26 @@ class Node {
   /// Idle Time - the waste the paper's new algorithms eliminate (OPR rules
   /// start at r_n > r_i; IIT-utilizing rules start at r_i, gap 0).
   /// Busy time [start, end) is added to the utilization accumulator.
-  void commit(TaskId task, Time usable_from, Time start, Time end);
+  void commit(TaskId task, Time usable_from, Time start, Time end) {
+    check_commit(start, end);
+    book(task, usable_from, start, end);
+  }
 
   /// Throws what commit(task, usable_from, start, end) would throw, changing
   /// nothing: std::invalid_argument when end < start, std::logic_error when
   /// start overlaps the current commitment.
   void check_commit(Time start, Time end) const;
+
+  /// commit() without its check, for a caller that has just run
+  /// check_commit(start, end) on this node (Cluster::commit_batch checks a
+  /// whole batch before it writes any node).
+  void book(TaskId task, Time usable_from, Time start, Time end) {
+    if (start > usable_from) idle_gap_time_ += start - usable_from;
+    busy_time_ += end - start;
+    free_at_ = end;
+    current_task_ = task;
+    ++commitments_;
+  }
 
   /// Releases the node (e.g. when an actual completion beats the estimate);
   /// the node becomes free at `at`, which must not exceed the committed

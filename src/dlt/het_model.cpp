@@ -71,8 +71,12 @@ void AlphaRecurrence::reset(double cms) {
   products_.clear();
 }
 
+void AlphaRecurrence::throw_bad_cps() {
+  throw std::invalid_argument("AlphaRecurrence: cps must be > 0");
+}
+
 void AlphaRecurrence::extend(double cps) {
-  if (!(cps > 0.0)) throw std::invalid_argument("AlphaRecurrence: cps must be > 0");
+  if (!(cps > 0.0)) throw_bad_cps();
   if (products_.empty()) {
     products_.push_back(1.0);
   } else {

@@ -74,6 +74,43 @@ class AlphaRecurrence {
   /// Appends the next node (unit cost `cps` > 0); O(1).
   RTDLS_HOT void extend(double cps);
 
+  /// Appends cps[0], cps[1], ... (at most `count` nodes) as extend() would,
+  /// handing each new prefix's alpha_n to `halt(k, alpha_n)`, k the offset
+  /// into `cps`, and ends after the first node for which it returns true.
+  /// Returns the nodes appended. The fused walk's loop: the running product
+  /// and denominator stay in registers, and each step is extend()'s
+  /// operations in extend()'s order, so the cursor ends bit-identical to
+  /// that many extend() calls. A throw (a cps not > 0) leaves the cursor to
+  /// be reset.
+  template <typename Halt>
+  RTDLS_HOT std::size_t extend_until(const double* cps, std::size_t count, Halt&& halt) {
+    if (count == 0) return 0;
+    std::size_t k = 0;
+    if (products_.empty()) {
+      extend(cps[0]);
+      if (halt(std::size_t{0}, alpha_last())) return 1;
+      k = 1;
+    }
+    double p = products_.back();
+    double denom = denom_;
+    double last = last_cps_;
+    for (; k < count; ++k) {
+      const double c = cps[k];
+      if (!(c > 0.0)) throw_bad_cps();
+      p = p * (last / (cms_ + c));
+      denom += p;
+      last = c;
+      products_.push_back(p);
+      if (halt(k, p / denom)) {
+        ++k;
+        break;
+      }
+    }
+    denom_ = denom;
+    last_cps_ = last;
+    return k;
+  }
+
   /// Number of nodes consumed so far.
   std::size_t size() const { return products_.size(); }
 
@@ -87,6 +124,8 @@ class AlphaRecurrence {
   void materialize(std::vector<double>& out) const;
 
  private:
+  [[noreturn]] static void throw_bad_cps();
+
   double cms_ = 1.0;
   double denom_ = 1.0;
   double last_cps_ = 0.0;

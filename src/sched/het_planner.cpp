@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "cluster/calendar.hpp"
 #include "util/fp.hpp"
@@ -23,25 +22,19 @@ void pin_prefix(const PlanRequest& request, const PlannerScratch& scratch, std::
                        scratch.cps.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
-/// The scan's shared hard-rejection checks at prefix end r_n. Both only
-/// worsen as r_n grows, so hitting one aborts the whole scan (mirroring the
-/// homogeneous resolver's early aborts).
-dlt::Infeasibility hard_reject(double sigma, double cms, Time deadline, Time rn) {
-  const Time slack = deadline - rn;
-  if (slack <= 0.0) return dlt::Infeasibility::kDeadlinePassed;
-  if (sigma * cms >= slack) return dlt::Infeasibility::kTransmissionTooLong;
-  return dlt::Infeasibility::kNone;
-}
-
-/// Extends scratch.cps with actual speeds up to position `upto` (exclusive
-/// prefix length; the row must be filled that far). The planners gather
-/// lazily so a plan touching k positions never reads the other N - k ids.
-void gather_cps_prefix(const PlanRequest& request, PlannerScratch& scratch,
-                       std::size_t upto) {
-  const std::vector<cluster::NodeId>& ids = request.row->ids();
-  for (std::size_t i = scratch.cps.size(); i < upto; ++i) {
-    scratch.cps.push_back(request.params.node_cps(ids[i]));
-  }
+/// Extends scratch.cps with the actual speeds of positions
+/// [scratch.cps.size(), upto), read by id straight off the profile's column
+/// in one pass (the row must be filled that far). The planners gather a
+/// filled block at a time, so a plan touching k positions never reads ids
+/// more than one read-ahead block past them.
+void gather_cps(const PlanRequest& request, PlannerScratch& scratch, std::size_t upto) {
+  const std::size_t from = scratch.cps.size();
+  if (upto <= from) return;
+  scratch.cps.resize(upto);
+  const double* speeds = request.params.speed_profile->values().data();
+  const cluster::NodeId* ids = request.row->ids().data();
+  double* cps = scratch.cps.data();
+  for (std::size_t i = from; i < upto; ++i) cps[i] = speeds[ids[i]];
 }
 
 /// The position-by-position walk hard-checks every prefix end and returns
@@ -74,6 +67,16 @@ dlt::Infeasibility first_hard_reason(double sigma, double cms, Time deadline,
 /// index bucket's worth, so a walk of w positions pays w / 64 view reads.
 constexpr std::size_t kWalkReadAhead = 63;
 
+/// A walk's accepted prefix and its estimate, or (0, reason).
+struct WalkOutcome {
+  std::size_t nodes = 0;
+  dlt::Infeasibility reason = dlt::Infeasibility::kNone;
+  Time estimate = 0.0;
+  /// The estimate is the reference one (the cursor holds the accepted
+  /// alpha), not an untied DLT-IIT prefix's equivalent model.
+  bool reference = false;
+};
+
 /// First-feasible availability-prefix scan shared by the DLT-IIT and OPR-MN
 /// het planners, outcome-identical to the linear n = 1..N walk those rules
 /// historically ran (same accept position, same reject reason), with the
@@ -96,27 +99,28 @@ constexpr std::size_t kWalkReadAhead = 63;
 ///    scan's exact first-failure reason via first_hard_reason.
 ///  * From the crossing on (capacity terms stay positive wherever the hard
 ///    checks pass, so the prune can never re-arm) the scan is the plain
-///    linear walk: hard-check, build via `estimate_at`, accept the first
-///    prefix whose estimate meets the deadline.
+///    linear walk - hard-check, estimate, accept the first prefix whose
+///    estimate meets the deadline - run one read-ahead block at a time.
+///    Where the estimate is the reference one (every OPR-MN prefix; for
+///    DLT-IIT, `tied_only`, the tied prefixes r_n == r_1) the fused
+///    PlannerBatch::reference_walk walks the block; an untied DLT-IIT
+///    prefix builds its equivalent model (dlt_walk_estimate).
 ///
-/// `estimate_at(n)` must leave the caller's scratch (partition/alpha/batch)
-/// in the state matching position n; the row is filled and scratch.cps
-/// gathered up to every position handed to it, and no further than the
-/// last position the scan inspects. Positions are handed out in strictly increasing
-/// order, which is what lets the estimate lambdas ride scratch.batch's
-/// shared alpha cursor (begun here) instead of re-running the Eq. (4)-(5)
-/// chain from scratch per candidate. Returns the accepted n, or (0, reason).
-template <typename EstimateAt>
-std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
-    const PlanRequest& request, PlannerScratch& scratch, double sigma, Time deadline,
-    EstimateAt&& estimate_at) {
+/// The row is filled, and scratch.cps gathered, a block at a time: within
+/// one read-ahead block of the last position the scan inspects. Positions
+/// are evaluated in strictly increasing order, which is what lets the
+/// estimates ride scratch.batch's shared alpha cursor (begun here) instead
+/// of re-running the Eq. (4)-(5) chain from scratch per candidate.
+WalkOutcome first_feasible_prefix(const PlanRequest& request, PlannerScratch& scratch,
+                                  double sigma, Time deadline, bool tied_only) {
   const cluster::AvailabilityView& row = *request.row;
   const std::vector<Time>& free_times = row.times();
   const double cms = request.params.cms;
   const std::size_t cluster_size = row.size();
+  PlannerBatch& batch = scratch.batch;
   ++scratch.counters.resolver_walks;
   scratch.cps.clear();
-  scratch.batch.begin_walk(cms, sigma);
+  batch.begin_walk(cms, sigma);
   // Fastest unit cost of the profile: the denominator of the jump bound
   // (cached inside SpeedProfile, so this is O(1)).
   const double cps_floor = request.params.speed_profile->min_cps();
@@ -132,8 +136,8 @@ std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
   while (crossing == 0) {
     bool crossed = false;
     row.fill(target);
+    gather_cps(request, scratch, target);
     while (summed < target) {
-      gather_cps_prefix(request, scratch, summed + 1);
       capacity += (deadline - free_times[summed]) / scratch.cps[summed];
       ++summed;
       if (capacity >= sigma) {
@@ -167,22 +171,46 @@ std::pair<std::size_t, dlt::Infeasibility> first_feasible_prefix(
     }
   }
 
-  // Phase 2: linear first-feasible walk from the crossing. It inspects one
-  // position per step, so the row fills a block ahead rather than one
-  // position per call.
-  for (std::size_t n = crossing; n <= cluster_size; ++n) {
+  // Phase 2: the linear walk from the crossing, a block of up to
+  // kWalkReadAhead + 1 positions at a time.
+  std::size_t n = crossing;
+  while (n <= cluster_size) {
     if (n > free_times.size()) row.fill(std::min(cluster_size, n + kWalkReadAhead));
-    if (n > clear) {
-      const dlt::Infeasibility hard =
-          hard_reject(sigma, cms, deadline, free_times[n - 1]);
-      if (hard != dlt::Infeasibility::kNone) return {0, hard};
-      clear = n;
+    const std::size_t block_end = std::min(free_times.size(), n + kWalkReadAhead);
+    gather_cps(request, scratch, block_end);
+    // The block's last prefix whose estimate is the reference one. Rows
+    // are sorted, so the tied prefixes lead the row.
+    std::size_t last = block_end;
+    if (tied_only) {
+      const Time* times = free_times.data();
+      last = static_cast<std::size_t>(
+          std::upper_bound(times + (n - 1), times + block_end, times[0]) - times);
     }
-    gather_cps_prefix(request, scratch, n);
-    ++scratch.counters.resolver_positions;
-    ++scratch.counters.batch_passes;
-    const Time est = estimate_at(n);
-    if (fp::at_or_before(est, deadline)) return {n, dlt::Infeasibility::kNone};
+    if (last >= n) {
+      const PlannerBatch::WalkStop stop =
+          batch.reference_walk(free_times.data(), scratch.cps.data(), n, last, clear, deadline);
+      scratch.counters.resolver_positions += stop.estimated;
+      scratch.counters.batch_passes += stop.estimated;
+      if (stop.reason != dlt::Infeasibility::kNone) return {0, stop.reason};
+      if (stop.accepted) {
+        return {n + stop.estimated - 1, dlt::Infeasibility::kNone, stop.estimate, true};
+      }
+      clear = last;
+      n = last + 1;
+    }
+    // Untied DLT-IIT prefixes: one equivalent model each.
+    for (; n <= block_end; ++n) {
+      if (n > clear) {
+        const dlt::Infeasibility hard =
+            hard_reject(sigma, cms, deadline, free_times[n - 1]);
+        if (hard != dlt::Infeasibility::kNone) return {0, hard};
+        clear = n;
+      }
+      ++scratch.counters.resolver_positions;
+      ++scratch.counters.batch_passes;
+      const Time est = batch.dlt_walk_estimate(free_times, scratch.cps, n);
+      if (fp::at_or_before(est, deadline)) return {n, dlt::Infeasibility::kNone, est, false};
+    }
   }
   return {0, dlt::Infeasibility::kNeedsMoreNodes};
 }
@@ -195,29 +223,30 @@ PlanResult plan_dlt_iit(const PlanRequest& request, PlannerScratch& scratch) {
   const double sigma = task.sigma();
   const Time deadline = task.abs_deadline();
 
-  // Walk estimates come from the batched kernel (shared alpha cursor for
-  // E_ref, flat SoA columns for the equivalent model) - bit-identical to the
-  // historical build_het_partition_into rebuild at every prefix, without the
-  // partition struct or its allocations.
-  Time accepted_est = 0.0;
-  const auto [n, reason] = first_feasible_prefix(
-      request, scratch, sigma, deadline, [&](std::size_t prefix) {
-        accepted_est =
-            scratch.batch.dlt_walk_estimate(free_times, scratch.cps, prefix);
-        return accepted_est;
-      });
-  if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
+  // Walk estimates come from the batched kernels (the fused reference walk
+  // on the tied stretch, flat SoA columns for the equivalent model past
+  // it) - bit-identical to the historical build_het_partition_into rebuild
+  // at every prefix, without the partition struct or its allocations.
+  const WalkOutcome walk =
+      first_feasible_prefix(request, scratch, sigma, deadline, /*tied_only=*/true);
+  if (walk.reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(walk.reason);
 
   PlanResult result;
   TaskPlan& plan = result.plan;
-  const Time est = accepted_est;
+  const std::size_t n = walk.nodes;
+  const Time est = walk.estimate;
   plan.task = task.id;
   plan.nodes = n;
   plan.available.assign(free_times.begin(),
                         free_times.begin() + static_cast<std::ptrdiff_t>(n));
   plan.reserve_from = plan.available;  // IITs utilized
   plan.node_release.assign(n, est);
-  scratch.batch.materialize_dlt_alpha(plan.alpha);
+  // A tied prefix's partition is the cursor's own.
+  if (walk.reference) {
+    scratch.batch.materialize_walk_alpha(plan.alpha);
+  } else {
+    scratch.batch.materialize_dlt_alpha(plan.alpha);
+  }
   plan.est_completion = est;
   pin_prefix(request, scratch, n, plan);
   return result;
@@ -231,21 +260,15 @@ PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
 
   // The shared prune stays a valid necessary condition for OPR too:
   // (deadline - r_i)/cps_i over-estimates what the simultaneous start at
-  // r_n >= r_i allows.
-  // O(1) amortized per inspected prefix: the walk extends the shared alpha
-  // cursor one node at a time instead of re-running the whole recurrence.
-  const auto [n, reason] = first_feasible_prefix(
-      request, scratch, sigma, deadline, [&](std::size_t prefix) {
-        return scratch.batch.opr_walk_estimate(free_times, scratch.cps, prefix);
-      });
-  if (reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(reason);
+  // r_n >= r_i allows. Every prefix's estimate is the reference one, so
+  // the whole walk runs in the fused kernel, O(1) per inspected prefix.
+  const WalkOutcome walk =
+      first_feasible_prefix(request, scratch, sigma, deadline, /*tied_only=*/false);
+  if (walk.reason != dlt::Infeasibility::kNone) return PlanResult::infeasible(walk.reason);
 
-  // Only the accepted prefix materializes its normalized alpha.
-  scratch.batch.materialize_walk_alpha(scratch.alpha);
+  const std::size_t n = walk.nodes;
   const Time rn = free_times[n - 1];
-  const double exec =
-      sigma * request.params.cms + scratch.alpha.back() * sigma * scratch.cps[n - 1];
-  const Time est = rn + exec;
+  const Time est = walk.estimate;
   PlanResult result;
   TaskPlan& plan = result.plan;
   plan.task = task.id;
@@ -254,7 +277,8 @@ PlanResult plan_opr_mn(const PlanRequest& request, PlannerScratch& scratch) {
                         free_times.begin() + static_cast<std::ptrdiff_t>(n));
   plan.reserve_from.assign(n, rn);  // simultaneous allocation: IITs wasted
   plan.node_release.assign(n, est);
-  plan.alpha = scratch.alpha;
+  // Only the accepted prefix materializes its normalized alpha.
+  scratch.batch.materialize_walk_alpha(plan.alpha);
   plan.est_completion = est;
   pin_prefix(request, scratch, n, plan);
   return result;
@@ -271,7 +295,7 @@ PlanResult plan_opr_an(const PlanRequest& request, PlannerScratch& scratch) {
   const Time rn = free_times.back();
   if (deadline <= rn) return PlanResult::infeasible(dlt::Infeasibility::kDeadlinePassed);
   scratch.cps.clear();
-  gather_cps_prefix(request, scratch, n);
+  gather_cps(request, scratch, n);
 
   dlt::general_het_alpha_into(request.params.cms, scratch.cps, n, scratch.alpha);
   const double exec =
@@ -304,7 +328,7 @@ PlanResult plan_user_split(const PlanRequest& request, PlannerScratch& scratch) 
   row.fill(n);
   const std::vector<Time>& free_times = row.times();
   scratch.cps.clear();
-  gather_cps_prefix(request, scratch, n);
+  gather_cps(request, scratch, n);
 
   // Exact equal-split rollout: node i receives chunk i over the sequential
   // channel once it is free, then computes at its own speed.

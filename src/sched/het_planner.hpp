@@ -18,15 +18,18 @@
 //    only hard-checks the jump landings; an infeasible landing binary-
 //    searches the skipped range so the linear scan's exact accept position
 //    and reject reason are preserved (hard rejection is monotone in r_n).
-//    The row is filled, and speeds gathered, only up to the largest
-//    inspected position, so a plan that accepts a k-node prefix never reads
-//    the other N - k positions.
+//    The row is filled, and speeds gathered (by id, off the profile's
+//    column), a read-ahead block at a time: within one block of the largest
+//    inspected position, so a plan that accepts a k-node prefix reads at
+//    most k + 63 positions, not all N.
 //  * Each prefix's estimate comes from the generalized Eq.-1 equivalent
 //    model over the offered nodes' *actual* speeds
-//    (dlt::build_het_partition_into feeding general_het_alpha_into). OPR-MN
-//    and a tied DLT prefix (every offered node free at the same instant)
-//    cost O(1) per inspected position, so such a plan costs O(k); an untied
-//    DLT prefix rebuilds its equivalent model, O(k) per position.
+//    (dlt::build_het_partition_into feeding general_het_alpha_into). Where
+//    that is the reference model itself - every OPR-MN prefix, and a tied
+//    DLT prefix (every offered node free at the same instant) - one fused
+//    loop (PlannerBatch::reference_walk) hard-checks, estimates and tests
+//    each prefix in O(1), so such a plan costs O(k); an untied DLT prefix
+//    rebuilds its equivalent model, O(k) per position.
 //  * Accepted plans pin node identity: node_ids/node_cps record exactly
 //    which nodes the alpha fractions were computed for, and the simulator
 //    commits those ids (nodes of different speeds are not interchangeable).
@@ -48,9 +51,9 @@ namespace rtdls::sched::het {
 /// Reusable scratch shared by the het planning entry points. One instance
 /// per rule (same single-thread affinity as the rules' other scratch).
 struct PlannerScratch {
-  /// Actual speeds of the offered positions, gathered up to the largest
-  /// position a planner inspects (O(accept) instead of O(N) per plan): the
-  /// prefix scan's landing, UserSplit's n, OPR-AN's whole row.
+  /// Actual speeds of the offered positions, gathered as far as a planner
+  /// reads (O(accept) instead of O(N) per plan): the prefix scan's landing
+  /// or read-ahead block, UserSplit's n, OPR-AN's whole row.
   std::vector<double> cps;
   std::vector<double> alpha;        ///< general_het_alpha output
   dlt::HetPartition partition;      ///< generalized Eq.-1 model

@@ -13,33 +13,50 @@ void PlannerBatch::begin_walk(double cms, double sigma) {
   dlt_n_ = 0;
 }
 
-void PlannerBatch::sync_cursor(const std::vector<double>& cps, std::size_t n) {
-  while (cursor_.size() < n) cursor_.extend(cps[cursor_.size()]);
+void PlannerBatch::sync_cursor(const double* cps, std::size_t n) {
+  const std::size_t from = cursor_.size();
+  if (from < n) {
+    cursor_.extend_until(cps + from, n - from, [](std::size_t, double) { return false; });
+  }
 }
 
-Time PlannerBatch::opr_walk_estimate(const std::vector<Time>& free,
-                                     const std::vector<double>& cps, std::size_t n) {
-  sync_cursor(cps, n);
-  const double exec = sigma_ * cms_ + cursor_.alpha_last() * sigma_ * cps[n - 1];
-  return free[n - 1] + exec;
+PlannerBatch::WalkStop PlannerBatch::reference_walk(const Time* free, const double* cps,
+                                                    std::size_t first, std::size_t last,
+                                                    std::size_t clear, Time deadline) {
+  sync_cursor(cps, first - 1);
+  const double sigma = sigma_;
+  const double cms = cms_;
+  dlt::Infeasibility reason = dlt::Infeasibility::kNone;
+  Time estimate = 0.0;
+  bool accepted = false;
+  const std::size_t walked = cursor_.extend_until(
+      cps + (first - 1), last - first + 1, [&](std::size_t k, double alpha_n) {
+        const std::size_t n = first + k;
+        const Time rn = free[n - 1];
+        if (n > clear) {
+          reason = hard_reject(sigma, cms, deadline, rn);
+          if (reason != dlt::Infeasibility::kNone) return true;
+        }
+        estimate = rn + (sigma * cms + alpha_n * sigma * cps[n - 1]);
+        accepted = fp::at_or_before(estimate, deadline);
+        return accepted;
+      });
+  WalkStop stop;
+  stop.estimated = reason == dlt::Infeasibility::kNone ? walked : walked - 1;
+  stop.reason = reason;
+  stop.accepted = accepted;
+  stop.estimate = estimate;
+  return stop;
 }
 
 Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
                                      const std::vector<double>& cps, std::size_t n) {
   // Stage 1 - E_ref, the no-IIT reference of the generalized Eq. (1): all n
   // nodes allocated at r_n with their actual speeds. One cursor step.
-  sync_cursor(cps, n);
+  sync_cursor(cps.data(), n);
   const Time rn = free[n - 1];
   const double e_ref = sigma_ * cms_ + cursor_.alpha_last() * sigma_ * cps[n - 1];
   dlt_n_ = n;
-
-  // Tied prefix (every offered node frees at r_n, e.g. all idle at `now`):
-  // each r_n - r_i is +0.0, so Eq. (1)'s factor E_ref / (E_ref + 0) is
-  // exactly 1.0 and cps_tilde == cps. Stage 2 would then re-run the
-  // cursor's own recurrence op for op, so E_hat == E_ref bit for bit and
-  // the cursor already holds the partition: O(1) per position.
-  dlt_tied_ = fp::exact_eq(free[0], rn);
-  if (dlt_tied_) return rn + e_ref;
 
   // Stage 2 - the equivalent-model costs depend on both r_n and E_ref, so
   // the whole column changes at every n: two elementwise passes (each lane
@@ -80,16 +97,12 @@ Time PlannerBatch::dlt_walk_estimate(const std::vector<Time>& free,
 
 void PlannerBatch::materialize_dlt_alpha(std::vector<double>& out) const {
   if (dlt_n_ == 0) throw std::logic_error("PlannerBatch: no DLT prefix evaluated");
-  if (dlt_tied_) {
-    cursor_.materialize(out);
-    return;
-  }
   out.resize(dlt_n_);
   for (std::size_t i = 0; i < dlt_n_; ++i) out[i] = products_[i] / dlt_denom_;
 }
 
 Time PlannerBatch::window_duration_prefix(const std::vector<double>& cps, std::size_t m) {
-  sync_cursor(cps, m);
+  sync_cursor(cps.data(), m);
   return sigma_ * cms_ + cursor_.alpha_last() * sigma_ * cps[m - 1];
 }
 

@@ -12,17 +12,17 @@ Time ActualTimeline::task_completion() const {
   return latest;
 }
 
-ActualTimeline roll_out(const cluster::ClusterParams& params, double sigma,
-                        const sched::TaskPlan& plan, Time channel_available) {
+Time roll_out(const cluster::ClusterParams& params, double sigma, const sched::TaskPlan& plan,
+              ActualTimeline& out, Time channel_available) {
   if (plan.nodes == 0) throw std::invalid_argument("roll_out: empty plan");
   if (!(sigma > 0.0)) throw std::invalid_argument("roll_out: sigma must be > 0");
 
-  ActualTimeline timeline;
-  timeline.tx_start.resize(plan.nodes);
-  timeline.tx_end.resize(plan.nodes);
-  timeline.completion.resize(plan.nodes);
+  out.tx_start.resize(plan.nodes);
+  out.tx_end.resize(plan.nodes);
+  out.completion.resize(plan.nodes);
 
   Time channel_free = channel_available;
+  Time latest = 0.0;
   for (std::size_t i = 0; i < plan.nodes; ++i) {
     const double tx_cost = plan.alpha[i] * sigma * params.cms;
     // Heterogeneous plans pin each slot's actual speed; homogeneous plans
@@ -32,12 +32,16 @@ ActualTimeline roll_out(const cluster::ClusterParams& params, double sigma,
     // The chunk may not be sent before the node is reserved for the task
     // (its own available time; r_n for OPR rules) nor before the previous
     // chunk left the channel.
-    timeline.tx_start[i] = std::max(plan.reserve_from[i], channel_free);
-    timeline.tx_end[i] = timeline.tx_start[i] + tx_cost;
-    timeline.completion[i] = timeline.tx_end[i] + compute_cost;
-    channel_free = timeline.tx_end[i];
+    const Time start = std::max(plan.reserve_from[i], channel_free);
+    const Time end = start + tx_cost;
+    const Time completion = end + compute_cost;
+    out.tx_start[i] = start;
+    out.tx_end[i] = end;
+    out.completion[i] = completion;
+    channel_free = end;
+    latest = std::max(latest, completion);
   }
-  return timeline;
+  return latest;
 }
 
 ResultTimeline roll_out_with_results(const cluster::ClusterParams& params, double sigma,
@@ -47,11 +51,11 @@ ResultTimeline roll_out_with_results(const cluster::ClusterParams& params, doubl
     throw std::invalid_argument("roll_out_with_results: delta must be >= 0");
   }
   ResultTimeline timeline;
-  timeline.input = roll_out(params, sigma, plan, channel_available);
+  const Time input_completion = roll_out(params, sigma, plan, timeline.input, channel_available);
   if (fp::exact_eq(delta, 0.0)) {
     timeline.result_tx_start = timeline.input.completion;
     timeline.result_tx_end = timeline.input.completion;
-    timeline.task_completion = timeline.input.task_completion();
+    timeline.task_completion = input_completion;
     return timeline;
   }
 

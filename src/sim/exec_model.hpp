@@ -1,7 +1,8 @@
-// Actual-execution rollout of a committed plan on the homogeneous cluster:
-// the head node transmits chunks sequentially in plan order; node i's
-// transmission starts once the node is usable (reserve_from[i]) and the
-// channel is free; computation follows immediately.
+// Actual-execution rollout of a committed plan: the head node transmits
+// chunks sequentially in plan order; node i's transmission starts once the
+// node is usable (reserve_from[i]) and the channel is free; computation
+// follows immediately, at params.cps or, under a heterogeneous plan, at the
+// node's own speed.
 //
 // For DLT-IIT plans this is exactly the timeline of Theorem 4's proof, so
 //   max_i completion_i <= plan.est_completion
@@ -28,14 +29,16 @@ struct ActualTimeline {
   Time task_completion() const;
 };
 
-/// Rolls out `plan` for a task of size `sigma`.
+/// Rolls out `plan` for a task of size `sigma` into `out`, the caller's
+/// storage (its columns' capacity reused), and returns the actual task
+/// completion, out.task_completion(), computed in the same pass.
 ///
 /// `channel_available`: earliest time the head node's link may serve this
 /// task. The paper's model dedicates the link to the task from its start
 /// (pass 0 / any time <= the first reserve_from); the shared-link ablation
 /// passes the global channel-free time instead.
-ActualTimeline roll_out(const cluster::ClusterParams& params, double sigma,
-                        const sched::TaskPlan& plan, Time channel_available = 0.0);
+Time roll_out(const cluster::ClusterParams& params, double sigma, const sched::TaskPlan& plan,
+              ActualTimeline& out, Time channel_available = 0.0);
 
 /// Timeline including the result-collection phase (output-data extension).
 struct ResultTimeline {

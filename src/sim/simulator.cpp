@@ -8,7 +8,6 @@
 #include "dlt/multiround.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/exec_model.hpp"
 #include "util/fp.hpp"
 #include "util/log.hpp"
 
@@ -254,7 +253,7 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   // finishes (built by build_multiround_schedule); re-rolling them through
   // the single-round model would be the wrong execution semantics.
   RTDLS_TRACE_SCOPE("sim.rollout", "sim");
-  ActualTimeline timeline;
+  ActualTimeline& timeline = timeline_;
   Time actual = 0.0;
   if (plan.rounds > 1) {
     timeline.tx_start = plan.reserve_from;
@@ -293,9 +292,8 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
     if (config_.shared_link) channel_free_ = actual;
   } else {
     const Time channel_at = config_.shared_link ? channel_free_ : 0.0;
-    timeline = roll_out(config_.params, task.sigma(), plan, channel_at);
+    actual = roll_out(config_.params, task.sigma(), plan, timeline, channel_at);
     if (config_.shared_link) channel_free_ = timeline.tx_end.back();
-    actual = timeline.task_completion();
   }
   const Time estimate = plan.est_completion;
 
@@ -331,15 +329,10 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   // The no-IIT reference: homogeneous E(sigma, n), or for heterogeneous
   // plans the het-optimal simultaneous allocation over the same nodes'
   // actual speeds.
-  double e_no_iit = 0.0;
-  if (plan.node_cps.empty()) {
-    e_no_iit = dlt::homogeneous_execution_time(config_.params, task.sigma(), plan.nodes);
-  } else {
-    dlt::general_het_alpha_into(config_.params.cms, plan.node_cps, plan.nodes,
-                                alpha_scratch_);
-    e_no_iit = task.sigma() * config_.params.cms +
-               alpha_scratch_.back() * task.sigma() * plan.node_cps.back();
-  }
+  const double e_no_iit =
+      plan.node_cps.empty()
+          ? dlt::homogeneous_execution_time(config_.params, task.sigma(), plan.nodes)
+          : dlt::general_het_execution_time(config_.params.cms, plan.node_cps, task.sigma());
   const double e_planned = plan.est_completion - plan.available.back();
   metrics_.iit_compression.add((e_no_iit - e_planned) / e_no_iit);
 

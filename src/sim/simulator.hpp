@@ -31,6 +31,7 @@
 #include "sched/het_planner.hpp"
 #include "sched/registry.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/exec_model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/task_source.hpp"
@@ -149,7 +150,7 @@ class ClusterSimulator {
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;
   std::vector<Time> release_at_scratch_;
-  std::vector<double> alpha_scratch_;
+  ActualTimeline timeline_;  ///< the committed task's rolled-out timeline
   sched::het::PlannerScratch het_roll_scratch_;
 };
 

@@ -77,7 +77,8 @@ enum class MsgType : std::uint16_t {
 
 enum class ErrorCode : std::uint16_t {
   kBadFrame = 1,      ///< magic/version/length violation (connection closes)
-  kBadPayload = 2,    ///< frame ok, payload undecodable for its type
+  kBadPayload = 2,    ///< frame ok, payload undecodable or refused (a bad
+                      ///< task record, an admit of an id already waiting)
   kUnknownType = 3,   ///< not a request type this daemon knows
   kUnknownShard = 4,  ///< shard index out of range
   kUnknownTask = 5,   ///< commit/cancel target not in the waiting queue

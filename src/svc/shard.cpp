@@ -111,11 +111,11 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
   if (const std::string problem = task_problem(candidate); !problem.empty()) {
     throw ShardError(ErrorCode::kBadPayload, problem);
   }
-  ++admits_;
   if (tasks_.count(record.id) != 0) {
-    throw ShardError(ErrorCode::kUnknownTask,
+    throw ShardError(ErrorCode::kBadPayload,
                      "task " + std::to_string(record.id) + " is already waiting");
   }
+  ++admits_;
   advance_to(std::max(record.arrival, now_));
 
   auto owned = std::make_unique<workload::Task>(candidate);

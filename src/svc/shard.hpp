@@ -76,7 +76,8 @@ class AdmissionShard {
 
   /// Runs the Figure-2 admission test for `record` at effective arrival
   /// max(record.arrival, now()), advancing the clock (and auto-committing
-  /// due plans) first. Throws ShardError{kUnknownTask} on a duplicate id.
+  /// due plans) first. Throws ShardError{kBadPayload}, changing nothing and
+  /// counting no admit, on a malformed record or an id already waiting.
   AdmitReply admit(const TaskRecord& record);
 
   /// Explicitly commits waiting task `id` at max(now, its commit instant);

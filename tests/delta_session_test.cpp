@@ -34,6 +34,8 @@
 #include <vector>
 
 #include "cluster/availability_delta.hpp"
+#include "cluster/availability_index.hpp"
+#include "cluster/availability_view.hpp"
 #include "cluster/speed_profile.hpp"
 #include "dlt/het_model.hpp"
 #include "obs/metrics.hpp"
@@ -619,6 +621,8 @@ struct ReferenceOutcome {
   dlt::Infeasibility reason = dlt::Infeasibility::kNone;
   std::size_t nodes = 0;
   cluster::Time est = 0.0;
+  std::vector<double> alpha;  ///< the accepted prefix's fractions
+  std::size_t built = 0;      ///< prefixes estimated (past the prune)
 };
 
 ReferenceOutcome reference_dlt_scan(const cluster::ClusterParams& params, double sigma,
@@ -639,11 +643,13 @@ ReferenceOutcome reference_dlt_scan(const cluster::ClusterParams& params, double
     }
     capacity += (deadline - rn) / cps[n - 1];
     if (capacity < sigma) continue;
+    ++out.built;
     dlt::build_het_partition_into(params, sigma, free_times, cps, n, partition);
     const cluster::Time est = partition.estimated_completion();
     if (est > deadline + kDeadlineEps) continue;
     out.nodes = n;
     out.est = est;
+    out.alpha = partition.alpha;
     return out;
   }
   out.reason = dlt::Infeasibility::kNeedsMoreNodes;
@@ -668,16 +674,95 @@ ReferenceOutcome reference_opr_scan(const cluster::ClusterParams& params, double
     }
     capacity += (deadline - rn) / cps[n - 1];
     if (capacity < sigma) continue;
+    ++out.built;
     dlt::general_het_alpha_into(params.cms, cps, n, alpha);
     const double exec = sigma * params.cms + alpha.back() * sigma * cps[n - 1];
     const cluster::Time est = rn + exec;
     if (est > deadline + kDeadlineEps) continue;
     out.nodes = n;
     out.est = est;
+    out.alpha = alpha;
     return out;
   }
   out.reason = dlt::Infeasibility::kNeedsMoreNodes;
   return out;
+}
+
+/// Holds one het plan to its reference scan: outcome, accepted prefix,
+/// estimate and alpha bit for bit, and the walk's resolver_positions (reset
+/// by the caller before planning) equal to the prefixes the reference
+/// estimated.
+void expect_plan_matches(const ReferenceOutcome& ref, const sched::PlanResult& got,
+                         const sched::het::PlannerScratch& scratch, const std::string& label) {
+  EXPECT_EQ(scratch.counters.resolver_positions, ref.built) << label;
+  ASSERT_EQ(got.reason, ref.reason) << label;
+  if (ref.reason != dlt::Infeasibility::kNone) return;
+  EXPECT_EQ(got.plan.nodes, ref.nodes) << label;
+  EXPECT_EQ(got.plan.est_completion, ref.est) << label;
+  EXPECT_EQ(got.plan.alpha, ref.alpha) << label;
+}
+
+/// Plans one availability state with both het walks, from a dense row and
+/// from views opened on an AvailabilityIndex holding the same release
+/// times (`node_free[id]`, the row floored at `now`), and holds every plan
+/// to the reference scans. Returns the DLT reference outcome.
+ReferenceOutcome expect_walks_match(const cluster::ClusterParams& params, double sigma,
+                                    cluster::Time deadline, cluster::Time now,
+                                    const std::vector<cluster::Time>& node_free,
+                                    sched::het::PlannerScratch& scratch,
+                                    const std::string& label) {
+  const std::size_t n = node_free.size();
+  std::vector<std::pair<cluster::Time, cluster::NodeId>> pairs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pairs[i] = {std::max(node_free[i], now), static_cast<cluster::NodeId>(i)};
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<cluster::Time> free_times(n);
+  std::vector<cluster::NodeId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    free_times[i] = pairs[i].first;
+    ids[i] = pairs[i].second;
+  }
+
+  cluster::AvailabilityIndex index;
+  index.reset(n);
+  std::vector<cluster::NodeId> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<cluster::NodeId>(i);
+  index.update_batch(all, std::vector<cluster::Time>(n, 0.0), node_free);
+
+  workload::Task task;
+  task.id = 1;
+  task.spec = {0.0, sigma, deadline};
+  sched::PlanRequest request;
+  request.task = &task;
+  request.params = params;
+  request.now = now;
+
+  const ReferenceOutcome ref_dlt = reference_dlt_scan(params, sigma, deadline, free_times, ids);
+  const ReferenceOutcome ref_opr = reference_opr_scan(params, sigma, deadline, free_times, ids);
+  for (const bool dense : {true, false}) {
+    const cluster::AvailabilityView dense_row({free_times, ids});
+    cluster::AvailabilityView view;
+    const std::string where = label + (dense ? " dense" : " view");
+    for (const bool dlt_rule : {true, false}) {
+      if (!dense) view.open(index, now, /*with_ids=*/true);
+      request.row = dense ? &dense_row : &view;
+      scratch.counters = {};
+      const sched::PlanResult got = dlt_rule ? sched::het::plan_dlt_iit(request, scratch)
+                                             : sched::het::plan_opr_mn(request, scratch);
+      expect_plan_matches(dlt_rule ? ref_dlt : ref_opr, got, scratch,
+                          where + (dlt_rule ? " DLT" : " OPR-MN"));
+      if (!dense) {
+        // The view holds exactly the dense row's positions it filled.
+        const std::size_t filled = view.times().size();
+        EXPECT_LE(filled, n) << where;
+        EXPECT_TRUE(std::equal(view.times().begin(), view.times().end(), free_times.begin()))
+            << where;
+        EXPECT_TRUE(std::equal(view.ids().begin(), view.ids().end(), ids.begin())) << where;
+      }
+    }
+  }
+  return ref_dlt;
 }
 
 TEST(HetResolverJump, MatchesLinearScanOnAdversarialStates) {
@@ -747,13 +832,13 @@ TEST(HetResolverJump, MatchesLinearScanOnAdversarialStates) {
     request.row = &row;
     request.now = 0.0;
 
+    const std::string label = "round " + std::to_string(round);
     const ReferenceOutcome ref_dlt =
         reference_dlt_scan(round_params, sigma, deadline, free_times, ids);
+    scratch.counters = {};
     const sched::PlanResult got_dlt = sched::het::plan_dlt_iit(request, scratch);
-    ASSERT_EQ(got_dlt.reason, ref_dlt.reason) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(expect_plan_matches(ref_dlt, got_dlt, scratch, label + " DLT"));
     if (ref_dlt.reason == dlt::Infeasibility::kNone) {
-      ASSERT_EQ(got_dlt.plan.nodes, ref_dlt.nodes) << "round " << round;
-      ASSERT_EQ(got_dlt.plan.est_completion, ref_dlt.est) << "round " << round;
       ++accepts;
     } else if (ref_dlt.reason == dlt::Infeasibility::kNeedsMoreNodes) {
       ++capacity_rejects;
@@ -763,17 +848,82 @@ TEST(HetResolverJump, MatchesLinearScanOnAdversarialStates) {
 
     const ReferenceOutcome ref_opr =
         reference_opr_scan(round_params, sigma, deadline, free_times, ids);
+    scratch.counters = {};
     const sched::PlanResult got_opr = sched::het::plan_opr_mn(request, scratch);
-    ASSERT_EQ(got_opr.reason, ref_opr.reason) << "round " << round;
-    if (ref_opr.reason == dlt::Infeasibility::kNone) {
-      ASSERT_EQ(got_opr.plan.nodes, ref_opr.nodes) << "round " << round;
-      ASSERT_EQ(got_opr.plan.est_completion, ref_opr.est) << "round " << round;
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_plan_matches(ref_opr, got_opr, scratch, label + " OPR-MN"));
   }
   // The sweep must actually exercise all three outcome families.
   EXPECT_GE(accepts, 20u);
   EXPECT_GE(hard_rejects, 20u);
   EXPECT_GE(capacity_rejects, 5u);
+
+  // Tied stretches: the first k positions floored to one instant `now`
+  // (the k-th smallest release), k at, just short of and just past the
+  // walk's 64-position read-ahead block, and half and all of the row. On
+  // the stretch every DLT-IIT estimate is the reference one, so the fused
+  // kernel walks it; past it each prefix builds its equivalent model. The
+  // deadline puts the accept around position k: `now` plus the reference
+  // execution time of the first k nodes, scaled by 0.8..1.2, so walks
+  // accept inside the stretch, at its end and past it, in the middle and at
+  // the edges of a block (the blocks start at the capacity crossing).
+  std::size_t past_stretch = 0;
+  std::size_t on_stretch = 0;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                              std::size_t{65}, n / 2, n}) {
+    for (int round = 0; round < 60; ++round) {
+      std::vector<cluster::Time> node_free(n);
+      const double spread = rng.uniform(100.0, 20000.0);
+      for (auto& t : node_free) t = rng.uniform(0.0, spread);
+      std::vector<cluster::Time> order = node_free;
+      std::sort(order.begin(), order.end());
+      const cluster::Time now = order[k - 1];
+      std::vector<double> stretch_cps;
+      for (std::size_t id = 0; id < n; ++id) {
+        if (node_free[id] <= now) stretch_cps.push_back(params.node_cps(id));
+      }
+      ASSERT_EQ(stretch_cps.size(), k);
+      const double sigma = rng.uniform(10.0, 4000.0);
+      const cluster::ClusterParams& state_params = round % 2 == 0 ? params : cheap_channel;
+      const double reference =
+          dlt::general_het_execution_time(state_params.cms, stretch_cps, sigma);
+      const cluster::Time deadline = now + reference * rng.uniform(0.8, 1.2);
+      const ReferenceOutcome ref = expect_walks_match(
+          state_params, sigma, deadline, now, node_free, scratch,
+          "k=" + std::to_string(k) + " round " + std::to_string(round));
+      if (HasFatalFailure()) return;
+      if (ref.reason != dlt::Infeasibility::kNone) continue;
+      ++(ref.nodes > k ? past_stretch : on_stretch);
+    }
+  }
+  EXPECT_GE(on_stretch, 60u);
+  EXPECT_GE(past_stretch, 60u);
+
+  // OPR-MN's whole walk is one fused stretch: a state whose first hard
+  // rejection fires there, past the crossing, after prefixes were
+  // estimated. Releases 1 apart (the first 24 floored to one instant), a
+  // slack that runs out before any estimate meets the deadline.
+  {
+    cluster::ClusterParams staggered_params{.node_count = n, .cms = 1.0, .cps = 100.0};
+    staggered_params.speed_profile =
+        std::make_shared<const SpeedProfile>(SpeedProfile::uniform(n, 80.0, 120.0, 3));
+    std::vector<cluster::Time> node_free(n);
+    for (std::size_t id = 0; id < n; ++id) node_free[id] = static_cast<double>(id);
+    const cluster::Time now = 23.0;
+    const double sigma = 20.0;
+    const cluster::Time deadline = 80.0;  // sigma*cms >= slack from r_n = 60
+    std::vector<cluster::Time> free_times(n);
+    std::vector<cluster::NodeId> ids(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      free_times[i] = std::max(node_free[i], now);
+      ids[i] = static_cast<cluster::NodeId>(i);
+    }
+    const ReferenceOutcome ref =
+        reference_opr_scan(staggered_params, sigma, deadline, free_times, ids);
+    ASSERT_EQ(ref.reason, dlt::Infeasibility::kTransmissionTooLong);
+    ASSERT_GT(ref.built, 1u);
+    expect_walks_match(staggered_params, sigma, deadline, now, node_free, scratch,
+                       "OPR-MN hard reject in the fused walk");
+  }
 }
 
 TEST(HetResolverJump, RecoversExactRejectReasonAcrossTheSkippedRange) {

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -139,6 +140,19 @@ TEST(GeneralHetExecutionTime, StreamingPathMatchesMaterializedAlpha) {
 
 // --- 2. PlannerBatch kernels vs their scalar references ---------------------
 
+/// The fused kernel's estimate at exactly one prefix: a walk over
+/// [prefix, prefix] that skips the hard check (clear = prefix) and accepts
+/// whatever the estimate (an infinite deadline).
+Time kernel_estimate_at(sched::het::PlannerBatch& batch, const std::vector<Time>& free_times,
+                        const std::vector<double>& cps, std::size_t prefix) {
+  const sched::het::PlannerBatch::WalkStop stop =
+      batch.reference_walk(free_times.data(), cps.data(), prefix, prefix, prefix,
+                           std::numeric_limits<Time>::infinity());
+  EXPECT_TRUE(stop.accepted);
+  EXPECT_EQ(stop.estimated, 1u);
+  return stop.estimate;
+}
+
 TEST(PlannerBatch, OprWalkMatchesScalarAtEveryPrefix) {
   TestRng rng(53);
   sched::het::PlannerBatch batch;
@@ -151,7 +165,7 @@ TEST(PlannerBatch, OprWalkMatchesScalarAtEveryPrefix) {
 
     batch.begin_walk(cms, sigma);
     for (std::size_t prefix = 1; prefix <= n; ++prefix) {
-      const Time got = batch.opr_walk_estimate(free_times, cps, prefix);
+      const Time got = kernel_estimate_at(batch, free_times, cps, prefix);
       dlt::general_het_alpha_into(cms, cps, prefix, alpha);
       const double exec = sigma * cms + alpha.back() * sigma * cps[prefix - 1];
       ASSERT_EQ(got, free_times[prefix - 1] + exec) << "prefix " << prefix;
@@ -159,6 +173,22 @@ TEST(PlannerBatch, OprWalkMatchesScalarAtEveryPrefix) {
     batch.materialize_walk_alpha(alpha);
     std::vector<double> reference;
     dlt::general_het_alpha_into(cms, cps, n, reference);
+    ASSERT_EQ(alpha, reference);
+
+    // One walk over uneven blocks that never accepts (no deadline is met)
+    // leaves the cursor where the per-prefix walk left it.
+    batch.begin_walk(cms, sigma);
+    std::size_t first = 1;
+    while (first <= n) {
+      const std::size_t last = std::min(n, first + rng.index(130));
+      const sched::het::PlannerBatch::WalkStop stop =
+          batch.reference_walk(free_times.data(), cps.data(), first, last, n,
+                               -std::numeric_limits<Time>::infinity());
+      ASSERT_FALSE(stop.accepted);
+      ASSERT_EQ(stop.estimated, last - first + 1);
+      first = last + 1;
+    }
+    batch.materialize_walk_alpha(alpha);
     ASSERT_EQ(alpha, reference);
   }
 }
@@ -168,9 +198,11 @@ TEST(PlannerBatch, DltWalkMatchesPartitionBuildAcrossGradedSizes) {
   // the large grades (the scalar rebuild is O(n) per prefix, so a full
   // sweep at 1e5 would be 1e10 operations). Each grade runs distinct free
   // times and columns whose first k entries are floored to one `now`
-  // (k in {1, n/2, n}), so the walk crosses from the tied branch (prefixes
-  // <= k) into the untied one at k + 1; both the estimate and the
-  // materialized alpha must match the partition build bit for bit.
+  // (k in {1, n/2, n}). A tied prefix (r_n == r_1, every prefix <= k, and
+  // prefix 1 of the distinct column) takes the fused kernel's reference
+  // estimate, an untied one dlt_walk_estimate's equivalent model; both the
+  // estimate and the materialized alpha must match the partition build
+  // bit for bit.
   TestRng rng(59);
   sched::het::PlannerBatch batch;
   dlt::HetPartition partition;
@@ -203,14 +235,22 @@ TEST(PlannerBatch, DltWalkMatchesPartitionBuildAcrossGradedSizes) {
 
       batch.begin_walk(params.cms, sigma);
       for (const std::size_t prefix : prefixes) {
-        const Time got = batch.dlt_walk_estimate(free_times, cps, prefix);
+        const bool on_stretch = free_times[prefix - 1] == free_times[0];
+        ASSERT_EQ(on_stretch, prefix <= std::max<std::size_t>(tied, 1))
+            << "n=" << n << " tied=" << tied << " prefix=" << prefix;
+        const Time got = on_stretch ? kernel_estimate_at(batch, free_times, cps, prefix)
+                                    : batch.dlt_walk_estimate(free_times, cps, prefix);
         dlt::build_het_partition_into(params, sigma, free_times, cps, prefix, partition);
         ASSERT_EQ(got, partition.estimated_completion())
             << "n=" << n << " tied=" << tied << " prefix=" << prefix;
         // Every prefix at the small grades; the tied/untied edges and the
         // last prefix at the large ones (materializing is O(prefix)).
         if (n <= 1000 || prefix == tied || prefix == tied + 1 || prefix == n) {
-          batch.materialize_dlt_alpha(alpha);
+          if (on_stretch) {
+            batch.materialize_walk_alpha(alpha);
+          } else {
+            batch.materialize_dlt_alpha(alpha);
+          }
           ASSERT_EQ(alpha, partition.alpha)
               << "n=" << n << " tied=" << tied << " prefix=" << prefix;
         }

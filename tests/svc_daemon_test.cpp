@@ -299,6 +299,39 @@ TEST(SvcShard, AdmitRejectsMalformedTaskRecordsBeforeChangingState) {
   EXPECT_TRUE(shard.admit(valid).accepted);
 }
 
+TEST(SvcShard, AdmitOfAnIdAlreadyWaitingIsABadPayloadAndCountsNoAdmit) {
+  // A second admit of a waiting id is a refused record, like a malformed
+  // one: kBadPayload (not kUnknownTask, which names a commit/cancel target
+  // that is not waiting), no admit counted and no state changed.
+  ShardConfig config;
+  config.params.node_count = 16;
+  AdmissionShard shard("EDF-DLT", config);
+  TaskRecord record;
+  record.id = 7;
+  record.arrival = 0.0;
+  record.sigma = 200.0;
+  record.rel_deadline = 3000.0;
+  ASSERT_TRUE(shard.admit(record).accepted);
+  ASSERT_EQ(shard.waiting(), 1u);
+  const std::vector<std::uint8_t> snapshot_before = snapshot_bytes(shard);
+
+  try {
+    shard.admit(record);
+    ADD_FAILURE() << "a second admit of task 7 went through";
+  } catch (const ShardError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kBadPayload) << error.what();
+    EXPECT_NE(std::string(error.what()).find("task 7 is already waiting"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(snapshot_before, snapshot_bytes(shard));
+  ShardStatus status;
+  shard.fill_status(status);
+  EXPECT_EQ(status.admits, 1u);
+  EXPECT_EQ(status.accepted, 1u);
+  EXPECT_EQ(status.rejected, 0u);
+  EXPECT_EQ(status.waiting, 1u);
+}
+
 TEST(SvcShard, RestoreRejectsAWaitingTaskWithNanArrivalBeforeChangingState) {
   // Restore applies admit's task check to every waiting task.
   ShardConfig config;
