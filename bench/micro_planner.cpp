@@ -14,6 +14,7 @@
 #include "cluster/types.hpp"
 #include "dlt/het_model.hpp"
 #include "sched/planner_batch.hpp"
+#include "util/fp.hpp"
 
 namespace {
 
@@ -48,21 +49,47 @@ std::vector<double> het_cps(std::size_t n) {
 
 // --- post-crossing walk: OPR-MN estimate at every prefix 1..N ---------------
 
+/// The walk both benches below time. The row is idle (every node free at
+/// 0: the tied stretch an idle cluster's DLT-IIT walk takes, and the shape
+/// of every OPR-MN prefix), and the deadline clears every hard check but
+/// is met by no prefix, so each of the N prefixes is hard-checked,
+/// estimated and compared with the deadline. A cheap channel keeps alpha_n
+/// from decaying geometrically along the prefix, so every estimate stays
+/// above the deadline: the slack is just over sigma*cms, and each estimate
+/// adds alpha_n*sigma*cps_n >> 1e-3.
+struct WalkInput {
+  explicit WalkInput(std::size_t n) : free(n, 0.0), cps(het_cps(n)) {}
+  std::vector<Time> free;
+  std::vector<double> cps;
+  double sigma = 200.0;
+  double cms = 0.01;
+  Time deadline = sigma * cms + 1e-3;
+};
+
 /// Historical scalar walk: rebuild the full alpha column per inspected
 /// prefix. O(N^2) per walk - the cost the incremental cursor removed.
 void BM_PlannerWalkScalar(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto free_times = staggered(n);
-  const auto cps = het_cps(n);
-  const double sigma = 200.0;
+  const WalkInput in(n);
   std::vector<double> alpha;
   for (auto _ : state) {
-    Time last = 0.0;
-    for (std::size_t prefix = 1; prefix <= n; ++prefix) {
-      dlt::general_het_alpha_into(1.0, cps, prefix, alpha);
-      last = free_times[prefix - 1] + sigma * 1.0 + alpha.back() * sigma * cps[prefix - 1];
+    Time estimate = 0.0;
+    std::size_t prefix = 1;
+    for (; prefix <= n; ++prefix) {
+      const Time rn = in.free[prefix - 1];
+      if (sched::het::hard_reject(in.sigma, in.cms, in.deadline, rn) !=
+          dlt::Infeasibility::kNone) {
+        break;
+      }
+      dlt::general_het_alpha_into(in.cms, in.cps, prefix, alpha);
+      estimate = rn + (in.sigma * in.cms + alpha.back() * in.sigma * in.cps[prefix - 1]);
+      if (fp::at_or_before(estimate, in.deadline)) break;
     }
-    benchmark::DoNotOptimize(last);
+    if (prefix != n + 1) {
+      state.SkipWithError("the walk stopped before prefix N");
+      break;
+    }
+    benchmark::DoNotOptimize(estimate);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
@@ -70,26 +97,15 @@ BENCHMARK(BM_PlannerWalkScalar)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Comple
 
 /// The replacement, as the planner runs it: the fused kernel
 /// (PlannerBatch::reference_walk) over prefixes 1..N, one shared
-/// AlphaRecurrence cursor, O(1) per inspected prefix, O(N) per walk. The
-/// row is idle (every node free at 0: the tied stretch an idle cluster's
-/// DLT-IIT walk takes, and the shape of every OPR-MN prefix), and the
-/// deadline clears every hard check but is met by no prefix, so each of
-/// the N prefixes is hard-checked, extended and estimated.
+/// AlphaRecurrence cursor, O(1) per inspected prefix, O(N) per walk.
 void BM_PlannerWalkIncremental(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<Time> idle(n, 0.0);
-  const auto cps = het_cps(n);
-  const double sigma = 200.0;
-  // A cheap channel keeps alpha_n from decaying geometrically along the
-  // prefix, so every estimate stays above the deadline: the slack is just
-  // over sigma*cms, and each estimate adds alpha_n*sigma*cps_n >> 1e-3.
-  const double cms = 0.01;
-  const Time deadline = sigma * cms + 1e-3;
+  const WalkInput in(n);
   sched::het::PlannerBatch batch;
   for (auto _ : state) {
-    batch.begin_walk(cms, sigma);
+    batch.begin_walk(in.cms, in.sigma);
     const sched::het::PlannerBatch::WalkStop stop =
-        batch.reference_walk(idle.data(), cps.data(), 1, n, 0, deadline);
+        batch.reference_walk(in.free.data(), in.cps.data(), 1, n, 0, in.deadline);
     if (stop.accepted || stop.estimated != n) {
       state.SkipWithError("the walk stopped before prefix N");
       break;

@@ -67,7 +67,7 @@ class Cluster {
   void earliest_free_nodes_into(Time now, std::size_t n, std::vector<NodeId>& out) const;
 
   /// Commits node `id` to `task` over [start, end): a commit_batch of one.
-  /// See Node::commit for the `usable_from` IIT-accounting parameter.
+  /// See Node::book for the `usable_from` IIT-accounting parameter.
   void commit(NodeId id, TaskId task, Time usable_from, Time start, Time end);
 
   /// Commits a plan's nodes as one batch: node ids[i] to `task` over

@@ -6,9 +6,9 @@
 namespace rtdls::cluster {
 
 void Node::check_commit(Time start, Time end) const {
-  if (end < start) throw std::invalid_argument("Node::commit: end before start");
+  if (end < start) throw std::invalid_argument("Node::check_commit: end before start");
   if (fp::before(start, free_at_)) {
-    throw std::logic_error("Node::commit: overlapping commitment");
+    throw std::logic_error("Node::check_commit: overlapping commitment");
   }
 }
 

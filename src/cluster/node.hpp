@@ -23,25 +23,20 @@ class Node {
   /// Task currently committed to this node, or kNoTask.
   TaskId current_task() const { return current_task_; }
 
-  /// Commits the node to `task` over [start, end). `usable_from` is when the
-  /// node could have begun serving this task (its available time r_i in the
-  /// plan, >= free_at); the gap [usable_from, start) is recorded as Inserted
-  /// Idle Time - the waste the paper's new algorithms eliminate (OPR rules
-  /// start at r_n > r_i; IIT-utilizing rules start at r_i, gap 0).
-  /// Busy time [start, end) is added to the utilization accumulator.
-  void commit(TaskId task, Time usable_from, Time start, Time end) {
-    check_commit(start, end);
-    book(task, usable_from, start, end);
-  }
-
-  /// Throws what commit(task, usable_from, start, end) would throw, changing
-  /// nothing: std::invalid_argument when end < start, std::logic_error when
-  /// start overlaps the current commitment.
+  /// Checks that the node may be booked over [start, end), changing
+  /// nothing: throws std::invalid_argument when end < start and
+  /// std::logic_error when start overlaps the current commitment.
+  /// Cluster::commit_batch runs it on every node of a batch before it
+  /// books any.
   void check_commit(Time start, Time end) const;
 
-  /// commit() without its check, for a caller that has just run
-  /// check_commit(start, end) on this node (Cluster::commit_batch checks a
-  /// whole batch before it writes any node).
+  /// Commits the node to `task` over [start, end), unchecked: the caller
+  /// has just run check_commit(start, end) on this node. `usable_from` is
+  /// when the node could have begun serving this task (its available time
+  /// r_i in the plan, >= free_at); the gap [usable_from, start) is recorded
+  /// as Inserted Idle Time - the waste the paper's new algorithms eliminate
+  /// (OPR rules start at r_n > r_i; IIT-utilizing rules start at r_i, gap
+  /// 0). Busy time [start, end) is added to the utilization accumulator.
   void book(TaskId task, Time usable_from, Time start, Time end) {
     if (start > usable_from) idle_gap_time_ += start - usable_from;
     busy_time_ += end - start;

@@ -75,18 +75,6 @@ void AlphaRecurrence::throw_bad_cps() {
   throw std::invalid_argument("AlphaRecurrence: cps must be > 0");
 }
 
-void AlphaRecurrence::extend(double cps) {
-  if (!(cps > 0.0)) throw_bad_cps();
-  if (products_.empty()) {
-    products_.push_back(1.0);
-  } else {
-    const double p = products_.back() * (last_cps_ / (cms_ + cps));
-    products_.push_back(p);
-    denom_ += p;
-  }
-  last_cps_ = cps;
-}
-
 void AlphaRecurrence::materialize(std::vector<double>& out) const {
   out.resize(products_.size());
   for (std::size_t i = 0; i < products_.size(); ++i) out[i] = products_[i] / denom_;

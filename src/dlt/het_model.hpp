@@ -71,25 +71,30 @@ class AlphaRecurrence {
   /// steady state.
   void reset(double cms);
 
-  /// Appends the next node (unit cost `cps` > 0); O(1).
-  RTDLS_HOT void extend(double cps);
+  /// Appends the next node (unit cost `cps` > 0); O(1). extend_until over
+  /// one node, so both run the same recurrence step.
+  void extend(double cps) {
+    extend_until(&cps, 1, [](std::size_t, double) { return false; });
+  }
 
-  /// Appends cps[0], cps[1], ... (at most `count` nodes) as extend() would,
-  /// handing each new prefix's alpha_n to `halt(k, alpha_n)`, k the offset
-  /// into `cps`, and ends after the first node for which it returns true.
-  /// Returns the nodes appended. The fused walk's loop: the running product
-  /// and denominator stay in registers, and each step is extend()'s
-  /// operations in extend()'s order, so the cursor ends bit-identical to
-  /// that many extend() calls. A throw (a cps not > 0) leaves the cursor to
-  /// be reset.
+  /// Appends cps[0], cps[1], ... (at most `count` nodes), handing each new
+  /// prefix's alpha_n to `halt(k, alpha_n)`, k the offset into `cps`, and
+  /// ends after the first node for which it returns true. Returns the nodes
+  /// appended. The fused walk's loop: the running product and denominator
+  /// stay in registers, and each step is general_het_alpha_into's product
+  /// then denominator add, in its order. A throw (a cps not > 0) leaves the
+  /// cursor to be reset.
   template <typename Halt>
   RTDLS_HOT std::size_t extend_until(const double* cps, std::size_t count, Halt&& halt) {
     if (count == 0) return 0;
     std::size_t k = 0;
     if (products_.empty()) {
-      extend(cps[0]);
-      if (halt(std::size_t{0}, alpha_last())) return 1;
+      // p_1 = 1: the denominator stays at its reset value 1.
+      if (!(cps[0] > 0.0)) throw_bad_cps();
+      products_.push_back(1.0);
+      last_cps_ = cps[0];
       k = 1;
+      if (halt(std::size_t{0}, alpha_last())) return 1;
     }
     double p = products_.back();
     double denom = denom_;

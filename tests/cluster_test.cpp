@@ -39,10 +39,17 @@ TEST(ClusterParams, InfiniteOrNanCostsAreInvalid) {
   }
 }
 
+// Node's commit protocol: check first, then book (Cluster::commit_batch
+// checks a whole batch before it books any node).
+void checked_commit(Node& node, TaskId task, Time usable_from, Time start, Time end) {
+  node.check_commit(start, end);
+  node.book(task, usable_from, start, end);
+}
+
 TEST(Node, CommitTracksBusyAndRelease) {
   Node node(0);
   EXPECT_DOUBLE_EQ(node.free_at(), 0.0);
-  node.commit(/*task=*/7, /*usable_from=*/10.0, /*start=*/10.0, /*end=*/50.0);
+  checked_commit(node, /*task=*/7, /*usable_from=*/10.0, /*start=*/10.0, /*end=*/50.0);
   EXPECT_DOUBLE_EQ(node.free_at(), 50.0);
   EXPECT_EQ(node.current_task(), 7u);
   EXPECT_DOUBLE_EQ(node.busy_time(), 40.0);
@@ -53,37 +60,37 @@ TEST(Node, CommitTracksBusyAndRelease) {
 TEST(Node, InsertedIdleTimeIsStartMinusUsable) {
   Node node(0);
   // OPR-style: the node was usable at 10 but held idle until r_n = 25.
-  node.commit(1, 10.0, 25.0, 60.0);
+  checked_commit(node, 1, 10.0, 25.0, 60.0);
   EXPECT_DOUBLE_EQ(node.idle_gap_time(), 15.0);
   EXPECT_DOUBLE_EQ(node.busy_time(), 35.0);
 }
 
 TEST(Node, OverlappingCommitThrows) {
   Node node(0);
-  node.commit(1, 0.0, 0.0, 100.0);
-  EXPECT_THROW(node.commit(2, 50.0, 50.0, 120.0), std::logic_error);
+  checked_commit(node, 1, 0.0, 0.0, 100.0);
+  EXPECT_THROW(node.check_commit(50.0, 120.0), std::logic_error);
 }
 
 TEST(Node, BackwardsIntervalThrows) {
   Node node(0);
-  EXPECT_THROW(node.commit(1, 0.0, 10.0, 5.0), std::invalid_argument);
+  EXPECT_THROW(node.check_commit(10.0, 5.0), std::invalid_argument);
 }
 
 TEST(Node, ReleaseEarlyCreditsBusyTime) {
   Node node(0);
-  node.commit(1, 0.0, 0.0, 100.0);
+  checked_commit(node, 1, 0.0, 0.0, 100.0);
   node.release_early(80.0);
   EXPECT_DOUBLE_EQ(node.free_at(), 80.0);
   EXPECT_DOUBLE_EQ(node.busy_time(), 80.0);
   EXPECT_EQ(node.current_task(), kNoTask);
   // A new commitment may start at the early release point.
-  node.commit(2, 80.0, 80.0, 90.0);
+  checked_commit(node, 2, 80.0, 80.0, 90.0);
   EXPECT_DOUBLE_EQ(node.free_at(), 90.0);
 }
 
 TEST(Node, ReleaseEarlyLaterThanCommitThrows) {
   Node node(0);
-  node.commit(1, 0.0, 0.0, 100.0);
+  checked_commit(node, 1, 0.0, 0.0, 100.0);
   EXPECT_THROW(node.release_early(120.0), std::logic_error);
 }
 

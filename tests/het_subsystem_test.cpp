@@ -208,6 +208,8 @@ TEST(HetSubsystem, GeneralizedPartitionUpholdsTheorem4Bound) {
     plan.node_cps = cps;
     sim::ActualTimeline timeline;
     const cluster::Time actual = sim::roll_out(params, sigma, plan, timeline);
+    // The simulator takes the returned completion as the task's actual one.
+    EXPECT_EQ(actual, timeline.task_completion()) << n;
     const cluster::Time est = partition.estimated_completion();
     EXPECT_LE(actual, est + 1e-9) << n;
 
