@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/types.hpp"
@@ -164,7 +165,8 @@ BENCHMARK(BM_PlannerDltWalk)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
 /// Seed-window durations for m = 1..N riding the shared cursor (the
 /// OPR-MN-BF per-candidate-time sweep) vs the one-shot streaming kernel
-/// invoked per m from scratch.
+/// (dlt::general_het_execution_time, which OPR-MN-BF's re-selected windows
+/// call) invoked per m from scratch on the m-prefix.
 void BM_PlannerWindowPrefix(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto cps = het_cps(n);
@@ -185,7 +187,7 @@ void BM_PlannerWindowOneShot(benchmark::State& state) {
   for (auto _ : state) {
     Time last = 0.0;
     for (std::size_t m = 1; m <= n; ++m) {
-      last = sched::het::PlannerBatch::window_duration(1.0, 200.0, cps, m);
+      last = dlt::general_het_execution_time(1.0, std::span<const double>(cps).first(m), 200.0);
     }
     benchmark::DoNotOptimize(last);
   }

@@ -68,7 +68,7 @@ int main() {
     for (const sched::ScheduledTask& scheduled : outcome.schedule) {
       if (scheduled.task->id != job.task.id) continue;
       std::printf("ACCEPTED on %zu nodes, est completion %.1f (deadline %.1f)\n",
-                  scheduled.plan.nodes, scheduled.plan.est_completion,
+                  scheduled.plan->nodes, scheduled.plan->est_completion,
                   job.task.abs_deadline());
     }
   }

@@ -14,15 +14,8 @@ void Node::check_commit(Time start, Time end) const {
 
 void Node::check_release_early(Time at) const {
   if (at > free_at_) {
-    throw std::logic_error("Node::release_early: later than committed release");
+    throw std::logic_error("Node::check_release_early: later than committed release");
   }
-}
-
-void Node::release_early(Time at) {
-  check_release_early(at);
-  busy_time_ -= free_at_ - at;
-  free_at_ = at;
-  current_task_ = kNoTask;
 }
 
 }  // namespace rtdls::cluster

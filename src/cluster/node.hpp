@@ -45,14 +45,21 @@ class Node {
     ++commitments_;
   }
 
-  /// Releases the node (e.g. when an actual completion beats the estimate);
-  /// the node becomes free at `at`, which must not exceed the committed
-  /// release. The unused tail is credited back from busy accounting.
-  void release_early(Time at);
-
-  /// Throws what release_early(at) would throw (std::logic_error when `at`
-  /// is past the committed release), changing nothing.
+  /// Checks that the node may be released at `at`, changing nothing:
+  /// throws std::logic_error when `at` is past the committed release.
+  /// Cluster::release_early_batch runs it on every node of a batch before
+  /// it releases any.
   void check_release_early(Time at) const;
+
+  /// Releases the node early (an actual completion beat the estimate),
+  /// unchecked: the caller has just run check_release_early(at) on this
+  /// node. The node becomes free at `at`, and the unused tail is credited
+  /// back from busy accounting.
+  void release_early(Time at) {
+    busy_time_ -= free_at_ - at;
+    free_at_ = at;
+    current_task_ = kNoTask;
+  }
 
   /// Total time the node spent computing/receiving committed work.
   Time busy_time() const { return busy_time_; }

@@ -40,23 +40,24 @@ void general_het_alpha_into(double cms, const std::vector<double>& cps_i, std::s
   for (double& p : out) p /= denom;
 }
 
-double general_het_execution_time(double cms, const std::vector<double>& cps_i,
-                                  double sigma) {
+double general_het_execution_time(double cms, std::span<const double> cps_i, double sigma) {
   if (!(sigma >= 0.0)) {
     throw std::invalid_argument("general_het_execution_time: sigma must be >= 0");
   }
   if (!(cms > 0.0)) throw std::invalid_argument("general_het_alpha: cms must be > 0");
   const std::size_t n = cps_i.size();
   if (n == 0) throw std::invalid_argument("general_het_alpha: need 1 <= n <= cps_i.size()");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(cps_i[i] > 0.0)) throw std::invalid_argument("general_het_alpha: cps_i must be > 0");
-  }
   // Only alpha_n = p_n / sum p_i is needed: stream the recurrence without
   // storing the products. Same accumulation order as general_het_alpha_into,
-  // so the result is bit-identical to the allocating path it replaces.
+  // so the result is bit-identical to the allocating path it replaces. Each
+  // speed is checked as the pass reads it: a separate checking pass made a
+  // call about 1.45x slower, and with no side effects a throw mid-pass is the
+  // same as one up front.
+  if (!(cps_i[0] > 0.0)) throw std::invalid_argument("general_het_alpha: cps_i must be > 0");
   double p = 1.0;
   double denom = 1.0;
   for (std::size_t i = 1; i < n; ++i) {
+    if (!(cps_i[i] > 0.0)) throw std::invalid_argument("general_het_alpha: cps_i must be > 0");
     p = p * (cps_i[i - 1] / (cms + cps_i[i]));
     denom += p;
   }

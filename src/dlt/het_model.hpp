@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "dlt/params.hpp"
@@ -43,12 +44,14 @@ void general_het_alpha_into(double cms, const std::vector<double>& cps_i, std::s
                             std::vector<double>& out);
 
 /// Execution time of the general heterogeneous partition (Eq. 6 with
-/// arbitrary Cps_i): sigma*cms + alpha_n*sigma*cps_n. Streams the recurrence
-/// (only alpha_n is needed, and alpha_n = p_n / sum p_i over the
-/// unnormalized prefix products), so the hot estimate path allocates
-/// nothing; bit-identical to materializing the full alpha vector.
-double general_het_execution_time(double cms, const std::vector<double>& cps_i,
-                                  double sigma);
+/// arbitrary Cps_i) over the n = cps_i.size() nodes: sigma*cms +
+/// alpha_n*sigma*cps_n. Streams the recurrence (only alpha_n is needed, and
+/// alpha_n = p_n / sum p_i over the unnormalized prefix products), so it
+/// allocates nothing; bit-identical to materializing the full alpha vector.
+/// Throws std::invalid_argument like general_het_alpha, checking each speed
+/// in the same pass. A span, so a caller times a prefix (or any window) of a
+/// longer column.
+double general_het_execution_time(double cms, std::span<const double> cps_i, double sigma);
 
 /// O(1)-extendable cursor over the Eq. (4)-(5) recurrence.
 ///

@@ -109,7 +109,8 @@ AdmissionOutcome AdmissionController::test(
       cluster::apply_releases(view.dense(), plan.node_release, plan.node_ids, merge_scratch_);
     }
 
-    outcome.schedule.push_back(ScheduledTask{task, std::move(result.plan)});
+    outcome.schedule.push_back(
+        ScheduledTask{task, std::make_shared<const TaskPlan>(std::move(result.plan))});
   }
 
   outcome.accepted = true;
@@ -305,16 +306,18 @@ void AdmissionController::settle_work(bool accepted, std::size_t suffix) {
   scratch_merged_ = false;
 }
 
-void AdmissionController::on_commit(const workload::Task* task, const TaskPlan& plan,
+void AdmissionController::on_commit(const workload::Task* task,
+                                    const std::shared_ptr<const TaskPlan>& plan,
                                     std::uint64_t cluster_version) {
   if (!cache_valid_) return;
   if (order_.size() == head_ || order_[head_] != task || planned_ == 0 ||
-      !(plans_[head_] == plan)) {
+      (plans_[head_] != plan && !(*plans_[head_] == *plan))) {
     // Out-of-policy-order commit, an unplanned front, or a committed plan
-    // differing from the cached one (possible when the caller still holds
-    // plans from before a rejected rebuild): the remaining waiting plans
-    // were threaded through different inputs, so the next arrival must
-    // rebuild.
+    // differing from the cached one: the remaining waiting plans were
+    // threaded through different inputs, so the next arrival must rebuild.
+    // The caller normally commits the very object the session holds; only
+    // a front that a rejected call's rebuild re-planned into a new object
+    // (the caller still holds the old one) needs the bitwise compare.
     invalidate();
     return;
   }
@@ -445,7 +448,7 @@ AdmissionOutcome AdmissionController::test_incremental(
   for (std::size_t i = planned_; i < p; ++i) {
     PlanResult result = plan_at(head_ + i, order_[head_ + i], deltas_);
     if (!result.feasible()) return reject(result.reason, order_[head_ + i]);
-    plans_.push_back(std::move(result.plan));
+    plans_.push_back(std::make_shared<const TaskPlan>(std::move(result.plan)));
     ++planned_;
     const std::size_t row = head_ + planned_;
     const std::size_t last =
@@ -476,7 +479,7 @@ AdmissionOutcome AdmissionController::test_incremental(
     const workload::Task* task = (i == p) ? &new_task : order_[head_ + i - 1];
     PlanResult result = plan_at(head_ + i, task, scratch_deltas_);
     if (!result.feasible()) return reject(result.reason, task);
-    scratch_plans_.push_back(std::move(result.plan));
+    scratch_plans_.push_back(std::make_shared<const TaskPlan>(std::move(result.plan)));
     const std::size_t row = head_ + i + 1;  // row after planning temp entry i
     if (i < q && row >= last_checkpoint + checkpoint_every_) {
       // The final row needs no checkpoint: it is the frontier.
@@ -493,7 +496,7 @@ AdmissionOutcome AdmissionController::test_incremental(
   // off the stack).
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(suffix), &new_task);
   plans_.resize(suffix);
-  for (TaskPlan& plan : scratch_plans_) plans_.push_back(std::move(plan));
+  for (std::shared_ptr<const TaskPlan>& plan : scratch_plans_) plans_.push_back(std::move(plan));
   deltas_.truncate(suffix);
   deltas_.append(scratch_deltas_);
   while (!checkpoints_.empty() && checkpoints_.back().pos > suffix) {
@@ -540,7 +543,7 @@ void AdmissionController::verify_against_full(
   if (reference.schedule.size() != live) fail("schedule size");
   for (std::size_t i = 0; i < live; ++i) {
     if (reference.schedule[i].task != order_[head_ + i]) fail("task order");
-    if (!(reference.schedule[i].plan == plans_[head_ + i])) fail("plan equality");
+    if (!(*reference.schedule[i].plan == *plans_[head_ + i])) fail("plan equality");
   }
 }
 

@@ -50,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -60,10 +61,13 @@
 
 namespace rtdls::sched {
 
-/// One planned entry of an accepted temp schedule.
+/// One planned entry of an accepted temp schedule. The plan is immutable
+/// and shared: the incremental session keeps a handle to the same object it
+/// hands out, so a driver that adopts the schedule copies no column, and
+/// on_commit() recognizes the committed plan by identity.
 struct ScheduledTask {
   const workload::Task* task = nullptr;
-  TaskPlan plan;
+  std::shared_ptr<const TaskPlan> plan;
 };
 
 /// Result of a schedulability test.
@@ -149,8 +153,10 @@ class AdmissionController {
   /// whose plan equals the session's cached front plan advances the cache
   /// (the remaining plans' inputs are unchanged because the committed
   /// reservations equal the cached planning state); any other commit
-  /// invalidates it.
-  void on_commit(const workload::Task* task, const TaskPlan& plan,
+  /// invalidates it. Equal means the same object (the one this controller
+  /// handed out) or, failing that, bitwise equal: a rejected call's rebuild
+  /// re-plans the front into a new object while the caller holds the old.
+  void on_commit(const workload::Task* task, const std::shared_ptr<const TaskPlan>& plan,
                  std::uint64_t cluster_version);
 
   /// Drops the incremental session state (e.g. at the start of a run).
@@ -204,8 +210,9 @@ class AdmissionController {
   // materialized only in checkpoints_ (ascending positions; those below
   // head_ are stale until compaction drops them; storage recycled through
   // checkpoint_pool_) and top_ (row top_pos_, kNpos when none).
-  // synced_prefix_ counts the leading live entries whose plans the caller
-  // is known to hold verbatim.
+  // plans_ holds handles to the very objects the outcomes hand out, so
+  // synced_prefix_ counts the leading live entries whose plan objects the
+  // caller is known to hold (the same objects, not copies).
   struct Checkpoint {
     std::size_t pos = 0;
     cluster::AvailabilityRow row;
@@ -243,7 +250,7 @@ class AdmissionController {
   std::size_t checkpoint_every_ = 1;  ///< ~sqrt(N) cadence
   Time floor_ = 0.0;                  ///< the last call's `now`
   std::vector<const workload::Task*> order_;
-  std::vector<TaskPlan> plans_;
+  std::vector<std::shared_ptr<const TaskPlan>> plans_;
   cluster::DeltaColumns deltas_;
   std::vector<Checkpoint> checkpoints_;
   std::vector<Checkpoint> checkpoint_pool_;    ///< retired rows, capacity kept
@@ -264,7 +271,7 @@ class AdmissionController {
   cluster::AvailabilityView work_;
   std::size_t work_pos_ = kNpos;
   bool scratch_merged_ = false;
-  std::vector<TaskPlan> scratch_plans_;
+  std::vector<std::shared_ptr<const TaskPlan>> scratch_plans_;
   cluster::DeltaColumns scratch_deltas_;
   std::vector<Checkpoint> scratch_checkpoints_;
   /// apply_releases' and floor_and_sort's buffer, and the sorted run of the

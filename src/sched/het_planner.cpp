@@ -516,7 +516,7 @@ PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scra
           next = scratch.batch.window_duration_prefix(scratch.instant_cps, m);
         } else {
           // Re-selection over a positive window is an arbitrary id set (not
-          // a pool prefix): one-shot streaming kernel, still allocation-free.
+          // a pool prefix): timed in one streamed pass, allocation-free.
           scratch.window_nodes.clear();
           scratch.window_cps.clear();
           for (cluster::NodeId id = 0;
@@ -534,8 +534,7 @@ PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scra
             break;
           }
           ++scratch.counters.batch_passes;
-          next = PlannerBatch::window_duration(request.params.cms, sigma,
-                                               scratch.window_cps, m);
+          next = dlt::general_het_execution_time(request.params.cms, scratch.window_cps, sigma);
         }
         if (next == duration) {
           selected = true;
@@ -567,8 +566,7 @@ PlanResult plan_opr_mn_backfill(const PlanRequest& request, PlannerScratch& scra
         if (scratch.window_nodes.size() < m) continue;  // try more nodes
         ++scratch.counters.batch_passes;
         const double exec =
-            PlannerBatch::window_duration(request.params.cms, sigma,
-                                          scratch.window_cps, m);
+            dlt::general_het_execution_time(request.params.cms, scratch.window_cps, sigma);
         if (exec > window) continue;  // conservative window still too tight
         duration = exec;
         selected = true;

@@ -18,6 +18,8 @@ bool TaskPlan::consistent() const {
     if (!(cps > 0.0)) return false;
   }
   if (!std::is_sorted(available.begin(), available.end())) return false;
+  // commit_time() reads the minimum off the front.
+  if (!std::is_sorted(reserve_from.begin(), reserve_from.end())) return false;
   double alpha_sum = 0.0;
   for (double a : alpha) {
     if (!(a > 0.0) || fp::after(a, 1.0, fp::kRelSlack)) return false;

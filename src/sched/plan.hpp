@@ -25,7 +25,8 @@ struct TaskPlan {
 
   /// When each node's reservation begins. Equal to `available` for the
   /// IIT-utilizing rules; equal to r_n for OPR (simultaneous allocation),
-  /// which makes the gap [available_k, r_n) Inserted Idle Time.
+  /// which makes the gap [available_k, r_n) Inserted Idle Time. Either way
+  /// sorted ascending (consistent() checks it), so front() is its minimum.
   std::vector<Time> reserve_from;
 
   /// When each node is released for subsequent tasks under estimate-based
@@ -56,14 +57,16 @@ struct TaskPlan {
   std::vector<double> node_cps;
 
   /// Earliest resource commitment instant: once the simulation clock passes
-  /// this, the task can no longer be re-planned.
+  /// this, the task can no longer be re-planned. O(1): every rule writes
+  /// reserve_from as its sorted `available` column or as one constant, so
+  /// its first entry is its minimum (the sort is part of consistent()).
   Time commit_time() const {
-    Time earliest = est_completion;
-    for (Time t : reserve_from) earliest = (t < earliest) ? t : earliest;
-    return earliest;
+    if (reserve_from.empty()) return est_completion;
+    return reserve_from.front() < est_completion ? reserve_from.front() : est_completion;
   }
 
-  /// Internal consistency (sizes agree, vectors sorted, fractions sum to 1).
+  /// Internal consistency (sizes agree, `available` and `reserve_from`
+  /// sorted, fractions sum to 1).
   bool consistent() const;
 
   /// Exact (bitwise on every field) equality; the incremental admission

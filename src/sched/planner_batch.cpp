@@ -106,15 +106,4 @@ Time PlannerBatch::window_duration_prefix(const std::vector<double>& cps, std::s
   return sigma_ * cms_ + cursor_.alpha_last() * sigma_ * cps[m - 1];
 }
 
-Time PlannerBatch::window_duration(double cms, double sigma, const std::vector<double>& cps,
-                                   std::size_t m) {
-  double p = 1.0;
-  double denom = 1.0;
-  for (std::size_t i = 1; i < m; ++i) {
-    p = p * (cps[i - 1] / (cms + cps[i]));
-    denom += p;
-  }
-  return sigma * cms + (p / denom) * sigma * cps[m - 1];
-}
-
 }  // namespace rtdls::sched::het

@@ -101,16 +101,12 @@ class PlannerBatch {
   // The OPR-MN-BF candidate-time x m sweep grows an id-ordered node pool at
   // each candidate time; its zero-length-window seeds are prefixes of that
   // pool, so consecutive m share the walk cursor. Re-selected (positive
-  // duration) windows are arbitrary sets and use the one-shot kernel.
+  // duration) windows are arbitrary sets, timed by
+  // dlt::general_het_execution_time in one streamed pass.
 
   /// Window duration of the m-prefix of the cursor's column (extends the
   /// cursor as the pool grows): sigma*Cms + alpha_m*sigma*cps_m.
   RTDLS_HOT Time window_duration_prefix(const std::vector<double>& cps, std::size_t m);
-
-  /// One-shot window duration of an arbitrary m-node set; streams the
-  /// recurrence, allocation-free.
-  RTDLS_HOT static Time window_duration(double cms, double sigma, const std::vector<double>& cps,
-                              std::size_t m);
 
  private:
   /// Extends the cursor through prefix n (a no-op when it is there).

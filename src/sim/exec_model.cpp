@@ -44,40 +44,39 @@ Time roll_out(const cluster::ClusterParams& params, double sigma, const sched::T
   return latest;
 }
 
-ResultTimeline roll_out_with_results(const cluster::ClusterParams& params, double sigma,
-                                     double delta, const sched::TaskPlan& plan,
-                                     Time channel_available) {
+Time roll_out_with_results(const cluster::ClusterParams& params, double sigma, double delta,
+                           const sched::TaskPlan& plan, ResultTimeline& out,
+                           Time channel_available) {
   if (!(delta >= 0.0)) {
     throw std::invalid_argument("roll_out_with_results: delta must be >= 0");
   }
-  ResultTimeline timeline;
-  const Time input_completion = roll_out(params, sigma, plan, timeline.input, channel_available);
+  const Time input_completion = roll_out(params, sigma, plan, out.input, channel_available);
   if (fp::exact_eq(delta, 0.0)) {
-    timeline.result_tx_start = timeline.input.completion;
-    timeline.result_tx_end = timeline.input.completion;
-    timeline.task_completion = input_completion;
-    return timeline;
+    out.result_tx_start = out.input.completion;
+    out.result_tx_end = out.input.completion;
+    return input_completion;
   }
 
   // Serve result returns in node-completion order on the shared channel,
   // which frees after the last input transmission.
-  std::vector<std::size_t> order(plan.nodes);
-  for (std::size_t i = 0; i < plan.nodes; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return timeline.input.completion[a] < timeline.input.completion[b];
-  });
+  const std::vector<Time>& computed = out.input.completion;
+  out.order.resize(plan.nodes);
+  for (std::size_t i = 0; i < plan.nodes; ++i) out.order[i] = i;
+  std::sort(out.order.begin(), out.order.end(),
+            [&](std::size_t a, std::size_t b) { return computed[a] < computed[b]; });
 
-  timeline.result_tx_start.resize(plan.nodes);
-  timeline.result_tx_end.resize(plan.nodes);
-  Time channel_free = timeline.input.tx_end.back();
-  for (std::size_t i : order) {
+  out.result_tx_start.resize(plan.nodes);
+  out.result_tx_end.resize(plan.nodes);
+  Time channel_free = out.input.tx_end.back();
+  Time completion = 0.0;
+  for (std::size_t i : out.order) {
     const double result_cost = delta * plan.alpha[i] * sigma * params.cms;
-    timeline.result_tx_start[i] = std::max(timeline.input.completion[i], channel_free);
-    timeline.result_tx_end[i] = timeline.result_tx_start[i] + result_cost;
-    channel_free = timeline.result_tx_end[i];
-    timeline.task_completion = std::max(timeline.task_completion, channel_free);
+    out.result_tx_start[i] = std::max(computed[i], channel_free);
+    out.result_tx_end[i] = out.result_tx_start[i] + result_cost;
+    channel_free = out.result_tx_end[i];
+    completion = std::max(completion, channel_free);
   }
-  return timeline;
+  return completion;
 }
 
 }  // namespace rtdls::sim

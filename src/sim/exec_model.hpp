@@ -42,19 +42,21 @@ Time roll_out(const cluster::ClusterParams& params, double sigma, const sched::T
 
 /// Timeline including the result-collection phase (output-data extension).
 struct ResultTimeline {
-  ActualTimeline input;              ///< input transmissions + computation
-  std::vector<Time> result_tx_start; ///< per node, in node-completion order
+  ActualTimeline input;               ///< input transmissions + computation
+  std::vector<Time> result_tx_start;  ///< per node; served in node-completion order
   std::vector<Time> result_tx_end;
-  Time task_completion = 0.0;        ///< last result delivered to the head node
+  std::vector<std::size_t> order;     ///< the result-return order (slot indices)
 };
 
-/// Rolls out `plan` including result returns: each node sends back
-/// delta * alpha_i * sigma units over the same sequential channel, served
-/// in the order nodes finish computing. The completion is guaranteed
-/// <= output_completion_bound(params, sigma, delta, plan.est input bound);
-/// property-tested in exec_model_test.
-ResultTimeline roll_out_with_results(const cluster::ClusterParams& params, double sigma,
-                                     double delta, const sched::TaskPlan& plan,
-                                     Time channel_available = 0.0);
+/// Rolls out `plan` including result returns into `out`, the caller's
+/// storage (its columns' capacity reused), and returns the actual task
+/// completion: when the last result reaches the head node, i.e. the maximum
+/// of out.result_tx_end. Each node sends back delta * alpha_i * sigma units
+/// over the same sequential channel, served in the order nodes finish
+/// computing. The completion is guaranteed <= output_completion_bound(params,
+/// sigma, delta, plan.est input bound); property-tested in extensions_test.
+Time roll_out_with_results(const cluster::ClusterParams& params, double sigma, double delta,
+                           const sched::TaskPlan& plan, ResultTimeline& out,
+                           Time channel_available = 0.0);
 
 }  // namespace rtdls::sim

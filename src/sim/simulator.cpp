@@ -210,7 +210,7 @@ void ClusterSimulator::adopt_schedule(std::size_t reused_prefix,
     entry.task = scheduled.task;
     entry.plan = std::move(scheduled.plan);
     entry.version = next_version_++;
-    const Time commit_at = std::max(entry.plan.commit_time(), now_);
+    const Time commit_at = std::max(entry.plan->commit_time(), now_);
     const cluster::TaskId id = entry.task->id;
     const std::uint64_t version = entry.version;
     waiting_.push_back(std::move(entry));
@@ -242,7 +242,7 @@ void ClusterSimulator::handle_commit(cluster::TaskId id, std::uint64_t version) 
 }
 
 bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
-  const sched::TaskPlan& plan = entry.plan;
+  const sched::TaskPlan& plan = *entry.plan;
   const workload::Task& task = *entry.task;
 
   std::vector<cluster::NodeId>& ids = ids_scratch_;
@@ -253,7 +253,10 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   // finishes (built by build_multiround_schedule); re-rolling them through
   // the single-round model would be the wrong execution semantics.
   RTDLS_TRACE_SCOPE("sim.rollout", "sim");
-  ActualTimeline& timeline = timeline_;
+  ActualTimeline& timeline = timeline_.input;
+  // When each slot's node is done with the task: its computation ends, or
+  // under the output-data extension its result has left for the head node.
+  const std::vector<Time>* done = &timeline.completion;
   Time actual = 0.0;
   if (plan.rounds > 1) {
     timeline.tx_start = plan.reserve_from;
@@ -283,12 +286,9 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
     actual = timeline.task_completion();
   } else if (config_.output_ratio > 0.0) {
     const Time channel_at = config_.shared_link ? channel_free_ : 0.0;
-    ResultTimeline with_results = roll_out_with_results(
-        config_.params, task.sigma(), config_.output_ratio, plan, channel_at);
-    actual = with_results.task_completion;
-    timeline = std::move(with_results.input);
-    // A node is truly done once its result left for the head node.
-    timeline.completion = std::move(with_results.result_tx_end);
+    actual = roll_out_with_results(config_.params, task.sigma(), config_.output_ratio, plan,
+                                   timeline_, channel_at);
+    done = &timeline_.result_tx_end;
     if (config_.shared_link) channel_free_ = actual;
   } else {
     const Time channel_at = config_.shared_link ? channel_free_ : 0.0;
@@ -302,7 +302,7 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
       const double cps = plan.node_cps.empty() ? config_.params.cps : plan.node_cps[i];
       config_.schedule_log->add(ScheduleEntry{task.id, ids[i], plan.available[i],
                                               plan.reserve_from[i], plan.node_release[i],
-                                              plan.alpha[i], cps, timeline.completion[i]});
+                                              plan.alpha[i], cps, (*done)[i]});
     }
   }
 
@@ -346,7 +346,7 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
       std::vector<Time>& at = release_at_scratch_;
       at.resize(plan.nodes);
       for (std::size_t i = 0; i < plan.nodes; ++i) {
-        at[i] = std::min(timeline.completion[i], cluster_.node(ids[i]).free_at());
+        at[i] = std::min((*done)[i], cluster_.node(ids[i]).free_at());
       }
       cluster_.release_early_batch(ids, at);
       return false;  // availability no longer matches the plan's releases
@@ -356,7 +356,7 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
     // completions with the nodes sorted by committed release so order
     // statistics keep every early release valid.
     std::vector<Time>& actual_sorted = actual_sorted_scratch_;
-    actual_sorted = timeline.completion;
+    actual_sorted = *done;
     std::sort(actual_sorted.begin(), actual_sorted.end());
     std::vector<cluster::NodeId>& by_release = by_release_scratch_;
     by_release = ids;

@@ -21,9 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "cluster/calendar.hpp"
 #include "cluster/cluster.hpp"
@@ -104,9 +104,12 @@ class ClusterSimulator {
   SimMetrics run_stream(TaskSource& source, Time horizon);
 
  private:
+  /// An admitted task awaiting its commit instant. `plan` is the object the
+  /// admission outcome handed out (shared with the controller's session, not
+  /// a copy), so on_commit() recognizes it by identity.
   struct WaitingEntry {
     const workload::Task* task = nullptr;
-    sched::TaskPlan plan;
+    std::shared_ptr<const sched::TaskPlan> plan;
     std::uint64_t version = 0;
   };
 
@@ -150,7 +153,9 @@ class ClusterSimulator {
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;
   std::vector<Time> release_at_scratch_;
-  ActualTimeline timeline_;  ///< the committed task's rolled-out timeline
+  /// The committed task's rolled-out timeline (`input`), with the result
+  /// columns and their order under the output-data extension.
+  ResultTimeline timeline_;
   sched::het::PlannerScratch het_roll_scratch_;
 };
 

@@ -76,7 +76,7 @@ void AdmissionShard::commit_entry(std::size_t index) {
   const cluster::Time at = entry.commit_at;
   if (at > now_) now_ = at;
 
-  sched::commit_plan(entry.plan, at, cluster_, calendar_.get(), ids_scratch_);
+  sched::commit_plan(*entry.plan, at, cluster_, calendar_.get(), ids_scratch_);
 
   if (!calendar_) {
     // Estimate-release commit: the committed reservations equal the plan's
@@ -100,7 +100,7 @@ void AdmissionShard::adopt_schedule(std::size_t reused_prefix,
     WaitingEntry entry;
     entry.task = scheduled.task;
     entry.plan = std::move(scheduled.plan);
-    entry.commit_at = std::max(entry.plan.commit_time(), now_);
+    entry.commit_at = std::max(entry.plan->commit_time(), now_);
     waiting_.push_back(std::move(entry));
   }
 }
@@ -137,8 +137,8 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
     adopt_schedule(outcome.reused_prefix, outcome.schedule);
     for (const WaitingEntry& entry : waiting_) {
       if (entry.task->id == record.id) {
-        reply.est_completion = entry.plan.est_completion;
-        reply.nodes = entry.plan.nodes;
+        reply.est_completion = entry.plan->est_completion;
+        reply.nodes = entry.plan->nodes;
         break;
       }
     }
@@ -261,7 +261,7 @@ void AdmissionShard::snapshot_to(util::WireWriter& out) const {
   out.u32(static_cast<std::uint32_t>(waiting_.size()));
   for (const WaitingEntry& entry : waiting_) {
     sched::write_task(out, *entry.task);
-    sched::write_plan(out, entry.plan);
+    sched::write_plan(out, *entry.plan);
     out.f64(entry.commit_at);
   }
 }
@@ -337,9 +337,9 @@ void AdmissionShard::restore_from(util::WireReader& in) {
       throw std::runtime_error("shard restore: waiting " + problem);
     }
     WaitingEntry entry;
-    entry.plan = sched::read_plan(in);
+    entry.plan = std::make_shared<const sched::TaskPlan>(sched::read_plan(in));
     entry.commit_at = in.f64();
-    if (entry.plan.task != task->id) {
+    if (entry.plan->task != task->id) {
       throw std::runtime_error("shard restore: plan/task id mismatch");
     }
     entry.task = task.get();

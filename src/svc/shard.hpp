@@ -108,10 +108,14 @@ class AdmissionShard {
   const std::vector<OpRecord>& ops() const { return ops_; }
 
  private:
+  /// An admitted task awaiting its commit. `plan` is the object the
+  /// admission outcome handed out (shared with the controller's session, not
+  /// a copy), so on_commit() recognizes it by identity; a restored entry
+  /// owns a freshly decoded one.
   struct WaitingEntry {
     const workload::Task* task = nullptr;  ///< owned by tasks_
-    sched::TaskPlan plan;
-    cluster::Time commit_at = 0.0;  ///< max(plan.commit_time(), adoption now)
+    std::shared_ptr<const sched::TaskPlan> plan;
+    cluster::Time commit_at = 0.0;  ///< max(plan->commit_time(), adoption now)
   };
 
   /// Commits every waiting plan due at or before `t` (commit-time order,

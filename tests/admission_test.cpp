@@ -34,7 +34,7 @@ TEST(Admission, SingleTaskAccepted) {
   ASSERT_TRUE(outcome.accepted);
   ASSERT_EQ(outcome.schedule.size(), 1u);
   EXPECT_EQ(outcome.schedule[0].task->id, 1u);
-  EXPECT_LE(outcome.schedule[0].plan.est_completion, 3000.0 + 1e-9);
+  EXPECT_LE(outcome.schedule[0].plan->est_completion, 3000.0 + 1e-9);
 }
 
 TEST(Admission, ImpossibleTaskRejectedWithReason) {
@@ -61,8 +61,8 @@ TEST(Admission, FreeTimePropagationSerializesBigTasks) {
   ASSERT_TRUE(outcome.accepted);
   ASSERT_EQ(outcome.schedule.size(), 2u);
   EXPECT_EQ(outcome.schedule[0].task->id, 1u);
-  const sched::TaskPlan& plan1 = outcome.schedule[0].plan;
-  const sched::TaskPlan& plan2 = outcome.schedule[1].plan;
+  const sched::TaskPlan& plan1 = *outcome.schedule[0].plan;
+  const sched::TaskPlan& plan2 = *outcome.schedule[1].plan;
   // Task 2's earliest node availability is task 1's release of some node.
   EXPECT_GE(plan2.available.front() + 1e-9,
             plan1.nodes == 16 ? plan1.est_completion : 0.0);
@@ -141,7 +141,7 @@ TEST(Admission, FreeTimesFlooredAtNow) {
   const AdmissionOutcome outcome =
       controller.test(&task, {}, paper_params(), stale, 500.0);
   ASSERT_TRUE(outcome.accepted);
-  EXPECT_GE(outcome.schedule[0].plan.available.front(), 500.0);
+  EXPECT_GE(outcome.schedule[0].plan->available.front(), 500.0);
 }
 
 TEST(Admission, MismatchedFreeTimesThrow) {
@@ -169,10 +169,10 @@ TEST(Admission, NoNodeOversubscription) {
   std::vector<cluster::Time> slots(16, 0.0);
   for (const ScheduledTask& scheduled : outcome.schedule) {
     std::sort(slots.begin(), slots.end());
-    for (std::size_t i = 0; i < scheduled.plan.nodes; ++i) {
-      EXPECT_GE(scheduled.plan.reserve_from[i] + 1e-9, slots[i])
+    for (std::size_t i = 0; i < scheduled.plan->nodes; ++i) {
+      EXPECT_GE(scheduled.plan->reserve_from[i] + 1e-9, slots[i])
           << "task " << scheduled.task->id << " slot " << i;
-      slots[i] = scheduled.plan.node_release[i];
+      slots[i] = scheduled.plan->node_release[i];
     }
   }
 }

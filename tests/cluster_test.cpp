@@ -39,11 +39,16 @@ TEST(ClusterParams, InfiniteOrNanCostsAreInvalid) {
   }
 }
 
-// Node's commit protocol: check first, then book (Cluster::commit_batch
-// checks a whole batch before it books any node).
+// Node's write protocol: check first, then write (Cluster::commit_batch and
+// release_early_batch check a whole batch before they write any node).
 void checked_commit(Node& node, TaskId task, Time usable_from, Time start, Time end) {
   node.check_commit(start, end);
   node.book(task, usable_from, start, end);
+}
+
+void checked_release_early(Node& node, Time at) {
+  node.check_release_early(at);
+  node.release_early(at);
 }
 
 TEST(Node, CommitTracksBusyAndRelease) {
@@ -79,7 +84,7 @@ TEST(Node, BackwardsIntervalThrows) {
 TEST(Node, ReleaseEarlyCreditsBusyTime) {
   Node node(0);
   checked_commit(node, 1, 0.0, 0.0, 100.0);
-  node.release_early(80.0);
+  checked_release_early(node, 80.0);
   EXPECT_DOUBLE_EQ(node.free_at(), 80.0);
   EXPECT_DOUBLE_EQ(node.busy_time(), 80.0);
   EXPECT_EQ(node.current_task(), kNoTask);
@@ -91,7 +96,9 @@ TEST(Node, ReleaseEarlyCreditsBusyTime) {
 TEST(Node, ReleaseEarlyLaterThanCommitThrows) {
   Node node(0);
   checked_commit(node, 1, 0.0, 0.0, 100.0);
-  EXPECT_THROW(node.release_early(120.0), std::logic_error);
+  EXPECT_THROW(checked_release_early(node, 120.0), std::logic_error);
+  EXPECT_DOUBLE_EQ(node.free_at(), 100.0);  // the failed check wrote nothing
+  EXPECT_DOUBLE_EQ(node.busy_time(), 100.0);
 }
 
 TEST(Cluster, ConstructionAndInvalidParams) {

@@ -516,13 +516,14 @@ struct SessionDriver {
     return params;
   }
 
-  /// Admits a task of 10 data units (one node of 16 meets the deadline)
-  /// arriving at `now`.
-  bool admit(cluster::TaskId id, cluster::Time now, cluster::Time rel_deadline) {
+  /// Admits a task of `sigma` data units (at the default 10, one node of
+  /// 16 meets the deadline) arriving at `now`.
+  bool admit(cluster::TaskId id, cluster::Time now, cluster::Time rel_deadline,
+             double sigma = 10.0) {
     workload::Task& task = tasks.emplace_back();
     task.id = id;
     task.spec.arrival = now;
-    task.spec.sigma = 10.0;
+    task.spec.sigma = sigma;
     task.spec.rel_deadline = rel_deadline;
     const sched::AdmissionOutcome outcome =
         controller.admit(task, waiting, params, cluster, nullptr, now, /*incremental=*/true);
@@ -538,7 +539,7 @@ struct SessionDriver {
 
   void commit_front(cluster::Time now) {
     std::vector<cluster::NodeId> ids;
-    sched::commit_plan(plans.front(), now, cluster, nullptr, ids);
+    sched::commit_plan(*plans.front(), now, cluster, nullptr, ids);
     controller.on_commit(waiting.front(), plans.front(), cluster.version());
     waiting.erase(waiting.begin());
     plans.erase(plans.begin());
@@ -554,7 +555,7 @@ struct SessionDriver {
   sched::AdmissionController controller;
   std::deque<workload::Task> tasks;  // stable addresses
   std::vector<const workload::Task*> waiting;
-  std::vector<sched::TaskPlan> plans;
+  std::vector<std::shared_ptr<const sched::TaskPlan>> plans;
 };
 
 TEST(DeltaSession, FrontCommitAtTheSameInstantKeepsTheSession) {
@@ -598,6 +599,46 @@ TEST(DeltaSession, EarlierNowRebuildsTheSession) {
     const std::uint64_t before = SessionDriver::rebuilds();
     EXPECT_NO_THROW(session.admit(2, 15.0, 4000.0));
     EXPECT_EQ(SessionDriver::rebuilds(), before + 1);
+  }
+}
+
+TEST(DeltaSession, FrontCommitOfAnEqualReplannedPlanKeepsTheSession) {
+  // The caller commits the plan object an accepted outcome handed out, and
+  // on_commit() knows it by identity. A rejected call that rebuilt the
+  // session re-planned the front into a new object, bitwise equal because
+  // its inputs did not change: committing the caller's old object must
+  // still advance the session (identity, then bitwise equality), so a
+  // second admission at the same instant reuses it.
+  for (const std::string profile : {"", "lognormal:0.5,3"}) {
+    SCOPED_TRACE(profile.empty() ? "hom" : "het");
+    SessionDriver session(profile);
+    // Every node busy past the instant: no entry floors at `now`.
+    for (cluster::NodeId id = 0; id < 16; ++id) {
+      session.cluster.commit(id, 100 + id, 0.0, 0.0, 17.0 + 0.25 * id);
+    }
+    ASSERT_TRUE(session.admit(1, 10.0, 3000.0));
+    ASSERT_EQ(session.plans.size(), 1u);
+    const sched::TaskPlan& plan = *session.plans.front();
+    ASSERT_EQ(session.plans.front().use_count(), 2);  // the caller's and the session's
+
+    // Book node 15, which task 1 does not use, further out: the cluster
+    // version moves, task 1's inputs do not.
+    ASSERT_LT(plan.nodes, 16u);
+    ASSERT_TRUE(std::find(plan.node_ids.begin(), plan.node_ids.end(), 15) ==
+                plan.node_ids.end());
+    session.cluster.commit(15, 115, 20.75, 20.75, 500.0);
+
+    // Task 2 (later deadline, so planned after task 1) needs more than all
+    // 16 nodes: rejected, after a rebuild that re-planned task 1.
+    const std::uint64_t before_rejection = SessionDriver::rebuilds();
+    ASSERT_FALSE(session.admit(2, 10.0, 4000.0, 3000.0));
+    ASSERT_EQ(SessionDriver::rebuilds(), before_rejection + 1);
+    ASSERT_EQ(session.plans.front().use_count(), 1);  // the session holds a new object
+
+    const std::uint64_t before = SessionDriver::rebuilds();
+    session.commit_front(10.0);
+    ASSERT_TRUE(session.admit(3, 10.0, 5000.0));
+    EXPECT_EQ(SessionDriver::rebuilds(), before);
   }
 }
 

@@ -2,6 +2,8 @@
 // turns Theorem 4 into a runtime-checked invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dlt/het_model.hpp"
 #include "dlt/homogeneous.hpp"
 #include "dlt/user_split.hpp"
@@ -80,6 +82,39 @@ TEST(ExecModel, Theorem4ActualNeverExceedsEstimate) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_LE(timeline.completion[i], bounds[i] * (1.0 + 1e-12));
     }
+  }
+}
+
+TEST(ExecModel, ResultRolloutReusesOneStorageAcrossPlanSizes) {
+  // The simulator keeps one ResultTimeline for every commit: its columns and
+  // the result-return order shrink and grow with the plan's k, and the
+  // returned completion is the maximum of the written result_tx_end column,
+  // bit for bit. A fresh storage writes the same columns.
+  workload::Xoshiro256StarStar rng(9191);
+  ResultTimeline timeline;
+  for (int trial = 0; trial < 200; ++trial) {
+    const double sigma = workload::sample_uniform(rng, 10.0, 1000.0);
+    const double delta = trial % 8 == 0 ? 0.0 : workload::sample_uniform(rng, 0.05, 1.5);
+    const std::size_t n =
+        static_cast<std::size_t>(workload::sample_uniform_int(rng, 1, 16));
+    std::vector<cluster::Time> available;
+    for (std::size_t i = 0; i < n; ++i) {
+      available.push_back(workload::sample_uniform(rng, 0.0, 5000.0));
+    }
+    const sched::TaskPlan plan = dlt_plan(sigma, available);
+    const cluster::Time completion =
+        roll_out_with_results(paper_params(), sigma, delta, plan, timeline);
+    ASSERT_EQ(timeline.result_tx_start.size(), n) << "trial " << trial;
+    ASSERT_EQ(timeline.result_tx_end.size(), n) << "trial " << trial;
+    ASSERT_EQ(completion,
+              *std::max_element(timeline.result_tx_end.begin(), timeline.result_tx_end.end()))
+        << "trial " << trial;
+
+    ResultTimeline fresh;
+    ASSERT_EQ(roll_out_with_results(paper_params(), sigma, delta, plan, fresh), completion);
+    ASSERT_EQ(fresh.input.completion, timeline.input.completion) << "trial " << trial;
+    ASSERT_EQ(fresh.result_tx_start, timeline.result_tx_start) << "trial " << trial;
+    ASSERT_EQ(fresh.result_tx_end, timeline.result_tx_end) << "trial " << trial;
   }
 }
 

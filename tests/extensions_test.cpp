@@ -80,6 +80,18 @@ TEST(GeneralHet, InvalidInputsThrow) {
   EXPECT_THROW(dlt::general_het_alpha(0.0, {1.0}), std::invalid_argument);
   EXPECT_THROW(dlt::general_het_alpha(1.0, {}), std::invalid_argument);
   EXPECT_THROW(dlt::general_het_alpha(1.0, {1.0, -1.0}), std::invalid_argument);
+  // The streamed execution time checks the same arguments, each speed in
+  // the pass that reads it: a bad first, middle or last speed throws.
+  const std::vector<double> speeds{50.0, 100.0, 200.0};
+  EXPECT_THROW((void)dlt::general_het_execution_time(0.0, speeds, 200.0), std::invalid_argument);
+  EXPECT_THROW((void)dlt::general_het_execution_time(1.0, speeds, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)dlt::general_het_execution_time(1.0, {}, 200.0), std::invalid_argument);
+  for (std::size_t bad = 0; bad < speeds.size(); ++bad) {
+    std::vector<double> cps = speeds;
+    cps[bad] = bad == 1 ? std::nan("") : -1.0;
+    EXPECT_THROW((void)dlt::general_het_execution_time(1.0, cps, 200.0), std::invalid_argument)
+        << "bad speed at " << bad;
+  }
 }
 
 // --- output model ---------------------------------------------------------------
@@ -118,11 +130,12 @@ TEST(OutputModel, RolloutRespectsBoundUnderFuzz) {
     plan.est_completion = part.estimated_completion();
     plan.node_release.assign(n, plan.est_completion);
 
-    const sim::ResultTimeline timeline =
-        sim::roll_out_with_results(paper_params(), sigma, delta, plan);
+    sim::ResultTimeline timeline;
+    const cluster::Time completion =
+        sim::roll_out_with_results(paper_params(), sigma, delta, plan, timeline);
     const cluster::Time bound = dlt::output_completion_bound(
         paper_params(), sigma, delta, part.estimated_completion());
-    ASSERT_LE(timeline.task_completion, bound * (1.0 + 1e-9)) << "trial " << trial;
+    ASSERT_LE(completion, bound * (1.0 + 1e-9)) << "trial " << trial;
     // Results leave only after their node computed.
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_GE(timeline.result_tx_start[i] + 1e-9, timeline.input.completion[i]);
@@ -141,9 +154,10 @@ TEST(OutputModel, ZeroDeltaDegeneratesToInputTimeline) {
   plan.alpha = part.alpha;
   plan.est_completion = part.estimated_completion();
   plan.node_release.assign(2, plan.est_completion);
-  const sim::ResultTimeline timeline =
-      sim::roll_out_with_results(paper_params(), 200.0, 0.0, plan);
-  EXPECT_DOUBLE_EQ(timeline.task_completion, timeline.input.task_completion());
+  sim::ResultTimeline timeline;
+  const cluster::Time completion =
+      sim::roll_out_with_results(paper_params(), 200.0, 0.0, plan, timeline);
+  EXPECT_DOUBLE_EQ(completion, timeline.input.task_completion());
 }
 
 // --- *-IO rules -------------------------------------------------------------------
@@ -366,10 +380,10 @@ TEST(BackfillRule, AdmissionKeepsPlansConflictFree) {
   // Replaying every plan into a fresh calendar must not conflict.
   cluster::NodeCalendar replay(16);
   for (const sched::ScheduledTask& scheduled : outcome.schedule) {
-    for (std::size_t i = 0; i < scheduled.plan.nodes; ++i) {
-      EXPECT_NO_THROW(replay.reserve(scheduled.plan.node_ids[i],
-                                     scheduled.plan.reserve_from[i],
-                                     scheduled.plan.node_release[i]));
+    for (std::size_t i = 0; i < scheduled.plan->nodes; ++i) {
+      EXPECT_NO_THROW(replay.reserve(scheduled.plan->node_ids[i],
+                                     scheduled.plan->reserve_from[i],
+                                     scheduled.plan->node_release[i]));
     }
   }
 }

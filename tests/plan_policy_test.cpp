@@ -46,6 +46,17 @@ TEST(TaskPlan, UnsortedAvailabilityInconsistent) {
   EXPECT_FALSE(plan.consistent());
 }
 
+TEST(TaskPlan, UnsortedReservationsInconsistent) {
+  // Each reservation starts at or after its node's availability, and each
+  // release follows its reservation, but the column runs backwards: O(1)
+  // commit_time() reads the minimum off the front, so it must be sorted.
+  TaskPlan plan = make_valid_plan();
+  plan.reserve_from = {30.0, 20.0};
+  EXPECT_FALSE(plan.consistent());
+  plan.reserve_from = {20.0, 20.0};  // one constant, as OPR rules write it
+  EXPECT_TRUE(plan.consistent());
+}
+
 TEST(TaskPlan, AlphaMustBePositiveAndSumToOne) {
   TaskPlan plan = make_valid_plan();
   plan.alpha = {0.5, 0.4};
@@ -73,6 +84,10 @@ TEST(TaskPlan, CommitTimeIsEarliestReservation) {
   plan.reserve_from = {20.0, 30.0};
   plan.available = {20.0, 30.0};
   EXPECT_DOUBLE_EQ(plan.commit_time(), 20.0);
+  // A plan without reservations commits at its estimate.
+  TaskPlan bare;
+  bare.est_completion = 40.0;
+  EXPECT_DOUBLE_EQ(bare.commit_time(), 40.0);
 }
 
 TEST(Policy, EdfOrdersByAbsoluteDeadline) {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -272,7 +273,9 @@ TEST(PlannerBatch, WindowKernelsMatchScalarBackfillDuration) {
     const double expected = sigma * cms + alpha.back() * sigma * pool_cps[m - 1];
     // Pool-prefix (cursor) and one-shot (streaming) forms, both bit-exact.
     ASSERT_EQ(batch.window_duration_prefix(pool_cps, m), expected) << "m=" << m;
-    ASSERT_EQ(sched::het::PlannerBatch::window_duration(cms, sigma, pool_cps, m), expected)
+    ASSERT_EQ(dlt::general_het_execution_time(cms, std::span<const double>(pool_cps).first(m),
+                                              sigma),
+              expected)
         << "m=" << m;
   }
 }

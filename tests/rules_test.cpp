@@ -2,6 +2,11 @@
 // framework): DLT-IIT, OPR-MN, OPR-AN, UserSplit, MultiRound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <numeric>
+
+#include "cluster/speed_profile.hpp"
 #include "dlt/homogeneous.hpp"
 #include "dlt/nmin.hpp"
 #include "sched/partition_rule.hpp"
@@ -270,26 +275,89 @@ std::unique_ptr<PartitionRule> make_dlt_default() { return make_dlt_iit_rule(); 
 std::unique_ptr<PartitionRule> make_opr_default() { return make_opr_mn_rule(); }
 std::unique_ptr<PartitionRule> make_mr2() { return make_multiround_rule(2); }
 
+/// The instant TaskPlan::commit_time() must report, recomputed by a loop:
+/// the earliest of est_completion and every reserve_from entry.
+cluster::Time earliest_commitment(const TaskPlan& plan) {
+  cluster::Time earliest = plan.est_completion;
+  for (cluster::Time t : plan.reserve_from) earliest = std::min(earliest, t);
+  return earliest;
+}
+
+/// Release times of 16 nodes that reach `busy_until`: either two steps
+/// (the last six busy until then) or a staircase, so IIT-utilizing plans
+/// reserve from distinct instants.
+std::vector<cluster::Time> release_times(double busy_until, bool staircase) {
+  std::vector<cluster::Time> free_times(16, 0.0);
+  for (std::size_t i = 0; i < 16; ++i) {
+    if (staircase) {
+      free_times[i] = busy_until * static_cast<double>(i) / 16.0;
+    } else if (i >= 10) {
+      free_times[i] = busy_until;
+    }
+  }
+  return free_times;
+}
+
+/// Plans a grid of tasks on `params` (a heterogeneous row names its nodes;
+/// a calendar rule plans against the same busy intervals) and checks every
+/// feasible plan.
+void expect_sound_feasible_plans(const PartitionRule& rule,
+                                 const cluster::ClusterParams& params) {
+  for (double sigma : {20.0, 200.0, 600.0}) {
+    for (double deadline : {500.0, 3000.0, 30000.0}) {
+      for (double busy_until : {0.0, 400.0, 2000.0}) {
+        for (bool staircase : {false, true}) {
+          std::vector<cluster::Time> free_times = release_times(busy_until, staircase);
+          cluster::NodeCalendar calendar(16);
+          for (cluster::NodeId id = 0; id < 16; ++id) {
+            if (free_times[id] > 0.0) calendar.reserve(id, 0.0, free_times[id]);
+          }
+          std::vector<cluster::NodeId> ids;
+          if (params.heterogeneous()) {
+            ids.resize(16);
+            std::iota(ids.begin(), ids.end(), cluster::NodeId{0});
+          }
+          const cluster::AvailabilityView row({std::move(free_times), std::move(ids)});
+          workload::Task task = make_task(0.0, sigma, deadline, /*user_nodes=*/12);
+          PlanRequest request;
+          request.task = &task;
+          request.params = params;
+          request.row = &row;
+          request.calendar = rule.uses_calendar() ? &calendar : nullptr;
+          const PlanResult result = rule.plan(request);
+          if (!result.feasible()) continue;
+          const TaskPlan& plan = result.plan;
+          SCOPED_TRACE(testing::Message() << "sigma=" << sigma << " D=" << deadline
+                                          << " busy_until=" << busy_until
+                                          << " staircase=" << staircase);
+          EXPECT_TRUE(plan.consistent());
+          EXPECT_LE(plan.est_completion, task.abs_deadline() + 1e-6);
+          EXPECT_GE(plan.nodes, 1u);
+          EXPECT_LE(plan.nodes, 16u);
+          // commit_time() reads the front of the sorted reservation column.
+          EXPECT_EQ(plan.commit_time(), earliest_commitment(plan));
+        }
+      }
+    }
+  }
+}
+
 class EveryRule : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(EveryRule, FeasiblePlansAreConsistentAndMeetDeadline) {
   const auto rule = GetParam().factory();
-  for (double sigma : {20.0, 200.0, 600.0}) {
-    for (double deadline : {500.0, 3000.0, 30000.0}) {
-      for (double busy_until : {0.0, 400.0, 2000.0}) {
-        std::vector<cluster::Time> free_times(16, 0.0);
-        for (std::size_t i = 10; i < 16; ++i) free_times[i] = busy_until;
-        workload::Task task = make_task(0.0, sigma, deadline, /*user_nodes=*/12);
-        const PlanResult result = plan_with(*rule, task, free_times);
-        if (!result.feasible()) continue;
-        EXPECT_TRUE(result.plan.consistent())
-            << GetParam().label << " sigma=" << sigma << " D=" << deadline;
-        EXPECT_LE(result.plan.est_completion, task.abs_deadline() + 1e-6);
-        EXPECT_GE(result.plan.nodes, 1u);
-        EXPECT_LE(result.plan.nodes, 16u);
-      }
-    }
-  }
+  expect_sound_feasible_plans(*rule, paper_params());
+}
+
+TEST_P(EveryRule, HetFeasiblePlansAreConsistentAndMeetDeadline) {
+  // The same grid on a heterogeneous cluster: every rule takes its
+  // heterogeneous planner, whose plans pin node ids and speeds.
+  const auto rule = GetParam().factory();
+  cluster::ClusterParams params = paper_params();
+  params.speed_profile = std::make_shared<const cluster::SpeedProfile>(
+      cluster::parse_speed_profile("lognormal:0.5,3", params.node_count, params.cps));
+  ASSERT_TRUE(params.heterogeneous());
+  expect_sound_feasible_plans(*rule, params);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRules, EveryRule,
@@ -297,7 +365,8 @@ INSTANTIATE_TEST_SUITE_P(AllRules, EveryRule,
                                            RuleCase{"OPR-MN", &make_opr_default},
                                            RuleCase{"OPR-AN", &make_opr_an_rule},
                                            RuleCase{"UserSplit", &make_user_split_rule},
-                                           RuleCase{"MR2", &make_mr2}),
+                                           RuleCase{"MR2", &make_mr2},
+                                           RuleCase{"OPR-MN-BF", &make_opr_mn_backfill_rule}),
                          [](const ::testing::TestParamInfo<RuleCase>& param_info) {
                            std::string name = param_info.param.label;
                            for (char& c : name) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "sched/plan_io.hpp"
 #include "svc/protocol.hpp"
 #include "util/wire.hpp"
 
@@ -461,6 +463,32 @@ TEST(SvcProtocol, StatusReplyLatencyCountValidatedBeforeReserve) {
   payload[payload.size() - 1] = 0x40;
   util::WireReader reader(payload);
   EXPECT_THROW((void)StatusReply::decode(reader), util::WireError);
+}
+
+TEST(SvcProtocol, SnapshotPlanWithUnsortedReservationsIsRefused) {
+  // The snapshot's plan codec restores only plans consistent() accepts, and
+  // a waiting plan's commit instant is read off the front of its sorted
+  // reserve_from column: a backwards column must not restore.
+  sched::TaskPlan plan;
+  plan.task = 7;
+  plan.nodes = 2;
+  plan.available = {0.0, 10.0};
+  plan.reserve_from = {20.0, 30.0};
+  plan.node_release = {50.0, 50.0};
+  plan.alpha = {0.6, 0.4};
+  plan.est_completion = 50.0;
+  util::WireWriter sorted;
+  sched::write_plan(sorted, plan);
+  const std::vector<std::uint8_t> sorted_bytes = sorted.take();
+  util::WireReader sorted_reader(sorted_bytes);
+  EXPECT_TRUE(sched::read_plan(sorted_reader) == plan);
+
+  plan.reserve_from = {30.0, 20.0};  // each entry still within its node's bounds
+  util::WireWriter backwards;
+  sched::write_plan(backwards, plan);
+  const std::vector<std::uint8_t> backwards_bytes = backwards.take();
+  util::WireReader backwards_reader(backwards_bytes);
+  EXPECT_THROW((void)sched::read_plan(backwards_reader), std::runtime_error);
 }
 
 TEST(SvcProtocol, StatusReplyShardCountValidatedBeforeReserve) {
