@@ -1,5 +1,5 @@
-// google-benchmark microbenches for the simulation machinery: event queue
-// throughput, a full admission test, and whole-simulation runs per second.
+// google-benchmark microbenches for the simulation machinery: a full
+// admission test, and whole-simulation runs per second.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -7,27 +7,12 @@
 #include "cluster/speed_profile.hpp"
 #include "sched/admission.hpp"
 #include "sched/registry.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
 
 namespace {
 
 using namespace rtdls;
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue<std::uint64_t> queue;
-    for (std::size_t i = 0; i < batch; ++i) {
-      queue.push(static_cast<double>((i * 2654435761u) % batch), sim::EventPriority::kArrival,
-                 i);
-    }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
 void BM_AdmissionTest(benchmark::State& state) {
   const auto queue_length = static_cast<std::size_t>(state.range(0));

@@ -44,9 +44,10 @@
 // memory per burst drops from O(Q*N) to O(Q*k + sqrt(N)*N), measured by
 // session_memory()/peak_session_memory().
 //
-// Drivers (the simulator and the daemon's admission shard) do not pick
-// among these themselves: admit() runs the test against their live Cluster
-// or NodeCalendar, and commit_plan() books an accepted plan back into it.
+// The one driver (sched::AdmissionDriver, shared by the simulator and the
+// daemon's admission shard) does not pick among these itself: admit() runs
+// the test against its live Cluster or NodeCalendar, and commit_plan()
+// books an accepted plan back into it.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +135,7 @@ class AdmissionController {
   /// Incremental Figure-2 test for non-calendar rules (throws
   /// std::logic_error when rule().uses_calendar()).
   ///
-  /// Contract with the caller (the simulator):
+  /// Contract with the caller (sched::AdmissionDriver):
   ///  * `waiting` is in policy order and, between calls, only changes
   ///    through this controller's outcomes (accepts) and on_commit();
   ///  * `cluster` is the availability source; its version() must be bumped

@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <iomanip>
+#include <limits>
 #include <stdexcept>
 
 #include "dlt/het_model.hpp"
@@ -44,9 +46,9 @@ SimObs& sim_obs() {
 ClusterSimulator::ClusterSimulator(SimulatorConfig config, const sched::Algorithm& algorithm)
     : config_(config),
       algorithm_(&algorithm),
-      controller_(algorithm.policy, algorithm.rule.get()),
-      cluster_(config.params) {
-  controller_.set_cross_check(config_.cross_check_admission);
+      driver_(config.params, algorithm.policy, algorithm.rule.get(),
+              config.incremental_admission) {
+  driver_.controller().set_cross_check(config_.cross_check_admission);
 }
 
 SimMetrics ClusterSimulator::run(const std::vector<workload::Task>& tasks, Time horizon) {
@@ -63,83 +65,51 @@ SimMetrics ClusterSimulator::run(const std::vector<workload::Task>& tasks, Time 
 SimMetrics ClusterSimulator::run_stream(TaskSource& source, Time horizon) {
   // Reset per-run state in place (back-to-back sweep cells reuse all the
   // storage this simulator has grown).
-  cluster_.reset();
-  if (algorithm_->rule->uses_calendar()) {
-    if (calendar_) {
-      calendar_->clear();
-    } else {
-      calendar_.emplace(config_.params.node_count);
-    }
-  } else {
-    calendar_.reset();
-  }
-  waiting_.clear();
-  queue_.clear();
-  controller_.invalidate();
-  controller_.reset_session_stats();
+  driver_.reset();
   algorithm_->rule->reset_planner_counters();
-  now_ = 0.0;
-  next_version_ = 1;
   channel_free_ = 0.0;
   metrics_ = SimMetrics{};
   metrics_.horizon = horizon;
   metrics_.node_count = config_.params.node_count;
 
-  // Arrivals are merged straight from the (sorted) source; the event heap
-  // only carries commit events. Ordering matches the EventPriority rule:
-  // at equal instants commitments run before arrivals. The source's peeked
-  // pointer stays stable through any number of interleaved commit events
-  // (loading happens inside peek(), never pop() - see sim/task_source.hpp).
+  // Plans due at an arrival's instant commit before it. The source's peeked
+  // pointer stays stable through the commits (loading happens inside
+  // peek(), never pop() - see sim/task_source.hpp). Plans still waiting
+  // after the last arrival commit in the drain, so completions and
+  // utilization include work planned past the horizon.
   RTDLS_TRACE_SCOPE("sim.run", "sim");
   source_ = &source;
-  queue_.reserve(64);
-  bool any_arrival = false;
-  Time last_arrival = 0.0;
-  const workload::Task* next = source.peek();
-  while (next != nullptr || !queue_.empty()) {
-    const bool take_commit = !queue_.empty() &&
-                             (next == nullptr || queue_.top().time <= next->arrival());
-    if (take_commit) {
-      const Event<CommitEvent> event = queue_.pop();
-      now_ = event.time;
-      handle_commit(event.payload.id, event.payload.version);
-    } else {
-      // A vector source was pre-checked by run(); a streamed trace can only
-      // be validated as it flows.
-      if (any_arrival && next->arrival() < last_arrival) {
-        source_ = nullptr;
-        throw std::invalid_argument(
-            "ClusterSimulator::run_stream: arrivals decrease mid-stream");
-      }
-      any_arrival = true;
-      last_arrival = next->arrival();
-      now_ = next->arrival();
-      handle_arrival(*next);
-      source.pop();
-      next = source.peek();
+  const sched::CommitHook hook = [this](const workload::Task& task, const sched::TaskPlan& plan,
+                                        const std::vector<cluster::NodeId>& ids) {
+    record_commit(task, plan, ids);
+  };
+  Time last_arrival = -std::numeric_limits<Time>::infinity();
+  for (const workload::Task* next = source.peek(); next != nullptr; next = source.peek()) {
+    // A vector source was pre-checked by run(); a streamed trace can only
+    // be validated as it flows.
+    if (next->arrival() < last_arrival) {
+      source_ = nullptr;
+      throw std::invalid_argument("ClusterSimulator::run_stream: arrivals decrease mid-stream");
     }
+    last_arrival = next->arrival();
+    driver_.commit_due(last_arrival, hook);
+    handle_arrival(*next);
+    source.pop();
   }
+  driver_.commit_due(std::numeric_limits<Time>::infinity(), hook);
   source_ = nullptr;
 
-  // Every adopted entry carries a commit event at its current version and
-  // the loop above drains the queue, so nothing can still be waiting -
-  // completions/utilization already include work planned past the last
-  // arrival.
-  if (!waiting_.empty()) {
-    throw std::logic_error("ClusterSimulator::run: waiting tasks survived the event loop");
-  }
-
-  if (calendar_) {
-    for (cluster::NodeId id = 0; id < calendar_->size(); ++id) {
-      metrics_.busy_time += calendar_->busy_time(id);
+  if (const cluster::NodeCalendar* calendar = driver_.calendar()) {
+    for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
+      metrics_.busy_time += calendar->busy_time(id);
     }
     // Gaps in a calendar are not "inserted" idle: any later task may still
     // backfill them, so no IIT is attributed in calendar mode.
   } else {
-    metrics_.busy_time = cluster_.total_busy_time();
-    metrics_.idle_gap_time = cluster_.total_idle_gap_time();
+    metrics_.busy_time = driver_.cluster().total_busy_time();
+    metrics_.idle_gap_time = driver_.cluster().total_idle_gap_time();
   }
-  const auto session_peak = controller_.peak_session_memory();
+  const auto session_peak = driver_.controller().peak_session_memory();
   metrics_.admission_peak_bytes = session_peak.bytes;
   metrics_.admission_peak_dense_bytes = session_peak.dense_equivalent_bytes;
   const sched::PlannerCounters planner = algorithm_->rule->planner_counters();
@@ -164,89 +134,34 @@ SimMetrics ClusterSimulator::run_stream(TaskSource& source, Time horizon) {
 
 void ClusterSimulator::handle_arrival(const workload::Task& task) {
   RTDLS_TRACE_SCOPE("sim.arrival", "sim");
-  const Time now = now_;
   ++metrics_.arrivals;
-  metrics_.queue_length.add(static_cast<double>(waiting_.size()));
-
-  waiting_view_.clear();
-  for (const WaitingEntry& entry : waiting_) waiting_view_.push_back(entry.task);
+  metrics_.queue_length.add(static_cast<double>(driver_.waiting()));
 
   sched::AdmissionOutcome outcome;
   {
     RTDLS_TRACE_SCOPE("sim.admit_test", "sim");
-    outcome = controller_.admit(task, waiting_view_, config_.params, cluster_,
-                                calendar_ ? &*calendar_ : nullptr, now,
-                                config_.incremental_admission);
+    outcome = driver_.admit(task, task.arrival());
   }
 
   if (!outcome.accepted) {
     ++metrics_.rejected;
     ++metrics_.reject_reasons[static_cast<std::size_t>(outcome.reason)];
-    RTDLS_LOG(kDebug) << "t=" << now << " reject task " << task.id << " ("
+    RTDLS_LOG(kDebug) << "t=" << task.arrival() << " reject task " << task.id << " ("
                       << dlt::infeasibility_name(outcome.reason) << ")";
     return;
   }
 
   ++metrics_.accepted;
-  adopt_schedule(outcome.reused_prefix, outcome.schedule);
-  // The waiting entry (and possibly the admission session) now hold this
+  // The waiting queue (and possibly the admission session) now hold this
   // task's pointer; pin its chunk until the commit retires it.
   source_->on_task_admitted(&task);
 }
 
-void ClusterSimulator::adopt_schedule(std::size_t reused_prefix,
-                                      std::vector<sched::ScheduledTask>& schedule) {
-  // Replace the waiting suffix with the accepted temp schedule (the leading
-  // `reused_prefix` entries' plans are unchanged, so their versions - and
-  // the commit events already queued for them - stay valid). Every replaced
-  // entry gets a fresh version so commit events for superseded plans are
-  // ignored. The schedule arrives in policy order, preserving the waiting
-  // queue's ordering invariant.
-  waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(reused_prefix),
-                 waiting_.end());
-  waiting_.reserve(reused_prefix + schedule.size());
-  for (sched::ScheduledTask& scheduled : schedule) {
-    WaitingEntry entry;
-    entry.task = scheduled.task;
-    entry.plan = std::move(scheduled.plan);
-    entry.version = next_version_++;
-    const Time commit_at = std::max(entry.plan->commit_time(), now_);
-    const cluster::TaskId id = entry.task->id;
-    const std::uint64_t version = entry.version;
-    waiting_.push_back(std::move(entry));
-    queue_.push(commit_at, EventPriority::kCommit, CommitEvent{id, version});
-  }
-}
-
-void ClusterSimulator::handle_commit(cluster::TaskId id, std::uint64_t version) {
+void ClusterSimulator::record_commit(const workload::Task& task, const sched::TaskPlan& plan,
+                                     const std::vector<cluster::NodeId>& ids) {
   RTDLS_TRACE_SCOPE("sim.commit", "sim");
-  const auto it = std::find_if(waiting_.begin(), waiting_.end(), [&](const WaitingEntry& w) {
-    return w.task->id == id && w.version == version;
-  });
-  if (it == waiting_.end()) return;  // superseded by a later re-plan
-  WaitingEntry entry = std::move(*it);
-  waiting_.erase(it);
-  const bool matches_plan = commit_task(now_, entry);
-  if (matches_plan) {
-    // The committed reservations equal this plan's releases, so the
-    // admission session can advance (a policy-order-front commit whose
-    // plan matches its cache) instead of rebuilding.
-    controller_.on_commit(entry.task, entry.plan, cluster_.version());
-  } else {
-    controller_.invalidate();
-  }
-  // Committed tasks are immutable and never re-enter the waiting queue:
-  // this pointer's last dereference was the session advance above, so a
-  // streaming source may now recycle its chunk.
-  source_->on_task_retired(entry.task);
-}
-
-bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
-  const sched::TaskPlan& plan = *entry.plan;
-  const workload::Task& task = *entry.task;
-
-  std::vector<cluster::NodeId>& ids = ids_scratch_;
-  sched::commit_plan(plan, now, cluster_, calendar_ ? &*calendar_ : nullptr, ids);
+  const cluster::NodeCalendar* calendar = driver_.calendar();
+  cluster::Cluster& cluster = driver_.cluster();
 
   // Roll out the actual timeline on the (dedicated or shared) channel.
   // Multi-round plans already carry their exact rolled-out per-node
@@ -306,15 +221,16 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
     }
   }
 
-  if (config_.validate) {
-    if (!config_.shared_link && fp::after(actual, estimate, fp::kEventTolerance)) {
-      ++metrics_.theorem4_violations;
-      RTDLS_LOG(kError) << "Theorem 4 violated: task " << task.id << " actual=" << actual
-                        << " estimate=" << estimate;
-    }
-    if (fp::after(actual, task.abs_deadline(), fp::kEventTolerance)) {
-      ++metrics_.deadline_misses;
-    }
+  // The paper's two promises: the Theorem-4 estimate bounds the actual
+  // completion, and an accepted task meets its deadline.
+  if (!config_.shared_link && fp::after(actual, estimate, fp::kEventTolerance)) {
+    ++metrics_.theorem4_violations;
+    RTDLS_LOG(kError) << std::setprecision(std::numeric_limits<Time>::max_digits10)
+                      << "Theorem 4 violated: task " << task.id << " actual=" << actual
+                      << " estimate=" << estimate << " excess=" << actual - estimate;
+  }
+  if (fp::after(actual, task.abs_deadline(), fp::kEventTolerance)) {
+    ++metrics_.deadline_misses;
   }
 
   const Time completion = config_.release_policy == ReleasePolicy::kActual && !config_.shared_link
@@ -337,41 +253,43 @@ bool ClusterSimulator::commit_task(Time now, const WaitingEntry& entry) {
   metrics_.iit_compression.add((e_no_iit - e_planned) / e_no_iit);
 
   if (config_.release_policy == ReleasePolicy::kActual && !config_.shared_link &&
-      !calendar_) {
+      calendar == nullptr) {
+    std::vector<Time>& at = release_at_scratch_;
     if (!plan.node_cps.empty()) {
       // Heterogeneous plans keep slot identity end to end: slot i's work ran
       // on node ids[i] at its own speed, so each node hands back exactly its
       // own unused tail (order statistics would release the wrong node when
       // speeds differ).
-      std::vector<Time>& at = release_at_scratch_;
       at.resize(plan.nodes);
       for (std::size_t i = 0; i < plan.nodes; ++i) {
-        at[i] = std::min((*done)[i], cluster_.node(ids[i]).free_at());
+        at[i] = std::min((*done)[i], cluster.node(ids[i]).free_at());
       }
-      cluster_.release_early_batch(ids, at);
-      return false;  // availability no longer matches the plan's releases
+      cluster.release_early_batch(ids, at);
+    } else {
+      // Theorem 4: each node's actual finish is no later than the estimate
+      // it was committed until; hand the unused tail back. Pair sorted
+      // actual completions with the nodes sorted by committed release so
+      // order statistics keep every early release valid.
+      std::vector<Time>& actual_sorted = actual_sorted_scratch_;
+      actual_sorted = *done;
+      std::sort(actual_sorted.begin(), actual_sorted.end());
+      std::vector<cluster::NodeId>& by_release = by_release_scratch_;
+      by_release = ids;
+      std::sort(by_release.begin(), by_release.end(),
+                [&](cluster::NodeId a, cluster::NodeId b) {
+                  return cluster.node(a).free_at() < cluster.node(b).free_at();
+                });
+      at.resize(by_release.size());
+      for (std::size_t i = 0; i < by_release.size(); ++i) {
+        at[i] = std::min(actual_sorted[i], cluster.node(by_release[i]).free_at());
+      }
+      cluster.release_early_batch(by_release, at);
     }
-    // Theorem 4: each node's actual finish is no later than the estimate it
-    // was committed until; hand the unused tail back. Pair sorted actual
-    // completions with the nodes sorted by committed release so order
-    // statistics keep every early release valid.
-    std::vector<Time>& actual_sorted = actual_sorted_scratch_;
-    actual_sorted = *done;
-    std::sort(actual_sorted.begin(), actual_sorted.end());
-    std::vector<cluster::NodeId>& by_release = by_release_scratch_;
-    by_release = ids;
-    std::sort(by_release.begin(), by_release.end(), [&](cluster::NodeId a, cluster::NodeId b) {
-      return cluster_.node(a).free_at() < cluster_.node(b).free_at();
-    });
-    std::vector<Time>& at = release_at_scratch_;
-    at.resize(by_release.size());
-    for (std::size_t i = 0; i < by_release.size(); ++i) {
-      at[i] = std::min(actual_sorted[i], cluster_.node(by_release[i]).free_at());
-    }
-    cluster_.release_early_batch(by_release, at);
-    return false;  // availability no longer matches the plan's releases
   }
-  return !calendar_;
+  // Committed tasks are immutable and never re-enter the waiting queue, and
+  // the driver told the session before this hook ran, so a streaming source
+  // may now recycle the task's chunk.
+  source_->on_task_retired(&task);
 }
 
 SimMetrics simulate(const SimulatorConfig& config, const std::string& algorithm_name,

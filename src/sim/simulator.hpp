@@ -9,28 +9,23 @@
 //                 released at the estimate (default) or the actual finish
 //
 // Waiting tasks are re-planned on every arrival (TempTaskList = new +
-// waiting); committed tasks are immutable. Commit events are versioned so a
-// re-plan invalidates stale commitments in the event queue.
-//
-// Engine notes: the waiting queue is kept in policy order so the admission
-// controller's incremental mode can re-plan only from the new task's
-// insertion point (see sched/admission.hpp); arrivals are merged from the
-// (sorted) trace instead of being enqueued, so the event heap only carries
-// commit events; and run() resets per-run state in place, which lets one
-// simulator instance serve back-to-back sweep cells without reallocating.
+// waiting); committed tasks are immutable. The waiting queue, adoption and
+// due commits live in sched::AdmissionDriver, shared with the daemon's
+// admission shard; the simulator pulls arrivals from a TaskSource, commits
+// what is due up to each one (commits at an arrival's instant run first),
+// and drains the rest after the last. Its commit hook rolls the plan out,
+// checks the paper's two promises, records the metrics and releases nodes
+// early under ReleasePolicy::kActual. run() resets per-run state in place,
+// which lets one simulator instance serve back-to-back sweep cells without
+// reallocating.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
-#include "cluster/calendar.hpp"
-#include "cluster/cluster.hpp"
-#include "sched/admission.hpp"
+#include "sched/driver.hpp"
 #include "sched/het_planner.hpp"
 #include "sched/registry.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/exec_model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule_log.hpp"
@@ -55,9 +50,6 @@ struct SimulatorConfig {
   /// shared link the Theorem-4 estimate no longer upper-bounds actual
   /// completions; misses are counted in SimMetrics::deadline_misses.
   bool shared_link = false;
-
-  /// Check actual rollouts against estimates/deadlines (cheap; keep on).
-  bool validate = true;
 
   /// Use the incremental admission session for non-calendar rules (schedules
   /// are identical to the full Figure-2 re-plan; see sched/admission.hpp).
@@ -95,7 +87,7 @@ class ClusterSimulator {
   /// run_stream over a VectorTaskSource (it is exactly that).
   SimMetrics run(const std::vector<workload::Task>& tasks, Time horizon);
 
-  /// Same event loop, pulling arrivals from `source` instead of a
+  /// Same loop, pulling arrivals from `source` instead of a
   /// materialized vector - the bounded-memory replay path (pair with
   /// StreamingTaskSource over a TraceReader). Arrivals must be
   /// non-decreasing; a mid-stream decrease throws std::invalid_argument at
@@ -104,52 +96,25 @@ class ClusterSimulator {
   SimMetrics run_stream(TaskSource& source, Time horizon);
 
  private:
-  /// An admitted task awaiting its commit instant. `plan` is the object the
-  /// admission outcome handed out (shared with the controller's session, not
-  /// a copy), so on_commit() recognizes it by identity.
-  struct WaitingEntry {
-    const workload::Task* task = nullptr;
-    std::shared_ptr<const sched::TaskPlan> plan;
-    std::uint64_t version = 0;
-  };
-
-  /// Commit event payload: versions invalidate superseded plans.
-  struct CommitEvent {
-    cluster::TaskId id = cluster::kNoTask;
-    std::uint64_t version = 0;
-  };
-
   void handle_arrival(const workload::Task& task);
-  void handle_commit(cluster::TaskId id, std::uint64_t version);
-  /// Returns true when the cluster's post-commit availability equals the
-  /// plan's releases exactly (no early release), i.e. the admission session
-  /// may advance instead of invalidating.
-  bool commit_task(Time now, const WaitingEntry& entry);
-  void adopt_schedule(std::size_t reused_prefix,
-                      std::vector<sched::ScheduledTask>& schedule);
+  /// The commit hook: rolls the committed plan out, checks the paper's two
+  /// promises, records the metrics, releases nodes early under
+  /// ReleasePolicy::kActual and retires the task from the source.
+  void record_commit(const workload::Task& task, const sched::TaskPlan& plan,
+                     const std::vector<cluster::NodeId>& ids);
 
   SimulatorConfig config_;
   const sched::Algorithm* algorithm_;
-  sched::AdmissionController controller_;
   /// Arrival source of the in-flight run (admitted/retired notifications
   /// let a streaming source bound chunk lifetimes). Only valid mid-run.
   TaskSource* source_ = nullptr;
 
   // Per-run state (reset in place by run()).
-  cluster::Cluster cluster_;
-  /// Committed reservations with gap information; engaged only when the
-  /// algorithm's rule uses_calendar() (backfilling comparators).
-  std::optional<cluster::NodeCalendar> calendar_;
-  std::vector<WaitingEntry> waiting_;  ///< policy order (see sched/policy.hpp)
-  EventQueue<CommitEvent> queue_;
-  Time now_ = 0.0;
-  std::uint64_t next_version_ = 1;
+  sched::AdmissionDriver driver_;
   Time channel_free_ = 0.0;  // shared-link mode only
   SimMetrics metrics_;
 
-  // Scratch reused across arrivals/commits (no steady-state allocation).
-  std::vector<const workload::Task*> waiting_view_;
-  std::vector<cluster::NodeId> ids_scratch_;
+  // Scratch reused across commits (no steady-state allocation).
   std::vector<cluster::NodeId> by_release_scratch_;
   std::vector<Time> actual_sorted_scratch_;
   std::vector<Time> release_at_scratch_;

@@ -1,6 +1,6 @@
-// Arrival sources for the simulator's merged event loop.
+// Arrival sources for the simulator.
 //
-// The event loop only ever needs the *next* arrival (the trace is sorted),
+// The simulator only ever needs the *next* arrival (the trace is sorted),
 // so it consumes tasks through this cursor interface instead of a
 // materialized vector. Two implementations:
 //
@@ -10,11 +10,11 @@
 //
 //  * StreamingTaskSource - pulls bounded-size chunks from a
 //    workload::TraceReader, so a multi-million-task CSV replays at O(chunk)
-//    peak RSS. Lifetime is the subtle part: the simulator (waiting entries,
-//    commit events, the admission session) holds `const Task*` pointers
+//    peak RSS. Lifetime is the subtle part: the simulator (its driver's
+//    waiting queue, the admission session) holds `const Task*` pointers
 //    into the chunks, so a chunk may only be recycled once every task it
 //    contains has retired. The source refcounts admissions per chunk
-//    (admitted/retired callbacks from the event loop) and retires fully
+//    (admitted/retired callbacks from the simulator) and retires fully
 //    drained front chunks into a recycled-vector pool - steady-state
 //    streaming allocates nothing once chunk capacity has been grown.
 //
@@ -25,7 +25,7 @@
 //    matching on_task_retired;
 //  * pop() consumes the peeked task; peek()/pop() never invalidate
 //    pointers of previously admitted, not-yet-retired tasks;
-//  * arrivals must be non-decreasing (the loop enforces this on the fly,
+//  * arrivals must be non-decreasing (the simulator enforces this on the fly,
 //    since a streamed trace cannot be pre-checked).
 #pragma once
 
@@ -48,7 +48,7 @@ class TaskSource {
   /// Consumes the task last returned by peek().
   virtual void pop() = 0;
 
-  /// The event loop admitted `task`: its pointer must stay valid until the
+  /// The simulator admitted `task`: its pointer must stay valid until the
   /// matching on_task_retired. (Rejected tasks are simply popped.)
   virtual void on_task_admitted(const workload::Task* task);
 

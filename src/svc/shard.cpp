@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "sched/plan_io.hpp"
 
@@ -42,67 +41,20 @@ std::string task_problem(const workload::Task& task) {
 AdmissionShard::AdmissionShard(const std::string& algorithm_name, const ShardConfig& config)
     : config_(config),
       algorithm_(sched::make_algorithm(algorithm_name)),
-      controller_(algorithm_.policy, algorithm_.rule.get()),
-      cluster_(config.params) {
-  if (algorithm_.rule->uses_calendar()) {
-    calendar_ = std::make_unique<cluster::NodeCalendar>(config.params.node_count);
-  }
-}
+      driver_(config.params, algorithm_.policy, algorithm_.rule.get(), config.incremental) {}
 
-std::size_t AdmissionShard::advance_to(cluster::Time t) {
-  std::size_t committed = 0;
-  for (;;) {
-    // Earliest due commit, ties broken by queue position - the order the
-    // simulator's event heap would pop them in.
-    std::size_t best = waiting_.size();
-    cluster::Time best_at = std::numeric_limits<cluster::Time>::infinity();
-    for (std::size_t i = 0; i < waiting_.size(); ++i) {
-      if (waiting_[i].commit_at <= t && waiting_[i].commit_at < best_at) {
-        best = i;
-        best_at = waiting_[i].commit_at;
-      }
-    }
-    if (best == waiting_.size()) break;
-    commit_entry(best);
-    ++committed;
-  }
-  if (t > now_) now_ = t;
+std::size_t AdmissionShard::commit_due(cluster::Time t) {
+  const std::size_t committed = driver_.commit_due(
+      t, [this](const workload::Task& task, const sched::TaskPlan&,
+                const std::vector<cluster::NodeId>&) {
+        // The session never dereferences consumed-prefix task pointers, so
+        // the committed task's storage can go now.
+        const cluster::TaskId id = task.id;
+        tasks_.erase(id);
+      });
+  committed_ += committed;
+  now_ = std::max(now_, t);
   return committed;
-}
-
-void AdmissionShard::commit_entry(std::size_t index) {
-  WaitingEntry entry = std::move(waiting_[index]);
-  waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(index));
-  const cluster::Time at = entry.commit_at;
-  if (at > now_) now_ = at;
-
-  sched::commit_plan(*entry.plan, at, cluster_, calendar_.get(), ids_scratch_);
-
-  if (!calendar_) {
-    // Estimate-release commit: the committed reservations equal the plan's
-    // releases, so the warm session can advance instead of rebuilding.
-    controller_.on_commit(entry.task, entry.plan, cluster_.version());
-  } else {
-    controller_.invalidate();
-  }
-  ++committed_;
-  // The session never dereferences consumed-prefix task pointers, so the
-  // committed task's storage can go now.
-  tasks_.erase(entry.task->id);
-}
-
-void AdmissionShard::adopt_schedule(std::size_t reused_prefix,
-                                    std::vector<sched::ScheduledTask>& schedule) {
-  waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(reused_prefix),
-                 waiting_.end());
-  waiting_.reserve(reused_prefix + schedule.size());
-  for (sched::ScheduledTask& scheduled : schedule) {
-    WaitingEntry entry;
-    entry.task = scheduled.task;
-    entry.plan = std::move(scheduled.plan);
-    entry.commit_at = std::max(entry.plan->commit_time(), now_);
-    waiting_.push_back(std::move(entry));
-  }
 }
 
 AdmitReply AdmissionShard::admit(const TaskRecord& record) {
@@ -116,39 +68,29 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
                      "task " + std::to_string(record.id) + " is already waiting");
   }
   ++admits_;
-  advance_to(std::max(record.arrival, now_));
+  commit_due(std::max(record.arrival, now_));
 
   auto owned = std::make_unique<workload::Task>(candidate);
   const workload::Task& task = *owned;
   tasks_.emplace(record.id, std::move(owned));
 
-  waiting_view_.clear();
-  for (const WaitingEntry& entry : waiting_) waiting_view_.push_back(entry.task);
-
-  sched::AdmissionOutcome outcome =
-      controller_.admit(task, waiting_view_, config_.params, cluster_, calendar_.get(), now_,
-                        config_.incremental);
+  const sched::AdmissionOutcome outcome = driver_.admit(task, now_);
 
   AdmitReply reply;
   reply.accepted = outcome.accepted;
   reply.decision_seq = seq_++;
   if (outcome.accepted) {
     ++accepted_;
-    adopt_schedule(outcome.reused_prefix, outcome.schedule);
-    for (const WaitingEntry& entry : waiting_) {
-      if (entry.task->id == record.id) {
-        reply.est_completion = entry.plan->est_completion;
-        reply.nodes = entry.plan->nodes;
-        break;
-      }
-    }
+    const sched::TaskPlan& plan = *driver_.queue().plans[driver_.find(record.id)];
+    reply.est_completion = plan.est_completion;
+    reply.nodes = plan.nodes;
   } else {
     ++rejected_;
     reply.reason = static_cast<std::uint8_t>(outcome.reason);
     reply.blocking_task = outcome.blocking_task;
     tasks_.erase(record.id);
   }
-  reply.waiting = waiting_.size();
+  reply.waiting = driver_.waiting();
 
   if (config_.record_ops) {
     OpRecord op;
@@ -161,21 +103,19 @@ AdmitReply AdmissionShard::admit(const TaskRecord& record) {
 }
 
 CommitReply AdmissionShard::commit(cluster::TaskId id) {
-  const auto it = std::find_if(waiting_.begin(), waiting_.end(),
-                               [&](const WaitingEntry& w) { return w.task->id == id; });
-  if (it == waiting_.end()) {
+  const std::size_t position = driver_.find(id);
+  if (position == driver_.waiting()) {
     throw ShardError(ErrorCode::kUnknownTask,
                      "task " + std::to_string(id) + " is not waiting");
   }
-  const cluster::Time target = std::max(now_, it->commit_at);
+  const cluster::Time commit_at = driver_.queue().commit_at[position];
   CommitReply reply;
   reply.committed = true;
-  reply.committed_at = it->commit_at;
+  reply.committed_at = commit_at;
   // Committing this plan first commits everything due no later (commit-time
   // order) - a plan cannot start while an earlier-committing one is still
   // pending, or the availability it was planned against would be wrong.
-  const std::size_t total = advance_to(target);
-  reply.also_committed = total - 1;
+  reply.also_committed = commit_due(std::max(now_, commit_at)) - 1;
 
   if (config_.record_ops) {
     OpRecord op;
@@ -188,17 +128,10 @@ CommitReply AdmissionShard::commit(cluster::TaskId id) {
 }
 
 CancelReply AdmissionShard::cancel(cluster::TaskId id) {
-  const auto it = std::find_if(waiting_.begin(), waiting_.end(),
-                               [&](const WaitingEntry& w) { return w.task->id == id; });
-  if (it == waiting_.end()) {
+  if (!driver_.cancel(id)) {
     throw ShardError(ErrorCode::kUnknownTask,
                      "task " + std::to_string(id) + " is not waiting");
   }
-  // Load only shrinks, so every remaining plan stays feasible (the Figure-2
-  // invariant); but the waiting set changed outside the session contract, so
-  // the warm cache drops.
-  waiting_.erase(it);
-  controller_.invalidate();
   tasks_.erase(id);
   ++cancelled_;
 
@@ -216,16 +149,17 @@ CancelReply AdmissionShard::cancel(cluster::TaskId id) {
 
 void AdmissionShard::fill_status(ShardStatus& out) const {
   out.now = now_;
-  out.waiting = waiting_.size();
+  out.waiting = driver_.waiting();
   out.admits = admits_;
   out.accepted = accepted_;
   out.rejected = rejected_;
   out.committed = committed_;
   out.cancelled = cancelled_;
-  const auto memory = controller_.session_memory();
+  const sched::AdmissionController& controller = driver_.controller();
+  const auto memory = controller.session_memory();
   out.session_bytes = memory.bytes;
   out.session_dense_bytes = memory.dense_equivalent_bytes;
-  out.peak_session_bytes = controller_.peak_session_memory().bytes;
+  out.peak_session_bytes = controller.peak_session_memory().bytes;
 }
 
 void AdmissionShard::snapshot_to(util::WireWriter& out) const {
@@ -237,19 +171,21 @@ void AdmissionShard::snapshot_to(util::WireWriter& out) const {
   out.u64(committed_);
   out.u64(cancelled_);
 
-  out.u32(static_cast<std::uint32_t>(cluster_.size()));
-  for (cluster::NodeId id = 0; id < cluster_.size(); ++id) {
-    const cluster::Node& node = cluster_.node(id);
+  const cluster::Cluster& cluster = driver_.cluster();
+  out.u32(static_cast<std::uint32_t>(cluster.size()));
+  for (cluster::NodeId id = 0; id < cluster.size(); ++id) {
+    const cluster::Node& node = cluster.node(id);
     out.f64(node.free_at());
     out.f64(node.busy_time());
     out.f64(node.idle_gap_time());
     out.u64(node.commitments());
   }
 
-  out.u8(calendar_ ? 1 : 0);
-  if (calendar_) {
-    for (cluster::NodeId id = 0; id < calendar_->size(); ++id) {
-      const auto& busy = calendar_->busy(id);
+  const cluster::NodeCalendar* calendar = driver_.calendar();
+  out.u8(calendar != nullptr ? 1 : 0);
+  if (calendar != nullptr) {
+    for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
+      const auto& busy = calendar->busy(id);
       out.u32(static_cast<std::uint32_t>(busy.size()));
       for (const cluster::Interval& interval : busy) {
         out.f64(interval.start);
@@ -258,11 +194,12 @@ void AdmissionShard::snapshot_to(util::WireWriter& out) const {
     }
   }
 
-  out.u32(static_cast<std::uint32_t>(waiting_.size()));
-  for (const WaitingEntry& entry : waiting_) {
-    sched::write_task(out, *entry.task);
-    sched::write_plan(out, *entry.plan);
-    out.f64(entry.commit_at);
+  const sched::AdmissionDriver::Queue& queue = driver_.queue();
+  out.u32(static_cast<std::uint32_t>(queue.tasks.size()));
+  for (std::size_t i = 0; i < queue.tasks.size(); ++i) {
+    sched::write_task(out, *queue.tasks[i]);
+    sched::write_plan(out, *queue.plans[i]);
+    out.f64(queue.commit_at[i]);
   }
 }
 
@@ -278,10 +215,11 @@ void AdmissionShard::restore_from(util::WireReader& in) {
   const std::uint64_t committed = in.u64();
   const std::uint64_t cancelled = in.u64();
 
+  cluster::Cluster& cluster = driver_.cluster();
   const std::uint32_t nodes = in.u32();
-  if (nodes != cluster_.size()) {
+  if (nodes != cluster.size()) {
     throw std::runtime_error("shard restore: snapshot has " + std::to_string(nodes) +
-                             " nodes, shard has " + std::to_string(cluster_.size()));
+                             " nodes, shard has " + std::to_string(cluster.size()));
   }
   // A NaN release time has no place in the sorted index: it would desync
   // the index part-way through the restore, or after it.
@@ -305,13 +243,14 @@ void AdmissionShard::restore_from(util::WireReader& in) {
     }
   }
 
+  cluster::NodeCalendar* const live_calendar = driver_.calendar();
   const bool has_calendar = in.u8() != 0;
-  if (has_calendar != static_cast<bool>(calendar_)) {
+  if (has_calendar != (live_calendar != nullptr)) {
     throw std::runtime_error("shard restore: calendar presence mismatch");
   }
   std::unique_ptr<cluster::NodeCalendar> calendar;
-  if (calendar_) {
-    calendar = std::make_unique<cluster::NodeCalendar>(calendar_->size());
+  if (live_calendar != nullptr) {
+    calendar = std::make_unique<cluster::NodeCalendar>(live_calendar->size());
     for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
       const std::uint32_t count = in.u32();
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -328,25 +267,31 @@ void AdmissionShard::restore_from(util::WireReader& in) {
   }
 
   std::unordered_map<cluster::TaskId, std::unique_ptr<workload::Task>> tasks;
-  std::vector<WaitingEntry> waiting;
+  sched::AdmissionDriver::Queue queue;
   const std::uint32_t count = in.u32();
-  waiting.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     auto task = std::make_unique<workload::Task>(sched::read_task(in));
     if (const std::string problem = task_problem(*task); !problem.empty()) {
       throw std::runtime_error("shard restore: waiting " + problem);
     }
-    WaitingEntry entry;
-    entry.plan = std::make_shared<const sched::TaskPlan>(sched::read_plan(in));
-    entry.commit_at = in.f64();
-    if (entry.plan->task != task->id) {
+    auto plan = std::make_shared<const sched::TaskPlan>(sched::read_plan(in));
+    const cluster::Time commit_at = in.f64();
+    if (plan->task != task->id) {
       throw std::runtime_error("shard restore: plan/task id mismatch");
     }
-    entry.task = task.get();
+    // A NaN instant is never due, so the plan would block every later temp
+    // list; an infinite one drags the clock there; one before the plan's
+    // first reservation books nodes before the plan may start.
+    if (!std::isfinite(commit_at) || commit_at < plan->commit_time()) {
+      throw std::runtime_error("shard restore: task " + std::to_string(task->id) +
+                               " has an impossible commit instant");
+    }
+    queue.tasks.push_back(task.get());
+    queue.plans.push_back(std::move(plan));
+    queue.commit_at.push_back(commit_at);
     if (!tasks.emplace(task->id, std::move(task)).second) {
       throw std::runtime_error("shard restore: duplicate waiting task id");
     }
-    waiting.push_back(std::move(entry));
   }
 
   now_ = now;
@@ -358,16 +303,15 @@ void AdmissionShard::restore_from(util::WireReader& in) {
   cancelled_ = cancelled;
   for (cluster::NodeId id = 0; id < nodes; ++id) {
     const NodeRecord& record = records[id];
-    cluster_.restore_node(id, record.free_at, record.busy_time, record.idle_gap,
-                          static_cast<std::size_t>(record.commitments));
+    cluster.restore_node(id, record.free_at, record.busy_time, record.idle_gap,
+                         static_cast<std::size_t>(record.commitments));
   }
-  if (calendar_) *calendar_ = std::move(*calendar);
+  if (live_calendar != nullptr) *live_calendar = std::move(*calendar);
   tasks_ = std::move(tasks);
-  waiting_ = std::move(waiting);
   // The warm session rebuilds on the first admit - bit-identical outcomes by
   // the admission contract (the cache only ever derives from these inputs).
-  controller_.invalidate();
-  controller_.reset_session_stats();
+  driver_.restore_queue(std::move(queue));
+  driver_.controller().reset_session_stats();
 }
 
 }  // namespace rtdls::svc

@@ -2,20 +2,22 @@
 // over its own cluster.
 //
 // The daemon partitions work by cluster - each shard owns an independent
-// Cluster, a warm AdmissionController session, and a waiting queue, and is
-// serialized by one mutex in the server layer (the shard itself is
-// deliberately single-threaded: the controller and partition rules carry
-// per-instance scratch). Shards never touch each other, so k shards give k-way
-// request concurrency without any cross-shard coordination.
+// sched::AdmissionDriver (its Cluster, warm AdmissionController session and
+// waiting queue), and is serialized by one mutex in the server layer (the
+// shard itself is deliberately single-threaded: the controller and
+// partition rules carry per-instance scratch). Shards never touch each
+// other, so k shards give k-way request concurrency without any cross-shard
+// coordination. The shard itself checks requests, owns the admitted tasks,
+// keeps the counters and the op log, and snapshots and restores.
 //
 // Time model: the shard's clock `now()` only moves forward, driven by the
 // requests themselves - an admit at effective arrival max(record.arrival,
-// now) first advances the clock there, auto-committing every waiting plan
-// whose commit instant has passed (in commit-time order, ties by queue
-// position), exactly as the simulator's event loop would. That makes a
-// shard's behavior a pure function of its request sequence, which is what
-// the op log records and the concurrent-vs-serial differential test and the
-// snapshot bit-identity test both replay.
+// now) first advances the clock there, and the driver commits every waiting
+// plan whose commit instant has passed (in commit-time order, ties by queue
+// position), the same driver and order the simulator commits with. That
+// makes a shard's behavior a pure function of its request sequence, which
+// is what the op log records and the concurrent-vs-serial differential test
+// and the snapshot bit-identity test both replay.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/calendar.hpp"
-#include "cluster/cluster.hpp"
-#include "sched/admission.hpp"
+#include "sched/driver.hpp"
 #include "sched/registry.hpp"
 #include "svc/protocol.hpp"
 
@@ -72,7 +72,7 @@ class AdmissionShard {
 
   const std::string& algorithm_name() const { return algorithm_.name; }
   cluster::Time now() const { return now_; }
-  std::size_t waiting() const { return waiting_.size(); }
+  std::size_t waiting() const { return driver_.waiting(); }
 
   /// Runs the Figure-2 admission test for `record` at effective arrival
   /// max(record.arrival, now()), advancing the clock (and auto-committing
@@ -108,34 +108,19 @@ class AdmissionShard {
   const std::vector<OpRecord>& ops() const { return ops_; }
 
  private:
-  /// An admitted task awaiting its commit. `plan` is the object the
-  /// admission outcome handed out (shared with the controller's session, not
-  /// a copy), so on_commit() recognizes it by identity; a restored entry
-  /// owns a freshly decoded one.
-  struct WaitingEntry {
-    const workload::Task* task = nullptr;  ///< owned by tasks_
-    std::shared_ptr<const sched::TaskPlan> plan;
-    cluster::Time commit_at = 0.0;  ///< max(plan->commit_time(), adoption now)
-  };
-
-  /// Commits every waiting plan due at or before `t` (commit-time order,
-  /// ties by queue position), then floors the clock at `t`. Returns how many
-  /// entries were committed.
-  std::size_t advance_to(cluster::Time t);
-  void commit_entry(std::size_t index);
-  void adopt_schedule(std::size_t reused_prefix,
-                      std::vector<sched::ScheduledTask>& schedule);
+  /// Commits every plan due by `t` through the driver, frees the committed
+  /// tasks and moves the clock to `t` (never backwards). Returns how many
+  /// plans committed.
+  std::size_t commit_due(cluster::Time t);
 
   ShardConfig config_;
   sched::Algorithm algorithm_;
-  sched::AdmissionController controller_;
-  cluster::Cluster cluster_;
-  std::unique_ptr<cluster::NodeCalendar> calendar_;  ///< calendar rules only
+  sched::AdmissionDriver driver_;
 
   cluster::Time now_ = 0.0;
   std::uint64_t seq_ = 0;  ///< operation sequence, stamped into AdmitReply
+  /// The admitted tasks the driver's queue points into.
   std::unordered_map<cluster::TaskId, std::unique_ptr<workload::Task>> tasks_;
-  std::vector<WaitingEntry> waiting_;
 
   std::uint64_t admits_ = 0;
   std::uint64_t accepted_ = 0;
@@ -144,10 +129,6 @@ class AdmissionShard {
   std::uint64_t cancelled_ = 0;
 
   std::vector<OpRecord> ops_;
-
-  // Scratch reused across requests.
-  std::vector<const workload::Task*> waiting_view_;
-  std::vector<cluster::NodeId> ids_scratch_;
 };
 
 }  // namespace rtdls::svc

@@ -37,9 +37,12 @@ inline constexpr double kTimeTolerance = 1e-9;
 /// ulps of accumulated error are expected, nothing more.
 inline constexpr double kRelSlack = 1e-12;
 
-/// Coarser tolerance used by the simulator's event coalescing: events
-/// within this window are treated as simultaneous for wakeup batching
-/// (never for schedule decisions, which use kTimeTolerance).
+/// Slack of the simulator's two promise checks, its only uses: an actual
+/// completion past the Theorem-4 estimate, or past the deadline, by more
+/// than this counts as a violation or a miss. No schedule decision reads
+/// it. It is absolute, so it stops covering rounding at large clocks: one
+/// ulp of a time in [2^32, 2^33) is 9.5e-7, and from 2^33 on one ulp
+/// exceeds it.
 inline constexpr double kEventTolerance = 1e-6;
 
 /// Convergence threshold for the continued-fraction evaluation in

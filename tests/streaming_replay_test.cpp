@@ -1,16 +1,14 @@
 // Tests for the streaming replay pipeline (PR 10): chunked TraceReader
 // equivalence with load_trace (same tasks, same row-numbered errors - even
 // chunks deep into the file), the StreamedSortError contract, the
-// StreamingTaskSource chunk-lifetime accounting, run_stream's bit-identity
-// with run() plus its on-the-fly sortedness enforcement, and the EventQueue
-// reserve/recycle satellite.
+// StreamingTaskSource chunk-lifetime accounting, and run_stream's
+// bit-identity with run() plus its on-the-fly sortedness enforcement.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task_source.hpp"
@@ -20,7 +18,6 @@
 namespace rtdls {
 namespace {
 
-using cluster::Time;
 using workload::Task;
 using workload::TraceReader;
 
@@ -274,35 +271,6 @@ TEST(StreamingReplay, SourceGuardsRetireWithoutAdmit) {
   source.pop();
   EXPECT_EQ(source.peek(), nullptr);
   EXPECT_THROW(source.pop(), std::logic_error);  // nothing peeked past the end
-}
-
-// --- EventQueue reserve/recycle satellite -----------------------------------
-
-TEST(EventQueue, ReserveAndClearKeepCapacity) {
-  sim::EventQueue<int> queue;
-  queue.reserve(256);
-  const std::size_t reserved = queue.capacity();
-  ASSERT_GE(reserved, 256u);
-  for (int i = 0; i < 200; ++i) {
-    queue.push(static_cast<Time>(200 - i), sim::EventPriority::kCommit, i);
-  }
-  EXPECT_EQ(queue.capacity(), reserved);  // no mid-run growth
-  // Drain half, refill (the chunked-replay rhythm): still no growth.
-  for (int i = 0; i < 100; ++i) queue.pop();
-  for (int i = 0; i < 50; ++i) {
-    queue.push(static_cast<Time>(i), sim::EventPriority::kCommit, i);
-  }
-  EXPECT_EQ(queue.capacity(), reserved);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.capacity(), reserved);  // clear() recycles the storage
-  // Ordering is unaffected by reserve: events drain by (time, prio, seq).
-  queue.push(2.0, sim::EventPriority::kArrival, 1);
-  queue.push(2.0, sim::EventPriority::kCommit, 2);
-  queue.push(1.0, sim::EventPriority::kReport, 3);
-  EXPECT_EQ(queue.pop().payload, 3);
-  EXPECT_EQ(queue.pop().payload, 2);
-  EXPECT_EQ(queue.pop().payload, 1);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "cluster/speed_profile.hpp"
+#include "sched/plan_io.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "svc/shard.hpp"
@@ -379,6 +381,69 @@ TEST(SvcShard, RestoreRejectsAWaitingTaskWithNanArrivalBeforeChangingState) {
 
   util::WireReader good_reader(good);
   restored.restore_from(good_reader);
+  EXPECT_EQ(good, snapshot_bytes(restored));
+}
+
+TEST(SvcShard, RestoreRejectsAnImpossibleCommitInstantBeforeChangingState) {
+  // A waiting plan commits at its commit_at. A NaN never compares due, so
+  // the plan would block every later temp list; +inf commits never and
+  // drags the clock to infinity; an instant before the plan's first
+  // reservation books the nodes before the plan may start. Restore refuses
+  // all three.
+  ShardConfig config;
+  config.params.node_count = 16;
+  AdmissionShard source("EDF-DLT", config);
+  TaskRecord record;
+  record.id = 100;
+  record.arrival = 20000.0;
+  record.sigma = 200.0;
+  record.rel_deadline = 3000.0;
+  ASSERT_TRUE(source.admit(record).accepted);
+  const std::vector<std::uint8_t> good = snapshot_bytes(source);
+
+  // Clock and six counters, the node count, 32 bytes per node record, the
+  // calendar flag, the waiting count, then the only task, its plan and its
+  // commit instant.
+  util::WireReader walk(good);
+  for (int i = 0; i < 7; ++i) walk.u64();
+  const std::uint32_t nodes = walk.u32();
+  for (std::uint32_t i = 0; i < nodes * 4; ++i) walk.u64();
+  ASSERT_EQ(walk.u8(), 0u);
+  ASSERT_EQ(walk.u32(), 1u);
+  sched::read_task(walk);
+  const sched::TaskPlan plan = sched::read_plan(walk);
+  const std::size_t commit_at = good.size() - walk.remaining();
+  ASSERT_GE(walk.f64(), plan.commit_time());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double impossible : {std::numeric_limits<double>::quiet_NaN(), inf,
+                                  std::nextafter(plan.commit_time(), -inf)}) {
+    SCOPED_TRACE(impossible);
+    util::WireWriter patch;
+    patch.f64(impossible);
+    const std::vector<std::uint8_t> bytes = patch.take();
+    std::vector<std::uint8_t> bad = good;
+    std::copy(bytes.begin(), bytes.end(), bad.begin() + static_cast<std::ptrdiff_t>(commit_at));
+
+    AdmissionShard restored("EDF-DLT", config);
+    for (const TestOp& op : scripted_ops(4)) apply_op(restored, op);
+    const std::vector<std::uint8_t> snapshot_before = snapshot_bytes(restored);
+    const std::vector<std::uint8_t> status_before = status_bytes(restored);
+    util::WireReader reader(bad);
+    try {
+      restored.restore_from(reader);
+      ADD_FAILURE() << "restore accepted an impossible commit instant";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("shard restore"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(snapshot_before, snapshot_bytes(restored));
+    EXPECT_EQ(status_before, status_bytes(restored));
+  }
+
+  AdmissionShard restored("EDF-DLT", config);
+  util::WireReader reader(good);
+  restored.restore_from(reader);
   EXPECT_EQ(good, snapshot_bytes(restored));
 }
 
