@@ -281,8 +281,10 @@ void AdmissionShard::restore_from(util::WireReader& in) {
     }
     // A NaN instant is never due, so the plan would block every later temp
     // list; an infinite one drags the clock there; one before the plan's
-    // first reservation books nodes before the plan may start.
-    if (!std::isfinite(commit_at) || commit_at < plan->commit_time()) {
+    // first reservation books nodes before the plan may start, and one
+    // before the clock (a shard commits every plan due by its clock) books
+    // them in the shard's past.
+    if (!std::isfinite(commit_at) || commit_at < plan->commit_time() || commit_at < now) {
       throw std::runtime_error("shard restore: task " + std::to_string(task->id) +
                                " has an impossible commit instant");
     }

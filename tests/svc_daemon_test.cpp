@@ -388,8 +388,9 @@ TEST(SvcShard, RestoreRejectsAnImpossibleCommitInstantBeforeChangingState) {
   // A waiting plan commits at its commit_at. A NaN never compares due, so
   // the plan would block every later temp list; +inf commits never and
   // drags the clock to infinity; an instant before the plan's first
-  // reservation books the nodes before the plan may start. Restore refuses
-  // all three.
+  // reservation books the nodes before the plan may start; a clock past it
+  // would book them in the shard's past (a live shard commits every plan
+  // due by its clock). Restore refuses all four.
   ShardConfig config;
   config.params.node_count = 16;
   AdmissionShard source("EDF-DLT", config);
@@ -413,17 +414,24 @@ TEST(SvcShard, RestoreRejectsAnImpossibleCommitInstantBeforeChangingState) {
   sched::read_task(walk);
   const sched::TaskPlan plan = sched::read_plan(walk);
   const std::size_t commit_at = good.size() - walk.remaining();
-  ASSERT_GE(walk.f64(), plan.commit_time());
+  const double instant = walk.f64();
+  ASSERT_GE(instant, plan.commit_time());
 
+  // (offset, value): the commit instant, or the clock at offset 0.
   const double inf = std::numeric_limits<double>::infinity();
-  for (const double impossible : {std::numeric_limits<double>::quiet_NaN(), inf,
-                                  std::nextafter(plan.commit_time(), -inf)}) {
-    SCOPED_TRACE(impossible);
+  const std::vector<std::pair<std::size_t, double>> patches{
+      {commit_at, std::numeric_limits<double>::quiet_NaN()},
+      {commit_at, inf},
+      {commit_at, std::nextafter(plan.commit_time(), -inf)},
+      {0, std::nextafter(instant, inf)},
+  };
+  for (const auto& [offset, value] : patches) {
+    SCOPED_TRACE("offset " + std::to_string(offset) + " value " + std::to_string(value));
     util::WireWriter patch;
-    patch.f64(impossible);
+    patch.f64(value);
     const std::vector<std::uint8_t> bytes = patch.take();
     std::vector<std::uint8_t> bad = good;
-    std::copy(bytes.begin(), bytes.end(), bad.begin() + static_cast<std::ptrdiff_t>(commit_at));
+    std::copy(bytes.begin(), bytes.end(), bad.begin() + static_cast<std::ptrdiff_t>(offset));
 
     AdmissionShard restored("EDF-DLT", config);
     for (const TestOp& op : scripted_ops(4)) apply_op(restored, op);
