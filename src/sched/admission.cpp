@@ -5,7 +5,6 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -115,28 +114,6 @@ AdmissionOutcome AdmissionController::test(
 
   outcome.accepted = true;
   return outcome;
-}
-
-AdmissionOutcome AdmissionController::admit(
-    const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
-    const cluster::ClusterParams& params, const cluster::Cluster& cluster,
-    const cluster::NodeCalendar* calendar, Time now, bool incremental) {
-  if (rule_->uses_calendar()) {
-    if (calendar == nullptr) {
-      throw std::invalid_argument("AdmissionController::admit: rule requires a calendar");
-    }
-    // "Release time" = end of the node's last committed reservation (the
-    // calendar rule itself plans against the gaps).
-    live_.times.clear();
-    for (cluster::NodeId id = 0; id < calendar->size(); ++id) {
-      const auto& busy = calendar->busy(id);
-      live_.times.push_back(std::max(now, busy.empty() ? now : busy.back().end));
-    }
-    return test(&new_task, waiting, params, live_.times, now, calendar);
-  }
-  if (incremental) return test_incremental(new_task, waiting, params, cluster, now);
-  cluster.availability_into(now, live_);
-  return test(&new_task, waiting, params, live_.times, now, nullptr, live_.ids);
 }
 
 void commit_plan(const TaskPlan& plan, Time now, cluster::Cluster& cluster,
@@ -416,7 +393,6 @@ AdmissionOutcome AdmissionController::test_incremental(
     outcome.schedule.clear();
     settle_work(false, suffix);
     note_session_peak();
-    if (cross_check_) verify_against_full(new_task, waiting, params, cluster, now, outcome);
     return outcome;
   };
 
@@ -516,35 +492,7 @@ AdmissionOutcome AdmissionController::test_incremental(
   for (std::size_t i = outcome.reused_prefix; i <= q; ++i) {
     outcome.schedule.push_back(ScheduledTask{order_[head_ + i], plans_[head_ + i]});
   }
-  if (cross_check_) verify_against_full(new_task, waiting, params, cluster, now, outcome);
   return outcome;
-}
-
-void AdmissionController::verify_against_full(
-    const workload::Task& new_task, const std::vector<const workload::Task*>& waiting,
-    const cluster::ClusterParams& params, const cluster::Cluster& cluster, Time now,
-    const AdmissionOutcome& outcome) const {
-  cluster::AvailabilityRow row;
-  cluster.availability_into(now, row);
-  const AdmissionOutcome reference = test(&new_task, waiting, params, std::move(row.times),
-                                          now, nullptr, std::move(row.ids));
-  auto fail = [](const std::string& what) {
-    throw std::logic_error(
-        "AdmissionController cross-check: incremental vs full Figure-2 mismatch: " + what);
-  };
-  if (reference.accepted != outcome.accepted) fail("acceptance");
-  if (!outcome.accepted) {
-    if (reference.reason != outcome.reason) fail("infeasibility reason");
-    if (reference.blocking_task != outcome.blocking_task) fail("blocking task");
-    return;
-  }
-  // On acceptance the session holds the full adopted schedule.
-  const std::size_t live = order_.size() - head_;
-  if (reference.schedule.size() != live) fail("schedule size");
-  for (std::size_t i = 0; i < live; ++i) {
-    if (reference.schedule[i].task != order_[head_ + i]) fail("task order");
-    if (!(*reference.schedule[i].plan == *plans_[head_ + i])) fail("plan equality");
-  }
 }
 
 }  // namespace rtdls::sched

@@ -7,7 +7,8 @@
 //
 // Two entry points implement the same test:
 //  * test() is the stateless reference: it re-plans the full temp list on
-//    every call, exactly as Figure 2 is written.
+//    every call, exactly as Figure 2 is written. Calendar (backfilling)
+//    rules always take it.
 //  * test_incremental() exploits the fact that non-calendar plans are a
 //    deterministic function of (task, cluster params, availability state):
 //    while the cluster's availability version is unchanged and the waiting
@@ -16,8 +17,8 @@
 //    insertion point has exactly the same inputs as the previous call, so
 //    its cached plans are reused and only the suffix is re-planned. A
 //    policy-order commit advances the cache in O(1) plans instead of
-//    invalidating it. The outcomes are bit-identical to test() (asserted
-//    when cross-check mode is on).
+//    invalidating it. The outcomes are bit-identical to test(); the
+//    driver's cross-check asserts it on what the driver adopts.
 //
 // Session state representation: a plan touches only k << N availability
 // entries, so the session stores one sparse delta per planned task - its k
@@ -45,9 +46,10 @@
 // session_memory()/peak_session_memory().
 //
 // The one driver (sched::AdmissionDriver, shared by the simulator and the
-// daemon's admission shard) does not pick among these itself: admit() runs
-// the test against its live Cluster or NodeCalendar, and commit_plan()
-// books an accepted plan back into it.
+// daemon's admission shard) picks the entry point by rule: test() over the
+// calendar's reservation ends for a calendar rule, test_incremental() over
+// its live Cluster for every other rule. commit_plan() books an accepted
+// plan back into the cluster or calendar.
 #pragma once
 
 #include <cstdint>
@@ -119,19 +121,6 @@ class AdmissionController {
                         const cluster::NodeCalendar* calendar = nullptr,
                         std::vector<cluster::NodeId> node_ids = {}) const;
 
-  /// The admission step shared by every driver: runs the Figure-2 test for
-  /// `new_task` against live state, picking its input there -
-  ///  * calendar rules: each node's release is the end of its last
-  ///    reservation in `calendar` (floored at `now`; required), full test();
-  ///  * `incremental`: the warm session over `cluster` (test_incremental);
-  ///  * otherwise the stateless test() over `cluster`'s availability row
-  ///    at `now` (Cluster::availability_into).
-  AdmissionOutcome admit(const workload::Task& new_task,
-                         const std::vector<const workload::Task*>& waiting,
-                         const cluster::ClusterParams& params,
-                         const cluster::Cluster& cluster,
-                         const cluster::NodeCalendar* calendar, Time now, bool incremental);
-
   /// Incremental Figure-2 test for non-calendar rules (throws
   /// std::logic_error when rule().uses_calendar()).
   ///
@@ -163,11 +152,6 @@ class AdmissionController {
   /// Drops the incremental session state (e.g. at the start of a run).
   void invalidate();
 
-  /// Debug mode: every test_incremental() also runs the full stateless
-  /// test() and throws std::logic_error unless the outcomes (acceptance,
-  /// reason, blocking task, and every plan, bitwise) are identical.
-  void set_cross_check(bool on) { cross_check_ = on; }
-
   /// Session availability-state footprint. `bytes` is what the delta stack,
   /// checkpoints and top_ actually hold (size-based, so it is
   /// deterministic); `dense_equivalent_bytes` is what the historical
@@ -187,15 +171,8 @@ class AdmissionController {
   void reset_session_stats() { peak_ = SessionMemory{}; }
 
  private:
-  void verify_against_full(const workload::Task& new_task,
-                           const std::vector<const workload::Task*>& waiting,
-                           const cluster::ClusterParams& params,
-                           const cluster::Cluster& cluster, Time now,
-                           const AdmissionOutcome& outcome) const;
-
   Policy policy_;
   const PartitionRule* rule_;
-  bool cross_check_ = false;
 
   // --- incremental session state (see test_incremental) ---
   // Storage position head_ + i corresponds to live waiting position i, so a
@@ -264,7 +241,6 @@ class AdmissionController {
   SessionMemory peak_;
 
   // Scratch reused across calls (no per-arrival allocation steady-state).
-  cluster::AvailabilityRow live_;              ///< admit(): stateless input
   /// The row the next plan reads: the live view, or a dense row. Holds row
   /// work_pos_ within a test_incremental call; scratch_merged_ records that
   /// a merged delta of the call's scratch suffix made it a row that exists

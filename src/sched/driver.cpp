@@ -2,31 +2,80 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace rtdls::sched {
 
 AdmissionDriver::AdmissionDriver(const cluster::ClusterParams& params, Policy policy,
-                                 const PartitionRule* rule, bool incremental)
-    : controller_(policy, rule), cluster_(params), incremental_(incremental) {
+                                 const PartitionRule* rule)
+    : controller_(policy, rule), cluster_(params) {
   if (rule->uses_calendar()) calendar_.emplace(params.node_count);
 }
 
 AdmissionOutcome AdmissionDriver::admit(const workload::Task& task, Time now) {
-  AdmissionOutcome outcome = controller_.admit(task, queue_.tasks, cluster_.params(), cluster_,
-                                               calendar(), now, incremental_);
-  if (!outcome.accepted) return outcome;
-  // The leading reused_prefix entries keep their plans and commit instants;
-  // the temp schedule replaces the rest, in policy order.
-  const std::size_t keep = outcome.reused_prefix;
-  queue_.tasks.resize(keep);
-  queue_.plans.resize(keep);
-  queue_.commit_at.resize(keep);
-  for (ScheduledTask& scheduled : outcome.schedule) {
-    queue_.tasks.push_back(scheduled.task);
-    queue_.commit_at.push_back(std::max(scheduled.plan->commit_time(), now));
-    queue_.plans.push_back(std::move(scheduled.plan));
+  // A calendar rule's admission is the full test itself: nothing to check.
+  std::optional<AdmissionOutcome> reference;
+  if (cross_check_ && !calendar_) reference = full_test(task, now);
+  AdmissionOutcome outcome =
+      calendar_ ? full_test(task, now)
+                : controller_.test_incremental(task, queue_.tasks, cluster_.params(),
+                                               cluster_, now);
+  if (outcome.accepted) {
+    // The leading reused_prefix entries keep their plans and commit
+    // instants; the temp schedule replaces the rest, in policy order.
+    const std::size_t keep = outcome.reused_prefix;
+    queue_.tasks.resize(keep);
+    queue_.plans.resize(keep);
+    queue_.commit_at.resize(keep);
+    for (ScheduledTask& scheduled : outcome.schedule) {
+      queue_.tasks.push_back(scheduled.task);
+      queue_.commit_at.push_back(std::max(scheduled.plan->commit_time(), now));
+      queue_.plans.push_back(std::move(scheduled.plan));
+    }
   }
+  if (reference) check_adopted(*reference, outcome);
   return outcome;
+}
+
+AdmissionOutcome AdmissionDriver::full_test(const workload::Task& task, Time now) const {
+  const cluster::ClusterParams& params = cluster_.params();
+  if (!calendar_) {
+    cluster::AvailabilityRow row;
+    cluster_.availability_into(now, row);
+    return controller_.test(&task, queue_.tasks, params, std::move(row.times), now,
+                            nullptr, std::move(row.ids));
+  }
+  // A node's release is the end of its last reservation (the calendar rule
+  // itself plans against the gaps).
+  std::vector<Time> free_times;
+  free_times.reserve(calendar_->size());
+  for (cluster::NodeId id = 0; id < calendar_->size(); ++id) {
+    const auto& busy = calendar_->busy(id);
+    free_times.push_back(std::max(now, busy.empty() ? now : busy.back().end));
+  }
+  return controller_.test(&task, queue_.tasks, params, std::move(free_times), now,
+                          calendar());
+}
+
+void AdmissionDriver::check_adopted(const AdmissionOutcome& reference,
+                                    const AdmissionOutcome& outcome) const {
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error(
+        "AdmissionDriver cross-check: the adopted queue differs from the full Figure-2 "
+        "test: " + what);
+  };
+  if (outcome.accepted != reference.accepted) fail("acceptance");
+  if (outcome.reason != reference.reason) fail("infeasibility reason");
+  if (outcome.blocking_task != reference.blocking_task) fail("blocking task");
+  if (!outcome.accepted) return;
+  if (waiting() != reference.schedule.size()) fail("queue length");
+  for (std::size_t i = 0; i < waiting(); ++i) {
+    const std::string at = " at queue position " + std::to_string(i);
+    if (queue_.tasks[i] != reference.schedule[i].task) fail("task" + at);
+    if (!(*queue_.plans[i] == *reference.schedule[i].plan)) fail("plan" + at);
+  }
 }
 
 std::size_t AdmissionDriver::commit_due(Time t, const CommitHook& hook) {

@@ -1,15 +1,17 @@
 // The admission driver: the Figure-2 lifecycle of a task, written once for
 // the simulator and the daemon's admission shard.
 //
-// An arriving task runs the schedulability test (AdmissionController::admit)
-// against the driver's live Cluster, or against the NodeCalendar of a
-// calendar rule. An accepted temp schedule replaces the waiting suffix it
-// re-planned, so a waiting task is re-planned by later arrivals until it
-// commits. Each waiting plan is due at commit_at = max(its commit_time(),
-// the `now` that adopted it). commit_due(t) books every plan due by t,
-// earliest commit_at first and ties by queue position, and tells the warm
-// session: it advances past a plan whose booked reservations are exactly
-// the plan's releases, and drops otherwise.
+// An arriving task runs the schedulability test: the warm session
+// (AdmissionController::test_incremental) over the driver's live Cluster, or
+// for a calendar rule the full test() over the NodeCalendar's reservation
+// ends. An accepted temp schedule replaces the waiting suffix it re-planned,
+// so a waiting task is re-planned by later arrivals until it commits. Each
+// waiting plan is due at commit_at = max(its commit_time(), the `now` that
+// adopted it). commit_due(t) books every plan due by t, earliest commit_at
+// first and ties by queue position, and tells the warm session: it advances
+// past a plan whose booked reservations are exactly the plan's releases, and
+// drops otherwise. The armed cross-check holds what the driver adopts, not
+// the session's copy, to the full test().
 //
 // The caller owns the clock and the tasks: it calls commit_due before it
 // moves its clock past a due instant, and keeps each admitted task alive
@@ -45,14 +47,22 @@ class AdmissionDriver {
     std::vector<Time> commit_at;  ///< max(plan commit_time(), adopting now)
   };
 
-  /// `rule` must outlive the driver. `incremental` selects the warm session
-  /// for non-calendar rules (see AdmissionController::admit).
+  /// `rule` must outlive the driver.
   AdmissionDriver(const cluster::ClusterParams& params, Policy policy,
-                  const PartitionRule* rule, bool incremental);
+                  const PartitionRule* rule);
 
-  /// Runs the Figure-2 test for `task` at `now`. On acceptance the outcome's
-  /// schedule moves into the queue, replacing the entries it re-planned.
+  /// Runs the Figure-2 test for `task` at `now`: test_incremental() over the
+  /// cluster, or for a calendar rule test() over each node's last
+  /// reservation end, floored at `now`. On acceptance the outcome's schedule
+  /// moves into the queue, replacing the entries it re-planned.
   AdmissionOutcome admit(const workload::Task& task, Time now);
+
+  /// Debug: each admit of a non-calendar rule also runs the full test() on
+  /// the pre-admission queue at the same `now`, and throws std::logic_error
+  /// unless the adopted result matches it: acceptance, reason and blocking
+  /// task, and on acceptance the task and the plan (bitwise) at every queue
+  /// position, the kept prefix included.
+  void set_cross_check(bool on) { cross_check_ = on; }
 
   /// Commits every waiting plan with commit_at <= t, earliest first, ties by
   /// queue position, calling `hook` after each. Returns how many committed.
@@ -82,12 +92,17 @@ class AdmissionDriver {
   const AdmissionController& controller() const { return controller_; }
 
  private:
+  /// The stateless test() of `task` against the queue at `now`.
+  AdmissionOutcome full_test(const workload::Task& task, Time now) const;
+  /// Throws unless the queue just adopted from `outcome` is `reference`.
+  void check_adopted(const AdmissionOutcome& reference,
+                     const AdmissionOutcome& outcome) const;
   void erase(std::size_t position);
 
   AdmissionController controller_;
   cluster::Cluster cluster_;
   std::optional<cluster::NodeCalendar> calendar_;
-  bool incremental_;
+  bool cross_check_ = false;
   Queue queue_;
   std::vector<cluster::NodeId> ids_;  ///< the committing plan's node ids
 };

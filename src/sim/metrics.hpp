@@ -68,7 +68,7 @@ struct SimMetrics {
   Time horizon = 0.0;
   std::size_t node_count = 0;
 
-  // --- admission session footprint (incremental mode only; 0 otherwise) ---
+  // --- admission session footprint (0 for calendar rules: no session) ---
   /// Peak bytes the admission session's sparse state (plan deltas +
   /// checkpoint rows + frontier) held during the run, and what the
   /// historical dense one-row-per-task representation would have held at the

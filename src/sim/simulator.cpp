@@ -46,9 +46,8 @@ SimObs& sim_obs() {
 ClusterSimulator::ClusterSimulator(SimulatorConfig config, const sched::Algorithm& algorithm)
     : config_(config),
       algorithm_(&algorithm),
-      driver_(config.params, algorithm.policy, algorithm.rule.get(),
-              config.incremental_admission) {
-  driver_.controller().set_cross_check(config_.cross_check_admission);
+      driver_(config.params, algorithm.policy, algorithm.rule.get()) {
+  driver_.set_cross_check(config_.cross_check_admission);
 }
 
 SimMetrics ClusterSimulator::run(const std::vector<workload::Task>& tasks, Time horizon) {

@@ -51,14 +51,9 @@ struct SimulatorConfig {
   /// completions; misses are counted in SimMetrics::deadline_misses.
   bool shared_link = false;
 
-  /// Use the incremental admission session for non-calendar rules (schedules
-  /// are identical to the full Figure-2 re-plan; see sched/admission.hpp).
-  /// Off: every arrival runs the full stateless test - the reference mode
-  /// the property tests compare against.
-  bool incremental_admission = true;
-
-  /// Debug: assert on every arrival that the incremental outcome matches
-  /// the full Figure-2 test bit-for-bit (throws std::logic_error if not).
+  /// Debug: on every arrival of a non-calendar rule, hold the waiting queue
+  /// the driver adopts to the full Figure-2 test, bit for bit (throws
+  /// std::logic_error if not; see sched::AdmissionDriver::set_cross_check).
   bool cross_check_admission = false;
 
   /// When non-null, every committed per-node reservation is appended to

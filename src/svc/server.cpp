@@ -91,9 +91,8 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
     Snapshot snapshot = read_snapshot(config_.restore_path);
     config_.algorithm = snapshot.meta.algorithm;
     config_.params = snapshot.meta.params;
-    config_.incremental = snapshot.meta.incremental;
     config_.shards = snapshot.shard_blobs.size();
-    ShardConfig shard_config{config_.params, config_.incremental, config_.record_ops};
+    ShardConfig shard_config{config_.params, config_.record_ops};
     shards_.reserve(config_.shards);
     for (const auto& blob : snapshot.shard_blobs) {
       auto slot = std::make_unique<ShardSlot>(config_.algorithm, shard_config);
@@ -105,7 +104,7 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
     counters_.restores.store(shards_.size(), std::memory_order_relaxed);
   } else {
     if (config_.shards == 0) throw std::invalid_argument("Daemon: need at least one shard");
-    ShardConfig shard_config{config_.params, config_.incremental, config_.record_ops};
+    ShardConfig shard_config{config_.params, config_.record_ops};
     shards_.reserve(config_.shards);
     for (std::size_t i = 0; i < config_.shards; ++i) {
       shards_.push_back(std::make_unique<ShardSlot>(config_.algorithm, shard_config));
@@ -213,7 +212,7 @@ std::size_t Daemon::snapshot_to(const std::string& path, Clock::time_point deadl
     slot->shard.snapshot_to(writer);
     blobs.push_back(writer.take());
   }
-  SnapshotMeta meta{config_.algorithm, config_.params, config_.incremental};
+  SnapshotMeta meta{config_.algorithm, config_.params};
   return write_snapshot(path, meta, blobs);
 }
 

@@ -17,8 +17,10 @@
 //
 // Crash recovery: DaemonConfig::restore_path rebuilds every shard from a
 // snapshot file (svc/snapshot.hpp); the restored daemon's future admit
-// decisions are bit-identical to the uninterrupted one. stop() writes a
-// final snapshot when snapshot_path is set, making SIGTERM lossless.
+// decisions are bit-identical to the uninterrupted one. A path that is not
+// a regular file, or a snapshot that holds no shard, fails with a typed
+// error before any shard is built. stop() writes a final snapshot when
+// snapshot_path is set, making SIGTERM lossless.
 #pragma once
 
 #include <atomic>
@@ -44,7 +46,6 @@ struct DaemonConfig {
   cluster::ClusterParams params;
   std::size_t shards = 4;
   std::size_t workers = 4;
-  bool incremental = true;
   bool record_ops = false;  ///< per-shard op logs (tests; unbounded memory)
   /// Default per-request wall-clock budget.
   std::uint32_t default_deadline_ms = 2000;
@@ -52,7 +53,7 @@ struct DaemonConfig {
   /// path); empty disables the final snapshot.
   std::string snapshot_path;
   /// Non-empty: restore every shard from this snapshot file at start; its
-  /// metadata overrides algorithm/params/incremental/shards.
+  /// metadata overrides algorithm/params/shards.
   std::string restore_path;
 };
 

@@ -41,7 +41,7 @@ std::string task_problem(const workload::Task& task) {
 AdmissionShard::AdmissionShard(const std::string& algorithm_name, const ShardConfig& config)
     : config_(config),
       algorithm_(sched::make_algorithm(algorithm_name)),
-      driver_(config.params, algorithm_.policy, algorithm_.rule.get(), config.incremental) {}
+      driver_(config.params, algorithm_.policy, algorithm_.rule.get()) {}
 
 std::size_t AdmissionShard::commit_due(cluster::Time t) {
   const std::size_t committed = driver_.commit_due(

@@ -7,8 +7,10 @@
 // shard itself is deliberately single-threaded: the controller and
 // partition rules carry per-instance scratch). Shards never touch each
 // other, so k shards give k-way request concurrency without any cross-shard
-// coordination. The shard itself checks requests, owns the admitted tasks,
-// keeps the counters and the op log, and snapshots and restores.
+// coordination. The driver admits through the warm session (the calendar
+// rule through the full test). The shard itself checks requests, owns the
+// admitted tasks, keeps the counters and the op log, and snapshots and
+// restores.
 //
 // Time model: the shard's clock `now()` only moves forward, driven by the
 // requests themselves - an admit at effective arrival max(record.arrival,
@@ -46,9 +48,6 @@ class ShardError : public std::runtime_error {
 
 struct ShardConfig {
   cluster::ClusterParams params;
-  /// Warm-session admission for non-calendar rules (bit-identical to the
-  /// stateless test by contract); calendar rules always use test().
-  bool incremental = true;
   /// Record every operation and its encoded reply (the differential tests'
   /// evidence). Off by default: a long-lived daemon must not grow without
   /// bound.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <system_error>
 
 #include "cluster/speed_profile.hpp"
 #include "util/wire.hpp"
@@ -35,7 +37,7 @@ std::size_t write_snapshot(const std::string& path, const SnapshotMeta& meta,
   const bool has_profile = meta.params.speed_profile != nullptr;
   out.u8(has_profile ? 1 : 0);
   if (has_profile) out.f64_array(meta.params.speed_profile->values());
-  out.u8(meta.incremental ? 1 : 0);
+  out.u8(1);  // reserved
   out.u32(static_cast<std::uint32_t>(shard_blobs.size()));
   for (const auto& blob : shard_blobs) {
     if (blob.size() > UINT32_MAX) throw std::runtime_error("snapshot: shard blob too large");
@@ -62,6 +64,11 @@ std::size_t write_snapshot(const std::string& path, const SnapshotMeta& meta,
 }
 
 Snapshot read_snapshot(const std::string& path) {
+  // A directory opens, and its tellg() reads as the largest streamsize.
+  std::error_code error;
+  if (!std::filesystem::is_regular_file(path, error)) {
+    throw std::runtime_error("snapshot: " + path + " is not a regular file");
+  }
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) throw std::runtime_error("snapshot: cannot open " + path);
   const std::streamsize size = file.tellg();
@@ -96,8 +103,11 @@ Snapshot read_snapshot(const std::string& path) {
     snapshot.meta.params.speed_profile =
         std::make_shared<cluster::SpeedProfile>(in.f64_array());
   }
-  snapshot.meta.incremental = in.u8() != 0;
+  in.u8();  // reserved
   const std::uint32_t shard_count = in.u32();
+  if (shard_count == 0) {
+    throw std::runtime_error("snapshot: " + path + " holds no shards");
+  }
   // Each blob costs at least its 4-byte length prefix; a count implying
   // more bytes than remain is malformed, caught before reserving.
   if (static_cast<std::size_t>(shard_count) * 4 > in.remaining()) {

@@ -7,8 +7,9 @@
 //   string    algorithm name
 //   u64       node_count, f64 cms, f64 cps     (cluster params)
 //   u8        has speed profile; if set, f64_array of per-node cps
-//   u8        incremental admission flag
-//   u32       shard count
+//   u8        reserved: written 1, ignored on read (a former admission-mode
+//             flag, so files written with 0 still restore)
+//   u32       shard count (at least 1)
 //   bytes     per shard: u32-length-prefixed blob (AdmissionShard format)
 //   u64       FNV-1a 64 over everything above (truncation/corruption check)
 //
@@ -28,7 +29,6 @@ namespace rtdls::svc {
 struct SnapshotMeta {
   std::string algorithm;
   cluster::ClusterParams params;
-  bool incremental = true;
 };
 
 struct Snapshot {
@@ -41,9 +41,10 @@ struct Snapshot {
 std::size_t write_snapshot(const std::string& path, const SnapshotMeta& meta,
                            const std::vector<std::vector<std::uint8_t>>& shard_blobs);
 
-/// Reads and verifies a snapshot file. Throws std::runtime_error on I/O
-/// failure, bad magic/version, or checksum mismatch; util::WireError on
-/// malformed content.
+/// Reads and verifies a snapshot file. Throws std::runtime_error, its
+/// message starting "snapshot:", when `path` is not a regular file, on I/O
+/// failure, bad magic/version, checksum mismatch or a shard count of 0;
+/// util::WireError on malformed content.
 Snapshot read_snapshot(const std::string& path);
 
 }  // namespace rtdls::svc

@@ -14,7 +14,6 @@
 
 #include "batch_storm.hpp"
 #include "cluster/cluster.hpp"
-#include "sim/schedule_log.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
 #include "workload/rng.hpp"
@@ -232,51 +231,23 @@ workload::WorkloadParams large_cluster_params(std::uint64_t seed, double load,
   return params;
 }
 
-/// Incremental session (with the controller's full-test cross-check armed,
-/// which throws on any divergence) vs the stateless Figure-2 reference:
-/// every counter and every committed reservation must agree bit for bit.
+/// The simulator with the driver's cross-check armed, which throws unless
+/// every waiting queue it adopts equals the full Figure-2 test's schedule,
+/// task for task and plan for plan, bit for bit.
 void expect_identical_schedules_at_512(const std::string& algorithm,
                                        const workload::WorkloadParams& params,
                                        sim::ReleasePolicy release_policy) {
   const auto tasks = workload::generate_workload(params);
+  sim::SimulatorConfig config;
+  config.params = params.cluster;
+  config.release_policy = release_policy;
+  config.cross_check_admission = true;
+  const sim::SimMetrics metrics =
+      sim::simulate(config, algorithm, tasks, params.total_time);
 
-  sim::ScheduleLog incremental_log;
-  sim::SimulatorConfig incremental_config;
-  incremental_config.params = params.cluster;
-  incremental_config.release_policy = release_policy;
-  incremental_config.incremental_admission = true;
-  incremental_config.cross_check_admission = true;
-  incremental_config.schedule_log = &incremental_log;
-
-  sim::ScheduleLog full_log;
-  sim::SimulatorConfig full_config = incremental_config;
-  full_config.incremental_admission = false;
-  full_config.cross_check_admission = false;
-  full_config.schedule_log = &full_log;
-
-  const sim::SimMetrics inc =
-      sim::simulate(incremental_config, algorithm, tasks, params.total_time);
-  const sim::SimMetrics full =
-      sim::simulate(full_config, algorithm, tasks, params.total_time);
-
-  ASSERT_EQ(inc.accepted, full.accepted) << algorithm;
-  ASSERT_EQ(inc.rejected, full.rejected) << algorithm;
-  ASSERT_EQ(inc.reject_reasons, full.reject_reasons) << algorithm;
-  ASSERT_EQ(inc.deadline_misses, full.deadline_misses) << algorithm;
-  EXPECT_EQ(inc.response_time.mean(), full.response_time.mean()) << algorithm;
-  EXPECT_EQ(inc.busy_time, full.busy_time) << algorithm;
-  EXPECT_EQ(inc.idle_gap_time, full.idle_gap_time) << algorithm;
-
-  ASSERT_EQ(incremental_log.size(), full_log.size()) << algorithm;
-  for (std::size_t i = 0; i < incremental_log.size(); ++i) {
-    const sim::ScheduleEntry& a = incremental_log.entries()[i];
-    const sim::ScheduleEntry& b = full_log.entries()[i];
-    ASSERT_EQ(a.task, b.task) << algorithm << " entry " << i;
-    ASSERT_EQ(a.node, b.node) << algorithm << " entry " << i;
-    ASSERT_EQ(a.start, b.start) << algorithm << " entry " << i;
-    ASSERT_EQ(a.end, b.end) << algorithm << " entry " << i;
-    ASSERT_EQ(a.alpha, b.alpha) << algorithm << " entry " << i;
-  }
+  EXPECT_EQ(metrics.accepted + metrics.rejected, tasks.size()) << algorithm;
+  EXPECT_GT(metrics.accepted, 0u) << algorithm;
+  EXPECT_EQ(metrics.deadline_misses, 0u) << algorithm;
 }
 
 TEST(AvailabilityIndexLargeN, IncrementalMatchesFullAt512Nodes) {

@@ -8,10 +8,12 @@
 // `csv:` speed profiles holding lognormal:0.5 draws), so libm differences in
 // workload or profile generation cannot move the digest:
 //  * simulator: EDF/FIFO x every registered rule x homogeneous/het x release
-//    estimate/actual, at N=16 and N=1024; the stateless (full re-plan)
-//    admission path at N=16; shared-link and -IO20 (output_ratio 0.2) runs;
+//    estimate/actual, at N=16 (with the driver's cross-check armed for every
+//    non-calendar rule, so each adopted queue is also held to the full
+//    Figure-2 test) and N=1024; shared-link and -IO20 (output_ratio 0.2) runs;
 //  * admission shard: a fixed admit/commit/cancel sequence for EDF/FIFO x
-//    DLT/MR2/OPR-MN-BF x homogeneous/het, incremental and stateless.
+//    DLT/MR2/OPR-MN-BF x homogeneous/het. Its lines keep the "/incremental"
+//    label they had while a stateless admission mode existed.
 //
 // A simulator line carries the outcome metrics (accepted, rejected, reject
 // reasons, deadline misses, Theorem-4 violations, the RunningStats means
@@ -266,10 +268,8 @@ std::vector<std::uint8_t> encoded(const Reply& reply) {
 /// Requests for tasks no longer waiting fail with a ShardError, whose code
 /// is part of the stream too.
 Line drive_shard(const std::string& config_name, const std::string& algorithm,
-                 const cluster::ClusterParams& params, bool incremental) {
-  svc::ShardConfig config{params};
-  config.incremental = incremental;
-  svc::AdmissionShard shard(algorithm, config);
+                 const cluster::ClusterParams& params) {
+  svc::AdmissionShard shard(algorithm, svc::ShardConfig{params});
   const std::vector<workload::Task>& tasks = corpus(16).tasks;
 
   Windows windows;
@@ -321,9 +321,9 @@ Line drive_shard(const std::string& config_name, const std::string& algorithm,
   return line;
 }
 
-/// Every rule x EDF/FIFO x hom/het at `nodes`: release estimate and actual
-/// through the incremental session, or (`stateless`) the full re-plan path.
-std::vector<Line> simulator_part(std::size_t nodes, bool stateless) {
+/// Every rule x EDF/FIFO x hom/het at `nodes`, release estimate and actual;
+/// `cross_check` arms the driver's cross-check (a no-op for calendar rules).
+std::vector<Line> simulator_part(std::size_t nodes, bool cross_check) {
   const Corpus& input = corpus(nodes);
   const std::string n = std::string("n") + std::to_string(nodes);
   std::vector<Line> lines;
@@ -333,13 +333,8 @@ std::vector<Line> simulator_part(std::size_t nodes, bool stateless) {
         const std::string algorithm = std::string(policy) + "-" + rule;
         sim::SimulatorConfig config;
         config.params = std::string(speeds) == "het" ? input.het : input.hom;
+        config.cross_check_admission = cross_check;
         const std::string base = "sim/" + n + "/" + speeds + "/" + algorithm + "/";
-        if (stateless) {
-          if (rule == "OPR-MN-BF") continue;  // calendar rules are always stateless
-          config.incremental_admission = false;
-          lines.push_back(simulate(base + "stateless", config, algorithm, input.tasks));
-          continue;
-        }
         lines.push_back(simulate(base + "estimate", config, algorithm, input.tasks));
         config.release_policy = sim::ReleasePolicy::kActual;
         lines.push_back(simulate(base + "actual", config, algorithm, input.tasks));
@@ -378,11 +373,9 @@ std::vector<Line> shard_part() {
         const std::string algorithm = std::string(policy) + "-" + rule;
         const cluster::ClusterParams& params =
             std::string(speeds) == "het" ? input.het : input.hom;
-        for (bool incremental : {true, false}) {
-          lines.push_back(drive_shard(std::string("shard/") + speeds + "/" + algorithm + "/" +
-                                          (incremental ? "incremental" : "stateless"),
-                                      algorithm, params, incremental));
-        }
+        lines.push_back(drive_shard(
+            std::string("shard/") + speeds + "/" + algorithm + "/incremental", algorithm,
+            params));
       }
     }
   }
@@ -474,11 +467,7 @@ void check_part(const std::string& part, const std::vector<Line>& lines) {
   }
 }
 
-TEST(BehaviourDigest, SimulatorN16) { check_part("sim_n16", simulator_part(16, false)); }
-
-TEST(BehaviourDigest, SimulatorN16Stateless) {
-  check_part("sim_n16_stateless", simulator_part(16, true));
-}
+TEST(BehaviourDigest, SimulatorN16) { check_part("sim_n16", simulator_part(16, true)); }
 
 TEST(BehaviourDigest, SimulatorN1024) {
   check_part("sim_n1024", simulator_part(1024, false));

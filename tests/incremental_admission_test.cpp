@@ -1,12 +1,15 @@
 // Property tests for the incremental admission session (sched/admission):
-// on randomized workloads the incremental simulator must produce schedules
-// BIT-IDENTICAL to the full Figure-2 re-plan, for both policies, with and
-// without calendar (backfilling) rules, and the parallel sweep runner must
-// be byte-identical to the serial one.
+// on randomized workloads every queue the simulator's driver adopts must be
+// BIT-IDENTICAL to the full Figure-2 re-plan (the armed cross-check), for
+// both policies; calendar (backfilling) rules must take the full test; and
+// the parallel sweep runner must be byte-identical to the serial one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "exp/runner.hpp"
-#include "sim/schedule_log.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
 
@@ -23,59 +26,27 @@ workload::WorkloadParams random_params(std::uint64_t seed, double load, double d
   return params;
 }
 
-/// Runs `algorithm` over `tasks` twice - incremental session (with the
-/// controller's own full-test cross-check armed) and full stateless test -
-/// and asserts every committed reservation and every counter agrees.
-void expect_identical_schedules(const std::string& algorithm,
-                                const workload::WorkloadParams& params,
-                                sim::ReleasePolicy release_policy) {
+/// Runs `algorithm` over `tasks` with the driver's cross-check armed: every
+/// arrival of a non-calendar rule holds the waiting queue the driver adopts
+/// to the full Figure-2 test, bit for bit, and throws on any divergence.
+/// Then the paper's two promises: no deadline miss, no Theorem-4 violation.
+sim::SimMetrics expect_identical_schedules(const std::string& algorithm,
+                                           const workload::WorkloadParams& params,
+                                           sim::ReleasePolicy release_policy) {
   const auto tasks = workload::generate_workload(params);
+  sim::SimulatorConfig config;
+  config.params = params.cluster;
+  config.release_policy = release_policy;
+  config.cross_check_admission = true;
+  const sim::SimMetrics metrics =
+      sim::simulate(config, algorithm, tasks, params.total_time);
 
-  sim::ScheduleLog incremental_log;
-  sim::SimulatorConfig incremental_config;
-  incremental_config.params = params.cluster;
-  incremental_config.release_policy = release_policy;
-  incremental_config.incremental_admission = true;
-  incremental_config.cross_check_admission = true;  // throws on any divergence
-  incremental_config.schedule_log = &incremental_log;
-
-  sim::ScheduleLog full_log;
-  sim::SimulatorConfig full_config = incremental_config;
-  full_config.incremental_admission = false;
-  full_config.cross_check_admission = false;
-  full_config.schedule_log = &full_log;
-
-  const sim::SimMetrics inc = sim::simulate(incremental_config, algorithm, tasks,
-                                            params.total_time);
-  const sim::SimMetrics full = sim::simulate(full_config, algorithm, tasks,
-                                             params.total_time);
-
-  ASSERT_EQ(inc.arrivals, full.arrivals);
-  ASSERT_EQ(inc.accepted, full.accepted) << algorithm;
-  ASSERT_EQ(inc.rejected, full.rejected) << algorithm;
-  ASSERT_EQ(inc.reject_reasons, full.reject_reasons);
-  ASSERT_EQ(inc.theorem4_violations, full.theorem4_violations);
-  ASSERT_EQ(inc.deadline_misses, full.deadline_misses);
-  // Bitwise equality on the streamed statistics: identical schedules feed
-  // identical observation sequences.
-  EXPECT_EQ(inc.response_time.mean(), full.response_time.mean());
-  EXPECT_EQ(inc.wait_time.mean(), full.wait_time.mean());
-  EXPECT_EQ(inc.deadline_slack.mean(), full.deadline_slack.mean());
-  EXPECT_EQ(inc.busy_time, full.busy_time);
-  EXPECT_EQ(inc.idle_gap_time, full.idle_gap_time);
-
-  // Every committed per-node reservation, in commit order, bit for bit.
-  ASSERT_EQ(incremental_log.size(), full_log.size()) << algorithm;
-  for (std::size_t i = 0; i < incremental_log.size(); ++i) {
-    const sim::ScheduleEntry& a = incremental_log.entries()[i];
-    const sim::ScheduleEntry& b = full_log.entries()[i];
-    ASSERT_EQ(a.task, b.task) << algorithm << " entry " << i;
-    ASSERT_EQ(a.node, b.node) << algorithm << " entry " << i;
-    ASSERT_EQ(a.usable_from, b.usable_from) << algorithm << " entry " << i;
-    ASSERT_EQ(a.start, b.start) << algorithm << " entry " << i;
-    ASSERT_EQ(a.end, b.end) << algorithm << " entry " << i;
-    ASSERT_EQ(a.alpha, b.alpha) << algorithm << " entry " << i;
-  }
+  EXPECT_EQ(metrics.arrivals, tasks.size()) << algorithm;
+  EXPECT_EQ(metrics.accepted + metrics.rejected, metrics.arrivals) << algorithm;
+  EXPECT_GT(metrics.accepted, 0u) << algorithm;
+  EXPECT_EQ(metrics.theorem4_violations, 0u) << algorithm;
+  EXPECT_EQ(metrics.deadline_misses, 0u) << algorithm;
+  return metrics;
 }
 
 TEST(IncrementalAdmission, MatchesFullReplanAcrossRandomWorkloads) {
@@ -110,13 +81,19 @@ TEST(IncrementalAdmission, MatchesFullReplanUnderEarlyRelease) {
 
 TEST(IncrementalAdmission, CalendarRulesTakeTheFullTestPath) {
   // Backfilling rules cannot use the incremental session (plans depend on
-  // the whole reservation calendar); the simulator must route them through
-  // the full test and still produce identical schedules with the
-  // incremental flag on or off.
-  expect_identical_schedules("EDF-OPR-MN-BF", random_params(5, 0.8, 10.0),
-                             sim::ReleasePolicy::kEstimate);
-  expect_identical_schedules("FIFO-OPR-MN-BF", random_params(9, 0.8, 10.0),
-                             sim::ReleasePolicy::kEstimate);
+  // the whole reservation calendar): the driver routes them through the
+  // full test, so no session is ever built or holds a byte.
+  const obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t rebuilds_before =
+      registry.counter_value("rtdls_admission_session_rebuilds_total");
+  for (const auto& [algorithm, seed] :
+       {std::pair{"EDF-OPR-MN-BF", 5}, std::pair{"FIFO-OPR-MN-BF", 9}}) {
+    const sim::SimMetrics metrics = expect_identical_schedules(
+        algorithm, random_params(seed, 0.8, 10.0), sim::ReleasePolicy::kEstimate);
+    EXPECT_EQ(metrics.admission_peak_bytes, 0u) << algorithm;
+  }
+  EXPECT_EQ(registry.counter_value("rtdls_admission_session_rebuilds_total"),
+            rebuilds_before);
 }
 
 TEST(IncrementalAdmission, SimulatorInstanceIsReusableAcrossRuns) {

@@ -358,8 +358,8 @@ TEST(BackfillFixedPoint, RuleExposesAndResetsFallbackCounter) {
 /// Overloaded bursts with deadlines tight enough that waiting tasks' slack
 /// runs out at the availability front, so the rules' first-position hard
 /// rejections fire inside suffix re-plans. The armed cross-check throws on
-/// ANY divergence (acceptance, reason, blocking task, every plan bitwise)
-/// from the stateless Figure-2 test.
+/// ANY divergence (acceptance, reason, blocking task, every adopted plan
+/// bitwise) from the stateless Figure-2 test.
 class PlannerKernelSims
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
@@ -382,7 +382,6 @@ TEST_P(PlannerKernelSims, ScreenedIncrementalMatchesUnscreenedReference) {
     ASSERT_TRUE(config.params.heterogeneous());
   }
   const bool calendar_rule = algorithm.find("-BF") != std::string::npos;
-  config.incremental_admission = !calendar_rule;
   config.cross_check_admission = !calendar_rule;
 
   const sim::SimMetrics metrics =

@@ -196,7 +196,6 @@ TEST(StreamingReplay, RunStreamMatchesRunBitForBit) {
   for (const char* algorithm : {"EDF-DLT", "FIFO-MR2"}) {
     sim::SimulatorConfig config;
     config.params = {.node_count = 32, .cms = 1.0, .cps = 100.0};
-    config.incremental_admission = true;
 
     sim::ScheduleLog vector_log;
     config.schedule_log = &vector_log;

@@ -1,5 +1,6 @@
 // rtdlsd subsystem tests: snapshot -> kill -> restore bit-identity at shard
-// and socket level, the concurrent-vs-serial op-log differential, per-request
+// and socket level, the snapshot container's refusals and its reserved byte,
+// the concurrent-vs-serial op-log differential, per-request
 // deadlines under a deliberately hung request, and protocol-error survival
 // over a real socket.
 #include <gtest/gtest.h>
@@ -13,7 +14,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -455,19 +460,119 @@ TEST(SvcShard, RestoreRejectsAnImpossibleCommitInstantBeforeChangingState) {
   EXPECT_EQ(good, snapshot_bytes(restored));
 }
 
-TEST(SvcShard, StatelessSessionsMatchIncremental) {
-  // The warm session is a pure cache: the same op script through
-  // incremental and stateless shards must produce identical outcomes.
-  ShardConfig incremental;
-  incremental.params.node_count = 8;
-  ShardConfig stateless = incremental;
-  stateless.incremental = false;
+// --- the snapshot container --------------------------------------------------
 
-  AdmissionShard a("EDF-DLT", incremental);
-  AdmissionShard b("EDF-DLT", stateless);
-  for (const TestOp& op : scripted_ops(40)) {
-    EXPECT_EQ(apply_op(a, op), apply_op(b, op));
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Recomputes the FNV-1a trailer over an edited container.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::size_t payload = bytes.size() - 8;
+  const std::uint64_t sum = util::fnv1a64(bytes.data(), payload);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[payload + i] = static_cast<std::uint8_t>(sum >> (8 * i));
   }
+}
+
+/// The shard config of the one-shard containers below.
+ShardConfig container_config() {
+  ShardConfig config;
+  config.params.node_count = 8;
+  return config;
+}
+
+/// Writes a one-shard EDF-DLT container, taken after the first half of
+/// scripted_ops(40), to `path` and returns its bytes.
+std::vector<std::uint8_t> write_container(const std::string& path) {
+  AdmissionShard shard("EDF-DLT", container_config());
+  const std::vector<TestOp> ops = scripted_ops(40);
+  for (std::size_t i = 0; i < 20; ++i) apply_op(shard, ops[i]);
+  write_snapshot(path, SnapshotMeta{"EDF-DLT", container_config().params},
+                 {snapshot_bytes(shard)});
+  return read_file(path);
+}
+
+TEST(SvcSnapshot, ReadRefusesMalformedContainers) {
+  const std::vector<std::uint8_t> good = write_container(test_file("good.snap"));
+  ASSERT_NO_THROW((void)read_snapshot(test_file("good.snap")));
+  std::vector<std::uint8_t> bad_magic = good;
+  bad_magic[0] = 'X';
+  std::vector<std::uint8_t> flipped = good;
+  flipped[flipped.size() / 2] ^= 0x01;
+  std::vector<std::uint8_t> version2 = good;
+  version2[8] = 2;  // the u16 after the magic
+  version2[9] = 0;
+  reseal(version2);
+  write_file(test_file("magic.snap"), bad_magic);
+  write_file(test_file("flipped.snap"), flipped);
+  write_file(test_file("truncated.snap"), {good.begin(), good.end() - 9});
+  write_file(test_file("version2.snap"), version2);
+  std::filesystem::create_directory(test_file("snapshot_dir"));
+  const SnapshotMeta meta{"EDF-DLT", container_config().params};
+  write_snapshot(test_file("zero.snap"), meta, {});
+
+  const std::pair<const char*, std::string> rows[] = {
+      {"bad magic", test_file("magic.snap")},
+      {"one flipped body byte", test_file("flipped.snap")},
+      {"truncated", test_file("truncated.snap")},
+      {"container version 2", test_file("version2.snap")},
+      {"zero shards", test_file("zero.snap")},
+      {"a directory", test_file("snapshot_dir")},
+  };
+  for (const auto& [name, path] : rows) {
+    SCOPED_TRACE(name);
+    try {
+      (void)read_snapshot(path);
+      ADD_FAILURE() << "read_snapshot accepted it";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("snapshot:", 0), 0u) << error.what();
+    }
+    std::filesystem::remove(path);
+  }
+  std::filesystem::remove(test_file("good.snap"));
+}
+
+TEST(SvcSnapshot, AReservedByteOfZeroRestoresLikeOne) {
+  // The byte after the cluster params was the admission-mode flag; a
+  // daemon run with the stateless mode wrote 0 there. Such a file restores,
+  // and the restored daemon answers byte-identically to the same file with 1.
+  const std::string one = test_file("reserved1.snap");
+  const std::string zero = test_file("reserved0.snap");
+  std::vector<std::uint8_t> bytes = write_container(one);
+  // magic, version, the algorithm string, three 8-byte params, has-profile.
+  const std::size_t reserved = 8 + 2 + 4 + std::string("EDF-DLT").size() + 24 + 1;
+  ASSERT_EQ(bytes[reserved], 1u);
+  bytes[reserved] = 0;
+  reseal(bytes);
+  write_file(zero, bytes);
+
+  const std::vector<TestOp> ops = scripted_ops(40);
+  std::vector<std::vector<std::string>> answers;
+  for (const std::string& file : {one, zero}) {
+    DaemonConfig config;
+    config.socket_path = test_socket("reserved");  // never bound: not started
+    config.restore_path = file;
+    Daemon daemon(std::move(config));
+    ASSERT_EQ(daemon.shard_count(), 1u);
+    std::lock_guard<std::timed_mutex> lock(daemon.shard_mutex(0));
+    std::vector<std::string>& replies = answers.emplace_back();
+    for (std::size_t i = 20; i < ops.size(); ++i) {
+      replies.push_back(apply_op(daemon.shard(0), ops[i]));
+    }
+    const std::vector<std::uint8_t> state = snapshot_bytes(daemon.shard(0));
+    replies.emplace_back(state.begin(), state.end());
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+  ::unlink(one.c_str());
+  ::unlink(zero.c_str());
 }
 
 // --- daemon-level restore over the socket -----------------------------------
@@ -542,7 +647,7 @@ TEST(SvcDaemon, ConcurrentClientsMatchSerialReplay) {
   config.shards = 1;
   config.workers = 4;
   config.record_ops = true;
-  const ShardConfig replay_config{config.params, config.incremental, false};
+  const ShardConfig replay_config{config.params, false};
   Daemon daemon(std::move(config));
   daemon.start();
 

@@ -495,10 +495,6 @@ int cmd_daemon(int argc, const char* const* argv) {
                   "restore shards from this snapshot file at start (its metadata "
                   "overrides --algorithm/--nodes/--shards)",
                   "", false});
-  cli.add_option({"stateless",
-                  "run the stateless Figure-2 test per admit instead of warm "
-                  "incremental sessions",
-                  "", true});
   add_trace_option(cli);
   cli.add_option({"help", "show usage", "", true});
   if (!cli.parse(argc, argv) || cli.get_flag("help")) {
@@ -527,7 +523,6 @@ int cmd_daemon(int argc, const char* const* argv) {
   config.default_deadline_ms = static_cast<std::uint32_t>(cli.get_int("deadline-ms", 2000));
   config.snapshot_path = cli.get("snapshot").value_or("");
   config.restore_path = cli.get("restore").value_or("");
-  config.incremental = !cli.get_flag("stateless");
 
   svc::Daemon daemon(std::move(config));
   install_signal_handlers();
@@ -535,8 +530,7 @@ int cmd_daemon(int argc, const char* const* argv) {
   const svc::DaemonConfig& live = daemon.config();
   RTDLS_LOG(kInfo) << "rtdlsd: " << live.algorithm << " on " << live.socket_path << " - "
                    << daemon.shard_count() << " shard(s) x " << live.params.node_count
-                   << " nodes, " << live.workers << " worker(s), "
-                   << (live.incremental ? "incremental" : "stateless") << " sessions";
+                   << " nodes, " << live.workers << " worker(s)";
   if (!live.restore_path.empty()) {
     RTDLS_LOG(kInfo) << "rtdlsd: restored " << daemon.shard_count() << " shard(s) from "
                      << live.restore_path;
