@@ -6,12 +6,18 @@
 // of index repositions (70% commits moving entries forward, 30% early
 // releases moving them back) is replayed against the index and timed. The
 // op list is generated up front from a side array, so the timed loop
-// contains nothing but update() calls - each a batch of one - and a
-// running max/sum of the depth each returns: the entries it shifted. A
-// bucket holds at most 128 entries, so a single update's compaction shifts
-// at most the 127 after its old position and its merge (or split) at most
-// the 128 behind its new one; CI gates the max depth at 256 whatever N is.
-// ns/update is reported for information.
+// contains nothing but update() calls - each a batch of one - with a
+// running max/sum of the depth each returns (the entries it shifted), and,
+// after every 64th update, a view opened at a clock that creeps with the
+// storm's window (half of it), so the watermark pops timeline entries into
+// the floored partition; the 256th view of every 1,024 steps the clock
+// back to a tenth, which puts floored nodes back in the timeline. A bucket
+// holds at most 128 entries, so a single update's compaction shifts at
+// most the 127 after its old position and its merge (or split) at most the
+// 128 behind its new one; CI gates the max depth at 256 whatever N is.
+// After the timed loop the index must be consistent with the storm's side
+// array, or the program exits 1. ns/update, views included, is reported
+// for information.
 //
 // Part 2 - streamed replay, RTDLS_REPLAY_TASKS (1e6) tasks: a trace CSV
 // (about 30 MB at 1e6 rows) is *written row by row* to a temp file under
@@ -86,31 +92,49 @@ struct UpdateOp {
   Time to = 0.0;
 };
 
-/// Precomputes the storm from a side array so the timed loops below are pure
-/// update() calls. Forward moves land uniformly across the live window
-/// (typical commit: free-now -> released-late); backward moves model early
-/// releases. Times sit on a coarse grid so duplicate keys (the id tie-break
-/// path) occur throughout.
-std::vector<UpdateOp> make_storm(std::size_t nodes, std::size_t updates) {
+/// Updates between two views of the storm, and the view of each cycle of
+/// kViewCycle that steps the clock back.
+constexpr std::size_t kUpdatesPerView = 64;
+constexpr std::size_t kViewCycle = 1024;
+constexpr std::size_t kBackView = 255;
+
+/// The storm's repositions and its view clocks: clocks[j] is opened after
+/// update (j + 1) * kUpdatesPerView - 1.
+struct Storm {
   std::vector<UpdateOp> ops;
-  ops.reserve(updates);
-  std::vector<Time> free_times(nodes, 0.0);
+  std::vector<Time> clocks;
+  std::vector<Time> free_times;  ///< every node's release time at the end
+};
+
+/// Precomputes the storm from a side array so the timed loops below are pure
+/// update() calls and view opens. Forward moves land uniformly across the
+/// live window (typical commit: free-now -> released-late); backward moves
+/// model early releases. Times sit on a coarse grid so duplicate keys (the
+/// id tie-break path) occur throughout.
+Storm make_storm(std::size_t nodes, std::size_t updates) {
+  Storm storm;
+  storm.ops.reserve(updates);
+  storm.free_times.assign(nodes, 0.0);
   workload::Xoshiro256StarStar rng(0xC0FFEE);
   Time window = 1000.0;
   for (std::size_t i = 0; i < updates; ++i) {
     UpdateOp op;
     op.node = static_cast<NodeId>(rng() % nodes);
-    op.from = free_times[op.node];
+    op.from = storm.free_times[op.node];
     if (rng.next_double() < 0.70) {
       op.to = op.from + 1.0 + std::floor(rng.next_double() * window);
       window += 2.0;  // the live window creeps forward like a real replay clock
     } else {
       op.to = std::floor(op.from * (0.2 + 0.7 * rng.next_double()));
     }
-    free_times[op.node] = op.to;
-    ops.push_back(op);
+    storm.free_times[op.node] = op.to;
+    storm.ops.push_back(op);
+    if ((i + 1) % kUpdatesPerView == 0) {
+      const bool back = storm.clocks.size() % kViewCycle == kBackView;
+      storm.clocks.push_back(std::floor(window * (back ? 0.1 : 0.5)));
+    }
   }
-  return ops;
+  return storm;
 }
 
 struct StormResult {
@@ -119,17 +143,22 @@ struct StormResult {
   double mean_depth = 0.0;
 };
 
-StormResult run_storm(AvailabilityIndex& index, const std::vector<UpdateOp>& ops) {
+StormResult run_storm(AvailabilityIndex& index, const Storm& storm) {
   std::size_t max_depth = 0;
   std::size_t total_depth = 0;
+  AvailabilityIndex::ViewCursor cursor;
   const auto start = std::chrono::steady_clock::now();
-  for (const UpdateOp& op : ops) {
+  for (std::size_t i = 0; i < storm.ops.size(); ++i) {
+    const UpdateOp& op = storm.ops[i];
     const std::size_t depth = index.update(op.node, op.from, op.to);
     max_depth = std::max(max_depth, depth);
     total_depth += depth;
+    if ((i + 1) % kUpdatesPerView == 0) {
+      index.open_view(storm.clocks[i / kUpdatesPerView], /*with_ids=*/false, cursor);
+    }
   }
   const auto end = std::chrono::steady_clock::now();
-  const double count = static_cast<double>(ops.size());
+  const double count = static_cast<double>(storm.ops.size());
   const double ns = std::chrono::duration<double, std::nano>(end - start).count();
   return {ns / count, max_depth, static_cast<double>(total_depth) / count};
 }
@@ -243,24 +272,21 @@ int main(int argc, char** argv) {
   // --- commit path ----------------------------------------------------------
   std::printf("replay_storm: commit-path storm, N=%zu nodes x %zu updates\n", index_nodes,
               updates);
-  const std::vector<UpdateOp> ops = make_storm(index_nodes, updates);
+  const Storm storm = make_storm(index_nodes, updates);
 
   AvailabilityIndex index;
   index.reset(index_nodes);
-  const StormResult storm = run_storm(index, ops);
+  const StormResult timed = run_storm(index, storm);
 
-  // The index must mirror the storm's final state (cheap good-faith check,
-  // outside the timing).
-  {
-    std::vector<Time> free_times(index_nodes, 0.0);
-    for (const UpdateOp& op : ops) free_times[op.node] = op.to;
-    if (!index.consistent_with(free_times)) {
-      std::fprintf(stderr, "replay_storm: index diverged from the storm's final state\n");
-      return 1;
-    }
+  // The index must mirror the storm's final state, its partition at the last
+  // view's clock included (outside the timing).
+  if (!index.consistent_with(storm.free_times)) {
+    std::fprintf(stderr, "replay_storm: index diverged from the storm's final state\n");
+    return 1;
   }
-  std::printf("commit path: %.0f ns/update, depth max %zu, mean %.2f entries shifted\n",
-              storm.ns_per_update, storm.max_depth, storm.mean_depth);
+  std::printf("commit path: %.0f ns/update (%zu views), depth max %zu, mean %.2f entries "
+              "shifted\n",
+              timed.ns_per_update, storm.clocks.size(), timed.max_depth, timed.mean_depth);
 
   // --- streamed replay ------------------------------------------------------
   const char* tmpdir = std::getenv("TMPDIR");
@@ -289,9 +315,9 @@ int main(int argc, char** argv) {
       << "  \"commit_path\": {\n"
       << "    \"index_nodes\": " << index_nodes << ",\n"
       << "    \"updates\": " << updates << ",\n"
-      << "    \"ns_per_update\": " << storm.ns_per_update << ",\n"
-      << "    \"max_depth\": " << storm.max_depth << ",\n"
-      << "    \"mean_depth\": " << storm.mean_depth << "\n"
+      << "    \"ns_per_update\": " << timed.ns_per_update << ",\n"
+      << "    \"max_depth\": " << timed.max_depth << ",\n"
+      << "    \"mean_depth\": " << timed.mean_depth << "\n"
       << "  },\n";
   write_leg(out, "streamed_replay", hom, replay_tasks, sim_nodes, chunk_tasks, "");
   out << ",\n";

@@ -15,29 +15,19 @@ static_assert(std::is_trivially_copyable_v<AvailabilityIndex::Entry>,
 void AvailabilityIndex::reset(std::size_t nodes) {
   size_ = nodes;
   moved_.assign((nodes + 63) / 64, 0);
-  // Every node is free at 0: the partition at watermark 0 holds them all.
+  times_.assign(nodes, 0.0);
+  // Every node is free at 0: the partition at watermark 0 holds them all,
+  // all released exactly at it, and the timeline is empty.
   watermark_ = 0.0;
   floored_.assign((nodes + 63) / 64, ~std::uint64_t{0});
   if (nodes % 64 != 0) floored_.back() = (std::uint64_t{1} << (nodes % 64)) - 1;
   floored_count_ = nodes;
+  at_watermark_ = nodes;
   ++view_epoch_;
   order_.clear();
   mins_.clear();
   free_slots_.clear();
-  const std::size_t buckets = nodes == 0 ? 0 : (nodes + kTargetFanout - 1) / kTargetFanout;
-  if (slots_.size() < buckets) slots_.resize(buckets);
-  std::size_t next = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    std::vector<Entry>& bucket = slots_[b];
-    bucket.clear();
-    const std::size_t count = std::min(kTargetFanout, nodes - next);
-    for (std::size_t j = 0; j < count; ++j) {
-      bucket.push_back(Entry{0.0, static_cast<NodeId>(next++)});
-    }
-    order_.push_back(static_cast<std::uint32_t>(b));
-    mins_.push_back(bucket.front());
-  }
-  for (std::size_t s = buckets; s < slots_.size(); ++s) {
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
     slots_[s].clear();
     free_slots_.push_back(static_cast<std::uint32_t>(s));
   }
@@ -63,7 +53,7 @@ std::size_t AvailabilityIndex::find_entry(const Entry& key, std::size_t& at) con
   return b;
 }
 
-std::uint32_t AvailabilityIndex::acquire_slot() {
+std::uint32_t AvailabilityIndex::acquire_slot() const {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -82,47 +72,73 @@ std::size_t AvailabilityIndex::update_batch(std::span<const NodeId> nodes,
   }
   if (k == 0) return 0;
 
-  // 1. Find all k entries against the unchanged directory (a throw leaves
-  //    the index as it was): their ids end up marked and their buckets
-  //    tallied. The nodes that cross the watermark change sides of the
-  //    floored partition.
+  // 1. Check all k keys against the time column and find the entries of
+  //    those past the watermark against the unchanged directory (a throw
+  //    leaves the index as it was): their ids end up marked and their
+  //    buckets tallied.
   locate_batch(nodes, from);
   ++view_epoch_;
-  for (std::size_t i = 0; i < k; ++i) {
-    const bool floored = to[i] <= watermark_;
-    if (floored != (from[i] <= watermark_)) {
-      set_bit(floored_, nodes[i], floored);
-      floored_count_ = floored ? floored_count_ + 1 : floored_count_ - 1;
-    }
-  }
 
-  // 2. The new entries in order (plans usually arrive sorted already), cut
+  // 2. The time column and the partition: a floored key has no entry to
+  //    compact out (its mark goes), a key that crosses the watermark flips
+  //    its bit, and only the new times past the watermark join the timeline.
+  batch_in_.clear();
+  for (std::size_t i = 0; i < k; ++i) {
+    const NodeId node = nodes[i];
+    const bool was = from[i] <= watermark_;
+    const bool is = to[i] <= watermark_;
+    if (was) {
+      set_bit(moved_, node, false);
+      if (from[i] == watermark_) --at_watermark_;
+    }
+    if (!is) {
+      batch_in_.push_back(Entry{to[i], node});
+    } else if (to[i] == watermark_) {
+      ++at_watermark_;
+    }
+    if (was != is) {
+      set_bit(floored_, node, is);
+      floored_count_ = is ? floored_count_ + 1 : floored_count_ - 1;
+    }
+    times_[node] = to[i];
+  }
+  const std::size_t incoming = batch_in_.size();
+  if (incoming == 0 && batch_touched_.empty()) return 0;
+
+  // 3. The new entries in order (plans usually arrive sorted already), cut
   //    into runs by destination bucket - still the unchanged directory: a
   //    run at or past bucket b's old minimum and before b + 1's stays
-  //    ordered however the removals move those minima.
-  batch_in_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) batch_in_[i] = Entry{to[i], nodes[i]};
+  //    ordered however the removals move those minima. An empty timeline
+  //    starts with one empty bucket for them.
   if (!std::is_sorted(batch_in_.begin(), batch_in_.end(), less)) {
     std::sort(batch_in_.begin(), batch_in_.end(), less);
   }
+  if (order_.empty() && incoming > 0) {
+    order_.push_back(acquire_slot());
+    mins_.push_back(batch_in_.front());
+    if (batch_removed_.empty()) {
+      batch_removed_.push_back(0);
+      batch_first_.push_back(0);
+    }
+  }
   batch_runs_.clear();
-  for (std::size_t begin = 0; begin < k;) {
+  for (std::size_t begin = 0; begin < incoming;) {
     const std::size_t found = locate_bucket(batch_in_[begin]);
     const std::size_t b = found == kNpos ? 0 : found;
-    std::size_t end = k;
+    std::size_t end = incoming;
     if (b + 1 < order_.size()) {
       end = begin + 1;
-      while (end < k && less(batch_in_[end], mins_[b + 1])) ++end;
+      while (end < incoming && less(batch_in_[end], mins_[b + 1])) ++end;
     }
     batch_runs_.push_back(Run{b, begin, end});
     begin = end;
   }
 
-  // 3. Each touched bucket once, in directory order: compact out its moved
+  // 4. Each touched bucket once, in directory order: compact out its moved
   //    entries, then merge in its run. A run that would overflow its bucket
   //    waits for the directory rebuild, which merges it straight into the
   //    split pieces (so no bucket's storage ever grows past what a split
-  //    leaves). Every touched bucket is queued for step 4, with its run only
+  //    leaves). Every touched bucket is queued for step 5, with its run only
   //    if deferred.
   for (const Run& run : batch_runs_) {
     if (batch_removed_[run.bucket] == 0) {
@@ -155,7 +171,7 @@ std::size_t AvailabilityIndex::update_batch(std::span<const NodeId> nodes,
   }
   batch_touched_.clear();
 
-  // 4. The directory: rebuilt once when a bucket emptied or overflows, else
+  // 5. The directory: rebuilt once when a bucket emptied or overflows, else
   //    only the touched minima change. Then each touched bucket gets the
   //    fold rule, last first so that the positions still to visit stay put.
   if (reshape) {
@@ -181,32 +197,38 @@ void AvailabilityIndex::locate_batch(std::span<const NodeId> nodes,
   std::size_t at = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Entry key{from[i], nodes[i]};
-    const bool repeated = key.node < size_ && bit(moved_, key.node);
-    // Keys often arrive in index order (a plan's earliest-free nodes): the
-    // entry right after the previous key's is checked before searching.
-    const bool next = b != kNpos && at + 1 < slots_[order_[b]].size() &&
-                      same(slots_[order_[b]][at + 1], key);
-    if (next) {
-      ++at;
-    } else if (!repeated) {
-      b = find_entry(key, at);
+    const char* error = nullptr;
+    if (key.node >= size_) {
+      error = "AvailabilityIndex::update_batch: unknown node";
+    } else if (bit(moved_, key.node)) {
+      error = "AvailabilityIndex::update_batch: node repeated";
+    } else if (times_[key.node] != key.free_at) {
+      error = "AvailabilityIndex::update_batch: stale `from` (index desync)";
+    } else if (key.free_at > watermark_) {
+      // Keys often arrive in index order (a plan's earliest-free nodes): the
+      // entry right after the previous key's is checked before searching.
+      if (b != kNpos && at + 1 < slots_[order_[b]].size() &&
+          same(slots_[order_[b]][at + 1], key)) {
+        ++at;
+      } else {
+        b = find_entry(key, at);
+      }
+      if (b == kNpos) {
+        error = "AvailabilityIndex::update_batch: entry not found (index desync)";
+      } else if (batch_removed_[b]++ == 0) {
+        batch_touched_.push_back(static_cast<std::uint32_t>(b));
+        batch_first_[b] = static_cast<std::uint32_t>(at);
+      } else {
+        batch_first_[b] = std::min(batch_first_[b], static_cast<std::uint32_t>(at));
+      }
     }
-    if (repeated || b == kNpos) {
+    if (error != nullptr) {
       for (const NodeId node : nodes.first(i)) set_bit(moved_, node, false);
       for (const std::uint32_t touched : batch_touched_) batch_removed_[touched] = 0;
       batch_touched_.clear();
-      throw std::logic_error(
-          repeated ? "AvailabilityIndex::update_batch: node repeated"
-                   : "AvailabilityIndex::update_batch: entry not found (index desync)");
+      throw std::logic_error(error);
     }
     set_bit(moved_, key.node, true);
-    const auto pos = static_cast<std::uint32_t>(at);
-    if (batch_removed_[b]++ == 0) {
-      batch_touched_.push_back(static_cast<std::uint32_t>(b));
-      batch_first_[b] = pos;
-    } else {
-      batch_first_[b] = std::min(batch_first_[b], pos);
-    }
   }
 }
 
@@ -342,49 +364,79 @@ void AvailabilityIndex::maybe_merge(std::size_t b) {
   mins_.erase(mins_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
 }
 
-void AvailabilityIndex::locate_after(Time t, std::size_t& bucket, std::size_t& at) const {
-  // Last bucket whose min free_at is <= t holds the boundary (or it ends
-  // there and the boundary is the next bucket's first entry).
-  const auto it = std::upper_bound(
-      mins_.begin(), mins_.end(), t,
-      [](Time value, const Entry& entry) { return value < entry.free_at; });
-  bucket = 0;
-  at = 0;
-  if (it == mins_.begin()) return;
-  bucket = static_cast<std::size_t>(it - mins_.begin()) - 1;
-  const std::vector<Entry>& entries = slots_[order_[bucket]];
-  const auto jt = std::upper_bound(
-      entries.begin(), entries.end(), t,
-      [](Time value, const Entry& entry) { return value < entry.free_at; });
-  at = static_cast<std::size_t>(jt - entries.begin());
-  if (at == entries.size()) {
-    ++bucket;
-    at = 0;
+bool AvailabilityIndex::frees_before(Time t) const {
+  // Past the watermark: any floored node, else the timeline's first entry.
+  // At it: a floored node released before it. Below it (or at a NaN) only
+  // the time column can tell.
+  if (t > watermark_) {
+    return floored_count_ > 0 || (!mins_.empty() && mins_.front().free_at < t);
   }
+  if (t == watermark_) return floored_count_ > at_watermark_;
+  return !std::all_of(times_.begin(), times_.end(), [t](Time free_at) { return free_at >= t; });
 }
 
 void AvailabilityIndex::advance_floor(Time now) const {
   if (now == watermark_) return;
   ++view_epoch_;
-  std::size_t b = 0;
-  std::size_t at = 0;
-  if (now < watermark_) {
-    // Backwards: rebuild from the first entry.
-    std::fill(floored_.begin(), floored_.end(), 0);
-    floored_count_ = 0;
+  at_watermark_ = 0;
+  if (now > watermark_) {
+    // Forwards: the timeline's entries up to `now` join the partition -
+    // whole buckets off the front, then the head of the first bucket that
+    // reaches past it.
+    std::size_t popped = 0;
+    for (; popped < order_.size(); ++popped) {
+      std::vector<Entry>& bucket = slots_[order_[popped]];
+      std::size_t at = 0;
+      for (; at < bucket.size() && bucket[at].free_at <= now; ++at) {
+        set_bit(floored_, bucket[at].node, true);
+        if (bucket[at].free_at == now) ++at_watermark_;
+      }
+      floored_count_ += at;
+      if (at < bucket.size()) {
+        bucket.erase(bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(at));
+        mins_[popped] = bucket.front();
+        break;
+      }
+      bucket.clear();
+      free_slots_.push_back(order_[popped]);
+    }
+    order_.erase(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(popped));
+    mins_.erase(mins_.begin(), mins_.begin() + static_cast<std::ptrdiff_t>(popped));
   } else {
-    // Forwards: only the entries past the old watermark can join.
-    locate_after(watermark_, b, at);
-  }
-  watermark_ = now;
-  for (; b < order_.size(); ++b, at = 0) {
-    const std::vector<Entry>& bucket = slots_[order_[b]];
-    for (; at < bucket.size(); ++at) {
-      if (bucket[at].free_at > now) return;
-      set_bit(floored_, bucket[at].node, true);
-      ++floored_count_;
+    // Backwards: the floored nodes released after `now` leave the partition
+    // and go, sorted, in front of the timeline - they all precede its first
+    // entry, which lies past the old watermark - as even pieces of at most
+    // kTargetFanout.
+    unfloored_.clear();
+    for (std::size_t w = 0; w < floored_.size(); ++w) {
+      for (std::uint64_t bits = floored_[w]; bits != 0; bits &= bits - 1) {
+        const int low = std::countr_zero(bits);
+        const auto node = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(low));
+        const Time free_at = times_[node];
+        if (free_at > now) {
+          unfloored_.push_back(Entry{free_at, node});
+          floored_[w] &= ~(std::uint64_t{1} << low);
+        } else if (free_at == now) {
+          ++at_watermark_;
+        }
+      }
+    }
+    const std::size_t m = unfloored_.size();
+    floored_count_ -= m;
+    std::sort(unfloored_.begin(), unfloored_.end(), less);
+    const std::size_t pieces = (m + kTargetFanout - 1) / kTargetFanout;
+    order_.insert(order_.begin(), pieces, 0);
+    mins_.insert(mins_.begin(), pieces, Entry{});
+    for (std::size_t p = 0; p < pieces; ++p) {
+      const std::uint32_t slot = acquire_slot();
+      std::vector<Entry>& piece = slots_[slot];
+      piece.assign(unfloored_.begin() + static_cast<std::ptrdiff_t>(m * p / pieces),
+                   unfloored_.begin() + static_cast<std::ptrdiff_t>(m * (p + 1) / pieces));
+      order_[p] = slot;
+      mins_[p] = piece.front();
     }
   }
+  watermark_ = now;
 }
 
 void AvailabilityIndex::open_view(Time now, bool with_ids, ViewCursor& cursor) const {
@@ -392,6 +444,8 @@ void AvailabilityIndex::open_view(Time now, bool with_ids, ViewCursor& cursor) c
   // time compares to it.
   if (std::isnan(now)) throw std::invalid_argument("AvailabilityIndex::open_view: now is NaN");
   advance_floor(now);
+  // Every timeline entry now lies past `now`: the row is the floored ids,
+  // then the timeline from its first entry.
   cursor.epoch = view_epoch_;
   cursor.now = now;
   cursor.with_ids = with_ids;
@@ -399,7 +453,8 @@ void AvailabilityIndex::open_view(Time now, bool with_ids, ViewCursor& cursor) c
   cursor.floored = floored_count_;
   cursor.word = 0;
   cursor.bits = floored_.empty() ? 0 : floored_[0];
-  locate_after(now, cursor.bucket, cursor.at);
+  cursor.bucket = 0;
+  cursor.at = 0;
 }
 
 void AvailabilityIndex::read_view(ViewCursor& cursor, std::size_t last, Time* times,
@@ -481,10 +536,11 @@ void AvailabilityIndex::earliest_free_nodes_into(Time now, std::size_t n,
 }
 
 bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) const {
-  if (size_ != free_times.size()) return false;
-  std::vector<bool> seen(free_times.size(), false);
+  if (size_ != free_times.size() || times_ != free_times || mins_.size() != order_.size()) {
+    return false;
+  }
+  std::vector<bool> seen(size_, false);
   const Entry* prev = nullptr;
-  std::size_t total = 0;
   std::vector<bool> slot_used(slots_.size(), false);
   for (std::size_t b = 0; b < order_.size(); ++b) {
     const std::uint32_t slot = order_[b];
@@ -495,34 +551,36 @@ bool AvailabilityIndex::consistent_with(const std::vector<Time>& free_times) con
     if (bucket[0].free_at != mins_[b].free_at || bucket[0].node != mins_[b].node) {
       return false;
     }
-    total += bucket.size();
     for (const Entry& entry : bucket) {
-      if (entry.node >= free_times.size() || seen[entry.node]) return false;
+      if (entry.node >= size_ || seen[entry.node]) return false;
       seen[entry.node] = true;
-      if (entry.free_at != free_times[entry.node]) return false;
+      if (entry.free_at != free_times[entry.node] || !(entry.free_at > watermark_)) {
+        return false;
+      }
       if (prev != nullptr && !less(*prev, entry)) return false;
       prev = &entry;
     }
   }
-  if (total != size_ || mins_.size() != order_.size()) return false;
   for (const std::uint32_t slot : free_slots_) {
     if (slot >= slots_.size() || slot_used[slot]) return false;
     slot_used[slot] = true;
   }
-  // The floored partition: exactly the nodes free by the watermark, counted
-  // (popcount also rules out stray bits past size_), and no moved marks
+  // The floored partition: exactly the nodes free by the watermark, each
+  // with no timeline entry, counted (popcount also rules out stray bits
+  // past size_), those at the watermark counted too, and no moved marks
   // left over from a batch.
   if (floored_.size() != (size_ + 63) / 64 || moved_.size() != floored_.size()) return false;
   std::size_t floored = 0;
+  std::size_t at_watermark = 0;
   for (NodeId id = 0; id < size_; ++id) {
     const bool in = free_times[id] <= watermark_;
-    if (in != bit(floored_, id) || bit(moved_, id)) return false;
+    if (in != bit(floored_, id) || in == seen[id] || bit(moved_, id)) return false;
     floored += in ? 1 : 0;
+    at_watermark += in && free_times[id] == watermark_ ? 1 : 0;
   }
   std::size_t set = 0;
   for (const std::uint64_t word : floored_) set += static_cast<std::size_t>(std::popcount(word));
-  if (floored != floored_count_ || set != floored_count_) return false;
-  return true;
+  return floored == floored_count_ && set == floored_count_ && at_watermark == at_watermark_;
 }
 
 }  // namespace rtdls::cluster

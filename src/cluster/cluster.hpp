@@ -34,8 +34,8 @@ class Cluster {
   /// Monotonic availability version: bumped once by every mutation of node
   /// release times (a single-node commit or restore, a commit or
   /// early-release batch, a reset). An unchanged version guarantees an
-  /// unchanged availability row for any `now` at or before the
-  /// earliest node release, which lets the incremental admission path skip
+  /// unchanged availability row for any `now` that no node frees before
+  /// (see frees_before), which lets the incremental admission path skip
   /// rebuilding and re-planning entirely.
   std::uint64_t version() const { return version_; }
 
@@ -56,9 +56,10 @@ class Cluster {
   /// open_view row with every position filled, O(N), no per-call sort.
   void availability_into(Time now, AvailabilityRow& row) const;
 
-  /// The earliest release time over all nodes, not floored at any `now`:
-  /// O(1) off the index.
-  Time earliest_release() const { return index_.earliest_release(); }
+  /// True iff some node's release time is before `t`, not floored at any
+  /// `now`: O(1) off the index for `t` at or past its watermark (the last
+  /// view's `now`), an O(N) scan below it.
+  bool frees_before(Time t) const { return index_.frees_before(t); }
 
   /// Ids of the `n` earliest-available nodes at `now` (ties broken by id so
   /// commitments are deterministic), written into `out` (capacity reused;

@@ -329,11 +329,11 @@ AdmissionOutcome AdmissionController::test_incremental(
   // exactly when the params need them, and a row head_ that is still the
   // live view. Row head_ stands for the live view at floor_; the view at
   // `now` is the same row when `now` is floor_, or when no node frees
-  // before either instant, so that neither floors an entry (the index's
-  // earliest release answers that in O(1)).
+  // before either instant, so that neither floors an entry (the index
+  // answers that, in O(1) at or past its watermark).
   bool reuse = cache_valid_ && cache_version_ == cluster.version() && node_count_ == n &&
                with_ids_ == params.heterogeneous() && order_.size() - head_ == q &&
-               (now == floor_ || cluster.earliest_release() >= std::max(now, floor_));
+               (now == floor_ || !cluster.frees_before(std::max(now, floor_)));
   if (reuse) reuse = std::equal(waiting.begin(), waiting.end(), order_.begin() + head_);
 
   if (!reuse) {

@@ -22,6 +22,8 @@ constexpr std::uint16_t kContainerVersion = 1;
 
 std::size_t write_snapshot(const std::string& path, const SnapshotMeta& meta,
                            const std::vector<std::vector<std::uint8_t>>& shard_blobs) {
+  // read_snapshot refuses a container of no shard; never write one.
+  if (shard_blobs.empty()) throw std::runtime_error("snapshot: no shard to write to " + path);
   std::vector<std::uint8_t> body;
   // Element-wise on purpose: the range insert of a char[] into an empty
   // byte vector trips GCC 12's -Wstringop-overflow through the inlined

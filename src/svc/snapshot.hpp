@@ -37,7 +37,9 @@ struct Snapshot {
 };
 
 /// Writes the snapshot to `path` (atomically: temp file + rename). Returns
-/// the file size in bytes. Throws std::runtime_error on I/O failure.
+/// the file size in bytes. Throws std::runtime_error on I/O failure, and,
+/// with a message starting "snapshot:" and before any file is opened, when
+/// `shard_blobs` is empty (read_snapshot refuses a container of no shard).
 std::size_t write_snapshot(const std::string& path, const SnapshotMeta& meta,
                            const std::vector<std::vector<std::uint8_t>>& shard_blobs);
 

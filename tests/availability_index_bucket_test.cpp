@@ -6,12 +6,15 @@
 // adversarial monotone-arrival pattern that would make one sorted vector
 // shift all N entries per update (with early releases that cross whole
 // buckets downwards, and plan-sized batches landing in one bucket), desync
-// detection, stale-view detection, the depth a single update reports, and
-// the fold that follows a batch which kept every touched bucket's size.
+// detection, stale-view detection, the depth a single update reports, the
+// fold that follows a batch which kept every touched bucket's size, and a
+// graded-size case table (N = 10^2 to 10^5) for the split between the
+// floored partition and the timeline past the watermark.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -239,9 +242,9 @@ TEST(AvailabilityIndexBucket, AdversarialMonotoneArrivalPattern) {
 TEST(AvailabilityIndexBucket, ClusterDifferentialCommitReleaseReset) {
   // A storm through the Cluster layer (commit / release_early / reset, and
   // their batches) - the wiring the simulator and daemon use - on a
-  // 512-node, eight-bucket index, compared after every step with the
-  // reference sort of the nodes' own release times. Every eighth step books
-  // a batch of k nodes, k cycling from 1 to the whole cluster.
+  // 512-node index, compared after every step with the reference sort of
+  // the nodes' own release times. Every eighth step books a batch of k
+  // nodes, k cycling from 1 to the whole cluster.
   constexpr std::size_t kNodes = 512;
   constexpr std::size_t kBatchSizes[] = {1, 3, 17, 128, 129, 257, 400, 512};
   cluster::Cluster c({.node_count = kNodes, .cms = 1.0, .cps = 100.0});
@@ -362,10 +365,10 @@ TEST(AvailabilityIndexBucket, SingleUpdateDepthIsCompactionPlusMerge) {
   // bucket). The geometry stays whatever the batch leaves; the order is
   // always the strict (free_at, node) one.
   //
-  // 256 nodes, node i booked to i in one batch: the last bucket takes the
-  // 255 entries past node 0 and splits into pieces of 63, 64, 64 and 64,
-  // and the first, left with node 0 alone, folds into the first piece -
-  // four buckets of 64, node i at position i % 64 of bucket i / 64.
+  // 256 nodes, node i booked to i in one batch at watermark 0: node 0 stays
+  // floored, with no timeline entry, and the 255 entries past it fill the
+  // empty timeline as pieces of 63, 64, 64 and 64 - nodes 1-63, then node
+  // i at position i % 64 of bucket i / 64.
   AvailabilityIndex index;
   index.reset(256);
   std::vector<Time> free_times(256, 0.0);
@@ -394,15 +397,15 @@ TEST(AvailabilityIndexBucket, SingleUpdateDepthIsCompactionPlusMerge) {
   EXPECT_EQ(single.update(3, 4.0, 4.0), 11u + 11u);
   expect_matches_reference(single, single_times, 0.0, /*full=*/true);
 
-  // Two buckets of 64: nodes 0-63 stay free at 0, node i >= 64 frees at i.
-  // Node 70 released to 0.5 leaves the second bucket (57 entries after it
-  // shift down) and lands at the end of the first, past every entry at 0,
-  // which shifts nothing.
+  // Nodes 0-63 stay free at 0, floored at watermark 0 and so in no bucket;
+  // node i >= 64 frees at i, all 64 in the timeline's only bucket. Node 70
+  // released to 0.5 leaves it (the 57 entries after it shift down) and lands
+  // at its front, still past the watermark, in front of the other 63.
   AvailabilityIndex two;
   two.reset(128);
   std::vector<Time> two_times(128, 0.0);
   spread_nodes(two, two_times, 64, 128, 64.0);
-  EXPECT_EQ(two.update(70, 70.0, 0.5), 57u);
+  EXPECT_EQ(two.update(70, 70.0, 0.5), 57u + 63u);
   two_times[70] = 0.5;
   expect_matches_reference(two, two_times, 0.0, /*full=*/true);
 }
@@ -417,14 +420,123 @@ TEST(AvailabilityIndexBucket, FoldAfterSizeKeepingBatchRefreshesRankSums) {
     AvailabilityIndex index;
     index.reset(256);
     std::vector<Time> free_times(256, 0.0);
-    spread_nodes(index, free_times, 0, 256, 0.0);       // four buckets of 64, node i at i
+    // Node 0 stays floored at watermark 0; nodes 1-255 fill four buckets,
+    // 63, 64, 64 and 64 long, node i at i.
+    spread_nodes(index, free_times, 0, 256, 0.0);
     spread_nodes(index, free_times, 192, 222, 64.5);    // 30 more in the second: 94
-    spread_nodes(index, free_times, 10, 64, 1000.0);    // the first shrinks to 10
+    spread_nodes(index, free_times, 10, 64, 1000.0);    // the first shrinks to 9
     spread_nodes(index, free_times, 64, 84, 2000.0);    // the second shrinks to 74
     expect_matches_reference(index, free_times, 0.0, /*full=*/false);
-    // Nodes 0 (and 1) move inside the first bucket: sizes stay, then it folds.
-    spread_nodes(index, free_times, 0, static_cast<NodeId>(k), 0.25);
+    // Nodes 1 (and 2) move inside the first bucket: sizes stay, then it folds.
+    spread_nodes(index, free_times, 1, static_cast<NodeId>(1 + k), 0.25);
     expect_matches_reference(index, free_times, 150.0, /*full=*/true);
+  }
+}
+
+/// One row of the split's case table, in merian-wrs's TEST_CASES form: the
+/// cluster size, the seed, and how many rounds of the six steps run.
+struct SplitCase {
+  std::size_t nodes = 0;
+  std::uint64_t seed = 0;
+  int rounds = 0;
+};
+
+constexpr SplitCase kSplitCases[] = {
+    SplitCase{.nodes = 100, .seed = 2801, .rounds = 40},
+    SplitCase{.nodes = 1000, .seed = 2802, .rounds = 20},
+    SplitCase{.nodes = 10000, .seed = 2803, .rounds = 8},
+    SplitCase{.nodes = 100000, .seed = 2804, .rounds = 3},
+};
+
+TEST(AvailabilityIndexSplit, GradedSizeCaseTable) {
+  // Floored nodes live only in the partition bitset and the time column;
+  // the timeline holds the nodes past the watermark. Each round books and
+  // releases across that split and moves the watermark over it, and after
+  // every step the invariants (consistent_with), the view at `now` and
+  // frees_before around `now` are checked against the release times.
+  for (const SplitCase& tc : kSplitCases) {
+    const std::size_t n = tc.nodes;
+    SCOPED_TRACE("N=" + std::to_string(n));
+    AvailabilityIndex index;
+    index.reset(n);
+    std::vector<Time> free_times(n, 0.0);
+    workload::Xoshiro256StarStar rng(tc.seed);
+    std::vector<Time> cps(n);
+    for (Time& cost : cps) cost = std::floor(50.0 + 100.0 * rng.next_double());
+    Time now = 0.0;
+    const auto ids_where = [&](bool floored) {
+      std::vector<NodeId> ids;
+      for (NodeId id = 0; id < n; ++id) {
+        if ((free_times[id] <= now) == floored) ids.push_back(id);
+      }
+      return ids;
+    };
+    const auto sample = [&](std::vector<NodeId> ids, std::size_t k) {
+      k = std::min(k, ids.size());
+      for (std::size_t i = 0; i < k; ++i) std::swap(ids[i], ids[i + rng() % (ids.size() - i)]);
+      ids.resize(k);
+      return ids;
+    };
+    for (int round = 0; round < tc.rounds; ++round) {
+      const bool full = n <= 10000 || round + 1 == tc.rounds;
+      {
+        SCOPED_TRACE("a plan's earliest-free nodes to one release");
+        const std::size_t k = 1 + rng() % std::max<std::size_t>(1, n / 8);
+        const std::vector<NodeId> ids = test::pick_batch(free_times, now, k, false, rng);
+        const Time release = now + 1.0 + std::floor(rng.next_double() * 200.0);
+        batch_update(index, free_times, ids, std::vector<Time>(k, release));
+        expect_matches_reference(index, free_times, now, full);
+      }
+      {
+        SCOPED_TRACE("UserSplit: the smallest floored ids to distinct releases");
+        std::vector<NodeId> ids = ids_where(true);
+        ids.resize(std::min<std::size_t>(ids.size(), 1 + rng() % 64));
+        constexpr Time kChunk = 20.0;
+        std::vector<Time> to;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          to.push_back(now + static_cast<Time>(i + 1) * kChunk + kChunk * cps[ids[i]]);
+        }
+        batch_update(index, free_times, ids, to);
+        expect_matches_reference(index, free_times, now, full);
+      }
+      {
+        SCOPED_TRACE("early releases back below the watermark");
+        const std::vector<NodeId> ids = sample(ids_where(false), 1 + rng() % 32);
+        std::vector<Time> to;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          const Time until = free_times[ids[i]];
+          to.push_back(i % 3 == 0   ? now
+                       : i % 3 == 1 ? std::floor(now * rng.next_double())
+                                    : now + std::floor((until - now) / 2.0));
+        }
+        batch_update(index, free_times, ids, to);
+        expect_matches_reference(index, free_times, now, full);
+      }
+      {
+        SCOPED_TRACE("a forward view past whole buckets into one");
+        std::vector<Time> past;
+        for (const Time t : free_times) {
+          if (t > now) past.push_back(t);
+        }
+        std::sort(past.begin(), past.end());
+        if (!past.empty()) {
+          const std::size_t r = std::min<std::size_t>(past.size() - 1, 100 + rng() % 200);
+          now = r + 1 < past.size() ? past[r] + (past[r + 1] - past[r]) / 2.0 : past[r];
+        }
+        expect_matches_reference(index, free_times, now, full);
+      }
+      {
+        SCOPED_TRACE("a view landing exactly on a release time");
+        const std::vector<NodeId> busy = ids_where(false);
+        if (!busy.empty()) now = free_times[busy[rng() % busy.size()]];
+        expect_matches_reference(index, free_times, now, full);
+      }
+      {
+        SCOPED_TRACE("a view moved back");
+        now = std::floor(now * (round % 2 == 0 ? 0.9 : 0.3 * rng.next_double()));
+        expect_matches_reference(index, free_times, now, full);
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -83,7 +84,8 @@ inline void book_batch(cluster::Cluster& c, const std::vector<cluster::NodeId>& 
 /// The next `now` of a storm, by `move` % 4: forward by up to `step`
 /// (floored, so it may also stay), kept, landed exactly on a random node's
 /// release time (the partition's inclusive edge), or moved back - which
-/// makes the index rebuild its partition instead of extending it.
+/// makes the index put the floored nodes released after it back in its
+/// timeline instead of popping entries into the partition.
 inline cluster::Time next_now(cluster::Time now, const std::vector<cluster::Time>& free_times,
                               std::size_t move, double step,
                               workload::Xoshiro256StarStar& rng) {
@@ -105,13 +107,13 @@ inline cluster::Time next_now(cluster::Time now, const std::vector<cluster::Time
 /// nodes free by `now`): each fill holds exactly that many positions and
 /// matches the reference prefix. The prefix up to F + 1 costs O(N) (the
 /// floored ids ascend, then the least (free_at, id) past `now`); only the
-/// whole row needs the sort. Also checks earliest_release(), the least
-/// release time unfloored.
+/// whole row needs the sort. Then, with the watermark at `now`, checks
+/// frees_before(t) against min(free_times) < t at `now`, one ulp either side
+/// of it and at the least release, and that it holds at a NaN.
 inline void expect_view_matches(const cluster::AvailabilityIndex& index,
                                 const std::vector<cluster::Time>& free_times,
                                 cluster::Time now, bool whole) {
   const std::size_t n = free_times.size();
-  ASSERT_EQ(index.earliest_release(), *std::min_element(free_times.begin(), free_times.end()));
   std::vector<cluster::NodeId> ids;
   std::vector<cluster::NodeId> rest;
   for (cluster::NodeId id = 0; id < n; ++id) {
@@ -155,6 +157,14 @@ inline void expect_view_matches(const cluster::AvailabilityIndex& index,
     ASSERT_EQ(view.settle(), complete);
     ASSERT_EQ(view.times().size(), complete ? n : 0);
   }
+  if (n == 0) return;
+  const cluster::Time least = *std::min_element(free_times.begin(), free_times.end());
+  constexpr cluster::Time kInf = std::numeric_limits<cluster::Time>::infinity();
+  for (const cluster::Time t :
+       {now, std::nextafter(now, -kInf), std::nextafter(now, kInf), least}) {
+    ASSERT_EQ(index.frees_before(t), least < t) << "t=" << t << ", now=" << now;
+  }
+  ASSERT_TRUE(index.frees_before(std::numeric_limits<cluster::Time>::quiet_NaN()));
 }
 
 }  // namespace rtdls::test

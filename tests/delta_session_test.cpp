@@ -530,13 +530,13 @@ TEST(DeltaSession, FrontCommitAtTheSameInstantKeepsTheSession) {
     ASSERT_EQ(session.queue().tasks.size(), 1u);
     ASSERT_EQ(session.queue().commit_at.front(), 10.0);
     session.commit_front();
-    ASSERT_LT(session.cluster().earliest_release(), 10.0);  // idle nodes floor at 10
+    ASSERT_TRUE(session.cluster().frees_before(10.0));  // idle nodes floor at 10
 
     const std::uint64_t before = SessionDriver::rebuilds();
     ASSERT_TRUE(session.admit(2, 10.0, 6000.0));
     EXPECT_EQ(SessionDriver::rebuilds(), before);
 
-    ASSERT_LT(session.cluster().earliest_release(), 20.0);
+    ASSERT_TRUE(session.cluster().frees_before(20.0));
     ASSERT_TRUE(session.admit(3, 20.0, 7000.0));
     EXPECT_EQ(SessionDriver::rebuilds(), before + 1);
   }

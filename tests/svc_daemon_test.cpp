@@ -22,6 +22,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -516,28 +517,52 @@ TEST(SvcSnapshot, ReadRefusesMalformedContainers) {
   write_file(test_file("truncated.snap"), {good.begin(), good.end() - 9});
   write_file(test_file("version2.snap"), version2);
   std::filesystem::create_directory(test_file("snapshot_dir"));
-  const SnapshotMeta meta{"EDF-DLT", container_config().params};
-  write_snapshot(test_file("zero.snap"), meta, {});
+  // The good container with its shard count set to 0 and its one blob
+  // dropped: magic, version, the algorithm string, three 8-byte params,
+  // has-profile and the reserved byte precede the u32 count.
+  const std::size_t count = 8 + 2 + 4 + std::string("EDF-DLT").size() + 24 + 1 + 1;
+  std::vector<std::uint8_t> zero(good.begin(), good.begin() + count);
+  zero.resize(count + 4 + 8, 0);  // the count, then the trailer
+  reseal(zero);
+  write_file(test_file("zero.snap"), zero);
 
-  const std::pair<const char*, std::string> rows[] = {
-      {"bad magic", test_file("magic.snap")},
-      {"one flipped body byte", test_file("flipped.snap")},
-      {"truncated", test_file("truncated.snap")},
-      {"container version 2", test_file("version2.snap")},
-      {"zero shards", test_file("zero.snap")},
-      {"a directory", test_file("snapshot_dir")},
+  // Each row names the refusal it must hit, so a malformed row fails for
+  // its own fault and not an earlier one.
+  const std::tuple<const char*, std::string, const char*> rows[] = {
+      {"bad magic", test_file("magic.snap"), "is not a snapshot file"},
+      {"one flipped body byte", test_file("flipped.snap"), "checksum mismatch"},
+      {"truncated", test_file("truncated.snap"), "checksum mismatch"},
+      {"container version 2", test_file("version2.snap"), "unsupported container version"},
+      {"zero shards", test_file("zero.snap"), "holds no shards"},
+      {"a directory", test_file("snapshot_dir"), "is not a regular file"},
   };
-  for (const auto& [name, path] : rows) {
+  for (const auto& [name, path, refusal] : rows) {
     SCOPED_TRACE(name);
     try {
       (void)read_snapshot(path);
       ADD_FAILURE() << "read_snapshot accepted it";
     } catch (const std::runtime_error& error) {
-      EXPECT_EQ(std::string(error.what()).rfind("snapshot:", 0), 0u) << error.what();
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("snapshot:", 0), 0u) << what;
+      EXPECT_NE(what.find(refusal), std::string::npos) << what;
     }
     std::filesystem::remove(path);
   }
   std::filesystem::remove(test_file("good.snap"));
+}
+
+TEST(SvcSnapshot, WriteRefusesAnEmptyShardList) {
+  // read_snapshot refuses a container of no shard, so write_snapshot never
+  // writes one: it throws before it opens the temp file.
+  const std::string path = test_file("empty.snap");
+  try {
+    write_snapshot(path, SnapshotMeta{"EDF-DLT", container_config().params}, {});
+    ADD_FAILURE() << "write_snapshot wrote a container of no shard";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("snapshot:", 0), 0u) << error.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(SvcSnapshot, AReservedByteOfZeroRestoresLikeOne) {
