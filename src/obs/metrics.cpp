@@ -379,16 +379,21 @@ std::uint64_t Registry::counter_value(std::string_view name) const {
 }
 
 HistogramSample Registry::histogram_sample(std::string_view name) const {
-  Snapshot snap = snapshot();
-  for (HistogramSample& h : snap.histograms) {
-    if (h.name == name) return std::move(h);
-  }
-  return HistogramSample{};
+  const Snapshot snap = snapshot();
+  const HistogramSample* sample = snap.find_histogram(name);
+  return sample != nullptr ? *sample : HistogramSample{};
 }
 
 std::string Registry::prometheus_text() const { return obs::prometheus_text(snapshot()); }
 
 // --- samples ----------------------------------------------------------------
+
+const HistogramSample* Snapshot::find_histogram(std::string_view name) const {
+  for (const HistogramSample& h : histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
 
 double HistogramSample::quantile(double q) const {
   if (count == 0) return 0.0;

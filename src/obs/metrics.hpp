@@ -134,6 +134,9 @@ struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
+
+  /// The histogram named `name`, or null when the snapshot has none.
+  const HistogramSample* find_histogram(std::string_view name) const;
 };
 
 class Registry {

@@ -33,13 +33,10 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Frame Client::round_trip(MsgType type, const std::vector<std::uint8_t>& payload) {
-  const std::uint64_t id = next_id_++;
-  const std::vector<std::uint8_t> frame_bytes = encode_frame(type, id, payload);
+void Client::exchange(std::uint64_t id) {
   std::size_t sent = 0;
-  while (sent < frame_bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, frame_bytes.data() + sent, frame_bytes.size() - sent, MSG_NOSIGNAL);
+  while (sent < request_.size()) {
+    const ssize_t n = ::send(fd_, request_.data() + sent, request_.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ServiceError(ErrorCode::kIo, "client: send failed");
@@ -50,25 +47,24 @@ Frame Client::round_trip(MsgType type, const std::vector<std::uint8_t>& payload)
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms_);
   std::uint8_t buffer[4096];
-  Frame frame;
   for (;;) {
-    const FrameDecoder::Status status = decoder_.next(frame);
+    const FrameDecoder::Status status = decoder_.next(reply_);
     if (status == FrameDecoder::Status::kError) {
       throw ServiceError(ErrorCode::kBadFrame, "client: " + decoder_.error());
     }
     if (status == FrameDecoder::Status::kFrame) {
       // Replies echo the request id; with call/response usage anything else
       // is a protocol violation, not a frame to skip.
-      if (frame.request_id != id) {
+      if (reply_.request_id != id) {
         throw ServiceError(ErrorCode::kBadFrame, "client: reply id mismatch");
       }
-      if (frame.type == MsgType::kErrorReply) {
-        util::WireReader in(frame.payload);
+      if (reply_.type == MsgType::kErrorReply) {
+        util::WireReader in(reply_.payload);
         const ErrorReply error = ErrorReply::decode(in);
         throw ServiceError(error.code,
                            std::string(error_code_name(error.code)) + ": " + error.message);
       }
-      return frame;
+      return;
     }
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) {
@@ -95,13 +91,13 @@ Frame Client::round_trip(MsgType type, const std::vector<std::uint8_t>& payload)
 
 template <typename Reply, typename Request>
 Reply Client::call(MsgType type, MsgType reply_type, const Request& request) {
-  util::WireWriter writer;
-  request.encode(writer);
-  const Frame frame = round_trip(type, writer.take());
-  if (frame.type != reply_type) {
+  const std::uint64_t id = next_id_++;
+  encode_message(request_, type, id, request);
+  exchange(id);
+  if (reply_.type != reply_type) {
     throw ServiceError(ErrorCode::kBadFrame, "client: unexpected reply type");
   }
-  util::WireReader in(frame.payload);
+  util::WireReader in(reply_.payload);
   return Reply::decode(in);
 }
 

@@ -3,6 +3,9 @@
 // One Client owns one connection; requests are issued one at a time (the
 // protocol itself allows pipelining, but every current caller - the CLI
 // subcommands and the storm bench's per-thread clients - is call/response).
+// The client encodes each request in place into one request buffer and
+// decodes each reply into one Frame, both kept for its lifetime, so a warm
+// client allocates nothing to frame a request or read its reply.
 // Server-side failures arrive as ErrorReply frames and surface as
 // ServiceError with the machine-readable ErrorCode; transport failures
 // (connect/send/recv, response deadline) surface as ServiceError{kIo} or
@@ -53,12 +56,16 @@ class Client {
   /// matching request id; an ErrorReply throws ServiceError.
   template <typename Reply, typename Request>
   Reply call(MsgType type, MsgType reply_type, const Request& request);
-  Frame round_trip(MsgType type, const std::vector<std::uint8_t>& payload);
+  /// Sends request_ and reads the reply to request `id` into reply_.
+  void exchange(std::uint64_t id);
 
   int fd_ = -1;
   int timeout_ms_ = 5000;
   std::uint64_t next_id_ = 1;
   FrameDecoder decoder_;
+  /// Reused by every call.
+  std::vector<std::uint8_t> request_;
+  Frame reply_;
 };
 
 }  // namespace rtdls::svc

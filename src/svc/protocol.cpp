@@ -17,21 +17,28 @@ const char* error_code_name(ErrorCode code) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t request_id,
-                                       const std::vector<std::uint8_t>& payload,
-                                       std::uint16_t version) {
-  if (payload.size() > kMaxPayload) throw util::WireError("frame: payload exceeds kMaxPayload");
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  util::WireWriter header(frame);
+namespace detail {
+
+void begin_frame(std::vector<std::uint8_t>& out, MsgType type, std::uint64_t request_id,
+                 std::uint16_t version) {
+  out.clear();
+  util::WireWriter header(out);
   header.u32(kFrameMagic);
   header.u16(version);
   header.u16(static_cast<std::uint16_t>(type));
   header.u64(request_id);
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  header.u32(0);  // payload size, patched by end_frame
 }
+
+void end_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t payload_size = out.size() - kFrameHeaderSize;
+  if (payload_size > kMaxPayload) throw util::WireError("frame: payload exceeds kMaxPayload");
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[kFrameHeaderSize - 4 + i] = static_cast<std::uint8_t>(payload_size >> (8 * i));
+  }
+}
+
+}  // namespace detail
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   // Drop consumed prefix before growing; keeps the buffer bounded by one

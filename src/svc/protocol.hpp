@@ -19,9 +19,19 @@
 // server closes the connection, since resynchronization inside a corrupted
 // byte stream is guesswork.
 //
+// Frames are encoded in place: encode_message() writes the header with a
+// placeholder length into a caller-owned buffer, the payload straight after
+// it, and patches the length in last, so every byte is written once and a
+// buffer reused across requests stops allocating once it has grown to the
+// largest message. The daemon keeps one such buffer per connection and the
+// client one per Client.
+//
 // The FrameDecoder is incremental: feed whatever bytes arrived, pull
-// complete frames out. The protocol fuzz tests drive it (and the payload
-// decoders) with truncated/oversized/garbage inputs.
+// complete frames out; next() refills the caller's Frame in the payload
+// storage it already has. The protocol fuzz tests drive it (and the payload
+// decoders) with truncated/oversized/garbage inputs, and a golden table in
+// tests/svc_protocol_test.cpp pins the exact bytes of every message type at
+// both revisions.
 #pragma once
 
 #include <cstdint>
@@ -99,10 +109,15 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Encodes a complete frame (header + payload) at the given wire revision.
-std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t request_id,
-                                       const std::vector<std::uint8_t>& payload,
-                                       std::uint16_t version = kProtocolVersion);
+namespace detail {
+/// Replaces `out` with a frame header whose payload length is a
+/// placeholder; the payload is then appended straight after it.
+void begin_frame(std::vector<std::uint8_t>& out, MsgType type, std::uint64_t request_id,
+                 std::uint16_t version);
+/// Patches the payload length into the header begin_frame wrote. Throws
+/// util::WireError when the payload exceeds kMaxPayload.
+void end_frame(std::vector<std::uint8_t>& out);
+}  // namespace detail
 
 /// Incremental frame extraction from a byte stream.
 class FrameDecoder {
@@ -324,14 +339,31 @@ struct ErrorReply {
   static ErrorReply decode(util::WireReader& in);
 };
 
-/// Convenience: encode a payload-bearing message straight into a frame.
+/// Encodes `message` as one complete frame at the given wire revision into
+/// `out`, replacing its contents and reusing its capacity: the header goes
+/// in with a placeholder length, the payload is written after it, and the
+/// length is patched in last. Throws util::WireError when the payload
+/// exceeds kMaxPayload.
+template <typename Message>
+void encode_message(std::vector<std::uint8_t>& out, MsgType type, std::uint64_t request_id,
+                    const Message& message, std::uint16_t version = kProtocolVersion) {
+  detail::begin_frame(out, type, request_id, version);
+  util::WireWriter writer(out);
+  message.encode(writer);
+  detail::end_frame(out);
+}
+
+/// The same frame in a fresh buffer, sized up front so that every
+/// fixed-size message (the largest, AdmitRequest, has a 48-byte payload)
+/// costs one allocation.
 template <typename Message>
 std::vector<std::uint8_t> encode_message(MsgType type, std::uint64_t request_id,
                                          const Message& message,
                                          std::uint16_t version = kProtocolVersion) {
-  util::WireWriter writer;
-  message.encode(writer);
-  return encode_frame(type, request_id, writer.take(), version);
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameHeaderSize + 64);
+  encode_message(out, type, request_id, message, version);
+  return out;
 }
 
 }  // namespace rtdls::svc

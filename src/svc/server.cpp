@@ -81,7 +81,8 @@ class DeadlineLock {
 
 }  // namespace
 
-Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
+Daemon::Daemon(DaemonConfig config)
+    : config_(std::move(config)), build_(util::build_description()) {
   if (config_.socket_path.empty()) {
     throw std::invalid_argument("Daemon: socket_path is required");
   }
@@ -274,8 +275,11 @@ void Daemon::worker_loop() {
 
 void Daemon::serve_connection(int fd) {
   bump(&AtomicCounters::connections);
+  // Kept for the connection's lifetime: every request reuses them.
   FrameDecoder decoder;
   std::vector<std::uint8_t> buffer(64 * 1024);
+  Frame frame;
+  std::vector<std::uint8_t> reply;
   bool open = true;
   while (open && !stop_.load(std::memory_order_relaxed)) {
     pollfd entry{fd, POLLIN, 0};
@@ -288,7 +292,6 @@ void Daemon::serve_connection(int fd) {
     const ssize_t received = ::recv(fd, buffer.data(), buffer.size(), 0);
     if (received <= 0) break;  // peer closed, or error
     decoder.feed(buffer.data(), static_cast<std::size_t>(received));
-    Frame frame;
     while (open) {
       const FrameDecoder::Status status = decoder.next(frame);
       if (status == FrameDecoder::Status::kNeedMore) break;
@@ -296,25 +299,29 @@ void Daemon::serve_connection(int fd) {
         bump(&AtomicCounters::errors);
         // The frame header never parsed, so the peer's revision is unknown;
         // v1.0 frames are decodable by clients of either revision.
-        send_error(fd, 0, kProtocolVersionV10, ErrorCode::kBadFrame, decoder.error());
+        send_error(fd, reply, 0, kProtocolVersionV10, ErrorCode::kBadFrame, decoder.error());
         open = false;
         break;
       }
       bump(&AtomicCounters::requests);
-      open = handle_frame(fd, frame);
+      open = handle_frame(fd, frame, reply);
     }
   }
   ::close(fd);
 }
 
-bool Daemon::handle_frame(int fd, const Frame& frame) {
+bool Daemon::handle_frame(int fd, const Frame& frame, std::vector<std::uint8_t>& out) {
   const std::uint64_t id = frame.request_id;
   const std::uint16_t ver = frame.version;
   if (stop_.load(std::memory_order_relaxed)) {
     bump(&AtomicCounters::errors);
-    send_error(fd, id, ver, ErrorCode::kShuttingDown, "daemon is stopping");
+    send_error(fd, out, id, ver, ErrorCode::kShuttingDown, "daemon is stopping");
     return false;
   }
+  const auto send_reply = [&](MsgType type, const auto& reply) {
+    encode_message(out, type, id, reply, ver);
+    return send_all(fd, out);
+  };
   RequestTimer timer{request_latency_, {}};
   RTDLS_TRACE_SCOPE("svc.request", "svc");
   try {
@@ -335,7 +342,7 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         }
         RTDLS_TRACE_INSTANT("svc.shard_locked", "svc");
         const AdmitReply reply = shards_[request.shard]->shard.admit(request.task);
-        return send_all(fd, encode_message(MsgType::kAdmitReply, id, reply, ver));
+        return send_reply(MsgType::kAdmitReply, reply);
       }
       case MsgType::kCommitRequest: {
         RTDLS_TRACE_SCOPE("svc.commit", "svc");
@@ -352,7 +359,7 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         }
         RTDLS_TRACE_INSTANT("svc.shard_locked", "svc");
         const CommitReply reply = shards_[request.shard]->shard.commit(request.task);
-        return send_all(fd, encode_message(MsgType::kCommitReply, id, reply, ver));
+        return send_reply(MsgType::kCommitReply, reply);
       }
       case MsgType::kCancelRequest: {
         RTDLS_TRACE_SCOPE("svc.cancel", "svc");
@@ -369,14 +376,14 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         }
         RTDLS_TRACE_INSTANT("svc.shard_locked", "svc");
         const CancelReply reply = shards_[request.shard]->shard.cancel(request.task);
-        return send_all(fd, encode_message(MsgType::kCancelReply, id, reply, ver));
+        return send_reply(MsgType::kCancelReply, reply);
       }
       case MsgType::kStatusRequest: {
         RTDLS_TRACE_SCOPE("svc.status", "svc");
         StatusRequest::decode(in);
         bump(&AtomicCounters::status_queries);
         StatusReply reply;
-        reply.build = util::build_description();
+        reply.build = build_;
         reply.algorithm = config_.algorithm;
         reply.node_count = config_.params.node_count;
         reply.workers = config_.workers;
@@ -389,16 +396,19 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
             std::lock_guard<std::mutex> lock(queue_mutex_);
             reply.queue_depth = pending_fds_.size();
           }
-          reply.shard_latency.reserve(shards_.size());
+          // One registry snapshot serves every shard's summary.
+          const obs::Snapshot snapshot = obs_.snapshot();
+          reply.shard_latency.resize(shards_.size());
           for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const obs::HistogramSample sample = obs_.histogram_sample(shard_latency_name(i));
-            ShardLatency latency;
-            latency.count = sample.count;
-            latency.p50_us = sample.quantile(0.5);
-            latency.p90_us = sample.quantile(0.9);
-            latency.p99_us = sample.quantile(0.99);
-            latency.max_us = sample.max;
-            reply.shard_latency.push_back(latency);
+            const obs::HistogramSample* sample =
+                snapshot.find_histogram(shard_latency_name(i));
+            if (sample == nullptr) continue;  // an unregistered name reads as empty
+            ShardLatency& latency = reply.shard_latency[i];
+            latency.count = sample->count;
+            latency.p50_us = sample->quantile(0.5);
+            latency.p90_us = sample->quantile(0.9);
+            latency.p99_us = sample->quantile(0.99);
+            latency.max_us = sample->max;
           }
         }
         const Clock::time_point deadline = deadline_for(0);
@@ -413,7 +423,7 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
           shards_[i]->shard.fill_status(status);
           reply.shards.push_back(status);
         }
-        return send_all(fd, encode_message(MsgType::kStatusReply, id, reply, ver));
+        return send_reply(MsgType::kStatusReply, reply);
       }
       case MsgType::kMetricsRequest: {
         RTDLS_TRACE_SCOPE("svc.metrics", "svc");
@@ -442,7 +452,7 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         };
         reply.text = obs::prometheus_text(service) + obs_.prometheus_text() +
                      obs::Registry::global().prometheus_text();
-        return send_all(fd, encode_message(MsgType::kMetricsReply, id, reply, ver));
+        return send_reply(MsgType::kMetricsReply, reply);
       }
       case MsgType::kSnapshotRequest: {
         RTDLS_TRACE_SCOPE("svc.snapshot", "svc");
@@ -464,11 +474,11 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         SnapshotReply reply;
         reply.shards = shards_.size();
         reply.bytes = bytes;
-        return send_all(fd, encode_message(MsgType::kSnapshotReply, id, reply, ver));
+        return send_reply(MsgType::kSnapshotReply, reply);
       }
       case MsgType::kShutdownRequest: {
         ShutdownRequest::decode(in);
-        send_all(fd, encode_message(MsgType::kShutdownReply, id, ShutdownReply{}, ver));
+        send_reply(MsgType::kShutdownReply, ShutdownReply{});
         request_stop();
         return false;
       }
@@ -496,7 +506,7 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
         }
         DebugSleepReply reply;
         reply.slept_ms = request.millis;
-        return send_all(fd, encode_message(MsgType::kDebugSleepReply, id, reply, ver));
+        return send_reply(MsgType::kDebugSleepReply, reply);
       }
       default:
         throw ShardError(ErrorCode::kUnknownType,
@@ -506,25 +516,26 @@ bool Daemon::handle_frame(int fd, const Frame& frame) {
   } catch (const ShardError& error) {
     bump(&AtomicCounters::errors);
     if (error.code() == ErrorCode::kTimeout) bump(&AtomicCounters::timeouts);
-    send_error(fd, id, ver, error.code(), error.what());
+    send_error(fd, out, id, ver, error.code(), error.what());
     return true;
   } catch (const util::WireError& error) {
     bump(&AtomicCounters::errors);
-    send_error(fd, id, ver, ErrorCode::kBadPayload, error.what());
+    send_error(fd, out, id, ver, ErrorCode::kBadPayload, error.what());
     return true;
   } catch (const std::exception& error) {
     bump(&AtomicCounters::errors);
-    send_error(fd, id, ver, ErrorCode::kInternal, error.what());
+    send_error(fd, out, id, ver, ErrorCode::kInternal, error.what());
     return true;
   }
 }
 
-void Daemon::send_error(int fd, std::uint64_t request_id, std::uint16_t version,
-                        ErrorCode code, const std::string& message) {
+void Daemon::send_error(int fd, std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                        std::uint16_t version, ErrorCode code, const std::string& message) {
   ErrorReply reply;
   reply.code = code;
   reply.message = message;
-  send_all(fd, encode_message(MsgType::kErrorReply, request_id, reply, version));
+  encode_message(out, MsgType::kErrorReply, request_id, reply, version);
+  send_all(fd, out);
 }
 
 bool Daemon::send_all(int fd, const std::vector<std::uint8_t>& bytes) {

@@ -7,6 +7,14 @@
 // state concurrency from sharding - each AdmissionShard is guarded by its
 // own std::timed_mutex, so requests against different shards never contend.
 //
+// Request path: for the lifetime of a connection the worker keeps one
+// receive buffer, one FrameDecoder, one Frame and one reply buffer; every
+// reply (error replies included) is encoded in place into that buffer and
+// sent from it. Pipelined frames are served in order out of one receive.
+// Once the buffers have grown to the connection's largest message, the
+// framing of a request allocates nothing; what the admission decision
+// allocates (the admitted task and its plan) is the shard's.
+//
 // Per-request deadlines: every request carries a wall-clock budget (the
 // daemon default, or AdmitRequest::deadline_ms). The budget covers both the
 // shard-lock acquisition (deadline-bounded try_lock polling) and the handler
@@ -117,12 +125,13 @@ class Daemon {
   void accept_loop();
   void worker_loop();
   void serve_connection(int fd);
-  /// Dispatches one frame; returns false when the connection must close
-  /// (frame-level protocol violation or shutdown).
-  bool handle_frame(int fd, const Frame& frame);
+  /// Dispatches one frame, encoding its reply into the connection's `out`
+  /// buffer; returns false when the connection must close (frame-level
+  /// protocol violation or shutdown).
+  bool handle_frame(int fd, const Frame& frame, std::vector<std::uint8_t>& out);
   /// Error replies echo the requester's wire revision like any other reply.
-  void send_error(int fd, std::uint64_t request_id, std::uint16_t version,
-                  ErrorCode code, const std::string& message);
+  void send_error(int fd, std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                  std::uint16_t version, ErrorCode code, const std::string& message);
   bool send_all(int fd, const std::vector<std::uint8_t>& bytes);
   std::chrono::steady_clock::time_point deadline_for(std::uint32_t override_ms) const;
 
@@ -148,6 +157,7 @@ class Daemon {
   void bump(std::atomic<std::size_t> AtomicCounters::* field, std::size_t by = 1);
 
   DaemonConfig config_;
+  std::string build_;  ///< util::build_description(), built once for status
   std::vector<std::unique_ptr<ShardSlot>> shards_;
 
   int listen_fd_ = -1;

@@ -7,18 +7,23 @@ namespace rtdls::util {
 
 namespace {
 
-void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, std::size_t bytes) {
-  for (std::size_t i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Appends `v`'s little-endian bytes with one bulk insert (the byte loop
+/// folds into a single store on a little-endian target).
+template <typename T>
+void append_le(std::vector<std::uint8_t>& out, T v) {
+  std::uint8_t bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
+  out.insert(out.end(), bytes, bytes + sizeof(T));
 }
 
 }  // namespace
 
-void WireWriter::u8(std::uint8_t v) { append_le(*out_, v, 1); }
-void WireWriter::u16(std::uint16_t v) { append_le(*out_, v, 2); }
-void WireWriter::u32(std::uint32_t v) { append_le(*out_, v, 4); }
-void WireWriter::u64(std::uint64_t v) { append_le(*out_, v, 8); }
+void WireWriter::u8(std::uint8_t v) { out_->push_back(v); }
+void WireWriter::u16(std::uint16_t v) { append_le(*out_, v); }
+void WireWriter::u32(std::uint32_t v) { append_le(*out_, v); }
+void WireWriter::u64(std::uint64_t v) { append_le(*out_, v); }
 void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void WireWriter::string(const std::string& v) {

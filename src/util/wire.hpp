@@ -30,7 +30,9 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Appends fixed-width little-endian values to a byte buffer.
+/// Appends fixed-width little-endian values to a byte buffer, each with one
+/// bulk insert: the caller's buffer when constructed over one (the frame
+/// encoder writes in place), else its own, handed over by take().
 class WireWriter {
  public:
   WireWriter() = default;

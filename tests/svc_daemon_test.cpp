@@ -909,7 +909,7 @@ TEST(SvcDaemon, GarbageBytesGetErrorReplyAndCloseDaemonSurvives) {
   {
     RawConn conn(socket_path);
     ASSERT_TRUE(conn.ok());
-    conn.send_bytes(encode_frame(MsgType::kAdmitRequest, 7, {0x01, 0x02}));
+    conn.send_bytes(encode_message(MsgType::kAdmitRequest, 7, CommitRequest{}));
     Frame frame;
     ASSERT_TRUE(conn.read_frame(frame));
     EXPECT_EQ(ErrorCode::kBadPayload, decode_error(frame).code);
@@ -1050,6 +1050,135 @@ TEST(SvcDaemon, MetricsOpReturnsPrometheusText) {
       << fresh.text;
   daemon_b.stop();
   ::unlink(socket_b.c_str());
+
+  daemon.stop();
+  ::unlink(socket_path.c_str());
+}
+
+TEST(SvcDaemon, StatusLatencyCountsMatchEachShardsAdmits) {
+  // Shard i gets i + 1 admits, so a summary read from the wrong histogram
+  // (or from a stale snapshot) shows up as a wrong count.
+  const std::string socket_path = test_socket("status16");
+  DaemonConfig config;
+  config.socket_path = socket_path;
+  config.shards = 16;
+  config.workers = 1;
+  Daemon daemon(std::move(config));
+  daemon.start();
+  Client client(socket_path);
+
+  cluster::TaskId next_id = 1;
+  for (std::uint32_t shard = 0; shard < 16; ++shard) {
+    for (std::uint32_t i = 0; i <= shard; ++i) {
+      AdmitRequest request;
+      request.shard = shard;
+      request.task.id = next_id++;
+      request.task.arrival = static_cast<double>(i) * 1500.0;
+      request.task.sigma = 150.0;
+      request.task.rel_deadline = 5000.0;
+      client.admit(request);
+    }
+  }
+
+  const StatusReply status = client.status();
+  ASSERT_EQ(16u, status.shards.size());
+  ASSERT_EQ(16u, status.shard_latency.size());
+  for (std::uint32_t shard = 0; shard < 16; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    EXPECT_EQ(shard + 1u, status.shards[shard].admits);
+    EXPECT_EQ(shard + 1u, status.shard_latency[shard].count);
+  }
+  EXPECT_EQ(136u, status.counters.admits);
+
+  daemon.stop();
+  ::unlink(socket_path.c_str());
+}
+
+TEST(SvcDaemon, PipelinedFramesGetInOrderReplies) {
+  // Several frames in one send - admits, a status read, a metrics scrape
+  // (the largest reply), more admits - then one admit split over two
+  // sends. The worker reuses one frame and one reply buffer for all of
+  // them; every reply must come back in order and decode exactly, and the
+  // admit replies must be the bytes a serial in-process shard produces.
+  const std::string socket_path = test_socket("pipeline");
+  DaemonConfig config;
+  config.socket_path = socket_path;
+  config.shards = 1;
+  config.workers = 1;
+  AdmissionShard serial(config.algorithm, ShardConfig{config.params});
+  Daemon daemon(std::move(config));
+  daemon.start();
+
+  const auto admit_request = [](std::uint64_t i) {
+    AdmitRequest request;
+    request.task.id = static_cast<cluster::TaskId>(i + 1);
+    request.task.arrival = static_cast<double>(i) * 400.0;
+    request.task.sigma = 150.0 + static_cast<double>(i % 3) * 90.0;
+    request.task.rel_deadline = 2500.0;
+    return request;
+  };
+  struct Expected {
+    std::uint64_t id;
+    MsgType type;
+    std::vector<std::uint8_t> admit_payload;  ///< admits only
+  };
+  std::vector<Expected> expected;
+  std::vector<std::uint8_t> stream;
+  const auto append = [&](const std::vector<std::uint8_t>& frame) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  };
+  const auto queue_admit = [&](std::uint64_t i) {
+    const AdmitRequest request = admit_request(i);
+    append(encode_message(MsgType::kAdmitRequest, 100 + i, request));
+    util::WireWriter payload;
+    serial.admit(request.task).encode(payload);
+    expected.push_back({100 + i, MsgType::kAdmitReply, payload.take()});
+  };
+  for (std::uint64_t i = 0; i < 4; ++i) queue_admit(i);
+  append(encode_message(MsgType::kStatusRequest, 200, StatusRequest{}));
+  expected.push_back({200, MsgType::kStatusReply, {}});
+  append(encode_message(MsgType::kMetricsRequest, 201, MetricsRequest{}));
+  expected.push_back({201, MsgType::kMetricsReply, {}});
+  for (std::uint64_t i = 4; i < 8; ++i) queue_admit(i);
+
+  RawConn conn(socket_path);
+  ASSERT_TRUE(conn.ok());
+  conn.send_bytes(stream);
+  stream.clear();
+  queue_admit(8);
+  const std::vector<std::uint8_t> split = stream;
+  const auto half = static_cast<std::ptrdiff_t>(split.size() / 2);
+  conn.send_bytes(std::vector<std::uint8_t>(split.begin(), split.begin() + half));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  conn.send_bytes(std::vector<std::uint8_t>(split.begin() + half, split.end()));
+
+  for (const Expected& want : expected) {
+    SCOPED_TRACE("request " + std::to_string(want.id));
+    Frame frame;
+    ASSERT_TRUE(conn.read_frame(frame));
+    EXPECT_EQ(want.id, frame.request_id);
+    ASSERT_EQ(want.type, frame.type);
+    util::WireReader in(frame.payload);  // each decode requires every byte consumed
+    switch (want.type) {
+      case MsgType::kAdmitReply:
+        (void)AdmitReply::decode(in);
+        EXPECT_EQ(want.admit_payload, frame.payload);
+        break;
+      case MsgType::kStatusReply: {
+        const StatusReply status = StatusReply::decode(in);
+        ASSERT_EQ(1u, status.shards.size());
+        EXPECT_EQ(4u, status.shards[0].admits);
+        EXPECT_EQ(4u, status.counters.admits);
+        break;
+      }
+      default: {
+        const MetricsReply metrics = MetricsReply::decode(in);
+        EXPECT_NE(metrics.text.find("\nrtdls_daemon_admits_total 4\n"), std::string::npos);
+        EXPECT_GT(frame.payload.size(), 1024u);  // far larger than what follows it
+        break;
+      }
+    }
+  }
 
   daemon.stop();
   ::unlink(socket_path.c_str());

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sched/plan_io.hpp"
@@ -505,6 +509,387 @@ TEST(SvcProtocol, StatusReplyShardCountValidatedBeforeReserve) {
   payload[payload.size() - 1] = 0x80;
   util::WireReader reader(payload);
   EXPECT_THROW((void)StatusReply::decode(reader), util::WireError);
+}
+
+// --- golden frames ----------------------------------------------------------
+// Every other test here is a round trip, which an encoder and a decoder
+// changed the same wrong way would pass. The golden table pins the bytes
+// themselves: one fixed message of every type, framed at both revisions.
+
+constexpr std::uint64_t kGoldenRequestId = 0x1122334455667788ull;
+
+TaskRecord golden_task() {
+  TaskRecord task;
+  task.id = 0x0102030405060708ull;
+  task.arrival = 1234.5;
+  task.sigma = 200.25;
+  task.rel_deadline = 5000.125;
+  task.user_nodes = 3;
+  return task;
+}
+
+StatusReply golden_status(bool extended) {
+  StatusReply status;
+  status.build = "rtdls test";
+  status.algorithm = "EDF-DLT";
+  status.node_count = 16;
+  status.workers = 4;
+  status.counters.connections = 1;
+  status.counters.requests = 2;
+  status.counters.admits = 3;
+  status.counters.commits = 4;
+  status.counters.cancels = 5;
+  status.counters.status_queries = 6;
+  status.counters.snapshots = 7;
+  status.counters.errors = 8;
+  status.counters.timeouts = 9;
+  status.counters.restores = 10;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ShardStatus shard;
+    shard.shard = i;
+    shard.now = 1000.5 + i;
+    shard.waiting = 11 + i;
+    shard.admits = 12 + i;
+    shard.accepted = 13 + i;
+    shard.rejected = 14 + i;
+    shard.committed = 15 + i;
+    shard.cancelled = 16 + i;
+    shard.session_bytes = 320 + i;
+    shard.session_dense_bytes = 256 + i;
+    shard.peak_session_bytes = 376 + i;
+    status.shards.push_back(shard);
+  }
+  status.extended = extended;
+  if (extended) {
+    status.uptime_ms = 123456;
+    status.queue_depth = 2;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      ShardLatency latency;
+      latency.count = 500 + i;
+      latency.p50_us = 12.5 + i;
+      latency.p90_us = 80.25 + i;
+      latency.p99_us = 410.0 + i;
+      latency.max_us = 1999.875 + i;
+      status.shard_latency.push_back(latency);
+    }
+  }
+  return status;
+}
+
+/// Calls `visit` with the fixed message of `type`; the StatusReply carries
+/// its v1.1 extension exactly when `version` is v1.1.
+template <typename Visit>
+auto with_golden_message(MsgType type, std::uint16_t version, Visit&& visit) {
+  switch (type) {
+    case MsgType::kAdmitRequest: {
+      AdmitRequest m;
+      m.shard = 2;
+      m.deadline_ms = 750;
+      m.task = golden_task();
+      return visit(m);
+    }
+    case MsgType::kAdmitReply: {
+      AdmitReply m;
+      m.accepted = true;
+      m.reason = 2;
+      m.blocking_task = 7;
+      m.decision_seq = 99;
+      m.est_completion = 4120.875;
+      m.nodes = 5;
+      m.waiting = 11;
+      return visit(m);
+    }
+    case MsgType::kCommitRequest: {
+      CommitRequest m;
+      m.shard = 1;
+      m.task = 42;
+      return visit(m);
+    }
+    case MsgType::kCommitReply: {
+      CommitReply m;
+      m.committed = true;
+      m.committed_at = 321.0625;
+      m.also_committed = 2;
+      return visit(m);
+    }
+    case MsgType::kCancelRequest: {
+      CancelRequest m;
+      m.shard = 3;
+      m.task = 17;
+      return visit(m);
+    }
+    case MsgType::kCancelReply: {
+      CancelReply m;
+      m.cancelled = true;
+      return visit(m);
+    }
+    case MsgType::kStatusRequest: return visit(StatusRequest{});
+    case MsgType::kStatusReply: return visit(golden_status(version != kProtocolVersionV10));
+    case MsgType::kSnapshotRequest: {
+      SnapshotRequest m;
+      m.path = "snap.bin";
+      return visit(m);
+    }
+    case MsgType::kSnapshotReply: {
+      SnapshotReply m;
+      m.shards = 4;
+      m.bytes = 1213;
+      return visit(m);
+    }
+    case MsgType::kShutdownRequest: return visit(ShutdownRequest{});
+    case MsgType::kShutdownReply: return visit(ShutdownReply{});
+    case MsgType::kDebugSleepRequest: {
+      DebugSleepRequest m;
+      m.shard = 1;
+      m.millis = 250;
+      return visit(m);
+    }
+    case MsgType::kDebugSleepReply: {
+      DebugSleepReply m;
+      m.slept_ms = 250;
+      return visit(m);
+    }
+    case MsgType::kMetricsRequest: return visit(MetricsRequest{});
+    case MsgType::kMetricsReply: {
+      MetricsReply m;
+      m.text = "rtdls_daemon_admits_total 3\n";
+      return visit(m);
+    }
+    case MsgType::kErrorReply: {
+      ErrorReply m;
+      m.code = ErrorCode::kTimeout;
+      m.message = "shard busy";
+      return visit(m);
+    }
+  }
+  throw std::logic_error("no golden message for this type");
+}
+
+struct GoldenFrame {
+  MsgType type;
+  std::uint16_t version;
+  const char* hex;  ///< the whole frame: the 20-byte header, then the payload
+};
+
+const GoldenFrame kGoldenFrames[] = {
+    {MsgType::kAdmitRequest, kProtocolVersionV10,
+     "5254444c01000100887766554433221130000000"
+     "02000000ee020000080706050403020100000000004a93400000000000086940"
+     "000000002088b3400300000000000000"},
+    {MsgType::kAdmitRequest, kProtocolVersion,
+     "5254444c02000100887766554433221130000000"
+     "02000000ee020000080706050403020100000000004a93400000000000086940"
+     "000000002088b3400300000000000000"},
+    {MsgType::kAdmitReply, kProtocolVersionV10,
+     "5254444c0100650088776655443322112a000000"
+     "01020700000000000000630000000000000000000000e018b040050000000000"
+     "00000b00000000000000"},
+    {MsgType::kAdmitReply, kProtocolVersion,
+     "5254444c0200650088776655443322112a000000"
+     "01020700000000000000630000000000000000000000e018b040050000000000"
+     "00000b00000000000000"},
+    {MsgType::kCommitRequest, kProtocolVersionV10,
+     "5254444c0100020088776655443322110c000000"
+     "010000002a00000000000000"},
+    {MsgType::kCommitRequest, kProtocolVersion,
+     "5254444c0200020088776655443322110c000000"
+     "010000002a00000000000000"},
+    {MsgType::kCommitReply, kProtocolVersionV10,
+     "5254444c01006600887766554433221111000000"
+     "0100000000001174400200000000000000"},
+    {MsgType::kCommitReply, kProtocolVersion,
+     "5254444c02006600887766554433221111000000"
+     "0100000000001174400200000000000000"},
+    {MsgType::kCancelRequest, kProtocolVersionV10,
+     "5254444c0100030088776655443322110c000000"
+     "030000001100000000000000"},
+    {MsgType::kCancelRequest, kProtocolVersion,
+     "5254444c0200030088776655443322110c000000"
+     "030000001100000000000000"},
+    {MsgType::kCancelReply, kProtocolVersionV10,
+     "5254444c01006700887766554433221101000000"
+     "01"},
+    {MsgType::kCancelReply, kProtocolVersion,
+     "5254444c02006700887766554433221101000000"
+     "01"},
+    {MsgType::kStatusRequest, kProtocolVersionV10,
+     "5254444c01000400887766554433221100000000"},
+    {MsgType::kStatusRequest, kProtocolVersion,
+     "5254444c02000400887766554433221100000000"},
+    {MsgType::kStatusReply, kProtocolVersionV10,
+     "5254444c01006800887766554433221125010000"
+     "0a0000007274646c732074657374070000004544462d444c5410000000000000"
+     "0004000000000000000100000000000000020000000000000003000000000000"
+     "0004000000000000000500000000000000060000000000000007000000000000"
+     "00080000000000000009000000000000000a0000000000000002000000000000"
+     "000000000000448f400b000000000000000c000000000000000d000000000000"
+     "000e000000000000000f00000000000000100000000000000040010000000000"
+     "00000100000000000078010000000000000100000000000000004c8f400c0000"
+     "00000000000d000000000000000e000000000000000f00000000000000100000"
+     "0000000000110000000000000041010000000000000101000000000000790100"
+     "0000000000"},
+    {MsgType::kStatusReply, kProtocolVersion,
+     "5254444c02006800887766554433221189010000"
+     "0a0000007274646c732074657374070000004544462d444c5410000000000000"
+     "0004000000000000000100000000000000020000000000000003000000000000"
+     "0004000000000000000500000000000000060000000000000007000000000000"
+     "00080000000000000009000000000000000a0000000000000002000000000000"
+     "000000000000448f400b000000000000000c000000000000000d000000000000"
+     "000e000000000000000f00000000000000100000000000000040010000000000"
+     "00000100000000000078010000000000000100000000000000004c8f400c0000"
+     "00000000000d000000000000000e000000000000000f00000000000000100000"
+     "0000000000110000000000000041010000000000000101000000000000790100"
+     "000000000040e2010000000000020000000000000002000000f4010000000000"
+     "00000000000000294000000000001054400000000000a0794000000000803f9f"
+     "40f5010000000000000000000000002b4000000000005054400000000000b079"
+     "400000000080439f40"},
+    {MsgType::kSnapshotRequest, kProtocolVersionV10,
+     "5254444c0100050088776655443322110c000000"
+     "08000000736e61702e62696e"},
+    {MsgType::kSnapshotRequest, kProtocolVersion,
+     "5254444c0200050088776655443322110c000000"
+     "08000000736e61702e62696e"},
+    {MsgType::kSnapshotReply, kProtocolVersionV10,
+     "5254444c01006900887766554433221110000000"
+     "0400000000000000bd04000000000000"},
+    {MsgType::kSnapshotReply, kProtocolVersion,
+     "5254444c02006900887766554433221110000000"
+     "0400000000000000bd04000000000000"},
+    {MsgType::kShutdownRequest, kProtocolVersionV10,
+     "5254444c01000600887766554433221100000000"},
+    {MsgType::kShutdownRequest, kProtocolVersion,
+     "5254444c02000600887766554433221100000000"},
+    {MsgType::kShutdownReply, kProtocolVersionV10,
+     "5254444c01006a00887766554433221100000000"},
+    {MsgType::kShutdownReply, kProtocolVersion,
+     "5254444c02006a00887766554433221100000000"},
+    {MsgType::kDebugSleepRequest, kProtocolVersionV10,
+     "5254444c01000700887766554433221108000000"
+     "01000000fa000000"},
+    {MsgType::kDebugSleepRequest, kProtocolVersion,
+     "5254444c02000700887766554433221108000000"
+     "01000000fa000000"},
+    {MsgType::kDebugSleepReply, kProtocolVersionV10,
+     "5254444c01006b00887766554433221104000000"
+     "fa000000"},
+    {MsgType::kDebugSleepReply, kProtocolVersion,
+     "5254444c02006b00887766554433221104000000"
+     "fa000000"},
+    {MsgType::kMetricsRequest, kProtocolVersionV10,
+     "5254444c01000800887766554433221100000000"},
+    {MsgType::kMetricsRequest, kProtocolVersion,
+     "5254444c02000800887766554433221100000000"},
+    {MsgType::kMetricsReply, kProtocolVersionV10,
+     "5254444c01006c00887766554433221120000000"
+     "1c0000007274646c735f6461656d6f6e5f61646d6974735f746f74616c20330a"},
+    {MsgType::kMetricsReply, kProtocolVersion,
+     "5254444c02006c00887766554433221120000000"
+     "1c0000007274646c735f6461656d6f6e5f61646d6974735f746f74616c20330a"},
+    {MsgType::kErrorReply, kProtocolVersionV10,
+     "5254444c0100ff00887766554433221110000000"
+     "06000a00000073686172642062757379"},
+    {MsgType::kErrorReply, kProtocolVersion,
+     "5254444c0200ff00887766554433221110000000"
+     "06000a00000073686172642062757379"},
+};
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (std::uint8_t byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(SvcProtocol, GoldenFramesPinTheWireLayout) {
+  std::set<std::pair<MsgType, std::uint16_t>> covered;
+  for (const GoldenFrame& golden : kGoldenFrames) {
+    SCOPED_TRACE("type " + std::to_string(static_cast<int>(golden.type)) + " version " +
+                 std::to_string(golden.version));
+    EXPECT_TRUE(covered.emplace(golden.type, golden.version).second) << "listed twice";
+
+    // Encode: the fixed message must frame to exactly the golden bytes.
+    const std::vector<std::uint8_t> encoded =
+        with_golden_message(golden.type, golden.version, [&](const auto& message) {
+          return encode_message(golden.type, kGoldenRequestId, message, golden.version);
+        });
+    EXPECT_EQ(golden.hex, to_hex(encoded));
+
+    // Decode: the golden bytes must parse as one frame of that type, and
+    // its payload must decode to a message that encodes back to them.
+    const std::vector<std::uint8_t> bytes = from_hex(golden.hex);
+    FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    Frame frame;
+    ASSERT_EQ(FrameDecoder::Status::kFrame, decoder.next(frame));
+    EXPECT_EQ(0u, decoder.buffered());
+    EXPECT_EQ(golden.type, frame.type);
+    EXPECT_EQ(golden.version, frame.version);
+    EXPECT_EQ(kGoldenRequestId, frame.request_id);
+    const std::vector<std::uint8_t> reencoded =
+        with_golden_message(golden.type, golden.version, [&](const auto& message) {
+          using Message = std::decay_t<decltype(message)>;
+          util::WireReader in(frame.payload);
+          const Message decoded = Message::decode(in);
+          return encode_message(frame.type, frame.request_id, decoded, frame.version);
+        });
+    EXPECT_EQ(golden.hex, to_hex(reencoded));
+  }
+  // Every request and reply type, at v1.0 and at v1.1.
+  EXPECT_EQ(2u * 17u, covered.size());
+}
+
+TEST(SvcProtocol, EncodeIntoABufferReplacesItAndReusesItsCapacity) {
+  // A large frame, then a small one, into the same buffer: the second must
+  // be exactly the fresh encoding (no stale bytes, its own length patched
+  // in), written into the storage the first one left.
+  std::vector<std::uint8_t> out;
+  MetricsReply metrics;
+  metrics.text.assign(4096, 'x');
+  encode_message(out, MsgType::kMetricsReply, 1, metrics);
+  EXPECT_EQ(encode_message(MsgType::kMetricsReply, 1, metrics), out);
+  const std::uint8_t* storage = out.data();
+
+  CommitRequest commit;
+  commit.shard = 1;
+  commit.task = 42;
+  encode_message(out, MsgType::kCommitRequest, 2, commit, kProtocolVersionV10);
+  EXPECT_EQ(encode_message(MsgType::kCommitRequest, 2, commit, kProtocolVersionV10), out);
+  EXPECT_EQ(storage, out.data());
+
+  // The decoder likewise refills a reused Frame in the payload storage it
+  // already has.
+  FrameDecoder decoder;
+  Frame frame;
+  const std::vector<std::uint8_t> large = encode_message(MsgType::kMetricsReply, 1, metrics);
+  decoder.feed(large.data(), large.size());
+  ASSERT_EQ(FrameDecoder::Status::kFrame, decoder.next(frame));
+  const std::uint8_t* payload = frame.payload.data();
+  decoder.feed(out.data(), out.size());
+  ASSERT_EQ(FrameDecoder::Status::kFrame, decoder.next(frame));
+  EXPECT_EQ(payload, frame.payload.data());
+  util::WireReader in(frame.payload);
+  EXPECT_EQ(42u, CommitRequest::decode(in).task);
+}
+
+TEST(SvcProtocol, EncodeRefusesAPayloadOverTheCap) {
+  MetricsReply metrics;
+  metrics.text.assign(kMaxPayload, 'x');  // plus its u32 length prefix
+  std::vector<std::uint8_t> out;
+  EXPECT_THROW(encode_message(out, MsgType::kMetricsReply, 1, metrics), util::WireError);
+  metrics.text.resize(kMaxPayload - 4);  // exactly at the cap
+  encode_message(out, MsgType::kMetricsReply, 1, metrics);
+  EXPECT_EQ(kFrameHeaderSize + kMaxPayload, out.size());
 }
 
 }  // namespace
